@@ -6,8 +6,14 @@ where the pairing with theta-check equals the dual Coxeter number g, so
     s_0(x) = s_theta(x) + g * theta,      s_0(rho) = rho + theta.
 
 With this scaling every generator preserves the lattice spanned by the
-simple roots, so affine group elements are integer matrices plus integer
-translation vectors, and equality of elements is equality of those pairs.
+simple roots.  rho lies strictly inside the g-scaled fundamental alcove,
+since <rho, alpha_i-check> = 1 > 0 and <rho, theta-check> = g - 1 < g, so
+an element w is determined by its rho-point w(rho).  Construction
+identifies elements by rho-point and moves points and roots one letter at
+a time with vector actions: the rho-point of w s_j is w(rho) minus the
+finite part of the affine root w(beta_j).  Integer matrices plus integer
+translation vectors (AffineElement) appear only where a full affine map is
+applied to arbitrary points, such as alcove vertices.
 
 Affine roots are (finite root, level) pairs; the extra simple root is
 (-theta, 1).  Positive means level > 0, or level 0 with positive finite
@@ -24,12 +30,14 @@ from functools import lru_cache
 from typing import Dict, List, Sequence, Tuple
 
 from .qpoly import Poly, poly, poly_divexact, poly_prod
-from .root_system import Q, Root, RootSystem, WeightVector, build, vadd, vscale
+from .root_system import Q, Root, RootSystem, WeightVector, build, vadd, vneg, vscale, vsub
 from .weyl import (
     classify_components,
     identity_matrix,
     mat_mul,
     mat_vec,
+    matrix_of,
+    reflect_simple,
     reflection_matrix,
     subgroup_poincare,
 )
@@ -68,43 +76,63 @@ class AffineElement:
             vadd(mat_vec(self.matrix, other.shift), self.shift),
         )
 
-    def is_identity(self) -> bool:
-        n = len(self.shift)
-        return self.shift == (0,) * n and self.matrix == identity_matrix(n)
+
+@lru_cache(maxsize=None)
+def _affine_cartan_cached(label: str) -> Tuple[Tuple[int, ...], ...]:
+    rs = build(label)
+    roots = (vneg(rs.theta),) + tuple(rs.simple_root(i) for i in range(1, rs.rank + 1))
+
+    def pairing(x: Root, phi: Root) -> int:
+        num, den = 2 * rs.raw_inner(x, phi), rs.raw_inner(phi, phi)
+        if num % den:
+            raise AssertionError("nonintegral Cartan pairing")
+        return num // den
+
+    return tuple(tuple(pairing(b, a) for b in roots) for a in roots)
+
+
+def affine_cartan_matrix(rs: RootSystem) -> Tuple[Tuple[int, ...], ...]:
+    """Entry [a][b] = <root_b, root_a-check> over letters 0..rank, where
+    root_0 = -theta; computed once per type."""
+    return _affine_cartan_cached(str(rs.simple_type))
+
+
+def reflect_theta(rs: RootSystem, vec: Sequence) -> Tuple[tuple, object]:
+    """(s_theta(vec), <vec, theta-check>), the pairing read off row 0 of the
+    affine Cartan matrix: <alpha_j, theta-check> = -a_0j."""
+    row = affine_cartan_matrix(rs)[0]
+    c = -sum(a * x for a, x in zip(row[1:], vec) if a)
+    return tuple(x - c * t for x, t in zip(vec, rs.theta)), c
+
+
+def affine_reflect(rs: RootSystem, i: int, vec: Sequence) -> tuple:
+    """Generator i acting on a point: s_0(x) = s_theta(x) + g theta."""
+    if i == 0:
+        return vadd(reflect_theta(rs, vec)[0], vscale(rs.dual_coxeter_number, rs.theta))
+    return reflect_simple(rs, i, vec)
+
+
+def rho_point(rs: RootSystem, word: Sequence[int]) -> WeightVector:
+    """w(rho) for the element named by the word, one letter at a time."""
+    point = rs.rho
+    for i in reversed(word):
+        point = affine_reflect(rs, i, point)
+    return point
 
 
 @lru_cache(maxsize=None)
-def _affine_data(label: str):
-    """Per-type cache: theta-check pairings, s_theta matrix, generator elements."""
+def _generators(label: str) -> Dict[int, AffineElement]:
     rs = build(label)
     l = rs.rank
-    theta_pairings = []
-    for j in range(1, l + 1):
-        c = rs.coroot_pairing(rs.simple_root(j), rs.theta)
-        if c.denominator != 1:
-            raise AssertionError("nonintegral pairing with theta-check")
-        theta_pairings.append(int(c))
-    # s_theta: column j is alpha_j - <alpha_j, theta-check> theta
-    s_theta = tuple(
-        tuple((1 if r == j else 0) - theta_pairings[j] * rs.theta[r] for j in range(l))
-        for r in range(l)
-    )
-    g = rs.dual_coxeter_number
-    gens: Dict[int, AffineElement] = {
-        0: AffineElement(s_theta, tuple(g * c for c in rs.theta))
-    }
-    zero = (0,) * l
+    gens = {0: AffineElement(matrix_of(l, lambda e: reflect_theta(rs, e)[0]),
+                             vscale(rs.dual_coxeter_number, rs.theta))}
     for i in range(1, l + 1):
-        gens[i] = AffineElement(reflection_matrix(rs, i), zero)
-    return tuple(theta_pairings), gens
-
-
-def theta_check_pairing(rs: RootSystem, vec: Sequence) -> Q:
-    return rs.coroot_pairing(vec, rs.theta)
+        gens[i] = AffineElement(reflection_matrix(rs, i), (0,) * l)
+    return gens
 
 
 def affine_generator(rs: RootSystem, i: int) -> AffineElement:
-    _, gens = _affine_data(str(rs.simple_type))
+    gens = _generators(str(rs.simple_type))
     if i not in gens:
         raise ValueError(f"letter {i} out of range 0..{rs.rank}")
     return gens[i]
@@ -121,12 +149,6 @@ def inverse_word(word: Sequence[int]) -> AffineWord:
     return tuple(reversed(word))
 
 
-def apply_affine(rs: RootSystem, word_or_element, vec: Sequence) -> tuple:
-    if isinstance(word_or_element, AffineElement):
-        return word_or_element(vec)
-    return element_of_affine_word(rs, word_or_element)(vec)
-
-
 def affine_simple_root(rs: RootSystem, i: int) -> AffineRoot:
     if i == 0:
         return AffineRoot(tuple(-c for c in rs.theta), 1)
@@ -134,18 +156,14 @@ def affine_simple_root(rs: RootSystem, i: int) -> AffineRoot:
 
 
 def reflect_affine_root(rs: RootSystem, i: int, beta: AffineRoot) -> AffineRoot:
-    """Action of generator i on affine roots."""
+    """Action of generator i on affine roots: s_0 sends (x, k) to
+    (s_theta(x), k + <x, theta-check>)."""
     if i == 0:
-        pairings, gens = _affine_data(str(rs.simple_type))
-        c = sum(pairings[j] * beta.finite[j] for j in range(rs.rank) if beta.finite[j])
-        return AffineRoot(mat_vec(gens[0].matrix, beta.finite), beta.level + c)
+        finite, c = reflect_theta(rs, beta.finite)
+        return AffineRoot(finite, beta.level + c)
     if not 1 <= i <= rs.rank:
         raise ValueError(f"letter {i} out of range 0..{rs.rank}")
-    row = rs.cartan[i - 1]
-    c = sum(row[j] * beta.finite[j] for j in range(rs.rank) if beta.finite[j])
-    out = list(beta.finite)
-    out[i - 1] -= c
-    return AffineRoot(tuple(out), beta.level)
+    return AffineRoot(reflect_simple(rs, i, beta.finite), beta.level)
 
 
 def apply_word_to_affine_root(rs: RootSystem, word: Sequence[int], beta: AffineRoot) -> AffineRoot:
@@ -205,19 +223,21 @@ def in_2A(rs: RootSystem, vec: Sequence) -> bool:
 def perp_generators(rs: RootSystem, phi: Root) -> Tuple[int, ...]:
     """Letters whose mirror contains phi: finite ones orthogonal to phi,
     plus 0 when theta is orthogonal to phi."""
-    out = [0] if rs.inner(rs.theta, phi) == 0 else []
+    out = [0] if rs.raw_inner(rs.theta, phi) == 0 else []
     for i in range(1, rs.rank + 1):
-        if rs.inner(rs.simple_root(i), phi) == 0:
+        if rs.simple_coroot_pairing(phi, i) == 0:
             out.append(i)
     return tuple(sorted(out))
 
 
-def _is_left_minimal(rs: RootSystem, word: Sequence[int], finite_gens: Sequence[int]) -> bool:
-    rev = inverse_word(word)
-    for f in finite_gens:
-        if not apply_word_to_affine_root(rs, rev, affine_simple_root(rs, f)).is_positive:
-            return False
-    return True
+def _is_left_minimal(rs: RootSystem, shift: Sequence[int], finite_gens: Sequence[int]) -> bool:
+    """No finite wall letter shortens the element from the left.
+
+    `shift` is w(rho) - rho.  s_f w is longer than w exactly when w(rho)
+    lies on the positive side of alpha_f's wall, that is when
+    <rho + shift, alpha_f-check> = 1 + <shift, alpha_f-check> > 0.
+    """
+    return all(rs.simple_coroot_pairing(shift, f) >= 0 for f in finite_gens)
 
 
 def minimal_coset_reps(rs: RootSystem, phi: Root) -> Tuple[AffineWord, ...]:
@@ -226,8 +246,8 @@ def minimal_coset_reps(rs: RootSystem, phi: Root) -> Tuple[AffineWord, ...]:
     Walk the subgroup generated by all perpendicular letters, extending on
     the right only when the length grows, and keep the words no finite
     perpendicular letter can shorten from the left.  Minimal words are
-    closed under prefixes, so a layered walk finds them all.  Ordered by
-    (length, word).
+    closed under prefixes, so a layered walk finds them all.  Elements are
+    told apart by their rho-points.  Ordered by (length, word).
     """
     return _minimal_coset_reps_cached(str(rs.simple_type), tuple(phi))
 
@@ -240,36 +260,26 @@ def _minimal_coset_reps_cached(label: str, phi: Root) -> Tuple[AffineWord, ...]:
     gens = perp_generators(rs, phi)
     finite_gens = tuple(i for i in gens if i != 0)
     reps: List[AffineWord] = [()]
-    seen = {element_of_affine_word(rs, ())}
-    layer: List[AffineWord] = [()]
+    zero = (0,) * rs.rank
+    seen = {zero}
+    layer: List[Tuple[AffineWord, Root]] = [((), zero)]  # (word, w(rho) - rho)
     while layer:
-        nxt: List[AffineWord] = []
-        for word in layer:
+        nxt: List[Tuple[AffineWord, Root]] = []
+        for word, shift in layer:
             for j in gens:
-                if not apply_word_to_affine_root(rs, word, affine_simple_root(rs, j)).is_positive:
+                beta = apply_word_to_affine_root(rs, word, affine_simple_root(rs, j))
+                if not beta.is_positive:
                     continue  # length would drop
-                cand = word + (j,)
-                el = element_of_affine_word(rs, cand)
-                if el in seen:
+                # (w s_j)(rho) = w(rho) - finite part of w(beta_j)
+                cand = vsub(shift, beta.finite)
+                if cand in seen or not _is_left_minimal(rs, cand, finite_gens):
                     continue
-                if not _is_left_minimal(rs, cand, finite_gens):
-                    continue
-                seen.add(el)
-                nxt.append(cand)
+                seen.add(cand)
+                nxt.append((word + (j,), cand))
         nxt.sort()
-        reps.extend(nxt)
+        reps.extend(word for word, _ in nxt)
         layer = nxt
     return tuple(reps)
-
-
-def _affine_cartan_entry(rs: RootSystem, a: int, b: int) -> int:
-    def root_of(i: int) -> Root:
-        return tuple(-c for c in rs.theta) if i == 0 else rs.simple_root(i)
-
-    c = rs.coroot_pairing(root_of(b), root_of(a))
-    if c.denominator != 1:
-        raise AssertionError("nonintegral Cartan pairing")
-    return int(c)
 
 
 def wall_subgroup_poincare(rs: RootSystem, phi: Root, include_zero: bool) -> Poly:
@@ -279,7 +289,8 @@ def wall_subgroup_poincare(rs: RootSystem, phi: Root, include_zero: bool) -> Pol
     if not include_zero:
         gens = tuple(i for i in gens if i != 0)
         return subgroup_poincare(rs, gens)
-    comps = classify_components(gens, lambda a, b: _affine_cartan_entry(rs, a, b))
+    cartan = affine_cartan_matrix(rs)
+    comps = classify_components(gens, lambda a, b: cartan[a][b])
     return poly_prod(comp.poincare for comp in comps)
 
 

@@ -4,7 +4,7 @@ Nodes are the catalog's ideals in canonical order; an edge joins ideals
 differing by exactly one root.  A separate verification confirms these
 edges are precisely the cover relations of inclusion, and each edge is
 labeled by the unique affine letter carrying one endpoint's group element
-to the other's.
+to the other's, found by comparing rho-points.
 
 Automorphisms are computed on the unlabeled undirected graph: partition
 refinement (degree and distance profile, then neighborhood colors to a
@@ -17,18 +17,18 @@ catalog of small groups.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Sequence, Tuple
 
-from .affine import alcove_vertices, element_of_affine_word, inverse_word
+from .affine import affine_simple_root, alcove_vertices, apply_word_to_affine_root
 from .ideals import (
     CatalogEntry,
     IdealCatalog,
     InvariantViolation,
     catalog_of,
 )
-from .root_system import Q, Root, RootSystem, vsub
+from .root_system import Q, RootSystem, gauss_jordan, vneg, vsub
+from .weyl import graph_distances
 
 Permutation = Tuple[int, ...]
 
@@ -67,7 +67,6 @@ def _build_graph_cached(label: str) -> HasseGraph:
 
     rs = build(label)
     cat = catalog_of(rs)
-    gen_elements = {j: element_of_affine_word(rs, (j,)) for j in range(0, rs.rank + 1)}
     edges: List[HasseEdge] = []
     for k, entry in enumerate(cat.entries):
         for r in entry.ideal.roots:
@@ -75,18 +74,22 @@ def _build_graph_cached(label: str) -> HasseGraph:
             j = cat.index.get(frozenset(below))
             if j is None:
                 continue
-            letter = _edge_letter(rs, cat.entries[j], entry, gen_elements)
-            edges.append(HasseEdge(j, k, letter))
+            edges.append(HasseEdge(j, k, _edge_letter(rs, cat.entries[j], entry)))
     edges.sort(key=lambda e: (e.lower, e.upper))
     return HasseGraph(rs, cat, tuple(edges))
 
 
-def _edge_letter(rs: RootSystem, low: CatalogEntry, high: CatalogEntry,
-                 gen_elements) -> int:
-    """The affine letter i with element(high) = element(low) * s_i."""
-    diff = element_of_affine_word(rs, inverse_word(low.word)).compose(high.element)
-    for j, gen in gen_elements.items():
-        if diff == gen:
+def _edge_letter(rs: RootSystem, low: CatalogEntry, high: CatalogEntry) -> int:
+    """The affine letter j with element(high) = element(low) * s_j.
+
+    An entry's rho-point is rho plus its root sum, and that of low * s_j is
+    low's minus the finite part of low(beta_j); rho-points determine
+    elements, so j is the letter whose root low(beta_j) has finite part
+    minus the added roots.
+    """
+    target = vneg(vsub(high.ideal.root_sum(rs.rank), low.ideal.root_sum(rs.rank)))
+    for j in range(rs.rank + 1):
+        if apply_word_to_affine_root(rs, low.word, affine_simple_root(rs, j)).finite == target:
             return j
     raise InvariantViolation(
         f"elements of adjacent ideals do not differ by one reflection "
@@ -149,7 +152,7 @@ def upper_alcoves(rs: RootSystem) -> Tuple[UpperAlcove, ...]:
     cat = catalog_of(rs)
     out: List[UpperAlcove] = []
     for k, entry in enumerate(cat.entries):
-        verts = alcove_vertices(rs, entry.element)
+        verts = alcove_vertices(rs, entry.word)
         off_wall = []
         for i, v in enumerate(verts):
             t = rs.inner(v, rs.theta)
@@ -169,26 +172,6 @@ def upper_alcoves(rs: RootSystem) -> Tuple[UpperAlcove, ...]:
 # ----------------------------------------------------------------------
 # facet volumes of the fundamental alcove
 
-def _det(rows: List[List[Q]]) -> Q:
-    n = len(rows)
-    m = [row[:] for row in rows]
-    det = Q(1)
-    for c in range(n):
-        pivot = next((r for r in range(c, n) if m[r][c]), None)
-        if pivot is None:
-            return Q(0)
-        if pivot != c:
-            m[c], m[pivot] = m[pivot], m[c]
-            det = -det
-        det *= m[c][c]
-        inv = 1 / m[c][c]
-        for r in range(c + 1, n):
-            if m[r][c]:
-                f = m[r][c] * inv
-                m[r] = [x - f * y for x, y in zip(m[r], m[c])]
-    return det
-
-
 def facet_volume_ratios(rs: RootSystem) -> Tuple[Q, ...]:
     """Squared volume of facet i over squared volume of facet 0.
 
@@ -203,7 +186,7 @@ def facet_volume_ratios(rs: RootSystem) -> Tuple[Q, ...]:
     def gram_det(skip: int) -> Q:
         pts = [v for i, v in enumerate(verts) if i != skip]
         edges = [vsub(p, pts[0]) for p in pts[1:]]
-        return _det([[rs.inner(a, b) for b in edges] for a in edges])
+        return gauss_jordan([[rs.inner(a, b) for b in edges] for a in edges])[0]
 
     base = gram_det(0)
     if base == 0:
@@ -222,24 +205,6 @@ def expected_facet_ratios(rs: RootSystem) -> Tuple[Q, ...]:
 
 # ----------------------------------------------------------------------
 # automorphisms
-
-def _distance_profiles(adj: Sequence[FrozenSet[int]]) -> List[Tuple[int, ...]]:
-    n = len(adj)
-    profiles = []
-    for start in range(n):
-        dist = {start: 0}
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for y in adj[x]:
-                    if y not in dist:
-                        dist[y] = dist[x] + 1
-                        nxt.append(y)
-            frontier = nxt
-        profiles.append(tuple(sorted(dist.values())))
-    return profiles
-
 
 def _refine_colors(adj: Sequence[FrozenSet[int]], initial: List) -> List[int]:
     palette: Dict = {}
@@ -266,7 +231,7 @@ def graph_automorphisms(graph: HasseGraph) -> Tuple[Permutation, ...]:
     adj = graph.adjacency
     n = len(adj)
     degrees = [len(adj[v]) for v in range(n)]
-    profiles = _distance_profiles(adj)
+    profiles = [tuple(sorted(graph_distances(adj, v).values())) for v in range(n)]
     colors = _refine_colors(adj, [(degrees[v], profiles[v]) for v in range(n)])
 
     by_color: Dict[int, List[int]] = {}
@@ -285,31 +250,31 @@ def graph_automorphisms(graph: HasseGraph) -> Tuple[Permutation, ...]:
         order.append(v)
         placed.add(v)
 
+    # depth-first search with an explicit stack of candidate iterators, one
+    # per assigned position, so deep graphs do not exhaust the call stack
     found: List[Permutation] = []
     image: Dict[int, int] = {}
     used = set()
-
-    def extend(k: int) -> None:
-        if k == n:
-            found.append(tuple(image[v] for v in range(n)))
-            return
+    if n == 0:
+        found.append(())
+    stack = [iter(candidates[order[0]])] if n else []
+    while stack:
+        k = len(stack) - 1
         v = order[k]
-        for t in candidates[v]:
-            if t in used:
-                continue
-            ok = True
-            for u in order[:k]:
-                if (u in adj[v]) != (image[u] in adj[t]):
-                    ok = False
-                    break
-            if ok:
-                image[v] = t
-                used.add(t)
-                extend(k + 1)
-                used.discard(t)
-                del image[v]
-
-    extend(0)
+        if v in image:  # back at this position: release its last choice
+            used.discard(image.pop(v))
+        # the assigned neighbors of v must map onto the assigned neighbors of t
+        mapped = {image[u] for u in adj[v] if u in image}
+        t = next((t for t in stack[-1] if t not in used and mapped == adj[t] & used), None)
+        if t is None:
+            stack.pop()
+            continue
+        image[v] = t
+        used.add(t)
+        if k + 1 == n:
+            found.append(tuple(image[x] for x in range(n)))
+        else:
+            stack.append(iter(candidates[order[k + 1]]))
     return tuple(sorted(found))
 
 

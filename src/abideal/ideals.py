@@ -23,23 +23,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import lcm
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .affine import (
-    AffineElement,
     AffineWord,
     _is_left_minimal,
+    affine_cartan_matrix,
     affine_inversion_set,
     coset_poincare,
-    element_of_affine_word,
     in_2A,
     minimal_coset_reps,
     perp_generators,
+    rho_point,
 )
 from .qpoly import poly_degree, poly_eval_one
 from .root_system import Q, Root, RootSystem, build, vadd, vneg, vsub, vsum
-from .weyl import inversion_roots, minimal_word_to_theta, subgroup_positive_count
+from .weyl import graph_distances, inversion_roots, minimal_word_to_theta, subgroup_positive_count
 
 
 class InvariantViolation(AssertionError):
@@ -144,45 +143,7 @@ def kostant_value(rs: RootSystem, roots: Iterable[Root]) -> Q:
     """|rho + sum|^2 - |rho|^2; at most the number of roots, with equality
     exactly on abelian ideals."""
     sigma = vsum(list(roots), rs.rank)
-    return 2 * rs.inner(rs.rho, sigma) + rs.inner(sigma, sigma)
-
-
-class KostantScorer:
-    """Integer-only evaluation of the quadratic criterion, for bulk tests.
-
-    value(roots) * den equals numerator(roots); comparing numerator
-    against len(roots) * den avoids Fraction arithmetic in hot loops.
-    """
-
-    def __init__(self, rs: RootSystem) -> None:
-        self.rs = rs
-        entries = [x for row in rs.gram for x in row]
-        linear = [2 * rs.inner(rs.rho, e) for e in
-                  (rs.simple_root(i) for i in range(1, rs.rank + 1))]
-        self.den = lcm(*(x.denominator for x in entries + linear))
-        self.gram_int = [[int(x * self.den) for x in row] for row in rs.gram]
-        self.linear_int = [int(x * self.den) for x in linear]
-
-    def numerator(self, roots: Sequence[Root]) -> int:
-        sigma = [0] * self.rs.rank
-        for r in roots:
-            for i, c in enumerate(r):
-                sigma[i] += c
-        lin = sum(u * s for u, s in zip(self.linear_int, sigma))
-        quad = 0
-        for i, si in enumerate(sigma):
-            if si:
-                row = self.gram_int[i]
-                quad += si * sum(row[j] * sj for j, sj in enumerate(sigma) if sj)
-        return lin + quad
-
-    def is_ideal_value(self, roots: Sequence[Root]) -> bool:
-        return self.numerator(roots) == len(roots) * self.den
-
-    def deficiency_sign(self, roots: Sequence[Root]) -> int:
-        """Sign of len(roots) - value(roots)."""
-        diff = len(roots) * self.den - self.numerator(roots)
-        return (diff > 0) - (diff < 0)
+    return Q(2 * rs.raw_inner(rs.rho, sigma) + rs.raw_inner(sigma, sigma), rs.form_den)
 
 
 # ----------------------------------------------------------------------
@@ -205,7 +166,7 @@ def _ideal_from_affine_word(rs: RootSystem, word: AffineWord) -> AbelianIdeal:
         raise InvariantViolation(f"parameter word {word} lost inversions")
     if not is_abelian_ideal(rs, ideal.roots):
         raise InvariantViolation(f"parameter word {word} does not give an abelian ideal")
-    point = element_of_affine_word(rs, word)(rs.rho)
+    point = rho_point(rs, word)
     if point != vadd(rs.rho, ideal.root_sum(rs.rank)):
         raise InvariantViolation(f"rho point of {word} does not match the root sum")
     if not in_2A(rs, point):
@@ -227,8 +188,9 @@ def from_param(rs: RootSystem, phi: Root, coset_word: Sequence[int] = ()) -> Abe
     for i in coset_word:
         if i not in gens:
             raise ValueError(f"letter {i} does not fix the walls through {phi}")
-    affine_inversion_set(rs, coset_word)  # raises if not reduced
-    if not _is_left_minimal(rs, coset_word, tuple(i for i in gens if i != 0)):
+    inv = affine_inversion_set(rs, coset_word)  # raises if not reduced
+    shift = vneg(vsum((beta.finite for beta in inv), rs.rank))  # w(rho) - rho
+    if not _is_left_minimal(rs, shift, tuple(i for i in gens if i != 0)):
         raise ValueError(f"{coset_word} is not a minimal coset word for {phi}")
     return _ideal_from_affine_word(rs, parameter_word(rs, phi, coset_word))
 
@@ -248,7 +210,7 @@ def a_min(rs: RootSystem, phi: Root) -> AbelianIdeal:
 def a_min_plus(rs: RootSystem, phi: Root) -> AbelianIdeal:
     """One step above a_min: defined when phi is orthogonal to theta."""
     phi = tuple(phi)
-    if rs.inner(rs.theta, phi) != 0:
+    if rs.raw_inner(rs.theta, phi) != 0:
         raise ValueError(f"{phi} is not orthogonal to the highest root")
     return from_param(rs, phi, (0,))
 
@@ -273,7 +235,6 @@ class CatalogEntry:
     phi: Optional[Root]
     coset_word: AffineWord
     word: AffineWord
-    element: AffineElement
 
 
 class IdealCatalog:
@@ -288,8 +249,7 @@ class IdealCatalog:
 
         entries: List[Optional[CatalogEntry]] = [None] * len(oracle)
         zero = make_ideal(())
-        entries[by_roots[zero.root_set]] = CatalogEntry(
-            zero, None, (), (), element_of_affine_word(rs, ()))
+        entries[by_roots[zero.root_set]] = CatalogEntry(zero, None, (), ())
 
         for phi in rs.long_positive_roots():
             for rep in minimal_coset_reps(rs, phi):
@@ -302,9 +262,7 @@ class IdealCatalog:
                     raise InvariantViolation(
                         f"ideal {ideal.roots} parametrized twice: "
                         f"({entries[k].phi}, {entries[k].coset_word}) and ({phi}, {rep})")
-                word = parameter_word(rs, phi, rep)
-                entries[k] = CatalogEntry(ideal, phi, rep, word,
-                                          element_of_affine_word(rs, word))
+                entries[k] = CatalogEntry(ideal, phi, rep, parameter_word(rs, phi, rep))
 
         missing = [oracle[k] for k, e in enumerate(entries) if e is None]
         if missing:
@@ -315,12 +273,6 @@ class IdealCatalog:
 
     def __len__(self) -> int:
         return len(self.entries)
-
-    def entry_of(self, ideal: AbelianIdeal) -> CatalogEntry:
-        k = self.index.get(ideal.root_set)
-        if k is None:
-            raise ValueError("not an abelian ideal of this system")
-        return self.entries[k]
 
 
 @lru_cache(maxsize=None)
@@ -337,7 +289,7 @@ def catalog_of(rs: RootSystem) -> IdealCatalog:
 
 def not_perp_theta(rs: RootSystem, ideal: AbelianIdeal) -> AbelianIdeal:
     """The sub-ideal of roots not orthogonal to the highest root."""
-    kept = [r for r in ideal.roots if rs.inner(r, rs.theta) != 0]
+    kept = [r for r in ideal.roots if rs.raw_inner(r, rs.theta) != 0]
     out = make_ideal(kept)
     if not is_abelian_ideal(rs, out.roots):
         raise InvariantViolation("roots off theta's wall do not form an ideal")
@@ -452,29 +404,15 @@ def forbidden_roots(rs: RootSystem) -> Tuple[Root, ...]:
 # sum formulas
 
 def affine_adjacency(rs: RootSystem) -> Dict[int, Tuple[int, ...]]:
-    from .affine import _affine_cartan_entry
-
+    cartan = affine_cartan_matrix(rs)
     nodes = range(0, rs.rank + 1)
-    return {
-        a: tuple(b for b in nodes if b != a and _affine_cartan_entry(rs, a, b) != 0)
-        for a in nodes
-    }
+    return {a: tuple(b for b in nodes if b != a and cartan[a][b] != 0) for a in nodes}
 
 
 def projection_node(rs: RootSystem, phi: Root) -> Optional[int]:
     """Support node nearest to node 0 in the extended diagram; None when
     the nearest node is not unique (the extended diagram of A_l is a cycle)."""
-    adj = affine_adjacency(rs)
-    dist = {0: 0}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for y in adj[x]:
-                if y not in dist:
-                    dist[y] = dist[x] + 1
-                    nxt.append(y)
-        frontier = nxt
+    dist = graph_distances(affine_adjacency(rs), 0)
     support = [i + 1 for i, c in enumerate(phi) if c]
     best = min(dist[i] for i in support)
     nearest = [i for i in support if dist[i] == best]

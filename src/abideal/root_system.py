@@ -6,8 +6,16 @@ API (0 is reserved for the extra affine reflection elsewhere); coordinate
 tuples are ordinary 0-based Python data.
 
 The invariant inner product is normalized so the highest root theta has
-squared length 1/g, where g is the dual Coxeter number.  That single global
-rescaling puts the classical identities into denominator-free shape:
+squared length 1/g, where g is the dual Coxeter number.  It is stored once,
+as the integer matrix form[i][j] = d_i a_ij (d the minimal symmetrizer)
+over the single integer denominator form_den = g (theta|theta)_raw, so
+
+    (x|y) = sum_ij x_i form[i][j] y_j / form_den.
+
+Sums run over integers (or over rho's half-integers) and one Fraction is
+built at the end; sign and zero tests on integer roots never leave the
+integers.  That single global rescaling puts the classical identities into
+denominator-free shape:
 
     (rho+theta | rho+theta) - (rho | rho) = 1
     1 / (theta | theta) = g
@@ -26,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 Q = Fraction
 
@@ -152,20 +160,27 @@ def _positive_roots(cartan: Sequence[Sequence[int]]) -> Tuple[Root, ...]:
     return tuple(sorted(roots, key=lambda r: (sum(r), r)))
 
 
-def _invert(matrix: Sequence[Sequence[int]]) -> Tuple[Tuple[Q, ...], ...]:
-    """Exact inverse by Gauss-Jordan elimination."""
+def gauss_jordan(matrix: Sequence[Sequence]) -> Tuple[Q, Optional[Tuple[Tuple[Q, ...], ...]]]:
+    """Exact determinant and inverse by Gauss-Jordan elimination; the
+    inverse is None when the determinant vanishes."""
     n = len(matrix)
-    aug = [[Q(matrix[i][j]) for j in range(n)] + [Q(1 if j == i else 0) for j in range(n)] for i in range(n)]
+    aug = [[Q(x) for x in row] + [Q(int(i == j)) for j in range(n)] for i, row in enumerate(matrix)]
+    det = Q(1)
     for col in range(n):
-        pivot = next(r for r in range(col, n) if aug[r][col])
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
+        pivot = next((r for r in range(col, n) if aug[r][col]), None)
+        if pivot is None:
+            return Q(0), None
+        if pivot != col:
+            aug[col], aug[pivot] = aug[pivot], aug[col]
+            det = -det
+        p = aug[col][col]
+        det *= p
+        aug[col] = [x / p for x in aug[col]]
         for r in range(n):
             if r != col and aug[r][col]:
                 factor = aug[r][col]
                 aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
+    return det, tuple(tuple(row[n:]) for row in aug)
 
 
 def _symmetrizer(cartan: Sequence[Sequence[int]]) -> Tuple[int, ...]:
@@ -219,7 +234,7 @@ class RootSystem:
             hist[h] = hist.get(h, 0) + 1
         self.exponents = tuple(sorted(sum(1 for v in hist.values() if v >= i) for i in range(1, l + 1)))
 
-        inv_cartan = _invert(self.cartan)
+        _, inv_cartan = gauss_jordan(self.cartan)
         # fundamental_weights[i] solves <w, alpha_j-check> = delta_{ij} (0-based here)
         self.fundamental_weights: Tuple[WeightVector, ...] = tuple(
             tuple(inv_cartan[r][c] for r in range(l)) for c in range(l)
@@ -227,32 +242,25 @@ class RootSystem:
         self.rho: WeightVector = tuple(sum(col) for col in zip(*self.fundamental_weights))
 
         d = _symmetrizer(self.cartan)
-        sym = [[d[i] * self.cartan[i][j] for j in range(l)] for i in range(l)]
-        for i in range(l):
-            for j in range(l):
-                if sym[i][j] != sym[j][i]:
-                    raise AssertionError("symmetrizer failed")
+        self.form: Tuple[Tuple[int, ...], ...] = tuple(
+            tuple(d[i] * self.cartan[i][j] for j in range(l)) for i in range(l)
+        )
+        if any(self.form[i][j] != self.form[j][i] for i in range(l) for j in range(l)):
+            raise AssertionError("symmetrizer failed")
 
-        def raw_inner(x: Sequence, y: Sequence) -> Q:
-            return Q(sum(x[i] * sym[i][j] * y[j] for i in range(l) for j in range(l) if x[i] and sym[i][j]))
-
-        pairing_rho_theta = 2 * raw_inner(self.rho, self.theta) / raw_inner(self.theta, self.theta)
+        theta_raw = self.raw_inner(self.theta, self.theta)
+        pairing_rho_theta = Q(2 * self.raw_inner(self.rho, self.theta), theta_raw)
         if pairing_rho_theta.denominator != 1:
             raise AssertionError("<rho, theta-check> is not an integer")
         self.dual_coxeter_number = int(pairing_rho_theta) + 1
-
-        scale = Q(1, self.dual_coxeter_number) / raw_inner(self.theta, self.theta)
-        self.gram: Tuple[Tuple[Q, ...], ...] = tuple(
-            tuple(scale * sym[i][j] for j in range(l)) for i in range(l)
-        )
+        self.form_den = self.dual_coxeter_number * theta_raw
 
         self.coweights: Tuple[WeightVector, ...] = tuple(
             tuple(c / self.norm2(self.simple_root(i + 1)) for c in w)
             for i, w in enumerate(self.fundamental_weights)
         )
 
-        theta_norm = self.norm2(self.theta)
-        self._long_positive = tuple(r for r in self.positive_roots if self.norm2(r) == theta_norm)
+        self._long_positive = tuple(r for r in self.positive_roots if self.is_long(r))
 
     # ------------------------------------------------------------------
     # basic queries
@@ -262,9 +270,6 @@ class RootSystem:
         if not 1 <= i <= self.rank:
             raise ValueError(f"node index {i} out of range 1..{self.rank}")
         return tuple(1 if k == i - 1 else 0 for k in range(self.rank))
-
-    def simple_roots(self) -> Tuple[Root, ...]:
-        return tuple(self.simple_root(i) for i in range(1, self.rank + 1))
 
     def is_positive_root(self, v: Sequence[int]) -> bool:
         return tuple(v) in self.positive_root_set
@@ -276,32 +281,32 @@ class RootSystem:
     def height(self, phi: Sequence[int]) -> int:
         return sum(phi)
 
+    def raw_inner(self, x: Sequence, y: Sequence):
+        """x^T form y: form_den times (x|y); an int on integer vectors."""
+        total = 0
+        for xi, row in zip(x, self.form):
+            if xi:
+                total += xi * sum(a * yj for a, yj in zip(row, y) if a)
+        return total
+
     def inner(self, x: Sequence, y: Sequence) -> Q:
         """Normalized invariant form (x|y)."""
-        total = Q(0)
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            row = self.gram[i]
-            for j, yj in enumerate(y):
-                if yj:
-                    total += xi * row[j] * yj
-        return total
+        return Q(self.raw_inner(x, y), self.form_den)
 
     def norm2(self, x: Sequence) -> Q:
         return self.inner(x, x)
 
     def coroot_pairing(self, lam: Sequence, phi: Sequence[int]) -> Q:
         """<lam, phi-check> = 2 (lam|phi) / (phi|phi)."""
-        return 2 * self.inner(lam, phi) / self.norm2(phi)
+        return Q(2 * self.raw_inner(lam, phi), self.raw_inner(phi, phi))
 
-    def simple_coroot_pairing(self, phi: Sequence[int], j: int) -> int:
-        """<phi, alpha_j-check> for integer coordinates, computed Gram-free."""
-        row = self.cartan[j - 1]
-        return sum(c * row[k] for k, c in enumerate(phi) if c)
+    def simple_coroot_pairing(self, phi: Sequence, j: int):
+        """<phi, alpha_j-check> from the Cartan row alone; an int on integer
+        coordinates."""
+        return sum(c * a for c, a in zip(phi, self.cartan[j - 1]) if a)
 
     def is_long(self, phi: Sequence[int]) -> bool:
-        return self.norm2(phi) == self.norm2(self.theta)
+        return self.raw_inner(phi, phi) == self.raw_inner(self.theta, self.theta)
 
     def long_positive_roots(self) -> Tuple[Root, ...]:
         return self._long_positive
@@ -318,7 +323,7 @@ class RootSystem:
         reflections carrying phi to theta.
         """
         diff = tuple(t - p for t, p in zip(self.theta, phi))
-        return 2 * self.inner(diff, self.rho) * self.dual_coxeter_number
+        return Q(2 * self.dual_coxeter_number * self.raw_inner(self.rho, diff), self.form_den)
 
     def __repr__(self) -> str:
         return f"RootSystem({self.simple_type})"

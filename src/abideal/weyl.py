@@ -32,17 +32,17 @@ def identity_matrix(rank: int) -> Matrix:
     return tuple(tuple(1 if i == j else 0 for j in range(rank)) for i in range(rank))
 
 
+def matrix_of(rank: int, action: Callable[[tuple], tuple]) -> Matrix:
+    """Matrix of a linear vector action (columns are images of the basis)."""
+    basis = identity_matrix(rank)
+    return tuple(zip(*(action(e) for e in basis)))
+
+
 def reflection_matrix(rs: RootSystem, i: int) -> Matrix:
     """Matrix of s_i on simple-root coordinates (columns are images)."""
     if not 1 <= i <= rs.rank:
         raise ValueError(f"letter {i} out of range 1..{rs.rank}")
-    rows = []
-    for k in range(rs.rank):
-        if k == i - 1:
-            rows.append(tuple(-rs.cartan[i - 1][j] if j != k else -1 for j in range(rs.rank)))
-        else:
-            rows.append(tuple(1 if j == k else 0 for j in range(rs.rank)))
-    return tuple(rows)
+    return matrix_of(rs.rank, lambda e: reflect_simple(rs, i, e))
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -62,10 +62,13 @@ def element_of_word(rs: RootSystem, word: Sequence[int]) -> Matrix:
 
 
 def reflect_simple(rs: RootSystem, i: int, vec: Sequence) -> tuple:
-    """s_i(vec): only coordinate i-1 changes."""
-    c = sum(rs.cartan[i - 1][j] * vec[j] for j in range(rs.rank) if vec[j])
+    """s_i(vec) = vec - <vec, alpha_i-check> alpha_i: only coordinate i-1 changes.
+
+    The one routine that applies a finite simple reflection, to roots,
+    weights and orbit points alike.
+    """
     out = list(vec)
-    out[i - 1] -= c
+    out[i - 1] -= sum(a * x for a, x in zip(rs.cartan[i - 1], vec) if a)
     return tuple(out)
 
 
@@ -121,7 +124,7 @@ def minimal_word_to_theta(rs: RootSystem, phi: Root) -> WeylWord:
     current = tuple(phi)
     while current != rs.theta:
         for i in range(1, rs.rank + 1):
-            if rs.inner(rs.simple_root(i), current) < 0:
+            if rs.simple_coroot_pairing(current, i) < 0:
                 letters.append(i)
                 current = reflect_simple(rs, i, current)
                 break
@@ -223,6 +226,21 @@ def classify_components(nodes: Sequence[int], entry: Callable[[int, int], int]) 
     return tuple(sorted(out, key=lambda c: (c.family, c.size, c.nodes)))
 
 
+def graph_distances(adj, start: int) -> Dict[int, int]:
+    """Breadth-first distances from `start`; adj[x] lists x's neighbors."""
+    dist = {start: 0}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for y in adj[x]:
+                if y not in dist:
+                    dist[y] = dist[x] + 1
+                    nxt.append(y)
+        frontier = nxt
+    return dist
+
+
 def _classify_one(comp: List[int], adj: Dict[int, List[int]], weight: Dict[Tuple[int, int], int]) -> DiagramComponent:
     n = len(comp)
     nodes = tuple(comp)
@@ -313,15 +331,6 @@ def _orbit_poincare(rs: RootSystem, nodes: Sequence[int]) -> Poly:
     """
     denom = lcm(*(x.denominator for x in rs.rho))
     start = tuple(int(x * denom) for x in rs.rho)
-    rows = {i: rs.cartan[i - 1] for i in nodes}
-
-    def step(i: int, vec: tuple) -> tuple:
-        row = rows[i]
-        c = sum(row[j] * vec[j] for j in range(rs.rank) if vec[j])
-        out = list(vec)
-        out[i - 1] -= c
-        return tuple(out)
-
     seen = {start}
     layer = [start]
     counts = [1]
@@ -329,7 +338,7 @@ def _orbit_poincare(rs: RootSystem, nodes: Sequence[int]) -> Poly:
         nxt = []
         for vec in layer:
             for i in nodes:
-                img = step(i, vec)
+                img = reflect_simple(rs, i, vec)
                 if img not in seen:
                     seen.add(img)
                     nxt.append(img)

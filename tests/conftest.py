@@ -9,15 +9,15 @@ SMALL_LABELS = ("A1", "A2", "A3", "B2", "B3", "C3", "D4", "G2", "F4")
 
 
 def corrupted_gram_copy(label: str):
-    """A root system whose bilinear form has one entry doubled.
+    """A root system whose integer invariant form has one entry doubled.
 
     The copy shares everything else with the cached instance, so only the
-    checks that recompute inner products from the Gram matrix notice.
+    checks that recompute inner products from the form notice.
     """
     rs = copy.copy(build(label))
-    g = [list(row) for row in rs.gram]
-    g[0][0] *= 2
-    rs.gram = tuple(tuple(row) for row in g)
+    form = [list(row) for row in rs.form]
+    form[0][0] *= 2
+    rs.form = tuple(tuple(row) for row in form)
     return rs
 
 

@@ -2,8 +2,8 @@ import json
 
 import pytest
 
-from abideal import cli
-from abideal.checks import CheckResult, TypeReport
+from abideal import checks, cli, weyl
+from abideal.checks import CheckResult, TypeReport, verify_type
 
 
 def run(capsys, *argv):
@@ -79,6 +79,34 @@ def test_verify_reports_failure_exit_code(capsys, monkeypatch):
     code, out = run(capsys, "verify", "G2")
     assert code == 1
     assert "FAIL" in out
+
+
+A2_CHECKS = ["normalization", "ideal_count", "kostant", "parametrization",
+             "forbidden_roots", "word_table", "fiber_polynomials", "theta_quotient",
+             "first_sum", "second_sum", "max_dimension", "maximal_ideals",
+             "hasse_covers", "hasse_automorphisms", "upper_alcoves", "facet_ratios",
+             "young_bridge"]
+
+
+def test_verify_reports_a_bare_assertion_as_fail(monkeypatch):
+    monkeypatch.setattr(weyl, "_orbit_poincare", lambda rs, nodes: (1, 1))
+    report = verify_type("A2")
+    assert [r.name for r in report.results] == A2_CHECKS
+    assert not report.passed
+    bad = {r.name: r.details for r in report.results if not r.passed}
+    assert "AssertionError" in bad["theta_quotient"]
+
+
+def test_verify_reports_any_exception_as_fail(monkeypatch):
+    def boom(rs):
+        raise RuntimeError("injected")
+
+    monkeypatch.setattr(checks, "check_young_bridge", boom)
+    report = verify_type("A2")
+    assert [r.name for r in report.results] == A2_CHECKS
+    failed = [r for r in report.results if not r.passed]
+    assert [r.name for r in failed] == ["young_bridge"]
+    assert failed[0].details == "raised RuntimeError: injected"
 
 
 def test_verify_requires_exactly_one_target(capsys):

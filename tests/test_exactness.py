@@ -1,0 +1,61 @@
+"""Exactness guard: the package computes over integers and Fractions only.
+
+`Fraction(1, 2) == 0.5` is true, so the equality tests elsewhere would still
+pass if a float slipped into the arithmetic.  These tests check the types
+of the public rational quantities for every type, and scan the sources for
+float literals and the name `float`.
+"""
+
+import ast
+from fractions import Fraction
+from pathlib import Path
+
+from abideal.affine import fundamental_alcove_vertices
+from abideal.hasse import facet_volume_ratios
+from abideal.ideals import enumerate_all, kostant_value
+from abideal.root_system import build
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "abideal"
+
+
+def _assert_exact(values):
+    for x in values:
+        assert isinstance(x, (int, Fraction)), f"{x!r} is a {type(x).__name__}"
+
+
+def test_form_values_are_exact(each_label):
+    rs = build(each_label)
+    simples = [rs.simple_root(i) for i in range(1, rs.rank + 1)]
+    _assert_exact(rs.rho)
+    _assert_exact([rs.inner(rs.rho, rs.theta), rs.norm2(rs.rho), rs.level(rs.rho)])
+    for phi in rs.positive_roots:
+        _assert_exact([rs.inner(phi, rs.rho), rs.norm2(phi), rs.level(phi)])
+        _assert_exact(rs.coroot_pairing(phi, a) for a in simples)
+        # sign and zero tests on integer roots stay in the integers
+        assert type(rs.raw_inner(phi, rs.theta)) is int
+        assert all(type(rs.simple_coroot_pairing(phi, i)) is int for i in range(1, rs.rank + 1))
+    _assert_exact(rs.length_to_theta(phi) for phi in rs.long_positive_roots())
+
+
+def test_kostant_values_are_exact(each_label):
+    rs = build(each_label)
+    _assert_exact(kostant_value(rs, a.roots) for a in enumerate_all(rs))
+    _assert_exact([kostant_value(rs, rs.positive_roots)])
+
+
+def test_alcove_geometry_is_exact(each_label):
+    rs = build(each_label)
+    for vertex in fundamental_alcove_vertices(rs):
+        _assert_exact(vertex)
+    _assert_exact(facet_volume_ratios(rs))
+
+
+def test_sources_contain_no_float():
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Constant) and isinstance(node.value, float):
+                offenders.append(f"{path.name}:{node.lineno} literal {node.value!r}")
+            elif isinstance(node, ast.Name) and node.id == "float":
+                offenders.append(f"{path.name}:{node.lineno} name float")
+    assert offenders == []

@@ -1,10 +1,12 @@
 from itertools import permutations
+from types import SimpleNamespace
 
 import pytest
 
 from abideal.affine import element_of_affine_word, inverse_word
 from abideal.checks import check_normalization
 from abideal.hasse import (
+    _edge_letter,
     build_graph,
     expected_facet_ratios,
     facet_volume_ratios,
@@ -15,7 +17,7 @@ from abideal.hasse import (
     upper_alcoves,
     verify_cover_structure,
 )
-from abideal.ideals import long_simple_nodes
+from abideal.ideals import InvariantViolation, long_simple_nodes
 from abideal.reference import reference_hasse_group
 from abideal.root_system import build
 
@@ -65,8 +67,18 @@ def test_edges_differ_by_one_generator(small_label):
         lo, hi = cat.entries[e.lower], cat.entries[e.upper]
         assert hi.ideal.dim == lo.ideal.dim + 1
         assert lo.ideal.root_set < hi.ideal.root_set
-        step = element_of_affine_word(rs, inverse_word(lo.word)).compose(hi.element)
+        hi_element = element_of_affine_word(rs, hi.word)
+        step = element_of_affine_word(rs, inverse_word(lo.word)).compose(hi_element)
         assert step == element_of_affine_word(rs, (e.letter,))
+
+
+def test_edge_letter_rejects_non_adjacent_entries():
+    rs = build("A2")
+    cat = build_graph(rs).catalog
+    zero = cat.entries[0]
+    top = next(e for e in cat.entries if e.ideal.dim == 2)
+    with pytest.raises(InvariantViolation):
+        _edge_letter(rs, zero, top)
 
 
 def test_every_nonzero_node_has_a_lower_cover(small_label):
@@ -88,6 +100,15 @@ def test_pentagon_symmetry_of_rank_four_lattice():
     perms = graph_automorphisms(build_graph(build("A4")))
     assert len(perms) == 10
     assert identify_group(perms) == "Dih_5"
+
+
+def test_automorphisms_of_a_long_path():
+    # deeper than the interpreter's recursion limit: identity and reversal
+    n = 1100
+    path = SimpleNamespace(adjacency=tuple(
+        frozenset(u for u in (v - 1, v + 1) if 0 <= u < n) for v in range(n)))
+    perms = graph_automorphisms(path)
+    assert perms == (tuple(range(n)), tuple(reversed(range(n))))
 
 
 def test_identify_small_groups():

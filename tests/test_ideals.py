@@ -2,8 +2,10 @@ import random
 
 import pytest
 
+from abideal import ideals
 from abideal.ideals import (
-    KostantScorer,
+    InvariantViolation,
+    _ideal_from_affine_word,
     a_max,
     a_min,
     a_min_plus,
@@ -49,10 +51,8 @@ def test_handmade_non_ideals():
 
 def test_kostant_equality_and_strictness(small_label):
     rs = build(small_label)
-    scorer = KostantScorer(rs)
     for a in enumerate_all(rs):
         assert kostant_value(rs, a.roots) == a.dim
-        assert scorer.is_ideal_value(a.roots)
     rng = random.Random(small_label)
     roots = rs.positive_roots
     tried = 0
@@ -63,7 +63,6 @@ def test_kostant_equality_and_strictness(small_label):
             continue
         tried += 1
         assert kostant_value(rs, subset) < len(subset)
-        assert scorer.deficiency_sign(subset) == 1
 
 
 def test_catalog_parameters_rebuild(small_label):
@@ -91,6 +90,16 @@ def test_from_param_rejects_bad_input():
     theta = rs.theta
     with pytest.raises(ValueError):
         from_param(rs, theta, (1,))  # letter not orthogonal to theta
+
+
+def test_affine_word_construction_rejects_bad_words(monkeypatch):
+    rs = build("A2")
+    assert _ideal_from_affine_word(rs, (0,)).roots == (rs.theta,)
+    with pytest.raises(InvariantViolation, match="level one"):
+        _ideal_from_affine_word(rs, (1,))  # a finite inversion, at level zero
+    monkeypatch.setattr(ideals, "rho_point", lambda rs, word: rs.rho)
+    with pytest.raises(InvariantViolation, match="rho point"):
+        _ideal_from_affine_word(rs, (0,))
 
 
 def test_min_max_bracket_every_fiber(small_label):
