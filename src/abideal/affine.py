@@ -114,6 +114,9 @@ def affine_reflect(rs: RootSystem, i: int, vec: Sequence) -> tuple:
 
 def rho_point(rs: RootSystem, word: Sequence[int]) -> WeightVector:
     """w(rho) for the element named by the word, one letter at a time."""
+    for i in word:
+        if not 0 <= i <= rs.rank:
+            raise ValueError(f"letter {i} out of range 0..{rs.rank}")
     point = rs.rho
     for i in reversed(word):
         point = affine_reflect(rs, i, point)

@@ -6,6 +6,11 @@ edges are precisely the cover relations of inclusion, and each edge is
 labeled by the unique affine letter carrying one endpoint's group element
 to the other's, found by comparing rho-points.
 
+Upper alcoves are found without building any affine map: the pairing of
+an alcove's vertices with theta needs only the image of the origin and
+theta pulled back through the word, two integer vector actions of
+O(rank) work per letter.
+
 Automorphisms are computed on the unlabeled undirected graph: partition
 refinement (degree and distance profile, then neighborhood colors to a
 fixpoint) followed by backtracking that collects every color- and
@@ -20,7 +25,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, FrozenSet, List, Sequence, Tuple
 
-from .affine import affine_simple_root, alcove_vertices, apply_word_to_affine_root
+from .affine import affine_reflect, affine_simple_root, apply_word_to_affine_root, reflect_theta
 from .ideals import (
     CatalogEntry,
     IdealCatalog,
@@ -28,7 +33,7 @@ from .ideals import (
     catalog_of,
 )
 from .root_system import Q, RootSystem, gauss_jordan, vneg, vsub
-from .weyl import graph_distances
+from .weyl import graph_distances, reflect_simple
 
 Permutation = Tuple[int, ...]
 
@@ -148,14 +153,27 @@ def upper_alcoves(rs: RootSystem) -> Tuple[UpperAlcove, ...]:
 
     An ideal's alcove is upper when all vertices but one pair to 1 with
     theta; the remaining "lower" vertex always carries a long simple type.
+
+    Write the ideal's element as w = (M, w(0)).  Vertex i of w(A) pairs
+    with theta as (w(0)|theta) + (v_i|M^-1 theta), and for the vertex
+    v_i = covee_i / n_i of A that is beta_i / (2 n_i) on any beta in
+    simple-root coordinates (v_0 = 0 pairs to 0).  w(0) is the origin moved
+    by the word's letters, rightmost first; M^-1 theta is theta moved by
+    the letters' finite parts in word order, letter 0 acting as s_theta.
     """
     cat = catalog_of(rs)
     out: List[UpperAlcove] = []
     for k, entry in enumerate(cat.entries):
-        verts = alcove_vertices(rs, entry.word)
+        origin = (0,) * rs.rank
+        for i in reversed(entry.word):
+            origin = affine_reflect(rs, i, origin)
+        pulled = rs.theta
+        for i in entry.word:
+            pulled = reflect_theta(rs, pulled)[0] if i == 0 else reflect_simple(rs, i, pulled)
+        base = rs.inner(origin, rs.theta)
+        pairings = [base] + [base + Q(b, 2 * n) for b, n in zip(pulled, rs.marks)]
         off_wall = []
-        for i, v in enumerate(verts):
-            t = rs.inner(v, rs.theta)
+        for i, t in enumerate(pairings):
             if t > 1:
                 raise InvariantViolation(f"alcove vertex beyond the doubled wall at node {k}")
             if t != 1:

@@ -81,20 +81,17 @@ def make_ideal(roots: Iterable[Root]) -> AbelianIdeal:
 
 
 def is_abelian_ideal(rs: RootSystem, roots: Iterable[Root]) -> bool:
-    """Direct check of the defining conditions."""
+    """Direct check of the defining conditions: every root is positive, the
+    set is closed under adding a simple root, and no two of its roots
+    (equal ones included) sum to a root.  The relations come from the
+    root system's cover and sum tables."""
     chosen = {tuple(r) for r in roots}
     for psi in chosen:
-        if not rs.is_positive_root(psi):
+        covers = rs.upper_covers.get(psi)
+        if covers is None:
             return False
-        for i in range(1, rs.rank + 1):
-            up = vadd(psi, rs.simple_root(i))
-            if rs.is_positive_root(up) and up not in chosen:
-                return False
-    listed = sorted(chosen)
-    for a in range(len(listed)):
-        for b in range(a, len(listed)):
-            if rs.is_positive_root(vadd(listed[a], listed[b])):
-                return False
+        if any(up not in chosen for up in covers) or not rs.sum_partners[psi].isdisjoint(chosen):
+            return False
     return True
 
 
@@ -105,20 +102,8 @@ def enumerate_all(rs: RootSystem) -> Tuple[AbelianIdeal, ...]:
     roots = sorted(rs.positive_roots, key=lambda r: (-sum(r), r))
     n = len(roots)
     index = {r: k for k, r in enumerate(roots)}
-    cover_mask = [0] * n
-    conflict_mask = [0] * n
-    for k, phi in enumerate(roots):
-        cm = 0
-        for i in range(1, rs.rank + 1):
-            j = index.get(vadd(phi, rs.simple_root(i)))
-            if j is not None:
-                cm |= 1 << j
-        cover_mask[k] = cm
-        xm = 0
-        for j, other in enumerate(roots):
-            if j != k and rs.is_positive_root(vadd(phi, other)):
-                xm |= 1 << j
-        conflict_mask[k] = xm
+    cover_mask = [sum(1 << index[up] for up in rs.upper_covers[phi]) for phi in roots]
+    conflict_mask = [sum(1 << index[psi] for psi in rs.sum_partners[phi]) for phi in roots]
 
     found: List[int] = []
 
@@ -143,7 +128,10 @@ def kostant_value(rs: RootSystem, roots: Iterable[Root]) -> Q:
     """|rho + sum|^2 - |rho|^2; at most the number of roots, with equality
     exactly on abelian ideals."""
     sigma = vsum(list(roots), rs.rank)
-    return Q(2 * rs.raw_inner(rs.rho, sigma) + rs.raw_inner(sigma, sigma), rs.form_den)
+    # raw(rho, alpha_j) = d_j and form[j][j] = 2 d_j, so the diagonal of the
+    # form gives 2 raw(rho, sigma) in integers
+    twice_rho = sum(rs.form[j][j] * c for j, c in enumerate(sigma))
+    return Q(twice_rho + rs.raw_inner(sigma, sigma), rs.form_den)
 
 
 # ----------------------------------------------------------------------

@@ -210,6 +210,13 @@ class RootSystem:
 
     Instances are built once per type via :func:`build` and treated as
     immutable.  All rational data is exact.
+
+    Besides the roots and the form, an instance stores two tables over its
+    positive roots: ``upper_covers[phi]``, the positive roots phi + alpha_i,
+    and ``sum_partners[phi]``, the positive roots psi (phi itself included)
+    with phi + psi a root.  The ideal test and the ideal enumeration read
+    the root poset's cover and sum relations from these tables, on the
+    system they are given.
     """
 
     def __init__(self, simple_type: SimpleType) -> None:
@@ -219,6 +226,21 @@ class RootSystem:
         self.cartan = _cartan_matrix(simple_type)
         self.positive_roots = _positive_roots(self.cartan)
         self.positive_root_set: FrozenSet[Root] = frozenset(self.positive_roots)
+        self._simple_roots: Tuple[Root, ...] = tuple(
+            tuple(int(k == i) for k in range(l)) for i in range(l))
+        self.upper_covers: Dict[Root, Tuple[Root, ...]] = {
+            phi: tuple(up for up in (vadd(phi, a) for a in self._simple_roots)
+                       if up in self.positive_root_set)
+            for phi in self.positive_roots
+        }
+        partners: Dict[Root, set] = {phi: set() for phi in self.positive_roots}
+        for k, phi in enumerate(self.positive_roots):
+            for psi in self.positive_roots[k:]:
+                if vadd(phi, psi) in self.positive_root_set:
+                    partners[phi].add(psi)
+                    partners[psi].add(phi)
+        self.sum_partners: Dict[Root, FrozenSet[Root]] = {
+            phi: frozenset(found) for phi, found in partners.items()}
         self.num_positive = len(self.positive_roots)
         self.dimension = l + 2 * self.num_positive  # rank + #roots
 
@@ -269,7 +291,7 @@ class RootSystem:
         """The i-th simple root, 1-based."""
         if not 1 <= i <= self.rank:
             raise ValueError(f"node index {i} out of range 1..{self.rank}")
-        return tuple(1 if k == i - 1 else 0 for k in range(self.rank))
+        return self._simple_roots[i - 1]
 
     def is_positive_root(self, v: Sequence[int]) -> bool:
         return tuple(v) in self.positive_root_set

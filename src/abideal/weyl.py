@@ -9,13 +9,16 @@ Subsets of nodes name standard parabolic subgroups.  Their length
 generating functions come from an orbit walk of rho when the subgroup is
 small enough to enumerate, and from the classified diagram's exponent
 product otherwise; whenever the walk runs, its total is checked against
-the product formula.
+the product formula.  The walk alone works in fundamental-weight
+coordinates (Dynkin labels), where rho = (1, ..., 1) and a simple
+reflection changes the point by a multiple of one Cartan column.  The
+other routines here work in simple-root coordinates, where reflect_simple
+is the one simple-reflection routine.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
 from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
 from .qpoly import Poly, bracket, poly_eval_one, poly_prod
@@ -73,6 +76,9 @@ def reflect_simple(rs: RootSystem, i: int, vec: Sequence) -> tuple:
 
 
 def apply_word(rs: RootSystem, word: Sequence[int], vec: Sequence) -> tuple:
+    for i in word:
+        if not 1 <= i <= rs.rank:
+            raise ValueError(f"letter {i} out of range 1..{rs.rank}")
     out = tuple(vec)
     for i in reversed(word):
         out = reflect_simple(rs, i, out)
@@ -327,23 +333,29 @@ def _orbit_poincare(rs: RootSystem, nodes: Sequence[int]) -> Poly:
     """Length generating function from the rho orbit walk.
 
     rho sits strictly inside the dominant chamber, so the subgroup acts
-    freely on its orbit and breadth-first depth equals length.
+    freely on its orbit and the layer of w(rho) is the length of w.  Points
+    are kept in Dynkin labels: rho = (1, ..., 1), coordinate i of a point
+    is its pairing with alpha_i-check, and s_i subtracts coordinate i times
+    column i of the Cartan matrix.  s_i w is longer than w exactly when
+    <w(rho), alpha_i-check> > 0, and every element of length k + 1 is such
+    an ascent of one of length k; so each layer is the set of ascending
+    moves from the previous layer alone, and no global seen-set is needed.
     """
-    denom = lcm(*(x.denominator for x in rs.rho))
-    start = tuple(int(x * denom) for x in rs.rho)
-    seen = {start}
-    layer = [start]
-    counts = [1]
+    columns = [(i - 1, tuple((j, row[i - 1]) for j, row in enumerate(rs.cartan) if row[i - 1]))
+               for i in nodes]
+    layer = {(1,) * rs.rank}
+    counts = []
     while layer:
-        nxt = []
-        for vec in layer:
-            for i in nodes:
-                img = reflect_simple(rs, i, vec)
-                if img not in seen:
-                    seen.add(img)
-                    nxt.append(img)
-        if nxt:
-            counts.append(len(nxt))
+        counts.append(len(layer))
+        nxt = set()
+        for point in layer:
+            for i, column in columns:
+                c = point[i]
+                if c > 0:
+                    img = list(point)
+                    for j, a in column:
+                        img[j] -= c * a
+                    nxt.add(tuple(img))
         layer = nxt
     return tuple(counts)
 

@@ -15,6 +15,7 @@ from abideal.affine import (
     inverse_word,
     minimal_coset_reps,
     perp_generators,
+    rho_point,
     wall_subgroup_poincare,
 )
 from abideal.qpoly import poly, poly_divexact, poly_eval_one
@@ -44,6 +45,13 @@ def test_inverse_word_cancels():
     w = (0, 1, 2, 0, 3)
     e = element_of_affine_word(rs, w).compose(element_of_affine_word(rs, inverse_word(w)))
     assert e == element_of_affine_word(rs, ())
+
+
+@pytest.mark.parametrize("letter", [-1, 4])
+def test_rho_point_rejects_letters_outside_the_affine_rank(letter):
+    rs = build("A3")
+    with pytest.raises(ValueError):
+        rho_point(rs, (0, letter))
 
 
 def test_finite_letters_match_weyl_action():

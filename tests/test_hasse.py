@@ -3,9 +3,10 @@ from types import SimpleNamespace
 
 import pytest
 
-from abideal.affine import element_of_affine_word, inverse_word
-from abideal.checks import check_normalization
+from abideal.affine import alcove_vertices, element_of_affine_word, inverse_word
+from abideal.checks import check_kostant, check_normalization, check_upper_alcoves
 from abideal.hasse import (
+    UpperAlcove,
     _edge_letter,
     build_graph,
     expected_facet_ratios,
@@ -17,9 +18,9 @@ from abideal.hasse import (
     upper_alcoves,
     verify_cover_structure,
 )
-from abideal.ideals import InvariantViolation, long_simple_nodes
+from abideal.ideals import InvariantViolation, catalog_of, long_simple_nodes
 from abideal.reference import reference_hasse_group
-from abideal.root_system import build
+from abideal.root_system import build, supported_types
 
 from conftest import corrupted_gram_copy
 
@@ -133,6 +134,19 @@ def test_upper_alcove_vertex_types(small_label):
     assert {u.lower_vertex_type for u in ups} == set(long_simple_nodes(rs))
 
 
+@pytest.mark.parametrize("label", [str(st) for st in supported_types(6)])
+def test_upper_alcoves_match_vertex_pairings(label):
+    rs = build(label)
+    expected = []
+    for k, entry in enumerate(catalog_of(rs).entries):
+        pairings = [rs.inner(v, rs.theta) for v in alcove_vertices(rs, entry.word)]
+        assert max(pairings) <= 1
+        off_wall = [i for i, t in enumerate(pairings) if t != 1]
+        if len(off_wall) == 1:
+            expected.append(UpperAlcove(k, off_wall[0]))
+    assert upper_alcoves(rs) == tuple(expected)
+
+
 UPPER_MULTISETS = {"A2": [1, 2], "C2": [2, 2], "G2": [2]}
 
 
@@ -158,3 +172,13 @@ def test_corrupted_gram_fails_normalization(small_label):
     res = check_normalization(corrupted_gram_copy(small_label))
     assert not res.passed
     assert "casimir" in res.details or "theta_norm" in res.details
+
+
+@pytest.mark.parametrize("check", [check_kostant, check_upper_alcoves])
+def test_corrupted_gram_fails_vector_action_checks(small_label, check):
+    # as verify_type runs a check: whatever it raises is a FAIL
+    try:
+        passed = check(corrupted_gram_copy(small_label)).passed
+    except Exception:
+        passed = False
+    assert not passed

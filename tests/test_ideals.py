@@ -29,7 +29,7 @@ from abideal.reference import (
     reference_max_dimension,
     reference_max_dimension_multiplicity,
 )
-from abideal.root_system import build
+from abideal.root_system import build, vadd, vneg, vsum
 
 
 def test_count_is_two_to_the_rank(each_label):
@@ -63,6 +63,68 @@ def test_kostant_equality_and_strictness(small_label):
             continue
         tried += 1
         assert kostant_value(rs, subset) < len(subset)
+
+
+def _reference_is_abelian_ideal(rs, roots):
+    """The definition, through vadd and is_positive_root alone."""
+    chosen = {tuple(r) for r in roots}
+    if not all(rs.is_positive_root(psi) for psi in chosen):
+        return False
+    for psi in chosen:
+        for i in range(1, rs.rank + 1):
+            up = vadd(psi, rs.simple_root(i))
+            if rs.is_positive_root(up) and up not in chosen:
+                return False
+    return not any(rs.is_positive_root(vadd(a, b)) for a in chosen for b in chosen)
+
+
+EXHAUSTIVE_IDEAL_LABELS = ("A3", "B3", "C3", "G2")
+SAMPLED_IDEAL_LABELS = ("D4", "F4", "E6")
+
+
+def _ideal_test_inputs(rs):
+    """Root sets, each also with a non-root, with a negative root, and as
+    a list of lists: every subset of the positive roots at small rank,
+    else seeded random subsets plus the ideals with one root toggled."""
+    roots = rs.positive_roots
+    label = str(rs.simple_type)
+    if label in EXHAUSTIVE_IDEAL_LABELS:
+        subsets = [tuple(r for k, r in enumerate(roots) if mask >> k & 1)
+                   for mask in range(2 ** len(roots))]
+    else:
+        rng = random.Random(f"ideal-reference:{label}")
+        subsets = [tuple(rng.sample(roots, rng.randint(0, len(roots)))) for _ in range(200)]
+        for a in enumerate_all(rs):
+            subsets.append(a.roots)
+            toggled = rng.choice(roots)
+            subsets.append(tuple(r for r in a.roots if r != toggled)
+                           + (() if toggled in a.roots else (toggled,)))
+    non_root = tuple(2 * c for c in rs.theta)
+    negative = vneg(rs.theta)
+    for s in subsets:
+        yield s
+        yield s + (non_root,)
+        yield s + (negative,)
+        yield [list(r) for r in s]
+
+
+@pytest.mark.parametrize("label", EXHAUSTIVE_IDEAL_LABELS + SAMPLED_IDEAL_LABELS)
+def test_is_abelian_ideal_matches_definition(label):
+    rs = build(label)
+    verdicts = set()
+    for s in _ideal_test_inputs(rs):
+        want = _reference_is_abelian_ideal(rs, s)
+        assert is_abelian_ideal(rs, s) == want, s
+        verdicts.add(want)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("label", EXHAUSTIVE_IDEAL_LABELS + SAMPLED_IDEAL_LABELS)
+def test_kostant_value_matches_norms(label):
+    rs = build(label)
+    for s in _ideal_test_inputs(rs):
+        sigma = vsum(s, rs.rank)
+        assert kostant_value(rs, s) == rs.norm2(vadd(rs.rho, sigma)) - rs.norm2(rs.rho), s
 
 
 def test_catalog_parameters_rebuild(small_label):

@@ -2,6 +2,7 @@ import pytest
 
 from abideal.root_system import build
 from abideal.qpoly import poly_eval_one
+from abideal import weyl
 from abideal.weyl import (
     apply_word,
     element_of_word,
@@ -40,6 +41,13 @@ def test_rightmost_letter_acts_first():
     word = (1, 3, 2)
     assert apply_word(rs, word, v) == reflect_simple(
         rs, 1, reflect_simple(rs, 3, reflect_simple(rs, 2, v)))
+
+
+@pytest.mark.parametrize("letter", [0, -1, 4])
+def test_apply_word_rejects_letters_outside_the_rank(letter):
+    rs = build("A3")
+    with pytest.raises(ValueError):
+        apply_word(rs, (1, letter), (0, 0, 1))
 
 
 def test_reflection_touches_one_coordinate():
@@ -130,3 +138,38 @@ def test_subgroup_poincare_matches_orbit_count(small_label):
     rs = build(small_label)
     nodes = tuple(range(1, rs.rank))
     assert poly_eval_one(subgroup_poincare(rs, nodes)) == subgroup_order(rs, nodes)
+
+
+def _reference_orbit_poincare(rs, nodes):
+    """Breadth-first walk of the rho orbit in simple-root coordinates,
+    through reflect_simple, keeping every point seen."""
+    seen = {rs.rho}
+    layer = [rs.rho]
+    counts = []
+    while layer:
+        counts.append(len(layer))
+        nxt = []
+        for vec in layer:
+            for i in nodes:
+                img = reflect_simple(rs, i, vec)
+                if img not in seen:
+                    seen.add(img)
+                    nxt.append(img)
+        layer = nxt
+    return tuple(counts)
+
+
+def test_orbit_walk_matches_reference_on_every_node_subset(small_label):
+    rs = build(small_label)
+    for mask in range(2 ** rs.rank):
+        nodes = tuple(i for i in range(1, rs.rank + 1) if mask >> (i - 1) & 1)
+        assert weyl._orbit_poincare(rs, nodes) == _reference_orbit_poincare(rs, nodes), nodes
+
+
+@pytest.mark.parametrize("label", ["B4", "D4", "F4"])
+def test_orbit_walk_matches_reference_on_full_group(label):
+    rs = build(label)
+    nodes = tuple(range(1, rs.rank + 1))
+    walked = weyl._orbit_poincare(rs, nodes)
+    assert walked == _reference_orbit_poincare(rs, nodes)
+    assert poly_eval_one(walked) == weyl_order(rs)
