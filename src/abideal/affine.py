@@ -29,8 +29,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, List, Sequence, Tuple
 
-from .qpoly import Poly, poly, poly_divexact, poly_prod
-from .root_system import Q, Root, RootSystem, WeightVector, build, vadd, vneg, vscale, vsub
+from .qpoly import Poly, poly, poly_prod
+from .root_system import Q, Root, RootSystem, WeightVector, vadd, vneg, vscale, vsub
 from .weyl import (
     classify_components,
     identity_matrix,
@@ -78,8 +78,9 @@ class AffineElement:
 
 
 @lru_cache(maxsize=None)
-def _affine_cartan_cached(label: str) -> Tuple[Tuple[int, ...], ...]:
-    rs = build(label)
+def affine_cartan_matrix(rs: RootSystem) -> Tuple[Tuple[int, ...], ...]:
+    """Entry [a][b] = <root_b, root_a-check> over letters 0..rank, where
+    root_0 = -theta; computed once per root system."""
     roots = (vneg(rs.theta),) + tuple(rs.simple_root(i) for i in range(1, rs.rank + 1))
 
     def pairing(x: Root, phi: Root) -> int:
@@ -89,12 +90,6 @@ def _affine_cartan_cached(label: str) -> Tuple[Tuple[int, ...], ...]:
         return num // den
 
     return tuple(tuple(pairing(b, a) for b in roots) for a in roots)
-
-
-def affine_cartan_matrix(rs: RootSystem) -> Tuple[Tuple[int, ...], ...]:
-    """Entry [a][b] = <root_b, root_a-check> over letters 0..rank, where
-    root_0 = -theta; computed once per type."""
-    return _affine_cartan_cached(str(rs.simple_type))
 
 
 def reflect_theta(rs: RootSystem, vec: Sequence) -> Tuple[tuple, object]:
@@ -112,20 +107,29 @@ def affine_reflect(rs: RootSystem, i: int, vec: Sequence) -> tuple:
     return reflect_simple(rs, i, vec)
 
 
-def rho_point(rs: RootSystem, word: Sequence[int]) -> WeightVector:
-    """w(rho) for the element named by the word, one letter at a time."""
+def rho_shift(rs: RootSystem, word: Sequence[int]) -> Root:
+    """w(rho) - rho for the element named by the word, in integers, one
+    letter at a time: s_i(rho + y) = rho + s_i(y) - alpha_i and
+    s_0(rho + y) = rho + s_theta(y) + theta."""
     for i in word:
         if not 0 <= i <= rs.rank:
             raise ValueError(f"letter {i} out of range 0..{rs.rank}")
-    point = rs.rho
+    shift = (0,) * rs.rank
     for i in reversed(word):
-        point = affine_reflect(rs, i, point)
-    return point
+        if i == 0:
+            shift = vadd(reflect_theta(rs, shift)[0], rs.theta)
+        else:
+            shift = vsub(reflect_simple(rs, i, shift), rs.simple_root(i))
+    return shift
+
+
+def rho_point(rs: RootSystem, word: Sequence[int]) -> WeightVector:
+    """w(rho) for the element named by the word."""
+    return vadd(rs.rho, rho_shift(rs, word))
 
 
 @lru_cache(maxsize=None)
-def _generators(label: str) -> Dict[int, AffineElement]:
-    rs = build(label)
+def _generators(rs: RootSystem) -> Dict[int, AffineElement]:
     l = rs.rank
     gens = {0: AffineElement(matrix_of(l, lambda e: reflect_theta(rs, e)[0]),
                              vscale(rs.dual_coxeter_number, rs.theta))}
@@ -135,7 +139,7 @@ def _generators(label: str) -> Dict[int, AffineElement]:
 
 
 def affine_generator(rs: RootSystem, i: int) -> AffineElement:
-    gens = _generators(str(rs.simple_type))
+    gens = _generators(rs)
     if i not in gens:
         raise ValueError(f"letter {i} out of range 0..{rs.rank}")
     return gens[i]
@@ -213,11 +217,11 @@ def alcove_vertices(rs: RootSystem, word_or_element) -> Tuple[WeightVector, ...]
 
 
 def in_2A(rs: RootSystem, vec: Sequence) -> bool:
-    """Dominant and on the origin side of the doubled theta-wall."""
-    for i in range(1, rs.rank + 1):
-        if rs.inner(rs.simple_root(i), vec) < 0:
-            return False
-    return rs.inner(vec, rs.theta) <= 1
+    """Dominant and on the origin side of the doubled theta-wall, read from
+    the signs of <vec, alpha_i-check> and (vec|theta) <= 1 as raw_inner."""
+    if any(rs.simple_coroot_pairing(vec, i) < 0 for i in range(1, rs.rank + 1)):
+        return False
+    return rs.raw_inner(vec, rs.theta) <= rs.form_den
 
 
 # ----------------------------------------------------------------------
@@ -250,14 +254,14 @@ def minimal_coset_reps(rs: RootSystem, phi: Root) -> Tuple[AffineWord, ...]:
     the right only when the length grows, and keep the words no finite
     perpendicular letter can shorten from the left.  Minimal words are
     closed under prefixes, so a layered walk finds them all.  Elements are
-    told apart by their rho-points.  Ordered by (length, word).
+    told apart by their rho-points.  Ordered by (length, word); cached per
+    root system instance and root.
     """
-    return _minimal_coset_reps_cached(str(rs.simple_type), tuple(phi))
+    return _minimal_coset_reps_cached(rs, tuple(phi))
 
 
 @lru_cache(maxsize=None)
-def _minimal_coset_reps_cached(label: str, phi: Root) -> Tuple[AffineWord, ...]:
-    rs = build(label)
+def _minimal_coset_reps_cached(rs: RootSystem, phi: Root) -> Tuple[AffineWord, ...]:
     if not rs.is_positive_root(phi):
         raise ValueError(f"{phi} is not a positive root")
     gens = perp_generators(rs, phi)
@@ -298,26 +302,10 @@ def wall_subgroup_poincare(rs: RootSystem, phi: Root, include_zero: bool) -> Pol
 
 
 def coset_poincare(rs: RootSystem, phi: Root) -> Poly:
-    """Length generating function of the minimal coset words, cross-checked
-    against the quotient of the two wall-subgroup series."""
-    return _coset_poincare_cached(str(rs.simple_type), tuple(phi))
+    """Length generating function of the minimal coset words.
 
-
-@lru_cache(maxsize=None)
-def _coset_poincare_cached(label: str, phi: Root) -> Poly:
-    rs = build(label)
-    reps = minimal_coset_reps(rs, phi)
-    counts: List[int] = []
-    for w in reps:
-        k = len(w)
-        while len(counts) <= k:
-            counts.append(0)
-        counts[k] += 1
-    walked = poly(counts)
-    quotient = poly_divexact(
-        wall_subgroup_poincare(rs, phi, include_zero=True),
-        wall_subgroup_poincare(rs, phi, include_zero=False),
-    )
-    if walked != quotient:
-        raise AssertionError(f"coset walk and Poincare quotient disagree at phi={phi}")
-    return walked
+    That it equals the quotient of the two wall-subgroup series is the
+    `fiber_polynomials` check of `verify`, over every long positive root.
+    """
+    lengths = [len(w) for w in minimal_coset_reps(rs, phi)]
+    return poly([lengths.count(k) for k in range(lengths[-1] + 1)])

@@ -2,9 +2,9 @@
 
 Each check takes a built root system and returns a :class:`CheckResult`
 with a stable name, so reports stay machine-comparable across runs.  The
-heavy inputs (ideal catalogs, cover graphs, coset polynomials) are cached
-at module level in their home modules; running the whole battery twice
-costs little more than running it once.
+heavy inputs (coset words, catalogs, cover graphs) are cached per root
+system in their home modules; cross-checks between independent
+constructions run here, once, inside named checks.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction as Q
 from typing import Callable, Dict, List, Sequence, Tuple
 
-from .affine import coset_poincare, perp_generators, rho_point
+from .affine import coset_poincare, perp_generators, rho_point, wall_subgroup_poincare
 from .hasse import (
     build_graph,
     expected_facet_ratios,
@@ -25,6 +25,7 @@ from .hasse import (
 )
 from .ideals import (
     InvariantViolation,
+    associated_long_root,
     catalog_of,
     forbidden_roots,
     from_param,
@@ -154,7 +155,8 @@ def check_kostant(rs: RootSystem, samples: int = 1000) -> CheckResult:
 
 
 def check_parametrization(rs: RootSystem) -> CheckResult:
-    """Nonzero ideals are hit once each by (long root, minimal coset word)."""
+    """Nonzero ideals are hit once each by (long root, minimal coset word):
+    each is rebuilt by `from_param`, its root found by `associated_long_root`."""
     cat = catalog_of(rs)
     params = set()
     for e in cat.entries:
@@ -167,6 +169,10 @@ def check_parametrization(rs: RootSystem) -> CheckResult:
         if rebuilt.root_set != e.ideal.root_set:
             return _fail("parametrization",
                          f"from_param({_compact(e.phi)}, {list(e.coset_word)}) disagrees")
+        assoc = associated_long_root(rs, e.ideal)
+        if assoc != e.phi:
+            return _fail("parametrization",
+                         f"associated long root {_compact(assoc)} != parameter {_compact(e.phi)}")
         if len(e.word) != e.ideal.dim:
             return _fail("parametrization",
                          f"parameter word length {len(e.word)} != dim {e.ideal.dim}")
@@ -213,12 +219,23 @@ def check_word_table(rs: RootSystem) -> CheckResult:
 
 
 def check_fiber_polynomials(rs: RootSystem) -> CheckResult:
+    """Closed forms on long simple nodes; on every long positive root, the
+    coset walk against the quotient of the two wall-subgroup series."""
     st = rs.simple_type
     for i in long_simple_nodes(rs):
         got = coset_poincare(rs, rs.simple_root(i))
         want = reference_fiber_poly(st, i)
         if got != want:
             return _fail("fiber_polynomials", f"node {i}: {got} != closed form {want}")
+    for phi in rs.long_positive_roots():
+        walked = coset_poincare(rs, phi)
+        quotient = poly_divexact(
+            wall_subgroup_poincare(rs, phi, include_zero=True),
+            wall_subgroup_poincare(rs, phi, include_zero=False),
+        )
+        if walked != quotient:
+            return _fail("fiber_polynomials",
+                         f"phi={_compact(phi)}: coset walk {walked} != Poincare quotient {quotient}")
     return _ok("fiber_polynomials",
                f"closed forms match on {len(long_simple_nodes(rs))} long nodes")
 

@@ -15,12 +15,7 @@ from typing import Dict, List, Optional, Sequence
 
 from .checks import TypeReport, summary_rows, verify_all, verify_type
 from .hasse import build_graph, to_dot
-from .ideals import (
-    associated_long_root,
-    catalog_of,
-    enumerate_all,
-    long_simple_nodes,
-)
+from .ideals import catalog_of, enumerate_all, long_simple_nodes
 from .root_system import RootSystem, SimpleType, build, supported_types
 from .young import YoungDiagram, young_encode, young_lattice
 
@@ -84,7 +79,7 @@ def _ideal_dict(rs: RootSystem, entry) -> Dict[str, object]:
         out["assoc_long_root"] = None
         out["param"] = None
     else:
-        out["assoc_long_root"] = list(associated_long_root(rs, a))
+        out["assoc_long_root"] = list(entry.phi)
         out["param"] = {"phi": list(entry.phi), "coset_word": list(entry.coset_word)}
     return out
 

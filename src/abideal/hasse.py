@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, FrozenSet, List, Sequence, Tuple
 
-from .affine import affine_reflect, affine_simple_root, apply_word_to_affine_root, reflect_theta
+from .affine import affine_reflect, affine_simple_root, inverse_word, reflect_theta, rho_shift
 from .ideals import (
     CatalogEntry,
     IdealCatalog,
@@ -62,15 +62,8 @@ class HasseGraph:
         return len(self.catalog.ideals)
 
 
-def build_graph(rs: RootSystem) -> HasseGraph:
-    return _build_graph_cached(str(rs.simple_type))
-
-
 @lru_cache(maxsize=None)
-def _build_graph_cached(label: str) -> HasseGraph:
-    from .root_system import build
-
-    rs = build(label)
+def build_graph(rs: RootSystem) -> HasseGraph:
     cat = catalog_of(rs)
     edges: List[HasseEdge] = []
     for k, entry in enumerate(cat.entries):
@@ -87,14 +80,14 @@ def _build_graph_cached(label: str) -> HasseGraph:
 def _edge_letter(rs: RootSystem, low: CatalogEntry, high: CatalogEntry) -> int:
     """The affine letter j with element(high) = element(low) * s_j.
 
-    An entry's rho-point is rho plus its root sum, and that of low * s_j is
-    low's minus the finite part of low(beta_j); rho-points determine
-    elements, so j is the letter whose root low(beta_j) has finite part
-    minus the added roots.
+    The word low^-1 high names that element, and rho-points determine
+    elements, so j is read off its rho-shift: s_j(rho) - rho is minus the
+    finite part of the affine simple root beta_j (theta for j = 0, -alpha_j
+    otherwise).
     """
-    target = vneg(vsub(high.ideal.root_sum(rs.rank), low.ideal.root_sum(rs.rank)))
+    target = vneg(rho_shift(rs, inverse_word(low.word) + high.word))
     for j in range(rs.rank + 1):
-        if apply_word_to_affine_root(rs, low.word, affine_simple_root(rs, j)).finite == target:
+        if affine_simple_root(rs, j).finite == target:
             return j
     raise InvariantViolation(
         f"elements of adjacent ideals do not differ by one reflection "

@@ -15,8 +15,9 @@ the affine word
     (0,) + minimal_word_to_theta(phi) + coset_word,
 
 whose inversion roots all sit at level one; negating their finite parts
-yields the ideal.  Construction functions cross-check one description
-against the other and raise InvariantViolation when they disagree.
+yields the ideal.  The catalog attaches each parameter word to the
+enumerated ideal whose root sum is the word's rho-shift; rebuilding every
+ideal from its parameter is the `parametrization` check of `verify`.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .affine import (
     minimal_coset_reps,
     perp_generators,
     rho_point,
+    rho_shift,
 )
 from .qpoly import poly_degree, poly_eval_one
 from .root_system import Q, Root, RootSystem, build, vadd, vneg, vsub, vsum
@@ -226,50 +228,52 @@ class CatalogEntry:
 
 
 class IdealCatalog:
-    """All abelian ideals of one type, each with its unique parameter."""
+    """All abelian ideals of one type, each with its unique parameter:
+    the enumerated ideal whose root sum is the parameter word's rho-shift."""
 
     def __init__(self, rs: RootSystem) -> None:
         self.rs = rs
         oracle = enumerate_all(rs)
-        by_roots: Dict[FrozenSet[Root], int] = {a.root_set: k for k, a in enumerate(oracle)}
-        if len(by_roots) != len(oracle):
-            raise InvariantViolation("duplicate ideals in enumeration")
+        by_sum: Dict[Root, int] = {a.root_sum(rs.rank): k for k, a in enumerate(oracle)}
+        if len(by_sum) != len(oracle):
+            raise InvariantViolation("two enumerated ideals share a root sum")
 
         entries: List[Optional[CatalogEntry]] = [None] * len(oracle)
-        zero = make_ideal(())
-        entries[by_roots[zero.root_set]] = CatalogEntry(zero, None, (), ())
+        zero = by_sum[(0,) * rs.rank]
+        entries[zero] = CatalogEntry(oracle[zero], None, (), ())
 
         for phi in rs.long_positive_roots():
+            prefix = parameter_word(rs, phi, ())
             for rep in minimal_coset_reps(rs, phi):
-                ideal = from_param(rs, phi, rep)
-                k = by_roots.get(ideal.root_set)
+                word = prefix + rep
+                k = by_sum.get(rho_shift(rs, word))
                 if k is None:
                     raise InvariantViolation(
-                        f"parameter ({phi}, {rep}) built a set outside the enumeration")
+                        f"parameter ({phi}, {rep}) moves rho outside the enumeration")
                 if entries[k] is not None:
                     raise InvariantViolation(
-                        f"ideal {ideal.roots} parametrized twice: "
+                        f"ideal {oracle[k].roots} parametrized twice: "
                         f"({entries[k].phi}, {entries[k].coset_word}) and ({phi}, {rep})")
-                entries[k] = CatalogEntry(ideal, phi, rep, parameter_word(rs, phi, rep))
+                entries[k] = CatalogEntry(oracle[k], phi, rep, word)
 
         missing = [oracle[k] for k, e in enumerate(entries) if e is None]
         if missing:
             raise InvariantViolation(f"{len(missing)} ideals have no parameter")
         self.entries: Tuple[CatalogEntry, ...] = tuple(entries)  # type: ignore[arg-type]
-        self.ideals: Tuple[AbelianIdeal, ...] = tuple(e.ideal for e in self.entries)
-        self.index: Dict[FrozenSet[Root], int] = by_roots
+        self.ideals: Tuple[AbelianIdeal, ...] = oracle
+        self.index: Dict[FrozenSet[Root], int] = {a.root_set: k for k, a in enumerate(oracle)}
 
     def __len__(self) -> int:
         return len(self.entries)
 
 
 @lru_cache(maxsize=None)
-def catalog(label: str) -> IdealCatalog:
-    return IdealCatalog(build(label))
-
-
 def catalog_of(rs: RootSystem) -> IdealCatalog:
-    return catalog(str(rs.simple_type))
+    return IdealCatalog(rs)
+
+
+def catalog(label: str) -> IdealCatalog:
+    return catalog_of(build(label))
 
 
 # ----------------------------------------------------------------------
@@ -285,8 +289,7 @@ def not_perp_theta(rs: RootSystem, ideal: AbelianIdeal) -> AbelianIdeal:
 
 
 @lru_cache(maxsize=None)
-def _a_min_table(label: str) -> Dict[FrozenSet[Root], Root]:
-    rs = build(label)
+def _a_min_table(rs: RootSystem) -> Dict[FrozenSet[Root], Root]:
     table: Dict[FrozenSet[Root], Root] = {}
     for phi in rs.long_positive_roots():
         key = a_min(rs, phi).root_set
@@ -302,7 +305,7 @@ def associated_long_root(rs: RootSystem, ideal: AbelianIdeal) -> Root:
     if ideal.dim == 0:
         raise ValueError("the zero ideal has no associated long root")
     key = not_perp_theta(rs, ideal).root_set
-    table = _a_min_table(str(rs.simple_type))
+    table = _a_min_table(rs)
     phi = table.get(key)
     if phi is None:
         raise InvariantViolation("no long root matches this ideal's theta-visible part")

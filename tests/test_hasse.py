@@ -3,6 +3,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from abideal import checks
 from abideal.affine import alcove_vertices, element_of_affine_word, inverse_word
 from abideal.checks import check_kostant, check_normalization, check_upper_alcoves
 from abideal.hasse import (
@@ -22,7 +23,7 @@ from abideal.ideals import InvariantViolation, catalog_of, long_simple_nodes
 from abideal.reference import reference_hasse_group
 from abideal.root_system import build, supported_types
 
-from conftest import corrupted_gram_copy
+from conftest import SMALL_LABELS, corrupted_gram_copy
 
 A2_DOT = """graph hasse_A2 {
   node [shape=circle];
@@ -182,3 +183,57 @@ def test_corrupted_gram_fails_vector_action_checks(small_label, check):
     except Exception:
         passed = False
     assert not passed
+
+
+def _passes(check, rs) -> bool:
+    # as verify_type runs a check: whatever it raises is a FAIL
+    try:
+        return check(rs).passed
+    except Exception:
+        return False
+
+
+@pytest.mark.parametrize("name", ["ideal_count", "forbidden_roots", "fiber_polynomials",
+                                  "max_dimension", "hasse_covers", "hasse_automorphisms"])
+def test_corrupted_gram_reaches_cached_data(small_label, name):
+    # catalogs, coset words and graphs are cached per root system instance,
+    # so a corrupted copy is checked on data built from its own form.
+    # Doubling A1's only form entry is a uniform rescale, which the
+    # structural checks rightly accept.
+    rs = corrupted_gram_copy(small_label)
+    assert _passes(getattr(checks, f"check_{name}"), rs) == (small_label == "A1")
+
+
+def test_corrupted_copy_gets_its_own_catalog():
+    assert catalog_of(corrupted_gram_copy("A1")) is not catalog_of(build("A1"))
+
+
+NOT_SIMPLE_THETA = [label for label in SMALL_LABELS if label != "A1"]
+
+
+@pytest.mark.parametrize("label", NOT_SIMPLE_THETA)
+def test_fiber_polynomials_checks_the_quotient_off_the_simple_roots(monkeypatch, label):
+    rs = build(label)
+    real = checks.coset_poincare
+    monkeypatch.setattr(checks, "coset_poincare",
+                        lambda rs, phi: real(rs, phi) + ((1,) if tuple(phi) == rs.theta else ()))
+    res = checks.check_fiber_polynomials(rs)
+    assert not res.passed
+    assert "quotient" in res.details
+
+
+@pytest.mark.parametrize("label", NOT_SIMPLE_THETA)
+def test_parametrization_checks_the_associated_long_root(monkeypatch, label):
+    monkeypatch.setattr(checks, "associated_long_root", lambda rs, ideal: rs.theta)
+    res = checks.check_parametrization(build(label))
+    assert not res.passed
+    assert "associated long root" in res.details
+
+
+@pytest.mark.parametrize("label", NOT_SIMPLE_THETA)
+def test_word_table_checks_the_word_to_theta(monkeypatch, label):
+    # the check reads only the Cartan matrix, so a form corruption cannot
+    # reach it; a word one letter short can
+    real = checks.minimal_word_to_theta
+    monkeypatch.setattr(checks, "minimal_word_to_theta", lambda rs, phi: real(rs, phi)[1:])
+    assert not checks.check_word_table(build(label)).passed
