@@ -9,11 +9,15 @@ With this scaling every generator preserves the lattice spanned by the
 simple roots.  rho lies strictly inside the g-scaled fundamental alcove,
 since <rho, alpha_i-check> = 1 > 0 and <rho, theta-check> = g - 1 < g, so
 an element w is determined by its rho-point w(rho).  Construction
-identifies elements by rho-point and moves points and roots one letter at
-a time with vector actions: the rho-point of w s_j is w(rho) minus the
-finite part of the affine root w(beta_j).  Integer matrices plus integer
-translation vectors (AffineElement) appear only where a full affine map is
-applied to arbitrary points, such as alcove vertices.
+identifies elements by rho-point and moves one point, or the rank + 1
+images of the affine simple roots, one letter at a time with vector
+actions.  An integer matrix plus an integer translation vector
+(AffineElement) is built only when a caller asks for the full affine map,
+from the images of the basis and of the origin.
+
+Minimal coset words of a root's wall subgroup come from an orbit walk in
+extended Dynkin labels (a point's pairings with beta_0, ..., beta_rank),
+where s_j subtracts label j times column j of the affine Cartan matrix.
 
 Affine roots are (finite root, level) pairs; the extra simple root is
 (-theta, 1).  Positive means level > 0, or level 0 with positive finite
@@ -32,13 +36,12 @@ from typing import Dict, List, Sequence, Tuple
 from .qpoly import Poly, poly, poly_prod
 from .root_system import Q, Root, RootSystem, WeightVector, vadd, vneg, vscale, vsub
 from .weyl import (
+    check_letters,
     classify_components,
-    identity_matrix,
     mat_mul,
     mat_vec,
     matrix_of,
     reflect_simple,
-    reflection_matrix,
     subgroup_poincare,
 )
 
@@ -92,18 +95,23 @@ def affine_cartan_matrix(rs: RootSystem) -> Tuple[Tuple[int, ...], ...]:
     return tuple(tuple(pairing(b, a) for b in roots) for a in roots)
 
 
-def reflect_theta(rs: RootSystem, vec: Sequence) -> Tuple[tuple, object]:
-    """(s_theta(vec), <vec, theta-check>), the pairing read off row 0 of the
-    affine Cartan matrix: <alpha_j, theta-check> = -a_0j."""
+def reflect_theta(rs: RootSystem, vec: Sequence) -> tuple:
+    """s_theta(vec), with <vec, theta-check> read off row 0 of the affine
+    Cartan matrix: <alpha_j, theta-check> = -a_0j."""
     row = affine_cartan_matrix(rs)[0]
     c = -sum(a * x for a, x in zip(row[1:], vec) if a)
-    return tuple(x - c * t for x, t in zip(vec, rs.theta)), c
+    return tuple(x - c * t for x, t in zip(vec, rs.theta))
+
+
+def linear_reflect(rs: RootSystem, i: int, vec: Sequence) -> tuple:
+    """The linear part of generator i: s_theta for letter 0, s_i otherwise."""
+    return reflect_theta(rs, vec) if i == 0 else reflect_simple(rs, i, vec)
 
 
 def affine_reflect(rs: RootSystem, i: int, vec: Sequence) -> tuple:
     """Generator i acting on a point: s_0(x) = s_theta(x) + g theta."""
     if i == 0:
-        return vadd(reflect_theta(rs, vec)[0], vscale(rs.dual_coxeter_number, rs.theta))
+        return vadd(reflect_theta(rs, vec), vscale(rs.dual_coxeter_number, rs.theta))
     return reflect_simple(rs, i, vec)
 
 
@@ -111,13 +119,11 @@ def rho_shift(rs: RootSystem, word: Sequence[int]) -> Root:
     """w(rho) - rho for the element named by the word, in integers, one
     letter at a time: s_i(rho + y) = rho + s_i(y) - alpha_i and
     s_0(rho + y) = rho + s_theta(y) + theta."""
-    for i in word:
-        if not 0 <= i <= rs.rank:
-            raise ValueError(f"letter {i} out of range 0..{rs.rank}")
+    check_letters(rs, word, 0)
     shift = (0,) * rs.rank
     for i in reversed(word):
         if i == 0:
-            shift = vadd(reflect_theta(rs, shift)[0], rs.theta)
+            shift = vadd(reflect_theta(rs, shift), rs.theta)
         else:
             shift = vsub(reflect_simple(rs, i, shift), rs.simple_root(i))
     return shift
@@ -128,28 +134,19 @@ def rho_point(rs: RootSystem, word: Sequence[int]) -> WeightVector:
     return vadd(rs.rho, rho_shift(rs, word))
 
 
-@lru_cache(maxsize=None)
-def _generators(rs: RootSystem) -> Dict[int, AffineElement]:
-    l = rs.rank
-    gens = {0: AffineElement(matrix_of(l, lambda e: reflect_theta(rs, e)[0]),
-                             vscale(rs.dual_coxeter_number, rs.theta))}
-    for i in range(1, l + 1):
-        gens[i] = AffineElement(reflection_matrix(rs, i), (0,) * l)
-    return gens
-
-
-def affine_generator(rs: RootSystem, i: int) -> AffineElement:
-    gens = _generators(rs)
-    if i not in gens:
-        raise ValueError(f"letter {i} out of range 0..{rs.rank}")
-    return gens[i]
-
-
 def element_of_affine_word(rs: RootSystem, word: Sequence[int]) -> AffineElement:
-    out = AffineElement(identity_matrix(rs.rank), (0,) * rs.rank)
-    for i in word:
-        out = out.compose(affine_generator(rs, i))
-    return out
+    """The full affine map of the word: its linear part is the matrix of the
+    letters' linear parts acting on the basis, rightmost first, and its
+    shift is the image of the origin."""
+    check_letters(rs, word, 0)
+
+    def act(step, vec: Sequence) -> tuple:
+        for i in reversed(word):
+            vec = step(rs, i, vec)
+        return vec
+
+    return AffineElement(matrix_of(rs.rank, lambda e: act(linear_reflect, e)),
+                         act(affine_reflect, (0,) * rs.rank))
 
 
 def inverse_word(word: Sequence[int]) -> AffineWord:
@@ -162,35 +159,28 @@ def affine_simple_root(rs: RootSystem, i: int) -> AffineRoot:
     return AffineRoot(rs.simple_root(i), 0)
 
 
-def reflect_affine_root(rs: RootSystem, i: int, beta: AffineRoot) -> AffineRoot:
-    """Action of generator i on affine roots: s_0 sends (x, k) to
-    (s_theta(x), k + <x, theta-check>)."""
-    if i == 0:
-        finite, c = reflect_theta(rs, beta.finite)
-        return AffineRoot(finite, beta.level + c)
-    if not 1 <= i <= rs.rank:
-        raise ValueError(f"letter {i} out of range 0..{rs.rank}")
-    return AffineRoot(reflect_simple(rs, i, beta.finite), beta.level)
-
-
-def apply_word_to_affine_root(rs: RootSystem, word: Sequence[int], beta: AffineRoot) -> AffineRoot:
-    for i in reversed(word):
-        beta = reflect_affine_root(rs, i, beta)
-    return beta
-
-
 def affine_inversion_set(rs: RootSystem, word: Sequence[int]) -> Tuple[AffineRoot, ...]:
-    """One positive affine root per letter of a reduced word; errors on repeats."""
+    """One positive affine root per letter of a reduced word, w(beta_i) for
+    the prefix w before letter i; errors on repeats and negative roots.
+
+    One pass: the images w(beta_j) of all affine simple roots are carried
+    along, and appending s_i sends w(beta_j) to w(beta_j) - a_ij w(beta_i).
+    """
+    check_letters(rs, word, 0)
+    cartan = affine_cartan_matrix(rs)
+    images = [affine_simple_root(rs, j) for j in range(rs.rank + 1)]
     seen: List[AffineRoot] = []
-    prefix: List[int] = []
     for i in word:
-        beta = apply_word_to_affine_root(rs, prefix, affine_simple_root(rs, i))
+        beta = images[i]
         if beta in seen:
             raise ValueError(f"affine word {tuple(word)} is not reduced: {beta} repeats")
         if not beta.is_positive:
             raise ValueError(f"affine word {tuple(word)} is not reduced: {beta} is negative")
         seen.append(beta)
-        prefix.append(i)
+        for j, a in enumerate(cartan[i]):
+            if a:
+                images[j] = AffineRoot(vsub(images[j].finite, vscale(a, beta.finite)),
+                                       images[j].level - a * beta.level)
     return tuple(seen)
 
 
@@ -237,24 +227,32 @@ def perp_generators(rs: RootSystem, phi: Root) -> Tuple[int, ...]:
     return tuple(sorted(out))
 
 
-def _is_left_minimal(rs: RootSystem, shift: Sequence[int], finite_gens: Sequence[int]) -> bool:
-    """No finite wall letter shortens the element from the left.
+def wall_point(rs: RootSystem, phi: Root) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """phi's wall letters, and the point lambda_phi in extended Dynkin
+    labels: 0 on the finite wall letters, 1 on every other letter."""
+    gens = perp_generators(rs, phi)
+    return gens, tuple(0 if j and j in gens else 1 for j in range(rs.rank + 1))
 
-    `shift` is w(rho) - rho.  s_f w is longer than w exactly when w(rho)
-    lies on the positive side of alpha_f's wall, that is when
-    <rho + shift, alpha_f-check> = 1 + <shift, alpha_f-check> > 0.
-    """
-    return all(rs.simple_coroot_pairing(shift, f) >= 0 for f in finite_gens)
+
+def label_reflect(rs: RootSystem, j: int, point: Sequence[int]) -> tuple:
+    """s_j on extended Dynkin labels: subtract label j times column j of
+    the affine Cartan matrix."""
+    c = point[j]
+    return tuple(x - c * row[j] for x, row in zip(point, affine_cartan_matrix(rs)))
 
 
 def minimal_coset_reps(rs: RootSystem, phi: Root) -> Tuple[AffineWord, ...]:
     """Minimal-length coset words for the finite part of the wall subgroup.
 
-    Walk the subgroup generated by all perpendicular letters, extending on
-    the right only when the length grows, and keep the words no finite
-    perpendicular letter can shorten from the left.  Minimal words are
-    closed under prefixes, so a layered walk finds them all.  Elements are
-    told apart by their rho-points.  Ordered by (length, word); cached per
+    The finite wall letters fix lambda_phi (`wall_point`) and the letter 0
+    does not, so the wall subgroup's orbit of lambda_phi is its coset
+    space.  By Deodhar's lemma a word w is minimal in its coset exactly
+    when w^-1(lambda_phi) is reached by ascents: each letter j, applied to
+    the point reached so far, has label c_j > 0 there and makes the word
+    one letter longer.  The walk goes layer by layer, visits parents in
+    word order and letters in ascending order, and keeps the first word
+    reaching each point; distinct layers hold distinct points, so each
+    layer is deduplicated alone.  Ordered by (length, word); cached per
     root system instance and root.
     """
     return _minimal_coset_reps_cached(rs, tuple(phi))
@@ -264,27 +262,16 @@ def minimal_coset_reps(rs: RootSystem, phi: Root) -> Tuple[AffineWord, ...]:
 def _minimal_coset_reps_cached(rs: RootSystem, phi: Root) -> Tuple[AffineWord, ...]:
     if not rs.is_positive_root(phi):
         raise ValueError(f"{phi} is not a positive root")
-    gens = perp_generators(rs, phi)
-    finite_gens = tuple(i for i in gens if i != 0)
+    gens, start = wall_point(rs, phi)
     reps: List[AffineWord] = [()]
-    zero = (0,) * rs.rank
-    seen = {zero}
-    layer: List[Tuple[AffineWord, Root]] = [((), zero)]  # (word, w(rho) - rho)
+    layer: Dict[Tuple[int, ...], AffineWord] = {start: ()}  # point -> word
     while layer:
-        nxt: List[Tuple[AffineWord, Root]] = []
-        for word, shift in layer:
+        nxt: Dict[Tuple[int, ...], AffineWord] = {}
+        for point, word in layer.items():
             for j in gens:
-                beta = apply_word_to_affine_root(rs, word, affine_simple_root(rs, j))
-                if not beta.is_positive:
-                    continue  # length would drop
-                # (w s_j)(rho) = w(rho) - finite part of w(beta_j)
-                cand = vsub(shift, beta.finite)
-                if cand in seen or not _is_left_minimal(rs, cand, finite_gens):
-                    continue
-                seen.add(cand)
-                nxt.append((word + (j,), cand))
-        nxt.sort()
-        reps.extend(word for word, _ in nxt)
+                if point[j] > 0:
+                    nxt.setdefault(label_reflect(rs, j, point), word + (j,))
+        reps.extend(nxt.values())
         layer = nxt
     return tuple(reps)
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction as Q
 from typing import Callable, Dict, List, Sequence, Tuple
 
-from .affine import coset_poincare, perp_generators, rho_point, wall_subgroup_poincare
+from .affine import affine_inversion_set, coset_poincare, perp_generators, wall_subgroup_poincare
 from .hasse import (
     build_graph,
     expected_facet_ratios,
@@ -55,7 +55,7 @@ from .reference import (
     reference_theta_quotient,
     reference_word_to_theta,
 )
-from .root_system import RootSystem, build, supported_types, vadd, vsub
+from .root_system import RootSystem, build, supported_types, vadd, vneg
 from .weyl import (
     apply_word,
     element_of_word,
@@ -401,7 +401,9 @@ def golden_a11_check() -> CheckResult:
 
     Each prefix of either word moves the base point by exactly one positive
     root, read off as an 11-bit string; the final alcove is the staircase
-    diagram (5,4,4,4,4,3,2) with rim code 1697.
+    diagram (5,4,4,4,4,3,2) with rim code 1697.  The steps come in one
+    pass: w s_j(rho) = w(rho) - finite part of w(beta_j), so row r's step is
+    minus the finite part of the word's r-th affine inversion root.
     """
     rs = build("A11")
     columns = (
@@ -411,21 +413,17 @@ def golden_a11_check() -> CheckResult:
     for col, word, steps in columns:
         if len(word) != 26 or len(steps) != 26:
             return _fail("golden_gallery", f"{col} column is not 26 rows")
-        point = rs.rho
         roots = []
-        for r in range(1, 27):
-            moved = rho_point(rs, word[:r])
-            diff = vsub(moved, point)
-            bits = "".join("1" if c else "0" for c in diff)
+        for r, beta in enumerate(affine_inversion_set(rs, word), start=1):
+            step_root = vneg(beta.finite)
+            bits = "".join("1" if c else "0" for c in step_root)
             if bits != steps[r - 1]:
                 return _fail("golden_gallery",
                              f"{col} column row {r}: step {bits} != {steps[r - 1]}")
-            step_root = tuple(int(c) for c in diff)
-            if tuple(diff) != step_root or not rs.is_positive_root(step_root):
+            if not rs.is_positive_root(step_root):
                 return _fail("golden_gallery",
                              f"{col} column row {r}: step is not a positive root")
             roots.append(step_root)
-            point = moved
         shape = young_of_ideal(rs, make_ideal(roots))
         if shape.rows != GALLERY_A11_SHAPE:
             return _fail("golden_gallery", f"{col} final shape {shape.rows} != {GALLERY_A11_SHAPE}")

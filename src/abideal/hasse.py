@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, FrozenSet, List, Sequence, Tuple
 
-from .affine import affine_reflect, affine_simple_root, inverse_word, reflect_theta, rho_shift
+from .affine import affine_reflect, affine_simple_root, inverse_word, linear_reflect, rho_shift
 from .ideals import (
     CatalogEntry,
     IdealCatalog,
@@ -33,7 +33,7 @@ from .ideals import (
     catalog_of,
 )
 from .root_system import Q, RootSystem, gauss_jordan, vneg, vsub
-from .weyl import graph_distances, reflect_simple
+from .weyl import graph_distances
 
 Permutation = Tuple[int, ...]
 
@@ -162,7 +162,7 @@ def upper_alcoves(rs: RootSystem) -> Tuple[UpperAlcove, ...]:
             origin = affine_reflect(rs, i, origin)
         pulled = rs.theta
         for i in entry.word:
-            pulled = reflect_theta(rs, pulled)[0] if i == 0 else reflect_simple(rs, i, pulled)
+            pulled = linear_reflect(rs, i, pulled)
         base = rs.inner(origin, rs.theta)
         pairings = [base] + [base + Q(b, 2 * n) for b, n in zip(pulled, rs.marks)]
         off_wall = []

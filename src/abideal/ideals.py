@@ -23,20 +23,21 @@ ideal from its parameter is the `parametrization` check of `verify`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .affine import (
     AffineWord,
-    _is_left_minimal,
     affine_cartan_matrix,
     affine_inversion_set,
     coset_poincare,
     in_2A,
+    label_reflect,
     minimal_coset_reps,
     perp_generators,
     rho_point,
     rho_shift,
+    wall_point,
 )
 from .qpoly import poly_degree, poly_eval_one
 from .root_system import Q, Root, RootSystem, build, vadd, vneg, vsub, vsum
@@ -61,8 +62,9 @@ class AbelianIdeal:
     def dim(self) -> int:
         return len(self.roots)
 
-    @property
+    @cached_property
     def root_set(self) -> FrozenSet[Root]:
+        """Built once per ideal; equality and hashing still use `roots`."""
         return frozenset(self.roots)
 
     def root_sum(self, rank: int) -> Tuple[int, ...]:
@@ -169,19 +171,22 @@ def parameter_word(rs: RootSystem, phi: Root, coset_word: Sequence[int]) -> Affi
 
 
 def from_param(rs: RootSystem, phi: Root, coset_word: Sequence[int] = ()) -> AbelianIdeal:
-    """The ideal named by a long positive root and a minimal coset word."""
+    """The ideal named by a long positive root and a minimal coset word.
+
+    The word is checked on the labels of `minimal_coset_reps`' orbit walk:
+    every letter is a wall letter of phi whose label is positive at the
+    point the previous letters reached."""
     phi = tuple(phi)
     if not (rs.is_positive_root(phi) and rs.is_long(phi)):
         raise ValueError(f"{phi} is not a long positive root")
-    gens = set(perp_generators(rs, phi))
+    gens, point = wall_point(rs, phi)
     coset_word = tuple(coset_word)
     for i in coset_word:
         if i not in gens:
             raise ValueError(f"letter {i} does not fix the walls through {phi}")
-    inv = affine_inversion_set(rs, coset_word)  # raises if not reduced
-    shift = vneg(vsum((beta.finite for beta in inv), rs.rank))  # w(rho) - rho
-    if not _is_left_minimal(rs, shift, tuple(i for i in gens if i != 0)):
-        raise ValueError(f"{coset_word} is not a minimal coset word for {phi}")
+        if point[i] <= 0:
+            raise ValueError(f"{coset_word} is not a minimal coset word for {phi}")
+        point = label_reflect(rs, i, point)
     return _ideal_from_affine_word(rs, parameter_word(rs, phi, coset_word))
 
 

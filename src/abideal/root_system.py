@@ -300,9 +300,6 @@ class RootSystem:
         t = tuple(v)
         return t in self.positive_root_set or tuple(-c for c in t) in self.positive_root_set
 
-    def height(self, phi: Sequence[int]) -> int:
-        return sum(phi)
-
     def raw_inner(self, x: Sequence, y: Sequence):
         """x^T form y: form_den times (x|y); an int on integer vectors."""
         total = 0

@@ -2,8 +2,11 @@
 
 A word is a tuple of node indices (1-based).  Words compose like the
 reflections they name: the rightmost letter acts first, so the word
-(3, 1) means "apply s_1, then s_3".  Group elements are integer matrices
-acting on simple-root coordinates by left multiplication.
+(3, 1) means "apply s_1, then s_3".  Words act on vectors one letter at a
+time, and inversion sets carry the images of the simple roots along the
+word in one pass.  An integer matrix on simple-root coordinates is built
+only when a caller asks for a group element: its columns are the word's
+images of the basis vectors.
 
 Subsets of nodes name standard parabolic subgroups.  Their length
 generating functions come from an orbit walk of rho when the subgroup is
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
 from .qpoly import Poly, bracket, poly_eval_one, poly_prod
-from .root_system import Root, RootSystem
+from .root_system import Root, RootSystem, vscale, vsub, vsum
 
 WeylWord = Tuple[int, ...]
 Matrix = Tuple[Tuple[int, ...], ...]
@@ -57,13 +60,6 @@ def mat_vec(m: Matrix, v: Sequence) -> tuple:
     return tuple(sum(x * y for x, y in zip(row, v)) for row in m)
 
 
-def element_of_word(rs: RootSystem, word: Sequence[int]) -> Matrix:
-    m = identity_matrix(rs.rank)
-    for i in word:
-        m = mat_mul(m, reflection_matrix(rs, i))
-    return m
-
-
 def reflect_simple(rs: RootSystem, i: int, vec: Sequence) -> tuple:
     """s_i(vec) = vec - <vec, alpha_i-check> alpha_i: only coordinate i-1 changes.
 
@@ -75,23 +71,33 @@ def reflect_simple(rs: RootSystem, i: int, vec: Sequence) -> tuple:
     return tuple(out)
 
 
-def apply_word(rs: RootSystem, word: Sequence[int], vec: Sequence) -> tuple:
+def check_letters(rs: RootSystem, word: Sequence[int], lowest: int) -> None:
+    """Reject a word with a letter outside lowest..rank, before any action."""
     for i in word:
-        if not 1 <= i <= rs.rank:
-            raise ValueError(f"letter {i} out of range 1..{rs.rank}")
+        if not lowest <= i <= rs.rank:
+            raise ValueError(f"letter {i} out of range {lowest}..{rs.rank}")
+
+
+def apply_word(rs: RootSystem, word: Sequence[int], vec: Sequence) -> tuple:
+    check_letters(rs, word, 1)
     out = tuple(vec)
     for i in reversed(word):
         out = reflect_simple(rs, i, out)
     return out
 
 
+def element_of_word(rs: RootSystem, word: Sequence[int]) -> Matrix:
+    """The matrix of the word: its columns are the images of the basis."""
+    return matrix_of(rs.rank, lambda e: apply_word(rs, word, e))
+
+
 def length_of_element(rs: RootSystem, m: Matrix) -> int:
-    count = 0
-    for phi in rs.positive_roots:
-        img = mat_vec(m, phi)
-        if all(c <= 0 for c in img):
-            count += 1
-    return count
+    """The number of positive roots phi with (phi | m 2rho) < 0, counted in
+    integers: phi is such a root exactly when m^-1 sends it negative, and
+    m and m^-1 have the same length.  2rho is the sum of the positive
+    roots, and the form is applied to its image once."""
+    point = mat_vec(rs.form, mat_vec(m, vsum(rs.positive_roots, rs.rank)))
+    return sum(1 for phi in rs.positive_roots if sum(c * x for c, x in zip(phi, point)) < 0)
 
 
 def inversion_roots(rs: RootSystem, word: Sequence[int]) -> Tuple[Root, ...]:
@@ -99,19 +105,24 @@ def inversion_roots(rs: RootSystem, word: Sequence[int]) -> Tuple[Root, ...]:
 
     For a reduced word (i_1, ..., i_k) these are
     alpha_{i_1}, s_{i_1} alpha_{i_2}, s_{i_1} s_{i_2} alpha_{i_3}, ...
-    and they sum to rho - w(rho).  A repeated root means the word is not
-    reduced, which is reported as an error.
+    and they sum to rho - w(rho).  A repeated or negative root means the
+    word is not reduced, which is reported as an error.  One pass: the
+    images w(alpha_j) under the prefix w read so far are carried along,
+    and appending s_i sends w(alpha_j) to w(alpha_j) - a_ij w(alpha_i).
     """
+    check_letters(rs, word, 1)
+    images = [rs.simple_root(j) for j in range(1, rs.rank + 1)]
     seen: List[Root] = []
-    prefix: List[int] = []
     for i in word:
-        beta = apply_word(rs, prefix, rs.simple_root(i))
+        beta = images[i - 1]
         if beta in seen:
             raise ValueError(f"word {tuple(word)} is not reduced: root {beta} repeats")
         if not rs.is_positive_root(beta):
             raise ValueError(f"word {tuple(word)} is not reduced: {beta} is negative")
         seen.append(beta)
-        prefix.append(i)
+        for j, a in enumerate(rs.cartan[i - 1]):
+            if a:
+                images[j] = vsub(images[j], vscale(a, beta))
     return tuple(seen)
 
 

@@ -3,7 +3,6 @@ from fractions import Fraction as Q
 import pytest
 
 from abideal.affine import (
-    affine_generator,
     affine_inversion_set,
     affine_length,
     affine_simple_root,
@@ -27,7 +26,7 @@ from abideal.weyl import apply_word
 def test_zero_generator_adds_theta_to_rho(each_label):
     # the level-one wall reflection pushes the base point across by theta
     rs = build(each_label)
-    assert affine_generator(rs, 0)(rs.rho) == vadd(rs.rho, rs.theta)
+    assert element_of_affine_word(rs, (0,))(rs.rho) == vadd(rs.rho, rs.theta)
 
 
 def test_word_composes_left_to_right():
@@ -36,7 +35,7 @@ def test_word_composes_left_to_right():
     w = (0, 2, 1, 0, 3)
     expect = x
     for i in reversed(w):
-        expect = affine_generator(rs, i)(expect)
+        expect = element_of_affine_word(rs, (i,))(expect)
     assert element_of_affine_word(rs, w)(x) == expect
 
 

@@ -2,9 +2,11 @@
 
 The digests were captured before the integer-form refactor of the core and
 pin every byte the commands print: `ideals T --json`, `hasse T --dot -`
-and `info T` for all 32 types of rank at most 8, `tables --json`,
-`verify --all --json` and `young l --list` for l = 1..11.  A refactor that
-changes any output, even by one character, fails here.
+and `info T` for all 32 types of rank at most 8 and for A9, A10 and A11,
+`tables --json`, `verify --all --json` and `young l --list` for
+l = 1..11.  A refactor that changes any output, even by one character,
+fails here.  The A9-A11 digests, the longest coset walks, were captured
+later than the rest, before the vector-action rewrite of the coset walk.
 
 The commands run in-process through `cli.main`, so they share the caches
 the rest of the suite fills.
@@ -57,6 +59,21 @@ PER_TYPE = {
         "e8f83cb3c0306295774ff7a68fa190c206f8ab52f0470528054157fc56c74504",
         "01ff261b0372d88b5fa0b154d46697fde914e5e7022b5925e15ad41ef06c68f8",
         "01648db0d31d9c1d8edc31f0124aa299cf0df378fc720e3ab96d3a8df16f136d",
+    ),
+    "A9": (
+        "80cc274bf960ac91b8ec11f57517b2ddeb30a1cec0e8a9836a867a722c0b1920",
+        "ae67b48b373e17b055771652358e16ee2c92f37966c9d74f653d839892451d33",
+        "0fd189c62674506ec591295e49c72204ddefc93ba2b2218e9906dbb0732ea217",
+    ),
+    "A10": (
+        "a0763991cfc876be0f276b274f2528ac7dcbc8acb5c0c3808dd004b6223ab205",
+        "a21afab324c20805c96f1b18d60a261dfc0a286acee52d339bd3edd8c03b1e01",
+        "7f993158f9b051b4d5b2ae679bb38f775624c8ffbf017bb857b6468650110d2f",
+    ),
+    "A11": (
+        "4b4d6747b3c3f94e1f73ba9432809c21d2b315afb531bbc1192d478c6a9c51d1",
+        "0325d3f9c6f6a415eefa4858faedd178684ec9c0e249564d3d80fe103baa0ebf",
+        "557b6cc1b0b4c032fdd44668c5376f7ba58999eb4bccdbf0eb44520bf410ba03",
     ),
     "B2": (
         "178f3681c3df41b447ed088f1900c4ffc3a0bc9eb7eaef676482c65f25cfd5a2",

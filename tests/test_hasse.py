@@ -3,7 +3,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from abideal import checks
+from abideal import checks, ideals
 from abideal.affine import alcove_vertices, element_of_affine_word, inverse_word
 from abideal.checks import check_kostant, check_normalization, check_upper_alcoves
 from abideal.hasse import (
@@ -20,6 +20,7 @@ from abideal.hasse import (
     verify_cover_structure,
 )
 from abideal.ideals import InvariantViolation, catalog_of, long_simple_nodes
+from abideal.qpoly import bracket, poly_mul
 from abideal.reference import reference_hasse_group
 from abideal.root_system import build, supported_types
 
@@ -237,3 +238,46 @@ def test_word_table_checks_the_word_to_theta(monkeypatch, label):
     real = checks.minimal_word_to_theta
     monkeypatch.setattr(checks, "minimal_word_to_theta", lambda rs, phi: real(rs, phi)[1:])
     assert not checks.check_word_table(build(label)).passed
+
+
+# Fault injection for the checks not reached above: each test patches one
+# name the check's computation reads and requires the check to FAIL.
+
+def test_theta_quotient_checks_the_weyl_series(monkeypatch, small_label):
+    real = checks.weyl_poincare
+    monkeypatch.setattr(checks, "weyl_poincare", lambda rs: poly_mul(real(rs), bracket(2)))
+    assert not _passes(checks.check_theta_quotient, build(small_label))
+
+
+@pytest.mark.parametrize("check", ["first_sum", "second_sum"])
+def test_sum_checks_total_the_coset_series(monkeypatch, small_label, check):
+    # one extra coset word in every fiber
+    real = ideals.coset_poincare
+    monkeypatch.setattr(ideals, "coset_poincare", lambda rs, phi: real(rs, phi) + (1,))
+    assert not _passes(getattr(checks, f"check_{check}"), build(small_label))
+
+
+def test_maximal_ideals_checks_the_count(monkeypatch, small_label):
+    real = checks.maximal_ideals
+    monkeypatch.setattr(checks, "maximal_ideals", lambda rs: real(rs) + real(rs)[:1])
+    assert not _passes(checks.check_maximal_ideals, build(small_label))
+
+
+def test_facet_ratios_check_the_volumes(monkeypatch, small_label):
+    real = checks.facet_volume_ratios
+    monkeypatch.setattr(checks, "facet_volume_ratios", lambda rs: tuple(2 * x for x in real(rs)))
+    assert not _passes(checks.check_facet_ratios, build(small_label))
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "A3", "A4"])
+def test_young_bridge_checks_the_codes(monkeypatch, label):
+    real = checks.young_encode
+    monkeypatch.setattr(checks, "young_encode", lambda d, n: real(d, n) // 2)
+    assert not _passes(checks.check_young_bridge, build(label))
+
+
+def test_golden_gallery_checks_every_step(monkeypatch):
+    # the word loses its first letter, so each row's step is one ahead
+    real = checks.affine_inversion_set
+    monkeypatch.setattr(checks, "affine_inversion_set", lambda rs, word: real(rs, word[1:]))
+    assert not _passes(lambda rs: checks.golden_a11_check(), build("A11"))

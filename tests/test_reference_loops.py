@@ -1,0 +1,246 @@
+"""The replaced loop versions of the Weyl-group routines, kept as references.
+
+The library moves one point, or the images of the simple roots, one letter
+at a time.  The functions below are the algorithms it replaced: they
+re-apply the whole prefix for every letter, multiply one reflection matrix
+per letter, walk the coset words by root action with a global rho-shift
+seen-set, and accept a parameter word by its inversion set and rho-shift.
+Each test requires the library to give exactly what its reference gives,
+errors included.
+"""
+
+import random
+from itertools import product
+
+import pytest
+
+from abideal.affine import (
+    AffineRoot,
+    affine_cartan_matrix,
+    affine_inversion_set,
+    affine_simple_root,
+    minimal_coset_reps,
+    perp_generators,
+)
+from abideal.ideals import from_param
+from abideal.root_system import build, supported_types, vsub, vsum
+from abideal.weyl import (
+    apply_word,
+    element_of_word,
+    identity_matrix,
+    inversion_roots,
+    length_of_element,
+    mat_mul,
+    mat_vec,
+    reflect_simple,
+    reflection_matrix,
+)
+
+from conftest import SMALL_LABELS
+
+EVERY_LABEL = tuple(str(st) for st in supported_types(11))  # A1-A11 and the rest: 35 types
+SAMPLES = 40
+
+
+# ----------------------------------------------------------------------
+# the replaced algorithms
+
+def _reflect_affine_root(rs, i, beta):
+    """s_0 sends (x, k) to (s_theta(x), k + <x, theta-check>)."""
+    if i == 0:
+        c = -sum(a * x for a, x in zip(affine_cartan_matrix(rs)[0][1:], beta.finite))
+        return AffineRoot(tuple(x - c * t for x, t in zip(beta.finite, rs.theta)), beta.level + c)
+    if not 1 <= i <= rs.rank:
+        raise ValueError(f"letter {i} out of range 0..{rs.rank}")
+    return AffineRoot(reflect_simple(rs, i, beta.finite), beta.level)
+
+
+def _apply_word_to_affine_root(rs, word, beta):
+    for i in reversed(word):
+        beta = _reflect_affine_root(rs, i, beta)
+    return beta
+
+
+def _is_left_minimal(rs, shift, finite_gens):
+    # s_f w is longer than w exactly when <rho + shift, alpha_f-check> > 0
+    return all(rs.simple_coroot_pairing(shift, f) >= 0 for f in finite_gens)
+
+
+def _root_action_coset_walk(rs, phi):
+    gens = perp_generators(rs, phi)
+    finite_gens = tuple(i for i in gens if i != 0)
+    reps = [()]
+    zero = (0,) * rs.rank
+    seen = {zero}
+    layer = [((), zero)]  # (word, w(rho) - rho)
+    while layer:
+        nxt = []
+        for word, shift in layer:
+            for j in gens:
+                beta = _apply_word_to_affine_root(rs, word, affine_simple_root(rs, j))
+                if not beta.is_positive:
+                    continue
+                cand = vsub(shift, beta.finite)
+                if cand in seen or not _is_left_minimal(rs, cand, finite_gens):
+                    continue
+                seen.add(cand)
+                nxt.append((word + (j,), cand))
+        nxt.sort()
+        reps.extend(word for word, _ in nxt)
+        layer = nxt
+    return tuple(reps)
+
+
+def _prefix_inversion_roots(rs, word):
+    seen, prefix = [], []
+    for i in word:
+        beta = apply_word(rs, prefix, rs.simple_root(i))
+        if beta in seen:
+            raise ValueError(f"word {tuple(word)} is not reduced: root {beta} repeats")
+        if not rs.is_positive_root(beta):
+            raise ValueError(f"word {tuple(word)} is not reduced: {beta} is negative")
+        seen.append(beta)
+        prefix.append(i)
+    return tuple(seen)
+
+
+def _prefix_affine_inversion_set(rs, word):
+    seen, prefix = [], []
+    for i in word:
+        beta = _apply_word_to_affine_root(rs, prefix, affine_simple_root(rs, i))
+        if beta in seen:
+            raise ValueError(f"affine word {tuple(word)} is not reduced: {beta} repeats")
+        if not beta.is_positive:
+            raise ValueError(f"affine word {tuple(word)} is not reduced: {beta} is negative")
+        seen.append(beta)
+        prefix.append(i)
+    return tuple(seen)
+
+
+def _matrix_product_element(rs, word):
+    m = identity_matrix(rs.rank)
+    for i in word:
+        m = mat_mul(m, reflection_matrix(rs, i))
+    return m
+
+
+def _per_root_length(rs, m):
+    return sum(1 for phi in rs.positive_roots if all(c <= 0 for c in mat_vec(m, phi)))
+
+
+def _inversion_and_shift_accepts(rs, phi, word):
+    gens = perp_generators(rs, phi)
+    if any(i not in gens for i in word):
+        return False
+    try:
+        inv = _prefix_affine_inversion_set(rs, word)
+    except ValueError:
+        return False
+    shift = tuple(-c for c in vsum((beta.finite for beta in inv), rs.rank))
+    return _is_left_minimal(rs, shift, tuple(i for i in gens if i != 0))
+
+
+# ----------------------------------------------------------------------
+# samplers
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+def _random_reduced_word(rs, rng, letters, max_len, image):
+    """Append a letter only while its simple root's image under the word
+    read so far stays positive, which keeps the word reduced."""
+    word = ()
+    for _ in range(rng.randint(0, max_len)):
+        choices = [i for i in letters if image(word, i)]
+        if not choices:
+            break
+        word += (rng.choice(choices),)
+    return word
+
+
+def _finite_reduced_word(rs, rng):
+    return _random_reduced_word(
+        rs, rng, range(1, rs.rank + 1), min(rs.num_positive, 14),
+        lambda w, i: rs.is_positive_root(apply_word(rs, w, rs.simple_root(i))))
+
+
+def _affine_reduced_word(rs, rng):
+    return _random_reduced_word(
+        rs, rng, range(rs.rank + 1), 12,
+        lambda w, i: _apply_word_to_affine_root(rs, w, affine_simple_root(rs, i)).is_positive)
+
+
+# ----------------------------------------------------------------------
+# the library against its references
+
+@pytest.mark.parametrize("label", EVERY_LABEL)
+def test_coset_walk_matches_the_root_action_walk(label):
+    rs = build(label)
+    for phi in rs.positive_roots:
+        assert minimal_coset_reps(rs, phi) == _root_action_coset_walk(rs, phi)
+
+
+@pytest.mark.parametrize("label", EVERY_LABEL)
+def test_inversion_roots_match_the_prefix_rewalk(label):
+    rs = build(label)
+    rng = random.Random(f"inversions:{label}")
+    for _ in range(SAMPLES):
+        word = _finite_reduced_word(rs, rng)
+        assert inversion_roots(rs, word) == _prefix_inversion_roots(rs, word)
+        # one more random letter may break reducedness: same error text
+        longer = word + (rng.randint(1, rs.rank),)
+        assert _outcome(inversion_roots, rs, longer) == _outcome(_prefix_inversion_roots, rs, longer)
+
+
+@pytest.mark.parametrize("label", EVERY_LABEL)
+def test_affine_inversion_sets_match_the_prefix_rewalk(label):
+    rs = build(label)
+    rng = random.Random(f"affine-inversions:{label}")
+    for _ in range(SAMPLES):
+        word = _affine_reduced_word(rs, rng)
+        assert affine_inversion_set(rs, word) == _prefix_affine_inversion_set(rs, word)
+        longer = word + (rng.randint(0, rs.rank),)
+        assert (_outcome(affine_inversion_set, rs, longer)
+                == _outcome(_prefix_affine_inversion_set, rs, longer))
+
+
+@pytest.mark.parametrize("label", EVERY_LABEL)
+def test_elements_and_lengths_match_matrix_products(label):
+    rs = build(label)
+    rng = random.Random(f"elements:{label}")
+    for _ in range(SAMPLES):
+        word = tuple(rng.randint(1, rs.rank) for _ in range(rng.randint(0, 16)))
+        m = element_of_word(rs, word)
+        assert m == _matrix_product_element(rs, word)
+        assert length_of_element(rs, m) == _per_root_length(rs, m)
+
+
+@pytest.mark.parametrize("word", [(0,), (1, -1), (1, 4)])
+def test_out_of_range_letters_fail_before_the_walk(word):
+    rs = build("A3")
+    with pytest.raises(ValueError, match="out of range"):
+        inversion_roots(rs, word)
+    with pytest.raises(ValueError, match="out of range"):
+        element_of_word(rs, word)
+    if word != (0,):
+        with pytest.raises(ValueError, match="out of range"):
+            affine_inversion_set(rs, word)
+
+
+@pytest.mark.parametrize("label", SMALL_LABELS)
+def test_from_param_accepts_what_inversion_sets_and_rho_shifts_accept(label):
+    rs = build(label)
+    for phi in rs.long_positive_roots():
+        gens = perp_generators(rs, phi)
+        for k in range(5):
+            for word in product(gens, repeat=k):
+                try:
+                    from_param(rs, phi, word)
+                    accepted = True
+                except ValueError:
+                    accepted = False
+                assert accepted == _inversion_and_shift_accepts(rs, phi, word), (phi, word)
