@@ -42,7 +42,6 @@ from .weyl import (
     mat_vec,
     matrix_of,
     reflect_simple,
-    subgroup_poincare,
 )
 
 AffineWord = Tuple[int, ...]
@@ -279,13 +278,9 @@ def _minimal_coset_reps_cached(rs: RootSystem, phi: Root) -> Tuple[AffineWord, .
 def wall_subgroup_poincare(rs: RootSystem, phi: Root, include_zero: bool) -> Poly:
     """Exponent-product Poincare series of the wall subgroup of phi,
     with or without letter 0."""
-    gens = perp_generators(rs, phi)
-    if not include_zero:
-        gens = tuple(i for i in gens if i != 0)
-        return subgroup_poincare(rs, gens)
+    gens = tuple(i for i in perp_generators(rs, phi) if include_zero or i)
     cartan = affine_cartan_matrix(rs)
-    comps = classify_components(gens, lambda a, b: cartan[a][b])
-    return poly_prod(comp.poincare for comp in comps)
+    return poly_prod(comp.poincare for comp in classify_components(gens, lambda a, b: cartan[a][b]))
 
 
 def coset_poincare(rs: RootSystem, phi: Root) -> Poly:

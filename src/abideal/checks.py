@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction as Q
 from typing import Callable, Dict, List, Sequence, Tuple
 
+from . import weyl
 from .affine import affine_inversion_set, coset_poincare, perp_generators, wall_subgroup_poincare
 from .hasse import (
     build_graph,
@@ -218,9 +219,18 @@ def check_word_table(rs: RootSystem) -> CheckResult:
     return _ok("word_table", f"{checked} long nodes, all words of length {g - 2}")
 
 
+def _walk_mismatch(rs: RootSystem, nodes: Sequence[int], product) -> str:
+    """Empty when the coset walk of the parabolic subgroup on `nodes` gives
+    its exponent product; otherwise what differs."""
+    walked = weyl._orbit_poincare(rs, nodes)
+    return "" if walked == product else (
+        f"nodes {list(nodes)}: coset walk {walked} != exponent product {product}")
+
+
 def check_fiber_polynomials(rs: RootSystem) -> CheckResult:
     """Closed forms on long simple nodes; on every long positive root, the
-    coset walk against the quotient of the two wall-subgroup series."""
+    finite wall subgroup's walk against its exponent product, and the coset
+    walk against the quotient of the two wall-subgroup series."""
     st = rs.simple_type
     for i in long_simple_nodes(rs):
         got = coset_poincare(rs, rs.simple_root(i))
@@ -228,11 +238,12 @@ def check_fiber_polynomials(rs: RootSystem) -> CheckResult:
         if got != want:
             return _fail("fiber_polynomials", f"node {i}: {got} != closed form {want}")
     for phi in rs.long_positive_roots():
+        finite = wall_subgroup_poincare(rs, phi, include_zero=False)
+        bad = _walk_mismatch(rs, tuple(j for j in perp_generators(rs, phi) if j), finite)
+        if bad:
+            return _fail("fiber_polynomials", f"phi={_compact(phi)}: {bad}")
         walked = coset_poincare(rs, phi)
-        quotient = poly_divexact(
-            wall_subgroup_poincare(rs, phi, include_zero=True),
-            wall_subgroup_poincare(rs, phi, include_zero=False),
-        )
+        quotient = poly_divexact(wall_subgroup_poincare(rs, phi, include_zero=True), finite)
         if walked != quotient:
             return _fail("fiber_polynomials",
                          f"phi={_compact(phi)}: coset walk {walked} != Poincare quotient {quotient}")
@@ -241,10 +252,16 @@ def check_fiber_polynomials(rs: RootSystem) -> CheckResult:
 
 
 def check_theta_quotient(rs: RootSystem) -> CheckResult:
-    """W(t)/W_perp(t) against its closed form and the two-shell identity."""
+    """W(t)/W_perp(t) against its closed form and the two-shell identity,
+    each series first against its coset walk."""
     st = rs.simple_type
     perp = tuple(j for j in perp_generators(rs, rs.theta) if j != 0)
-    ratio = poly_divexact(weyl_poincare(rs), subgroup_poincare(rs, perp))
+    whole, part = weyl_poincare(rs), subgroup_poincare(rs, perp)
+    for nodes, product in ((tuple(range(1, rs.rank + 1)), whole), (perp, part)):
+        bad = _walk_mismatch(rs, nodes, product)
+        if bad:
+            return _fail("theta_quotient", bad)
+    ratio = poly_divexact(whole, part)
     want = reference_theta_quotient(st)
     if ratio != want:
         return _fail("theta_quotient", f"{ratio} != closed form {want}")

@@ -4,7 +4,8 @@ Nodes are the catalog's ideals in canonical order; an edge joins ideals
 differing by exactly one root.  A separate verification confirms these
 edges are precisely the cover relations of inclusion, and each edge is
 labeled by the unique affine letter carrying one endpoint's group element
-to the other's, found by comparing rho-points.
+to the other's, found by pulling the added root back through the lower
+endpoint's word.
 
 Upper alcoves are found without building any affine map: the pairing of
 an alcove's vertices with theta needs only the image of the origin and
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, FrozenSet, List, Sequence, Tuple
 
-from .affine import affine_reflect, affine_simple_root, inverse_word, linear_reflect, rho_shift
+from .affine import affine_reflect, affine_simple_root, linear_reflect
 from .ideals import (
     CatalogEntry,
     IdealCatalog,
@@ -80,15 +81,19 @@ def build_graph(rs: RootSystem) -> HasseGraph:
 def _edge_letter(rs: RootSystem, low: CatalogEntry, high: CatalogEntry) -> int:
     """The affine letter j with element(high) = element(low) * s_j.
 
-    The word low^-1 high names that element, and rho-points determine
-    elements, so j is read off its rho-shift: s_j(rho) - rho is minus the
-    finite part of the affine simple root beta_j (theta for j = 0, -alpha_j
-    otherwise).
+    The root r that high adds to low is the new inversion of the longer
+    word, at level one: element(low)(beta_j) = (-r, 1).  So j is read off
+    -r pulled back through low's word alone, by the letters' linear parts,
+    and compared with the finite part of each affine simple root beta_j.
     """
-    target = vneg(rho_shift(rs, inverse_word(low.word) + high.word))
-    for j in range(rs.rank + 1):
-        if affine_simple_root(rs, j).finite == target:
-            return j
+    added = high.ideal.root_set - low.ideal.root_set
+    if len(added) == 1 and high.ideal.dim == low.ideal.dim + 1:
+        target = vneg(next(iter(added)))
+        for i in low.word:
+            target = linear_reflect(rs, i, target)
+        for j in range(rs.rank + 1):
+            if affine_simple_root(rs, j).finite == target:
+                return j
     raise InvariantViolation(
         f"elements of adjacent ideals do not differ by one reflection "
         f"({low.coset_word} vs {high.coset_word})")

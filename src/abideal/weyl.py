@@ -9,29 +9,26 @@ only when a caller asks for a group element: its columns are the word's
 images of the basis vectors.
 
 Subsets of nodes name standard parabolic subgroups.  Their length
-generating functions come from an orbit walk of rho when the subgroup is
-small enough to enumerate, and from the classified diagram's exponent
-product otherwise; whenever the walk runs, its total is checked against
-the product formula.  The walk alone works in fundamental-weight
-coordinates (Dynkin labels), where rho = (1, ..., 1) and a simple
-reflection changes the point by a multiple of one Cartan column.  The
-other routines here work in simple-root coordinates, where reflect_simple
-is the one simple-reflection routine.
+generating functions are exponent products of the classified diagram;
+`verify` compares each one it uses with a walk of the subgroup's coset
+spaces, one node at a time, in Dynkin labels (fundamental-weight
+coordinates), where a simple reflection changes a point by a multiple of
+one Cartan column.  The other routines work in simple-root coordinates,
+where reflect_simple is the one simple-reflection routine.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from math import prod
 from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
-from .qpoly import Poly, bracket, poly_eval_one, poly_prod
+from .qpoly import Poly, bracket, poly_mul, poly_prod
 from .root_system import Root, RootSystem, vscale, vsub, vsum
 
 WeylWord = Tuple[int, ...]
 Matrix = Tuple[Tuple[int, ...], ...]
-
-# orbit walks above this order fall back to the exponent product formula
-_ORBIT_LIMIT = 200_000
 
 
 def identity_matrix(rank: int) -> Matrix:
@@ -133,12 +130,17 @@ def minimal_word_to_theta(rs: RootSystem, phi: Root) -> WeylWord:
     negative inner product with the current root.  Each step raises the
     distance functional by exactly one, so the word length equals
     length_to_theta(phi); the resulting group element does not depend on the
-    tie-break.
+    tie-break.  Cached per root system instance and root.
     """
+    return _word_to_theta_cached(rs, tuple(phi))
+
+
+@lru_cache(maxsize=None)
+def _word_to_theta_cached(rs: RootSystem, phi: Root) -> WeylWord:
     if not (rs.is_positive_root(phi) and rs.is_long(phi)):
         raise ValueError(f"{phi} is not a long positive root")
     letters: List[int] = []
-    current = tuple(phi)
+    current = phi
     while current != rs.theta:
         for i in range(1, rs.rank + 1):
             if rs.simple_coroot_pairing(current, i) < 0:
@@ -168,17 +170,6 @@ _FAMILY_EXPONENTS: Dict[str, Callable[[int], Tuple[int, ...]]] = {
     "G2": lambda n: (1, 5),
 }
 
-_FAMILY_POSITIVE_COUNT: Dict[str, Callable[[int], int]] = {
-    "A": lambda n: n * (n + 1) // 2,
-    "BC": lambda n: n * n,
-    "D": lambda n: n * (n - 1),
-    "E6": lambda n: 36,
-    "E7": lambda n: 63,
-    "E8": lambda n: 120,
-    "F4": lambda n: 24,
-    "G2": lambda n: 6,
-}
-
 
 @dataclass(frozen=True)
 class DiagramComponent:
@@ -191,15 +182,8 @@ class DiagramComponent:
         return _FAMILY_EXPONENTS[self.family](self.size)
 
     @property
-    def num_positive(self) -> int:
-        return _FAMILY_POSITIVE_COUNT[self.family](self.size)
-
-    @property
     def order(self) -> int:
-        out = 1
-        for m in self.exponents:
-            out *= m + 1
-        return out
+        return prod(m + 1 for m in self.exponents)
 
     @property
     def poincare(self) -> Poly:
@@ -324,10 +308,7 @@ def finite_components(rs: RootSystem, nodes: Iterable[int]) -> Tuple[DiagramComp
 
 
 def subgroup_order(rs: RootSystem, nodes: Iterable[int]) -> int:
-    out = 1
-    for comp in finite_components(rs, nodes):
-        out *= comp.order
-    return out
+    return prod(comp.order for comp in finite_components(rs, nodes))
 
 
 def subgroup_positive_count(rs: RootSystem, nodes: Iterable[int]) -> int:
@@ -341,48 +322,46 @@ def subgroup_positive_count(rs: RootSystem, nodes: Iterable[int]) -> int:
 
 
 def _orbit_poincare(rs: RootSystem, nodes: Sequence[int]) -> Poly:
-    """Length generating function from the rho orbit walk.
+    """Length generating function of the parabolic subgroup, walked one
+    node at a time as a chain of coset spaces.
 
-    rho sits strictly inside the dominant chamber, so the subgroup acts
-    freely on its orbit and the layer of w(rho) is the length of w.  Points
-    are kept in Dynkin labels: rho = (1, ..., 1), coordinate i of a point
-    is its pairing with alpha_i-check, and s_i subtracts coordinate i times
-    column i of the Cartan matrix.  s_i w is longer than w exactly when
-    <w(rho), alpha_i-check> > 0, and every element of length k + 1 is such
-    an ascent of one of length k; so each layer is the set of ascending
-    moves from the previous layer alone, and no global seen-set is needed.
+    With J_m the first m nodes, each element of W_{J_m} is uniquely u v
+    with v in W_{J_{m-1}} and u minimal in its coset, and lengths add
+    (Humphreys, Reflection Groups and Coxeter Groups, 1.10): W_{J_m}(t) =
+    W^{J_{m-1}}_{J_m}(t) W_{J_{m-1}}(t).  The cosets are the W_{J_m}-orbit
+    of the point with Dynkin label 1 at the m-th node and 0 on J_{m-1}, which
+    W_{J_{m-1}} fixes; s_i subtracts label i times Cartan column i.  By
+    Deodhar's criterion s_i u is minimal and one letter longer exactly when
+    label i at u's point is positive, so each layer is the set of ascending
+    moves from the one before.  The cost is the sum of the coset sizes.
     """
+    nodes = tuple(dict.fromkeys(nodes))
     columns = [(i - 1, tuple((j, row[i - 1]) for j, row in enumerate(rs.cartan) if row[i - 1]))
                for i in nodes]
-    layer = {(1,) * rs.rank}
-    counts = []
-    while layer:
-        counts.append(len(layer))
-        nxt = set()
-        for point in layer:
-            for i, column in columns:
-                c = point[i]
-                if c > 0:
-                    img = list(point)
-                    for j, a in column:
-                        img[j] -= c * a
-                    nxt.add(tuple(img))
-        layer = nxt
-    return tuple(counts)
+    series: Poly = (1,)
+    for m, top in enumerate(nodes):
+        layer = {tuple(int(j == top - 1) for j in range(rs.rank))}
+        counts = []
+        while layer:
+            counts.append(len(layer))
+            nxt = set()
+            for point in layer:
+                for i, column in columns[:m + 1]:
+                    c = point[i]
+                    if c > 0:
+                        img = list(point)
+                        for j, a in column:
+                            img[j] -= c * a
+                        nxt.add(tuple(img))
+            layer = nxt
+        series = poly_mul(series, counts)
+    return series
 
 
 def subgroup_poincare(rs: RootSystem, nodes: Iterable[int]) -> Poly:
-    """Length generating function of the parabolic subgroup on `nodes`."""
-    nodes = sorted(set(nodes))
-    comps = finite_components(rs, nodes)
-    product = poly_prod(c.poincare for c in comps)
-    order = poly_eval_one(product)
-    if order > _ORBIT_LIMIT:
-        return product
-    walked = _orbit_poincare(rs, nodes)
-    if walked != product:
-        raise AssertionError(f"orbit walk and exponent product disagree on nodes {nodes}")
-    return walked
+    """Length generating function of the parabolic subgroup on `nodes`:
+    the product of its components' exponent series."""
+    return poly_prod(c.poincare for c in finite_components(rs, nodes))
 
 
 def weyl_order(rs: RootSystem) -> int:

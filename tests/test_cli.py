@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from abideal import checks, cli, weyl
+from abideal import checks, cli
 from abideal.checks import CheckResult, TypeReport, verify_type
 
 
@@ -89,7 +89,10 @@ A2_CHECKS = ["normalization", "ideal_count", "kostant", "parametrization",
 
 
 def test_verify_reports_a_bare_assertion_as_fail(monkeypatch):
-    monkeypatch.setattr(weyl, "_orbit_poincare", lambda rs, nodes: (1, 1))
+    def bare_assertion(rs):
+        raise AssertionError("injected")
+
+    monkeypatch.setattr(checks, "weyl_poincare", bare_assertion)
     report = verify_type("A2")
     assert [r.name for r in report.results] == A2_CHECKS
     assert not report.passed

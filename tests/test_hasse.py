@@ -3,8 +3,8 @@ from types import SimpleNamespace
 
 import pytest
 
-from abideal import checks, ideals
-from abideal.affine import alcove_vertices, element_of_affine_word, inverse_word
+from abideal import checks, ideals, weyl
+from abideal.affine import alcove_vertices, element_of_affine_word, inverse_word, perp_generators
 from abideal.checks import check_kostant, check_normalization, check_upper_alcoves
 from abideal.hasse import (
     UpperAlcove,
@@ -23,6 +23,7 @@ from abideal.ideals import InvariantViolation, catalog_of, long_simple_nodes
 from abideal.qpoly import bracket, poly_mul
 from abideal.reference import reference_hasse_group
 from abideal.root_system import build, supported_types
+from abideal.weyl import DiagramComponent
 
 from conftest import SMALL_LABELS, corrupted_gram_copy
 
@@ -247,6 +248,34 @@ def test_theta_quotient_checks_the_weyl_series(monkeypatch, small_label):
     real = checks.weyl_poincare
     monkeypatch.setattr(checks, "weyl_poincare", lambda rs: poly_mul(real(rs), bracket(2)))
     assert not _passes(checks.check_theta_quotient, build(small_label))
+
+
+def test_series_checks_compare_the_coset_walk(monkeypatch, small_label):
+    # the walk gains one layer: a named FAIL, not an exception
+    real = weyl._orbit_poincare
+    monkeypatch.setattr(weyl, "_orbit_poincare", lambda rs, nodes: real(rs, nodes) + (1,))
+    rs = build(small_label)
+    for check in (checks.check_theta_quotient, checks.check_fiber_polynomials):
+        res = check(rs)
+        assert not res.passed
+        assert "coset walk" in res.details and "exponent product" in res.details
+
+
+def test_series_checks_compare_the_exponent_product(monkeypatch, small_label):
+    # every component's series times [2]: the finite wall subgroups meet
+    # the walk, the affine ones the coset series; A1 and A2 have only
+    # trivial wall subgroups, with no component to corrupt
+    real = DiagramComponent.poincare.fget
+    monkeypatch.setattr(DiagramComponent, "poincare",
+                        property(lambda c: poly_mul(real(c), bracket(2))))
+    rs = build(small_label)
+    res = checks.check_theta_quotient(rs)
+    assert not res.passed and "exponent product" in res.details
+    res = checks.check_fiber_polynomials(rs)
+    walls = any(perp_generators(rs, phi) for phi in rs.long_positive_roots())
+    assert res.passed == (not walls)
+    if walls:
+        assert "exponent product" in res.details or "quotient" in res.details
 
 
 @pytest.mark.parametrize("check", ["first_sum", "second_sum"])

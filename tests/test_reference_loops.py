@@ -4,7 +4,9 @@ The library moves one point, or the images of the simple roots, one letter
 at a time.  The functions below are the algorithms it replaced: they
 re-apply the whole prefix for every letter, multiply one reflection matrix
 per letter, walk the coset words by root action with a global rho-shift
-seen-set, and accept a parameter word by its inversion set and rho-shift.
+seen-set, accept a parameter word by its inversion set and rho-shift, walk
+a parabolic subgroup's whole rho orbit, and label a Hasse edge by the
+rho-shift of the whole word low^-1 high.
 Each test requires the library to give exactly what its reference gives,
 errors included.
 """
@@ -14,14 +16,18 @@ from itertools import product
 
 import pytest
 
+from abideal import weyl
 from abideal.affine import (
     AffineRoot,
     affine_cartan_matrix,
     affine_inversion_set,
     affine_simple_root,
+    inverse_word,
     minimal_coset_reps,
     perp_generators,
+    rho_shift,
 )
+from abideal.hasse import _edge_letter, build_graph
 from abideal.ideals import from_param
 from abideal.root_system import build, supported_types, vsub, vsum
 from abideal.weyl import (
@@ -36,7 +42,7 @@ from abideal.weyl import (
     reflection_matrix,
 )
 
-from conftest import SMALL_LABELS
+from conftest import ALL_LABELS, SMALL_LABELS
 
 EVERY_LABEL = tuple(str(st) for st in supported_types(11))  # A1-A11 and the rest: 35 types
 SAMPLES = 40
@@ -138,6 +144,34 @@ def _inversion_and_shift_accepts(rs, phi, word):
         return False
     shift = tuple(-c for c in vsum((beta.finite for beta in inv), rs.rank))
     return _is_left_minimal(rs, shift, tuple(i for i in gens if i != 0))
+
+
+def _rho_orbit_poincare(rs, nodes):
+    """The whole rho orbit of the subgroup, layer by layer in Dynkin labels:
+    rho = (1, ..., 1), and each layer is the set of ascending moves from
+    the previous one."""
+    layer = {(1,) * rs.rank}
+    counts = []
+    while layer:
+        counts.append(len(layer))
+        nxt = set()
+        for point in layer:
+            for i in nodes:
+                c = point[i - 1]
+                if c > 0:
+                    nxt.add(tuple(x - c * row[i - 1] for x, row in zip(point, rs.cartan)))
+        layer = nxt
+    return tuple(counts)
+
+
+def _whole_word_edge_letter(rs, low, high):
+    """j read off the rho-shift of the word low^-1 high: s_j(rho) - rho is
+    minus the finite part of beta_j."""
+    target = tuple(-c for c in rho_shift(rs, inverse_word(low.word) + high.word))
+    for j in range(rs.rank + 1):
+        if affine_simple_root(rs, j).finite == target:
+            return j
+    raise AssertionError("not adjacent")
 
 
 # ----------------------------------------------------------------------
@@ -244,3 +278,27 @@ def test_from_param_accepts_what_inversion_sets_and_rho_shifts_accept(label):
                 except ValueError:
                     accepted = False
                 assert accepted == _inversion_and_shift_accepts(rs, phi, word), (phi, word)
+
+
+@pytest.mark.parametrize("label", SMALL_LABELS)
+def test_coset_chain_walk_matches_the_rho_orbit_on_every_node_subset(label):
+    rs = build(label)
+    for mask in range(2 ** rs.rank):
+        nodes = tuple(i for i in range(1, rs.rank + 1) if mask >> (i - 1) & 1)
+        assert weyl._orbit_poincare(rs, nodes) == _rho_orbit_poincare(rs, nodes), nodes
+
+
+@pytest.mark.parametrize("label", ["B4", "D4", "F4", "E6"])
+def test_coset_chain_walk_matches_the_rho_orbit_on_the_whole_group(label):
+    rs = build(label)
+    nodes = tuple(range(1, rs.rank + 1))
+    assert weyl._orbit_poincare(rs, nodes) == _rho_orbit_poincare(rs, nodes)
+
+
+@pytest.mark.parametrize("label", ALL_LABELS)
+def test_edge_letters_match_the_whole_word_rho_shift(label):
+    rs = build(label)
+    graph = build_graph(rs)
+    for e in graph.edges:
+        low, high = graph.catalog.entries[e.lower], graph.catalog.entries[e.upper]
+        assert _edge_letter(rs, low, high) == _whole_word_edge_letter(rs, low, high) == e.letter

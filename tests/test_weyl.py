@@ -173,3 +173,13 @@ def test_orbit_walk_matches_reference_on_full_group(label):
     walked = weyl._orbit_poincare(rs, nodes)
     assert walked == _reference_orbit_poincare(rs, nodes)
     assert poly_eval_one(walked) == weyl_order(rs)
+
+
+@pytest.mark.parametrize("label", ["E7", "E8"])
+def test_coset_walk_of_the_whole_group_equals_the_exponent_product(label):
+    # groups of order 2903040 and 696729600, far beyond a whole-orbit walk
+    rs = build(label)
+    nodes = tuple(range(1, rs.rank + 1))
+    walked = weyl._orbit_poincare(rs, nodes)
+    assert walked == weyl_poincare(rs)
+    assert poly_eval_one(walked) == ORDERS[label]
