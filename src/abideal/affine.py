@@ -163,24 +163,25 @@ def affine_inversion_set(rs: RootSystem, word: Sequence[int]) -> Tuple[AffineRoo
     the prefix w before letter i; errors on repeats and negative roots.
 
     One pass: the images w(beta_j) of all affine simple roots are carried
-    along, and appending s_i sends w(beta_j) to w(beta_j) - a_ij w(beta_i).
+    along as integer tuples (finite part, then level), and appending s_i
+    sends w(beta_j) to w(beta_j) - a_ij w(beta_i).
     """
     check_letters(rs, word, 0)
     cartan = affine_cartan_matrix(rs)
-    images = [affine_simple_root(rs, j) for j in range(rs.rank + 1)]
-    seen: List[AffineRoot] = []
+    images = [vneg(rs.theta) + (1,)] + [rs.simple_root(j) + (0,) for j in range(1, rs.rank + 1)]
+    seen: Dict[Tuple[int, ...], AffineRoot] = {}
     for i in word:
         beta = images[i]
+        root = AffineRoot(beta[:-1], beta[-1])
         if beta in seen:
-            raise ValueError(f"affine word {tuple(word)} is not reduced: {beta} repeats")
-        if not beta.is_positive:
-            raise ValueError(f"affine word {tuple(word)} is not reduced: {beta} is negative")
-        seen.append(beta)
+            raise ValueError(f"affine word {tuple(word)} is not reduced: {root} repeats")
+        if not root.is_positive:
+            raise ValueError(f"affine word {tuple(word)} is not reduced: {root} is negative")
+        seen[beta] = root
         for j, a in enumerate(cartan[i]):
             if a:
-                images[j] = AffineRoot(vsub(images[j].finite, vscale(a, beta.finite)),
-                                       images[j].level - a * beta.level)
-    return tuple(seen)
+                images[j] = tuple(x - a * y for x, y in zip(images[j], beta))
+    return tuple(seen.values())
 
 
 def affine_length(rs: RootSystem, word: Sequence[int]) -> int:
@@ -211,6 +212,13 @@ def in_2A(rs: RootSystem, vec: Sequence) -> bool:
     if any(rs.simple_coroot_pairing(vec, i) < 0 for i in range(1, rs.rank + 1)):
         return False
     return rs.raw_inner(vec, rs.theta) <= rs.form_den
+
+
+def rho_shift_in_2A(rs: RootSystem, shift: Sequence[int]) -> bool:
+    """`in_2A` at rho + shift, in integers: <rho, alpha_i-check> = 1, and
+    (rho + shift|theta) <= 1 times 2 form_den."""
+    return (all(1 + rs.simple_coroot_pairing(shift, i) >= 0 for i in range(1, rs.rank + 1))
+            and rs.twice_raw_rho(rs.theta) + 2 * rs.raw_inner(shift, rs.theta) <= 2 * rs.form_den)
 
 
 # ----------------------------------------------------------------------

@@ -28,10 +28,11 @@ from .ideals import (
     InvariantViolation,
     associated_long_root,
     catalog_of,
+    enumerate_all,
     forbidden_roots,
     from_param,
-    is_abelian_ideal,
-    kostant_value,
+    is_ideal_mask,
+    kostant_raw,
     long_simple_nodes,
     make_ideal,
     max_dimension,
@@ -131,24 +132,25 @@ def _random_non_ideal_subsets(rs: RootSystem, rng: random.Random,
     out: List[Tuple[Tuple[int, ...], ...]] = []
     while len(out) < count:
         k = rng.randint(1, n)
-        picked = tuple(roots[i] for i in sorted(rng.sample(range(n), k)))
-        if is_abelian_ideal(rs, picked):
-            continue
-        out.append(picked)
+        picked = sorted(rng.sample(range(n), k))
+        if not is_ideal_mask(rs, picked):
+            out.append(tuple(roots[i] for i in picked))
     return out
 
 
 def check_kostant(rs: RootSystem, samples: int = 1000) -> CheckResult:
-    """|rho + sum|^2 - |rho|^2 = dim on ideals, strictly below elsewhere."""
+    """|rho + sum|^2 - |rho|^2 = dim on ideals, strictly below elsewhere;
+    both sides are compared times form_den, in integers."""
     cat = catalog_of(rs)
+    den = rs.form_den
     for a in cat.ideals:
-        if kostant_value(rs, a.roots) != a.dim:
+        if kostant_raw(rs, a.root_sum(rs.rank)) != a.dim * den:
             return _fail("kostant", f"equality fails on ideal {[_compact(r) for r in a.roots]}")
 
     rng = random.Random(f"kostant:{rs.simple_type}")
     subsets = _random_non_ideal_subsets(rs, rng, samples)
     for s in subsets:
-        if not kostant_value(rs, s) < len(s):
+        if not kostant_raw(rs, tuple(map(sum, zip(*s)))) < len(s) * den:
             return _fail("kostant", f"non-ideal subset of size {len(s)} not strictly below")
     tail = (f"{len(subsets)} random non-ideal subsets strictly below"
             if subsets else "no non-ideal subsets exist at rank one")
@@ -393,8 +395,6 @@ def check_facet_ratios(rs: RootSystem) -> CheckResult:
 
 def check_young_bridge(rs: RootSystem) -> CheckResult:
     """Ideals of A_l are the diagrams with hooks below l+1, compatibly coded."""
-    from .ideals import enumerate_all
-
     n = rs.rank + 1
     ideals = enumerate_all(rs)
     seen: Dict[Tuple[int, ...], int] = {}

@@ -24,6 +24,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
+from math import lcm
 from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 from .affine import affine_reflect, affine_simple_root, linear_reflect
@@ -33,7 +35,7 @@ from .ideals import (
     InvariantViolation,
     catalog_of,
 )
-from .root_system import Q, RootSystem, gauss_jordan, vneg, vsub
+from .root_system import Q, RootSystem, bareiss, vneg, vsub
 from .weyl import graph_distances
 
 Permutation = Tuple[int, ...]
@@ -158,8 +160,11 @@ def upper_alcoves(rs: RootSystem) -> Tuple[UpperAlcove, ...]:
     simple-root coordinates (v_0 = 0 pairs to 0).  w(0) is the origin moved
     by the word's letters, rightmost first; M^-1 theta is theta moved by
     the letters' finite parts in word order, letter 0 acting as s_theta.
+    Each pairing is compared with 1 in integers, times 2 n_i form_den
+    (beta_0 = 0 and n_0 = 1 at v_0).
     """
     cat = catalog_of(rs)
+    den = rs.form_den
     out: List[UpperAlcove] = []
     for k, entry in enumerate(cat.entries):
         origin = (0,) * rs.rank
@@ -168,13 +173,13 @@ def upper_alcoves(rs: RootSystem) -> Tuple[UpperAlcove, ...]:
         pulled = rs.theta
         for i in entry.word:
             pulled = linear_reflect(rs, i, pulled)
-        base = rs.inner(origin, rs.theta)
-        pairings = [base] + [base + Q(b, 2 * n) for b, n in zip(pulled, rs.marks)]
+        base = rs.raw_inner(origin, rs.theta)
         off_wall = []
-        for i, t in enumerate(pairings):
-            if t > 1:
+        for i, (b, n) in enumerate(zip((0,) + pulled, (1,) + rs.marks)):
+            excess = 2 * n * (base - den) + b * den
+            if excess > 0:
                 raise InvariantViolation(f"alcove vertex beyond the doubled wall at node {k}")
-            if t != 1:
+            if excess:
                 off_wall.append(i)
         if len(off_wall) == 1:
             t = off_wall[0]
@@ -193,21 +198,25 @@ def facet_volume_ratios(rs: RootSystem) -> Tuple[Q, ...]:
 
     Facet i of the fundamental alcove is spanned by all vertices but
     vertex i; its squared (rank-1)-volume is a Gram determinant of edge
-    vectors, and the common factorial normalization cancels in ratios.
+    vectors, and the common factorial normalization cancels in ratios, as
+    does the common factor from scaling the vertices to integers and
+    reading the form as raw_inner.
     """
     from .affine import fundamental_alcove_vertices
 
     verts = fundamental_alcove_vertices(rs)
+    scale = lcm(*(c.denominator for v in verts for c in v))
+    points = [tuple(c.numerator * (scale // c.denominator) for c in v) for v in verts]
 
-    def gram_det(skip: int) -> Q:
-        pts = [v for i, v in enumerate(verts) if i != skip]
+    def gram_det(skip: int) -> int:
+        pts = [v for i, v in enumerate(points) if i != skip]
         edges = [vsub(p, pts[0]) for p in pts[1:]]
-        return gauss_jordan([[rs.inner(a, b) for b in edges] for a in edges])[0]
+        return bareiss([[rs.raw_inner(a, b) for b in edges] for a in edges])[0]
 
-    base = gram_det(0)
-    if base == 0:
+    dets = [gram_det(i) for i in range(rs.rank + 1)]
+    if dets[0] == 0:
         raise InvariantViolation("degenerate base facet")
-    return tuple(gram_det(i) / base for i in range(rs.rank + 1))
+    return tuple(map(Q, dets, repeat(dets[0])))
 
 
 def expected_facet_ratios(rs: RootSystem) -> Tuple[Q, ...]:
@@ -310,8 +319,6 @@ def _perm_mul(p: Permutation, q: Permutation) -> Permutation:
 
 
 def _perm_order(p: Permutation) -> int:
-    from math import lcm
-
     n = len(p)
     seen = [False] * n
     out = 1

@@ -24,23 +24,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Collection, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .affine import (
     AffineWord,
     affine_cartan_matrix,
     affine_inversion_set,
     coset_poincare,
-    in_2A,
     label_reflect,
     minimal_coset_reps,
     perp_generators,
-    rho_point,
     rho_shift,
+    rho_shift_in_2A,
     wall_point,
 )
 from .qpoly import poly_degree, poly_eval_one
-from .root_system import Q, Root, RootSystem, build, vadd, vneg, vsub, vsum
+from .root_system import Q, Root, RootSystem, build, vneg, vsub, vsum
 from .weyl import graph_distances, inversion_roots, minimal_word_to_theta, subgroup_positive_count
 
 
@@ -87,40 +86,35 @@ def make_ideal(roots: Iterable[Root]) -> AbelianIdeal:
 def is_abelian_ideal(rs: RootSystem, roots: Iterable[Root]) -> bool:
     """Direct check of the defining conditions: every root is positive, the
     set is closed under adding a simple root, and no two of its roots
-    (equal ones included) sum to a root.  The relations come from the
-    root system's cover and sum tables."""
-    chosen = {tuple(r) for r in roots}
-    for psi in chosen:
-        covers = rs.upper_covers.get(psi)
-        if covers is None:
-            return False
-        if any(up not in chosen for up in covers) or not rs.sum_partners[psi].isdisjoint(chosen):
-            return False
-    return True
+    (equal ones included) sum to a root."""
+    chosen = {rs.root_index.get(tuple(r)) for r in roots}
+    return None not in chosen and is_ideal_mask(rs, chosen)
+
+
+def is_ideal_mask(rs: RootSystem, indices: Collection[int]) -> bool:
+    """The same test on indices into rs.positive_roots, read from the root
+    system's cover and conflict masks."""
+    mask = sum(map((1).__lshift__, indices))
+    return not any(rs.cover_masks[k] & ~mask or rs.conflict_masks[k] & mask for k in indices)
 
 
 def enumerate_all(rs: RootSystem) -> Tuple[AbelianIdeal, ...]:
-    """Every abelian ideal, by descending-height inclusion search.
-
-    Returned in the canonical order (dim, root sum, roots)."""
-    roots = sorted(rs.positive_roots, key=lambda r: (-sum(r), r))
-    n = len(roots)
-    index = {r: k for k, r in enumerate(roots)}
-    cover_mask = [sum(1 << index[up] for up in rs.upper_covers[phi]) for phi in roots]
-    conflict_mask = [sum(1 << index[psi] for psi in rs.sum_partners[phi]) for phi in roots]
-
+    """Every abelian ideal, by descending-height inclusion search over the
+    cover and conflict masks, in the canonical order (dim, root sum, roots)."""
+    roots = rs.positive_roots
+    covers, conflicts = rs.cover_masks, rs.conflict_masks
     found: List[int] = []
 
     def walk(k: int, chosen: int) -> None:
-        if k == n:
+        if k < 0:
             found.append(chosen)
             return
-        walk(k + 1, chosen)
-        if (cover_mask[k] & ~chosen) == 0 and (conflict_mask[k] & chosen) == 0:
-            walk(k + 1, chosen | (1 << k))
+        walk(k - 1, chosen)
+        if (covers[k] & ~chosen) == 0 and (conflicts[k] & chosen) == 0:
+            walk(k - 1, chosen | (1 << k))
 
-    walk(0, 0)
-    ideals = [make_ideal(roots[k] for k in range(n) if mask >> k & 1) for mask in found]
+    walk(len(roots) - 1, 0)
+    ideals = [make_ideal(r for k, r in enumerate(roots) if mask >> k & 1) for mask in found]
     ideals.sort(key=lambda a: a.sort_key(rs.rank))
     return tuple(ideals)
 
@@ -128,14 +122,16 @@ def enumerate_all(rs: RootSystem) -> Tuple[AbelianIdeal, ...]:
 # ----------------------------------------------------------------------
 # the quadratic criterion
 
+def kostant_raw(rs: RootSystem, sigma: Sequence[int]) -> int:
+    """form_den (|rho + sigma|^2 - |rho|^2) = 2 raw(rho, sigma) + raw(sigma, sigma),
+    in integers for an integer vector sigma."""
+    return rs.twice_raw_rho(sigma) + rs.raw_inner(sigma, sigma)
+
+
 def kostant_value(rs: RootSystem, roots: Iterable[Root]) -> Q:
     """|rho + sum|^2 - |rho|^2; at most the number of roots, with equality
     exactly on abelian ideals."""
-    sigma = vsum(list(roots), rs.rank)
-    # raw(rho, alpha_j) = d_j and form[j][j] = 2 d_j, so the diagonal of the
-    # form gives 2 raw(rho, sigma) in integers
-    twice_rho = sum(rs.form[j][j] * c for j, c in enumerate(sigma))
-    return Q(twice_rho + rs.raw_inner(sigma, sigma), rs.form_den)
+    return Q(kostant_raw(rs, vsum(roots, rs.rank)), rs.form_den)
 
 
 # ----------------------------------------------------------------------
@@ -158,10 +154,10 @@ def _ideal_from_affine_word(rs: RootSystem, word: AffineWord) -> AbelianIdeal:
         raise InvariantViolation(f"parameter word {word} lost inversions")
     if not is_abelian_ideal(rs, ideal.roots):
         raise InvariantViolation(f"parameter word {word} does not give an abelian ideal")
-    point = rho_point(rs, word)
-    if point != vadd(rs.rho, ideal.root_sum(rs.rank)):
+    shift = ideal.root_sum(rs.rank)
+    if rho_shift(rs, word) != shift:
         raise InvariantViolation(f"rho point of {word} does not match the root sum")
-    if not in_2A(rs, point):
+    if not rho_shift_in_2A(rs, shift):
         raise InvariantViolation(f"rho point of {word} leaves the doubled alcove")
     return ideal
 
@@ -286,7 +282,7 @@ def catalog(label: str) -> IdealCatalog:
 
 def not_perp_theta(rs: RootSystem, ideal: AbelianIdeal) -> AbelianIdeal:
     """The sub-ideal of roots not orthogonal to the highest root."""
-    kept = [r for r in ideal.roots if rs.raw_inner(r, rs.theta) != 0]
+    kept = [r for r in ideal.roots if r not in rs.perp_theta]
     out = make_ideal(kept)
     if not is_abelian_ideal(rs, out.roots):
         raise InvariantViolation("roots off theta's wall do not form an ideal")
@@ -365,33 +361,13 @@ def max_dimension(rs: RootSystem) -> MaxDimensionReport:
 
 def forbidden_roots(rs: RootSystem) -> Tuple[Root, ...]:
     """Positive roots phi for which theta - 2*phi is a nonempty sum of
-    positive roots; exactly the roots missing from every ideal."""
-    roots = rs.positive_roots
-    memo: Dict[Tuple[Root, int], bool] = {}
-
-    def reachable(vec: Root, imax: int) -> bool:
-        if all(c == 0 for c in vec):
-            return True
-        key = (vec, imax)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        out = False
-        for j in range(imax, -1, -1):
-            r = roots[j]
-            rest = vsub(vec, r)
-            if all(c >= 0 for c in rest) and reachable(rest, j):
-                out = True
-                break
-        memo[key] = out
-        return out
-
+    positive roots; exactly the roots missing from every ideal.  A nonzero
+    vector with nonnegative simple-root coordinates is a sum of simple
+    roots, so the test is a sign test."""
     out = []
-    for phi in roots:
+    for phi in rs.positive_roots:
         target = vsub(rs.theta, tuple(2 * c for c in phi))
-        if any(c < 0 for c in target) or all(c == 0 for c in target):
-            continue
-        if reachable(target, len(roots) - 1):
+        if all(c >= 0 for c in target) and any(target):
             out.append(phi)
     return tuple(sorted(out, key=_root_sort_key))
 

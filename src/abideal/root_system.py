@@ -12,10 +12,11 @@ over the single integer denominator form_den = g (theta|theta)_raw, so
 
     (x|y) = sum_ij x_i form[i][j] y_j / form_den.
 
-Sums run over integers (or over rho's half-integers) and one Fraction is
-built at the end; sign and zero tests on integer roots never leave the
-integers.  That single global rescaling puts the classical identities into
-denominator-free shape:
+Sums run over integers (or over rho's half-integers).  Sign and zero tests,
+and determinants and adjugates from the one fraction-free elimination
+`bareiss`, stay in the integers; a Fraction is built only where a value
+leaves the package.  The global rescaling puts the classical identities
+into denominator-free shape:
 
     (rho+theta | rho+theta) - (rho | rho) = 1
     1 / (theta | theta) = g
@@ -34,6 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+from operator import mul
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 Q = Fraction
@@ -160,27 +162,28 @@ def _positive_roots(cartan: Sequence[Sequence[int]]) -> Tuple[Root, ...]:
     return tuple(sorted(roots, key=lambda r: (sum(r), r)))
 
 
-def gauss_jordan(matrix: Sequence[Sequence]) -> Tuple[Q, Optional[Tuple[Tuple[Q, ...], ...]]]:
-    """Exact determinant and inverse by Gauss-Jordan elimination; the
-    inverse is None when the determinant vanishes."""
+def bareiss(matrix: Sequence[Sequence[int]]) -> Tuple[int, Optional[Tuple[Tuple[int, ...], ...]]]:
+    """Determinant and adjugate (None when singular) of an integer matrix by
+    fraction-free Gauss-Jordan elimination on [A | I] (E. H. Bareiss, Math.
+    Comp. 22 (1968) 565-578): each step divides exactly by the last pivot,
+    which ends as det(PA) for the row swaps P, beside det(PA) A^-1."""
     n = len(matrix)
-    aug = [[Q(x) for x in row] + [Q(int(i == j)) for j in range(n)] for i, row in enumerate(matrix)]
-    det = Q(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col]), None)
-        if pivot is None:
-            return Q(0), None
-        if pivot != col:
-            aug[col], aug[pivot] = aug[pivot], aug[col]
-            det = -det
-        p = aug[col][col]
-        det *= p
-        aug[col] = [x / p for x in aug[col]]
+    rows = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(matrix)]
+    prev, sign = 1, 1
+    for k in range(n):
+        p = next((r for r in range(k, n) if rows[r][k]), None)
+        if p is None:
+            return 0, None
+        if p != k:
+            rows[k], rows[p] = rows[p], rows[k]
+            sign = -sign
+        pivot = rows[k][k]
         for r in range(n):
-            if r != col and aug[r][col]:
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-    return det, tuple(tuple(row[n:]) for row in aug)
+            if r != k:
+                c = rows[r][k]
+                rows[r] = [(pivot * x - c * y) // prev for x, y in zip(rows[r], rows[k])]
+        prev = pivot
+    return sign * prev, tuple(tuple(sign * x for x in row[n:]) for row in rows)
 
 
 def _symmetrizer(cartan: Sequence[Sequence[int]]) -> Tuple[int, ...]:
@@ -211,12 +214,12 @@ class RootSystem:
     Instances are built once per type via :func:`build` and treated as
     immutable.  All rational data is exact.
 
-    Besides the roots and the form, an instance stores two tables over its
-    positive roots: ``upper_covers[phi]``, the positive roots phi + alpha_i,
-    and ``sum_partners[phi]``, the positive roots psi (phi itself included)
-    with phi + psi a root.  The ideal test and the ideal enumeration read
-    the root poset's cover and sum relations from these tables, on the
-    system they are given.
+    Besides the roots and the form, an instance stores the root poset's
+    relations as bitmasks over indices into ``positive_roots`` (found by
+    ``root_index``): bit k of ``cover_masks[j]`` when root k is root j plus
+    a simple root, bit k of ``conflict_masks[j]`` when root j plus root k
+    (j = k included) is a root.  ``perp_theta`` holds the roots orthogonal
+    to theta.
     """
 
     def __init__(self, simple_type: SimpleType) -> None:
@@ -225,22 +228,21 @@ class RootSystem:
         self.rank = l
         self.cartan = _cartan_matrix(simple_type)
         self.positive_roots = _positive_roots(self.cartan)
-        self.positive_root_set: FrozenSet[Root] = frozenset(self.positive_roots)
         self._simple_roots: Tuple[Root, ...] = tuple(
             tuple(int(k == i) for k in range(l)) for i in range(l))
-        self.upper_covers: Dict[Root, Tuple[Root, ...]] = {
-            phi: tuple(up for up in (vadd(phi, a) for a in self._simple_roots)
-                       if up in self.positive_root_set)
-            for phi in self.positive_roots
-        }
-        partners: Dict[Root, set] = {phi: set() for phi in self.positive_roots}
-        for k, phi in enumerate(self.positive_roots):
-            for psi in self.positive_roots[k:]:
-                if vadd(phi, psi) in self.positive_root_set:
-                    partners[phi].add(psi)
-                    partners[psi].add(phi)
-        self.sum_partners: Dict[Root, FrozenSet[Root]] = {
-            phi: frozenset(found) for phi, found in partners.items()}
+        roots = self.positive_roots
+        self.root_index: Dict[Root, int] = {phi: k for k, phi in enumerate(roots)}
+        self.cover_masks: Tuple[int, ...] = tuple(
+            sum(1 << self.root_index[up] for up in (vadd(phi, a) for a in self._simple_roots)
+                if up in self.root_index)
+            for phi in roots)
+        conflicts = [0] * len(roots)
+        for j, phi in enumerate(roots):
+            for k in range(j, len(roots)):
+                if vadd(phi, roots[k]) in self.root_index:
+                    conflicts[j] |= 1 << k
+                    conflicts[k] |= 1 << j
+        self.conflict_masks: Tuple[int, ...] = tuple(conflicts)
         self.num_positive = len(self.positive_roots)
         self.dimension = l + 2 * self.num_positive  # rank + #roots
 
@@ -256,10 +258,10 @@ class RootSystem:
             hist[h] = hist.get(h, 0) + 1
         self.exponents = tuple(sorted(sum(1 for v in hist.values() if v >= i) for i in range(1, l + 1)))
 
-        _, inv_cartan = gauss_jordan(self.cartan)
+        det, adj = bareiss(self.cartan)
         # fundamental_weights[i] solves <w, alpha_j-check> = delta_{ij} (0-based here)
         self.fundamental_weights: Tuple[WeightVector, ...] = tuple(
-            tuple(inv_cartan[r][c] for r in range(l)) for c in range(l)
+            tuple(Q(adj[r][c], det) for r in range(l)) for c in range(l)
         )
         self.rho: WeightVector = tuple(sum(col) for col in zip(*self.fundamental_weights))
 
@@ -283,6 +285,8 @@ class RootSystem:
         )
 
         self._long_positive = tuple(r for r in self.positive_roots if self.is_long(r))
+        self.perp_theta: FrozenSet[Root] = frozenset(
+            r for r in self.positive_roots if self.raw_inner(r, self.theta) == 0)
 
     # ------------------------------------------------------------------
     # basic queries
@@ -294,19 +298,23 @@ class RootSystem:
         return self._simple_roots[i - 1]
 
     def is_positive_root(self, v: Sequence[int]) -> bool:
-        return tuple(v) in self.positive_root_set
+        return tuple(v) in self.root_index
 
     def is_root(self, v: Sequence[int]) -> bool:
         t = tuple(v)
-        return t in self.positive_root_set or tuple(-c for c in t) in self.positive_root_set
+        return t in self.root_index or tuple(-c for c in t) in self.root_index
 
     def raw_inner(self, x: Sequence, y: Sequence):
         """x^T form y: form_den times (x|y); an int on integer vectors."""
         total = 0
         for xi, row in zip(x, self.form):
             if xi:
-                total += xi * sum(a * yj for a, yj in zip(row, y) if a)
+                total += xi * sum(map(mul, row, y))
         return total
+
+    def twice_raw_rho(self, x: Sequence) -> int:
+        """2 raw(rho, x) from the form's diagonal, as raw(rho, alpha_j) = d_j."""
+        return sum(row[j] * c for j, (row, c) in enumerate(zip(self.form, x)) if c)
 
     def inner(self, x: Sequence, y: Sequence) -> Q:
         """Normalized invariant form (x|y)."""

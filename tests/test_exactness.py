@@ -3,13 +3,18 @@
 `Fraction(1, 2) == 0.5` is true, so the equality tests elsewhere would still
 pass if a float slipped into the arithmetic.  These tests check the types
 of the public rational quantities for every type, and scan the sources for
-float literals and the name `float`.
+float literals and the name `float`.  They also hold the hot loops of the
+facet, alcove and Kostant checks to integers: no Fraction is built inside
+a loop there, and the Fraction elimination `gauss_jordan` is gone.
 """
 
 import ast
+import importlib
+import pkgutil
 from fractions import Fraction
 from pathlib import Path
 
+import abideal
 from abideal.affine import fundamental_alcove_vertices
 from abideal.hasse import facet_volume_ratios
 from abideal.ideals import enumerate_all, kostant_value
@@ -58,4 +63,32 @@ def test_sources_contain_no_float():
                 offenders.append(f"{path.name}:{node.lineno} literal {node.value!r}")
             elif isinstance(node, ast.Name) and node.id == "float":
                 offenders.append(f"{path.name}:{node.lineno} name float")
+    assert offenders == []
+
+
+def test_no_fraction_elimination_is_exported():
+    modules = [abideal] + [importlib.import_module(f"abideal.{m.name}")
+                           for m in pkgutil.iter_modules(abideal.__path__)]
+    assert [m.__name__ for m in modules if hasattr(m, "gauss_jordan")] == []
+
+
+_LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+_INTEGER_LOOPS = {"hasse.py": ("facet_volume_ratios", "upper_alcoves"), "checks.py": ("check_kostant",)}
+
+
+def test_integer_loops_build_no_fraction():
+    # facet_volume_ratios returns Fractions, built by one map over its
+    # integer determinants once the loops are done
+    offenders = []
+    for filename, names in _INTEGER_LOOPS.items():
+        tree = ast.parse((SRC / filename).read_text(), filename=filename)
+        functions = {node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+        for name in names:
+            for loop in ast.walk(functions[name]):
+                if not isinstance(loop, _LOOPS):
+                    continue
+                for node in ast.walk(loop):
+                    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                            and node.func.id in ("Q", "Fraction")):
+                        offenders.append(f"{filename}:{node.lineno} in {name}")
     assert offenders == []

@@ -1,3 +1,4 @@
+import copy
 import random
 
 import pytest
@@ -159,8 +160,18 @@ def test_affine_word_construction_rejects_bad_words(monkeypatch):
     assert _ideal_from_affine_word(rs, (0,)).roots == (rs.theta,)
     with pytest.raises(InvariantViolation, match="level one"):
         _ideal_from_affine_word(rs, (1,))  # a finite inversion, at level zero
-    monkeypatch.setattr(ideals, "rho_point", lambda rs, word: rs.rho)
+    monkeypatch.setattr(ideals, "rho_shift", lambda rs, word: (0,) * rs.rank)
     with pytest.raises(InvariantViolation, match="rho point"):
+        _ideal_from_affine_word(rs, (0,))
+
+
+def test_affine_word_construction_rejects_points_outside_2A():
+    # no word reaches the doubled-alcove test with a good inversion set, so
+    # halve the form's denominator on a copy: (rho + theta|theta) of A2 is
+    # (2 + 2) / 6, doubled in raw terms 8 against 2 * 6, and now 8 > 2 * 3
+    rs = copy.copy(build("A2"))
+    rs.form_den //= 2
+    with pytest.raises(InvariantViolation, match="leaves the doubled alcove"):
         _ideal_from_affine_word(rs, (0,))
 
 

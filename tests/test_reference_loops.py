@@ -6,13 +6,20 @@ re-apply the whole prefix for every letter, multiply one reflection matrix
 per letter, walk the coset words by root action with a global rho-shift
 seen-set, accept a parameter word by its inversion set and rho-shift, walk
 a parabolic subgroup's whole rho orbit, and label a Hasse edge by the
-rho-shift of the whole word low^-1 high.
+rho-shift of the whole word low^-1 high.  The exact arithmetic that moved
+to integers keeps its Fraction versions here: Gauss-Jordan elimination for
+determinants and inverses, facet ratios from Fraction Gram matrices, the
+Kostant sampler's set-based ideal test with Fraction Kostant values, and
+the doubled-alcove test at the Fraction rho-point.  The forbidden roots
+keep their memoized search for theta - 2 phi as a sum of positive roots.
 Each test requires the library to give exactly what its reference gives,
 errors included.
 """
 
 import random
+from fractions import Fraction as Q
 from itertools import product
+from math import gcd
 
 import pytest
 
@@ -23,13 +30,25 @@ from abideal.affine import (
     affine_inversion_set,
     affine_simple_root,
     inverse_word,
+    fundamental_alcove_vertices,
+    in_2A,
     minimal_coset_reps,
     perp_generators,
+    rho_point,
     rho_shift,
+    rho_shift_in_2A,
 )
-from abideal.hasse import _edge_letter, build_graph
-from abideal.ideals import from_param
-from abideal.root_system import build, supported_types, vsub, vsum
+from abideal.checks import _random_non_ideal_subsets
+from abideal.hasse import _edge_letter, build_graph, facet_volume_ratios
+from abideal.ideals import (
+    catalog_of,
+    forbidden_roots,
+    from_param,
+    is_abelian_ideal,
+    kostant_raw,
+    kostant_value,
+)
+from abideal.root_system import bareiss, build, supported_types, vsub, vsum
 from abideal.weyl import (
     apply_word,
     element_of_word,
@@ -42,7 +61,7 @@ from abideal.weyl import (
     reflection_matrix,
 )
 
-from conftest import ALL_LABELS, SMALL_LABELS
+from conftest import ALL_LABELS, SMALL_LABELS, corrupted_gram_copy
 
 EVERY_LABEL = tuple(str(st) for st in supported_types(11))  # A1-A11 and the rest: 35 types
 SAMPLES = 40
@@ -174,6 +193,93 @@ def _whole_word_edge_letter(rs, low, high):
     raise AssertionError("not adjacent")
 
 
+def _gauss_jordan(matrix):
+    """Exact determinant and inverse over Fractions; the inverse is None
+    when the determinant vanishes."""
+    n = len(matrix)
+    aug = [[Q(x) for x in row] + [Q(int(i == j)) for j in range(n)] for i, row in enumerate(matrix)]
+    det = Q(1)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if aug[r][col]), None)
+        if pivot is None:
+            return Q(0), None
+        if pivot != col:
+            aug[col], aug[pivot] = aug[pivot], aug[col]
+            det = -det
+        p = aug[col][col]
+        det *= p
+        aug[col] = [x / p for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col]:
+                factor = aug[r][col]
+                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
+    return det, tuple(tuple(row[n:]) for row in aug)
+
+
+def _facet_grams(rs, vertices, inner):
+    """The Gram matrix of each facet's edge vectors, facet i omitting
+    vertex i."""
+    grams = []
+    for skip in range(len(vertices)):
+        pts = [v for i, v in enumerate(vertices) if i != skip]
+        edges = [vsub(p, pts[0]) for p in pts[1:]]
+        grams.append([[inner(a, b) for b in edges] for a in edges])
+    return grams
+
+
+def _fraction_facet_ratios(rs):
+    dets = [_gauss_jordan(g)[0] for g in _facet_grams(rs, fundamental_alcove_vertices(rs), rs.inner)]
+    return tuple(d / dets[0] for d in dets)
+
+
+def _integer_facet_grams(rs):
+    verts = fundamental_alcove_vertices(rs)
+    scale = 1
+    for v in verts:
+        for c in v:
+            scale = scale * c.denominator // gcd(scale, c.denominator)
+    points = [tuple(int(c * scale) for c in v) for v in verts]
+    return _facet_grams(rs, points, rs.raw_inner)
+
+
+def _sum_search_forbidden_roots(rs):
+    roots = rs.positive_roots
+    memo = {}
+
+    def reachable(vec, imax):
+        if all(c == 0 for c in vec):
+            return True
+        if (vec, imax) not in memo:
+            memo[(vec, imax)] = any(
+                all(c >= 0 for c in vsub(vec, roots[j])) and reachable(vsub(vec, roots[j]), j)
+                for j in range(imax, -1, -1))
+        return memo[(vec, imax)]
+
+    out = []
+    for phi in roots:
+        target = vsub(rs.theta, tuple(2 * c for c in phi))
+        if any(c < 0 for c in target) or all(c == 0 for c in target):
+            continue
+        if reachable(target, len(roots) - 1):
+            out.append(phi)
+    return tuple(sorted(out, key=lambda r: (sum(r), r)))
+
+
+def _set_test_non_ideal_subsets(rs, rng, count):
+    roots = rs.positive_roots
+    n = len(roots)
+    if n == 1:
+        return []
+    out = []
+    while len(out) < count:
+        k = rng.randint(1, n)
+        picked = tuple(roots[i] for i in sorted(rng.sample(range(n), k)))
+        if is_abelian_ideal(rs, picked):
+            continue
+        out.append(picked)
+    return out
+
+
 # ----------------------------------------------------------------------
 # samplers
 
@@ -302,3 +408,87 @@ def test_edge_letters_match_the_whole_word_rho_shift(label):
     for e in graph.edges:
         low, high = graph.catalog.entries[e.lower], graph.catalog.entries[e.upper]
         assert _edge_letter(rs, low, high) == _whole_word_edge_letter(rs, low, high) == e.letter
+
+
+def _assert_matches_gauss_jordan(matrix):
+    det, adj = bareiss(matrix)
+    ref_det, ref_inv = _gauss_jordan(matrix)
+    assert type(det) is int and det == ref_det, matrix
+    if ref_inv is None:
+        assert adj is None, matrix
+    else:
+        assert all(type(x) is int for row in adj for x in row)
+        assert tuple(tuple(Q(x, det) for x in row) for row in adj) == ref_inv, matrix
+
+
+@pytest.mark.parametrize("label", EVERY_LABEL)
+def test_bareiss_matches_gauss_jordan_on_cartan_matrices(label):
+    _assert_matches_gauss_jordan(build(label).cartan)
+
+
+@pytest.mark.parametrize("label", ALL_LABELS)
+def test_bareiss_matches_gauss_jordan_on_facet_grams(label):
+    rs = build(label)
+    for gram in _integer_facet_grams(rs):
+        _assert_matches_gauss_jordan(gram)
+    assert facet_volume_ratios(rs) == _fraction_facet_ratios(rs)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_bareiss_matches_gauss_jordan_on_random_matrices(seed):
+    rng = random.Random(f"bareiss:{seed}")
+    for n in range(7):
+        for _ in range(SAMPLES):
+            m = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+            _assert_matches_gauss_jordan(m)
+            if n:
+                m[0][0] = 0  # a zero leading pivot forces a row swap, or a zero column
+                _assert_matches_gauss_jordan(m)
+            if n > 1:
+                m[-1] = [2 * x for x in m[0]]  # singular
+                _assert_matches_gauss_jordan(m)
+
+
+def _kostant_verdicts(rs, subsets):
+    new = [kostant_raw(rs, vsum(s, rs.rank)) < len(s) * rs.form_den for s in subsets]
+    ref = [kostant_value(rs, s) < len(s) for s in subsets]
+    return new, ref
+
+
+@pytest.mark.parametrize("label", ALL_LABELS)
+def test_kostant_sampler_and_verdicts_match_the_set_test(label):
+    rs = build(label)
+    subsets = _random_non_ideal_subsets(rs, random.Random(f"kostant:{label}"), 1000)
+    assert subsets == _set_test_non_ideal_subsets(rs, random.Random(f"kostant:{label}"), 1000)
+    new, ref = _kostant_verdicts(rs, subsets)
+    assert new == ref
+    ideals = catalog_of(rs).ideals
+    assert ([kostant_raw(rs, a.root_sum(rs.rank)) == a.dim * rs.form_den for a in ideals]
+            == [kostant_value(rs, a.roots) == a.dim for a in ideals])
+
+
+@pytest.mark.parametrize("label", [label for label in SMALL_LABELS if label != "A1"])
+def test_kostant_verdicts_match_on_a_corrupted_form(label):
+    # with one form entry doubled some subsets reach or pass their size
+    rs = corrupted_gram_copy(label)
+    subsets = _set_test_non_ideal_subsets(rs, random.Random(f"kostant:{label}"), 200)
+    new, ref = _kostant_verdicts(rs, subsets)
+    assert new == ref and not all(ref)
+
+
+@pytest.mark.parametrize("label", ALL_LABELS)
+def test_integer_2A_test_matches_the_rho_point(label):
+    rs = build(label)
+    verdicts = set()
+    for entry in catalog_of(rs).entries:
+        for word in [entry.word] + [entry.word + (j,) for j in range(rs.rank + 1)]:
+            verdict = rho_shift_in_2A(rs, rho_shift(rs, word))
+            assert verdict == in_2A(rs, rho_point(rs, word)), word
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("label", EVERY_LABEL)
+def test_forbidden_roots_match_the_sum_search(label):
+    rs = build(label)
+    assert forbidden_roots(rs) == _sum_search_forbidden_roots(rs)
