@@ -36,6 +36,7 @@ from typing import Dict, List, Sequence, Tuple
 from .qpoly import Poly, poly, poly_prod
 from .root_system import Q, Root, RootSystem, WeightVector, vadd, vneg, vscale, vsub
 from .weyl import (
+    carry_images,
     check_letters,
     classify_components,
     mat_mul,
@@ -162,25 +163,19 @@ def affine_inversion_set(rs: RootSystem, word: Sequence[int]) -> Tuple[AffineRoo
     """One positive affine root per letter of a reduced word, w(beta_i) for
     the prefix w before letter i; errors on repeats and negative roots.
 
-    One pass: the images w(beta_j) of all affine simple roots are carried
-    along as integer tuples (finite part, then level), and appending s_i
-    sends w(beta_j) to w(beta_j) - a_ij w(beta_i).
+    One pass of `weyl.carry_images` over the affine simple roots as integer
+    tuples (finite part, then level), with the affine Cartan matrix.
     """
     check_letters(rs, word, 0)
-    cartan = affine_cartan_matrix(rs)
-    images = [vneg(rs.theta) + (1,)] + [rs.simple_root(j) + (0,) for j in range(1, rs.rank + 1)]
+    simple = [vneg(rs.theta) + (1,)] + [rs.simple_root(j) + (0,) for j in range(1, rs.rank + 1)]
     seen: Dict[Tuple[int, ...], AffineRoot] = {}
-    for i in word:
-        beta = images[i]
+    for beta in carry_images(affine_cartan_matrix(rs), simple, word, 0):
         root = AffineRoot(beta[:-1], beta[-1])
         if beta in seen:
             raise ValueError(f"affine word {tuple(word)} is not reduced: {root} repeats")
         if not root.is_positive:
             raise ValueError(f"affine word {tuple(word)} is not reduced: {root} is negative")
         seen[beta] = root
-        for j, a in enumerate(cartan[i]):
-            if a:
-                images[j] = tuple(x - a * y for x, y in zip(images[j], beta))
     return tuple(seen.values())
 
 

@@ -187,11 +187,10 @@ def check_parametrization(rs: RootSystem) -> CheckResult:
 
 def check_forbidden_roots(rs: RootSystem) -> CheckResult:
     """Roots in no ideal are exactly those listed by the difference test."""
-    cat = catalog_of(rs)
-    covered = set()
-    for a in cat.ideals:
-        covered |= a.root_set
-    complement = sorted(r for r in rs.positive_roots if r not in covered)
+    covered = 0
+    for mask in catalog_of(rs).masks:
+        covered |= mask
+    complement = sorted(r for k, r in enumerate(rs.positive_roots) if not covered >> k & 1)
     listed = sorted(forbidden_roots(rs))
     if complement != listed:
         return _fail("forbidden_roots",

@@ -13,7 +13,7 @@ import json
 import sys
 from typing import Dict, List, Optional, Sequence
 
-from .checks import TypeReport, summary_rows, verify_all, verify_type
+from .checks import TypeReport, summary_rows, verify_type
 from .hasse import build_graph, to_dot
 from .ideals import catalog_of, enumerate_all, long_simple_nodes
 from .root_system import RootSystem, SimpleType, build, supported_types
@@ -126,7 +126,16 @@ def _report_dict(report: TypeReport) -> Dict[str, object]:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    reports = verify_all(args.max_rank) if args.all else (verify_type(args.type),)
+    """Text output prints each type's block, flushed, as soon as that type
+    is verified; JSON is written once, at the end."""
+    labels = [str(st) for st in supported_types(args.max_rank)] if args.all else [args.type]
+    reports: List[TypeReport] = []
+    for label in labels:
+        reports.append(verify_type(label))
+        if not args.json:
+            for line in _report_lines(reports[-1]):
+                _print(line)
+            sys.stdout.flush()
     passed = all(r.passed for r in reports)
     if args.json:
         if args.all:
@@ -135,9 +144,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         else:
             _dump_json({"schema": 1, **_report_dict(reports[0])})
     else:
-        for rep in reports:
-            for line in _report_lines(rep):
-                _print(line)
         total = sum(len(r.results) for r in reports)
         _print(f"result: {'PASS' if passed else 'FAIL'} "
                f"({total} checks over {len(reports)} type{'s' if len(reports) > 1 else ''})")

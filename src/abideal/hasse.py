@@ -1,21 +1,27 @@
 """The Hasse graph of the abelian-ideal poset, plus alcove geometry.
 
 Nodes are the catalog's ideals in canonical order; an edge joins ideals
-differing by exactly one root.  A separate verification confirms these
-edges are precisely the cover relations of inclusion, and each edge is
+whose bitmasks over the positive roots differ by exactly one bit, found by
+looking each one-root-smaller mask up in the catalog.  Each edge is
 labeled by the unique affine letter carrying one endpoint's group element
 to the other's, found by pulling the added root back through the lower
-endpoint's word.
+endpoint's word.  A separate verification confirms the edges are exactly
+the cover relations of inclusion by a downward closure on bitsets over the
+catalog: the ideals contained in b (an AND of "ideals lacking root k" over
+the roots k outside b) must be exactly those reaching b along edges (b ORed
+with what reaches its lower neighbours).
 
 Upper alcoves are found without building any affine map: the pairing of
 an alcove's vertices with theta needs only the image of the origin and
 theta pulled back through the word, two integer vector actions of
 O(rank) work per letter.
 
-Automorphisms are computed on the unlabeled undirected graph: partition
-refinement (degree and distance profile, then neighborhood colors to a
-fixpoint) followed by backtracking that collects every color- and
-adjacency-preserving permutation.  The resulting group is identified by
+Automorphisms are computed on the unlabeled undirected graph: colour
+refinement from degrees alone (neighbourhood colours to a fixpoint; the
+colours are invariant under automorphisms) followed by backtracking that
+collects every colour- and adjacency-preserving permutation.  Vertices are
+assigned in a frontier order: a heap of the vertices next to those already
+assigned, fewest candidates first.  The resulting group is identified by
 comparing order, abelianness, element orders and center size against a
 catalog of small groups.
 """
@@ -24,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from heapq import heappop, heappush
 from itertools import repeat
 from math import lcm
 from typing import Dict, FrozenSet, List, Sequence, Tuple
@@ -34,9 +41,9 @@ from .ideals import (
     IdealCatalog,
     InvariantViolation,
     catalog_of,
+    mask_bits,
 )
 from .root_system import Q, RootSystem, bareiss, vneg, vsub
-from .weyl import graph_distances
 
 Permutation = Tuple[int, ...]
 
@@ -69,10 +76,9 @@ class HasseGraph:
 def build_graph(rs: RootSystem) -> HasseGraph:
     cat = catalog_of(rs)
     edges: List[HasseEdge] = []
-    for k, entry in enumerate(cat.entries):
-        for r in entry.ideal.roots:
-            below = entry.ideal.root_set - {r}
-            j = cat.index.get(frozenset(below))
+    for k, (entry, mask) in enumerate(zip(cat.entries, cat.masks)):
+        for r in mask_bits(mask):
+            j = cat.index.get(mask & ~(1 << r))
             if j is None:
                 continue
             edges.append(HasseEdge(j, k, _edge_letter(rs, cat.entries[j], entry)))
@@ -104,20 +110,42 @@ def _edge_letter(rs: RootSystem, low: CatalogEntry, high: CatalogEntry) -> int:
 def verify_cover_structure(graph: HasseGraph) -> None:
     """Check the one-root edges are exactly the covers of inclusion.
 
-    It suffices that between any strictly nested pair some single root can
-    be added to the smaller ideal staying inside the larger: then every
-    cover has dimension gap one, and those pairs are exactly the edges.
+    Each edge must add one root.  Then it suffices that between any
+    strictly nested pair some single root can be added to the smaller ideal
+    staying inside the larger: every cover then has dimension gap one, and
+    those pairs are exactly the edges.  Equivalently, for every ideal b the
+    ideals contained in b are exactly those reaching b by a chain of edges.
+    Both sides are bitsets over the catalog: the contained ones are the AND,
+    over the roots outside b, of the ideals lacking that root; the reaching
+    ones are b itself ORed with the reaching sets of b's lower neighbours,
+    filled in catalog order, which sorts by dimension.  Where they differ,
+    the largest ideal contained in b but not reaching it has no step toward b.
     """
     cat = graph.catalog
-    ideals = cat.ideals
-    for b in ideals:
-        for a in ideals:
-            if a.dim >= b.dim or not a.root_set < b.root_set:
-                continue
-            grown = (a.root_set | {r} for r in b.root_set - a.root_set)
-            if not any(g in cat.index for g in grown):
-                raise InvariantViolation(
-                    f"no one-root step from {a.roots} toward {b.roots}")
+    masks = cat.masks
+    lower: List[List[int]] = [[] for _ in masks]
+    for e in graph.edges:
+        added = masks[e.upper] ^ masks[e.lower]
+        if not added or masks[e.lower] & added or added & (added - 1):
+            raise InvariantViolation(f"edge {e.lower} -- {e.upper} does not add one root")
+        lower[e.upper].append(e.lower)
+
+    everything = (1 << len(masks)) - 1
+    lacking = [everything ^ h for h in cat.holders]
+    every_root = (1 << len(lacking)) - 1
+    reaching = [0] * len(masks)
+    for b, mask in enumerate(masks):
+        contained = everything
+        for j in mask_bits(every_root & ~mask):
+            contained &= lacking[j]
+        reach = 1 << b
+        for a in lower[b]:
+            reach |= reaching[a]
+        reaching[b] = reach
+        if reach != contained:
+            a = (contained & ~reach).bit_length() - 1
+            raise InvariantViolation(
+                f"no one-root step from {cat.ideals[a].roots} toward {cat.ideals[b].roots}")
 
 
 def to_dot(graph: HasseGraph) -> str:
@@ -251,29 +279,45 @@ def _refine_colors(adj: Sequence[FrozenSet[int]], initial: List) -> List[int]:
         colors = fresh
 
 
+def _anchor_order(adj: Sequence[FrozenSet[int]], candidates: Sequence[Sequence[int]]) -> List[int]:
+    """The order in which the search assigns vertices: next comes the
+    vertex with fewest candidates, then lowest index, among those with an
+    assigned neighbour, or among all unassigned ones when none has one.
+    The anchored vertices wait in a heap frontier keyed that way."""
+    n = len(adj)
+    pool = sorted(range(n), key=lambda v: (len(candidates[v]), v))
+    placed = [False] * n
+    order: List[int] = []
+    frontier: List[Tuple[int, int]] = []
+    start = 0
+    while len(order) < n:
+        while frontier and placed[frontier[0][1]]:
+            heappop(frontier)
+        if frontier:
+            v = heappop(frontier)[1]
+        else:
+            while placed[pool[start]]:
+                start += 1
+            v = pool[start]
+        placed[v] = True
+        order.append(v)
+        for u in adj[v]:
+            if not placed[u]:
+                heappush(frontier, (len(candidates[u]), u))
+    return order
+
+
 def graph_automorphisms(graph: HasseGraph) -> Tuple[Permutation, ...]:
     """Every adjacency-preserving permutation of the nodes."""
     adj = graph.adjacency
     n = len(adj)
-    degrees = [len(adj[v]) for v in range(n)]
-    profiles = [tuple(sorted(graph_distances(adj, v).values())) for v in range(n)]
-    colors = _refine_colors(adj, [(degrees[v], profiles[v]) for v in range(n)])
+    colors = _refine_colors(adj, [len(adj[v]) for v in range(n)])
 
     by_color: Dict[int, List[int]] = {}
     for v, c in enumerate(colors):
         by_color.setdefault(c, []).append(v)
-    candidates = {v: tuple(by_color[colors[v]]) for v in range(n)}
-
-    # assign vertices in an order that keeps each new vertex anchored to
-    # already-assigned neighbors where possible
-    order: List[int] = []
-    placed = set()
-    pool = sorted(range(n), key=lambda v: (len(candidates[v]), v))
-    while len(order) < n:
-        anchored = [v for v in pool if v not in placed and any(u in placed for u in adj[v])]
-        v = anchored[0] if anchored else next(v for v in pool if v not in placed)
-        order.append(v)
-        placed.add(v)
+    candidates = [tuple(by_color[colors[v]]) for v in range(n)]
+    order = _anchor_order(adj, candidates)
 
     # depth-first search with an explicit stack of candidate iterators, one
     # per assigned position, so deep graphs do not exhaust the call stack

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Collection, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Collection, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .affine import (
     AffineWord,
@@ -83,6 +83,14 @@ def make_ideal(roots: Iterable[Root]) -> AbelianIdeal:
     return AbelianIdeal(tuple(sorted({tuple(r) for r in roots}, key=_root_sort_key)))
 
 
+def mask_bits(mask: int) -> Iterator[int]:
+    """The positions of the set bits of a mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def is_abelian_ideal(rs: RootSystem, roots: Iterable[Root]) -> bool:
     """Direct check of the defining conditions: every root is positive, the
     set is closed under adding a simple root, and no two of its roots
@@ -101,6 +109,12 @@ def is_ideal_mask(rs: RootSystem, indices: Collection[int]) -> bool:
 def enumerate_all(rs: RootSystem) -> Tuple[AbelianIdeal, ...]:
     """Every abelian ideal, by descending-height inclusion search over the
     cover and conflict masks, in the canonical order (dim, root sum, roots)."""
+    return _enumerate_masks(rs)[0]
+
+
+def _enumerate_masks(rs: RootSystem) -> Tuple[Tuple[AbelianIdeal, ...], Tuple[int, ...]]:
+    """`enumerate_all` with each ideal's mask over rs.positive_roots,
+    aligned with the ideals."""
     roots = rs.positive_roots
     covers, conflicts = rs.cover_masks, rs.conflict_masks
     found: List[int] = []
@@ -114,9 +128,9 @@ def enumerate_all(rs: RootSystem) -> Tuple[AbelianIdeal, ...]:
             walk(k - 1, chosen | (1 << k))
 
     walk(len(roots) - 1, 0)
-    ideals = [make_ideal(r for k, r in enumerate(roots) if mask >> k & 1) for mask in found]
-    ideals.sort(key=lambda a: a.sort_key(rs.rank))
-    return tuple(ideals)
+    pairs = [(make_ideal(r for k, r in enumerate(roots) if mask >> k & 1), mask) for mask in found]
+    pairs.sort(key=lambda p: p[0].sort_key(rs.rank))
+    return tuple(a for a, _ in pairs), tuple(m for _, m in pairs)
 
 
 # ----------------------------------------------------------------------
@@ -230,11 +244,14 @@ class CatalogEntry:
 
 class IdealCatalog:
     """All abelian ideals of one type, each with its unique parameter:
-    the enumerated ideal whose root sum is the parameter word's rho-shift."""
+    the enumerated ideal whose root sum is the parameter word's rho-shift.
+
+    `masks[k]` is ideal k's bitmask over rs.positive_roots (bit j for root
+    j), and `index` finds an ideal's position from its mask."""
 
     def __init__(self, rs: RootSystem) -> None:
         self.rs = rs
-        oracle = enumerate_all(rs)
+        oracle, masks = _enumerate_masks(rs)
         by_sum: Dict[Root, int] = {a.root_sum(rs.rank): k for k, a in enumerate(oracle)}
         if len(by_sum) != len(oracle):
             raise InvariantViolation("two enumerated ideals share a root sum")
@@ -262,10 +279,21 @@ class IdealCatalog:
             raise InvariantViolation(f"{len(missing)} ideals have no parameter")
         self.entries: Tuple[CatalogEntry, ...] = tuple(entries)  # type: ignore[arg-type]
         self.ideals: Tuple[AbelianIdeal, ...] = oracle
-        self.index: Dict[FrozenSet[Root], int] = {a.root_set: k for k, a in enumerate(oracle)}
+        self.masks: Tuple[int, ...] = masks
+        self.index: Dict[int, int] = {m: k for k, m in enumerate(masks)}
 
     def __len__(self) -> int:
         return len(self.entries)
+
+    @cached_property
+    def holders(self) -> Tuple[int, ...]:
+        """Bitsets over the catalog, one per positive root: bit k of
+        holders[j] when ideal k holds root j."""
+        out = [0] * self.rs.num_positive
+        for k, mask in enumerate(self.masks):
+            for j in mask_bits(mask):
+                out[j] |= 1 << k
+        return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -314,10 +342,17 @@ def associated_long_root(rs: RootSystem, ideal: AbelianIdeal) -> Root:
 
 
 def maximal_ideals(rs: RootSystem) -> Tuple[AbelianIdeal, ...]:
+    """Ideals contained in no other: the AND of the holders of an ideal's
+    roots is the set of ideals containing it, so it is maximal exactly when
+    that AND is its own bit."""
     cat = catalog_of(rs)
+    everything = (1 << len(cat.ideals)) - 1
     out = []
-    for a in cat.ideals:
-        if not any(a.root_set < b.root_set for b in cat.ideals):
+    for k, (a, mask) in enumerate(zip(cat.ideals, cat.masks)):
+        above = everything
+        for j in mask_bits(mask):
+            above &= cat.holders[j]
+        if above == 1 << k:
             out.append(a)
     return tuple(out)
 
@@ -411,7 +446,9 @@ class SumFormulaReport:
         return self.second_total == self.second_expected
 
 
+@lru_cache(maxsize=None)
 def sum_formula_report(rs: RootSystem) -> SumFormulaReport:
+    """Both sum formulas of one root system, computed once per instance."""
     counts: Dict[Root, int] = {}
     for phi in rs.long_positive_roots():
         counts[phi] = poly_eval_one(coset_poincare(rs, phi))

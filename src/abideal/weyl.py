@@ -22,10 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import prod
-from typing import Callable, Dict, Iterable, List, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from .qpoly import Poly, bracket, poly_mul, poly_prod
-from .root_system import Root, RootSystem, vscale, vsub, vsum
+from .root_system import Root, RootSystem, vsum
 
 WeylWord = Tuple[int, ...]
 Matrix = Tuple[Tuple[int, ...], ...]
@@ -97,29 +97,44 @@ def length_of_element(rs: RootSystem, m: Matrix) -> int:
     return sum(1 for phi in rs.positive_roots if sum(c * x for c, x in zip(phi, point)) < 0)
 
 
+def carry_images(cartan: Sequence[Sequence[int]], images: Sequence[tuple],
+                 word: Sequence[int], lowest: int) -> Iterator[tuple]:
+    """w(beta_i) for each letter i of a word, w the prefix before it.
+
+    The images w(beta_j) of the simple roots are carried along, starting at
+    images[j - lowest] = beta_j, and appending s_i sends w(beta_j) to
+    w(beta_j) - a_ij w(beta_i), with a_ij = cartan[i - lowest][j - lowest].
+    The vectors are integer tuples of any length: the affine inversion set
+    carries the level as a last coordinate.  The shared walk of
+    `inversion_roots` and `affine.affine_inversion_set`.
+    """
+    images = list(images)
+    for i in word:
+        beta = images[i - lowest]
+        yield beta
+        for j, a in enumerate(cartan[i - lowest]):
+            if a:
+                images[j] = tuple(x - a * y for x, y in zip(images[j], beta))
+
+
 def inversion_roots(rs: RootSystem, word: Sequence[int]) -> Tuple[Root, ...]:
     """The positive roots sent negative by the inverse, one per letter.
 
     For a reduced word (i_1, ..., i_k) these are
     alpha_{i_1}, s_{i_1} alpha_{i_2}, s_{i_1} s_{i_2} alpha_{i_3}, ...
     and they sum to rho - w(rho).  A repeated or negative root means the
-    word is not reduced, which is reported as an error.  One pass: the
-    images w(alpha_j) under the prefix w read so far are carried along,
-    and appending s_i sends w(alpha_j) to w(alpha_j) - a_ij w(alpha_i).
+    word is not reduced, which is reported as an error.  One pass of
+    `carry_images` over the simple roots.
     """
     check_letters(rs, word, 1)
-    images = [rs.simple_root(j) for j in range(1, rs.rank + 1)]
-    seen: List[Root] = []
-    for i in word:
-        beta = images[i - 1]
+    simple = [rs.simple_root(j) for j in range(1, rs.rank + 1)]
+    seen: Dict[Root, None] = {}
+    for beta in carry_images(rs.cartan, simple, word, 1):
         if beta in seen:
             raise ValueError(f"word {tuple(word)} is not reduced: root {beta} repeats")
         if not rs.is_positive_root(beta):
             raise ValueError(f"word {tuple(word)} is not reduced: {beta} is negative")
-        seen.append(beta)
-        for j, a in enumerate(rs.cartan[i - 1]):
-            if a:
-                images[j] = vsub(images[j], vscale(a, beta))
+        seen[beta] = None
     return tuple(seen)
 
 

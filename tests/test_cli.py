@@ -1,9 +1,12 @@
+import io
 import json
+import sys
 
 import pytest
 
 from abideal import checks, cli
 from abideal.checks import CheckResult, TypeReport, verify_type
+from abideal.root_system import supported_types
 
 
 def run(capsys, *argv):
@@ -199,3 +202,28 @@ def test_young_rank_bounds(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["young", "12"])
     assert exc.value.code == 2
+
+
+def test_verify_all_prints_each_type_as_it_finishes(monkeypatch):
+    labels = [str(st) for st in supported_types(2)]
+    flushed = []
+
+    class Stdout(io.StringIO):
+        def flush(self):
+            flushed.append(self.getvalue())
+
+    out = Stdout()
+    monkeypatch.setattr(sys, "stdout", out)
+    at_last = []
+
+    def spy(label):
+        if label == labels[-1]:
+            at_last.append(flushed[-1] if flushed else "")
+        return verify_type(label)
+
+    monkeypatch.setattr(cli, "verify_type", spy)
+    assert cli.main(["verify", "--all", "--max-rank", "2"]) == 0
+    assert at_last[0].startswith(f"== {labels[0]} ==\n")
+    assert f"== {labels[-2]} ==" in at_last[0]
+    assert f"== {labels[-1]} ==" not in at_last[0]
+    assert out.getvalue().startswith(at_last[0])

@@ -4,7 +4,7 @@ The digests were captured before the integer-form refactor of the core and
 pin every byte the commands print: `ideals T --json`, `hasse T --dot -`
 and `info T` for all 32 types of rank at most 8 and for A9, A10 and A11,
 `tables --json`, `verify --all --json` and `young l --list` for
-l = 1..11.  A refactor that changes any output, even by one character,
+l = 1..11, and `verify T --json` for A9, A10 and A11.  A refactor that changes any output, even by one character,
 fails here.  The A9-A11 digests, the longest coset walks, were captured
 later than the rest, before the vector-action rewrite of the coset walk.
 
@@ -214,6 +214,14 @@ YOUNG_LIST = {
 TABLES_JSON = "71e7afdbf1d7fa99845da5a847af218fc7814f5118f9091701a7e28b6dcca9ec"
 VERIFY_ALL_JSON = "56fe67f8c74224105192400a0a9e21f6f0418325d1734bd1775774bb00eea66b"
 
+# verify T --json past rank 8, where the Hasse graphs have 512-2048 nodes;
+# captured before the Hasse checks moved onto bitmasks.
+VERIFY_JSON = {
+    "A9": "ac3abe90e2d0143ead3eaea17b6eb880979587cf112a073faa0e901b900c72f8",
+    "A10": "0abf41efdb3ef36d1234dda97371f56eb197134d2e722df558f6cff6ee324f32",
+    "A11": "4a74b8a66c1a8082be18c151605782a584a4d60c7a9f7960cbf2c5bc33dfd581",
+}
+
 
 def _digest(capsys, argv):
     code = cli.main(argv)
@@ -248,3 +256,8 @@ def test_tables_json_digest(capsys):
 
 def test_verify_all_json_digest(capsys):
     assert _digest(capsys, ["verify", "--all", "--json"]) == VERIFY_ALL_JSON
+
+
+@pytest.mark.parametrize("label", sorted(VERIFY_JSON))
+def test_verify_json_digest(capsys, label):
+    assert _digest(capsys, ["verify", label, "--json"]) == VERIFY_JSON[label]

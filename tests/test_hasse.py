@@ -1,12 +1,15 @@
+import copy
 from itertools import permutations
 from types import SimpleNamespace
 
 import pytest
 
-from abideal import checks, ideals, weyl
+from abideal import checks, hasse, ideals, weyl
 from abideal.affine import alcove_vertices, element_of_affine_word, inverse_word, perp_generators
 from abideal.checks import check_kostant, check_normalization, check_upper_alcoves
 from abideal.hasse import (
+    HasseEdge,
+    HasseGraph,
     UpperAlcove,
     _edge_letter,
     build_graph,
@@ -210,6 +213,51 @@ def test_corrupted_copy_gets_its_own_catalog():
     assert catalog_of(corrupted_gram_copy("A1")) is not catalog_of(build("A1"))
 
 
+def test_sum_formula_report_is_built_once_per_root_system():
+    rs = build("B3")
+    assert ideals.sum_formula_report(rs) is ideals.sum_formula_report(rs)
+    bad = corrupted_gram_copy("A1")
+    assert ideals.sum_formula_report(bad) is not ideals.sum_formula_report(build("A1"))
+
+
+def _with_edges(graph, edges):
+    return HasseGraph(graph.rs, graph.catalog, tuple(edges))
+
+
+def test_cover_check_fails_without_an_edge(monkeypatch, small_label):
+    # with edge a -- b gone, b is the first ideal not reached by everything
+    # it contains, and a, one root short of b, has no remaining step toward b
+    rs = build(small_label)
+    graph = build_graph(rs)
+    nodes = graph.catalog.ideals
+    for drop in graph.edges:
+        broken = _with_edges(graph, (e for e in graph.edges if e != drop))
+        monkeypatch.setattr(checks, "build_graph", lambda rs: broken)
+        res = checks.check_hasse_covers(rs)
+        a, b = nodes[drop.lower], nodes[drop.upper]
+        assert not res.passed
+        assert res.details == f"no one-root step from {a.roots} toward {b.roots}"
+        assert not any(e.lower == drop.lower and nodes[e.upper] <= b for e in broken.edges)
+
+
+@pytest.mark.parametrize("label", ["A2", "A3", "B2", "B3", "C3", "D4", "G2"])
+def test_hasse_checks_fail_with_an_extra_edge(monkeypatch, label):
+    # the first edge from the zero ideal to a larger one that changes the
+    # identified group; it adds more than one root, so covers fail too
+    rs = build(label)
+    graph = build_graph(rs)
+    want = identify_group(graph_automorphisms(graph))
+    broken = next(
+        g for g in (_with_edges(graph, graph.edges + (HasseEdge(0, u, 0),))
+                    for u in range(2, graph.num_nodes))
+        if identify_group(graph_automorphisms(g)) != want)
+    monkeypatch.setattr(hasse, "build_graph", lambda rs: broken)
+    monkeypatch.setattr(checks, "build_graph", lambda rs: broken)
+    assert not _passes(checks.check_hasse_automorphisms, rs)
+    res = checks.check_hasse_covers(rs)
+    assert not res.passed and "does not add one root" in res.details
+
+
 NOT_SIMPLE_THETA = [label for label in SMALL_LABELS if label != "A1"]
 
 
@@ -280,10 +328,11 @@ def test_series_checks_compare_the_exponent_product(monkeypatch, small_label):
 
 @pytest.mark.parametrize("check", ["first_sum", "second_sum"])
 def test_sum_checks_total_the_coset_series(monkeypatch, small_label, check):
-    # one extra coset word in every fiber
+    # one extra coset word in every fiber; the report is cached per root
+    # system instance, so the patched series is read on a fresh copy
     real = ideals.coset_poincare
     monkeypatch.setattr(ideals, "coset_poincare", lambda rs, phi: real(rs, phi) + (1,))
-    assert not _passes(getattr(checks, f"check_{check}"), build(small_label))
+    assert not _passes(getattr(checks, f"check_{check}"), copy.copy(build(small_label)))
 
 
 def test_maximal_ideals_checks_the_count(monkeypatch, small_label):

@@ -12,6 +12,10 @@ determinants and inverses, facet ratios from Fraction Gram matrices, the
 Kostant sampler's set-based ideal test with Fraction Kostant values, and
 the doubled-alcove test at the Fraction rho-point.  The forbidden roots
 keep their memoized search for theta - 2 phi as a sum of positive roots.
+The Hasse checks keep their pairwise forms: the cover test over every
+nested pair of ideals, the automorphism search seeded with BFS distance
+profiles and anchored by rescanning the whole vertex pool, and the
+maximal ideals found by comparing every pair.
 Each test requires the library to give exactly what its reference gives,
 errors included.
 """
@@ -20,6 +24,7 @@ import random
 from fractions import Fraction as Q
 from itertools import product
 from math import gcd
+from types import SimpleNamespace
 
 import pytest
 
@@ -39,14 +44,27 @@ from abideal.affine import (
     rho_shift_in_2A,
 )
 from abideal.checks import _random_non_ideal_subsets
-from abideal.hasse import _edge_letter, build_graph, facet_volume_ratios
+from abideal.hasse import (
+    HasseEdge,
+    _anchor_order,
+    _edge_letter,
+    _refine_colors,
+    build_graph,
+    facet_volume_ratios,
+    graph_automorphisms,
+    verify_cover_structure,
+)
 from abideal.ideals import (
+    IdealCatalog,
+    InvariantViolation,
     catalog_of,
     forbidden_roots,
     from_param,
     is_abelian_ideal,
     kostant_raw,
     kostant_value,
+    mask_bits,
+    maximal_ideals,
 )
 from abideal.root_system import bareiss, build, supported_types, vsub, vsum
 from abideal.weyl import (
@@ -191,6 +209,60 @@ def _whole_word_edge_letter(rs, low, high):
         if affine_simple_root(rs, j).finite == target:
             return j
     raise AssertionError("not adjacent")
+
+
+def _pairwise_cover_structure(graph):
+    """Every strictly nested pair of ideals has a one-root step from the
+    smaller staying inside the larger, looked up by root set."""
+    ideals = graph.catalog.ideals
+    known = {a.root_set for a in ideals}
+    for b in ideals:
+        for a in ideals:
+            if a.dim >= b.dim or not a.root_set < b.root_set:
+                continue
+            grown = (a.root_set | {r} for r in b.root_set - a.root_set)
+            if not any(g in known for g in grown):
+                raise InvariantViolation(f"no one-root step from {a.roots} toward {b.roots}")
+
+
+def _profile_rescan_automorphisms(adj):
+    """Colour refinement seeded by degree and BFS distance profile, and an
+    anchoring order found by rescanning the whole pool per vertex; returns
+    the sorted permutations and the order."""
+    n = len(adj)
+    profiles = [tuple(sorted(weyl.graph_distances(adj, v).values())) for v in range(n)]
+    colors = _refine_colors(adj, [(len(adj[v]), profiles[v]) for v in range(n)])
+    by_color = {}
+    for v, c in enumerate(colors):
+        by_color.setdefault(c, []).append(v)
+    candidates = {v: tuple(by_color[colors[v]]) for v in range(n)}
+    order = []
+    placed = set()
+    pool = sorted(range(n), key=lambda v: (len(candidates[v]), v))
+    while len(order) < n:
+        anchored = [v for v in pool if v not in placed and any(u in placed for u in adj[v])]
+        v = anchored[0] if anchored else next(v for v in pool if v not in placed)
+        order.append(v)
+        placed.add(v)
+    found = []
+
+    def extend(k, image, used):
+        if k == n:
+            found.append(tuple(image[x] for x in range(n)))
+            return
+        v = order[k]
+        mapped = {image[u] for u in adj[v] if u in image}
+        for t in candidates[v]:
+            if t not in used and mapped == adj[t] & used:
+                extend(k + 1, {**image, v: t}, used | {t})
+
+    extend(0, {}, frozenset())
+    return tuple(sorted(found)), order
+
+
+def _pairwise_maximal_ideals(rs):
+    ideals = catalog_of(rs).ideals
+    return tuple(a for a in ideals if not any(a.root_set < b.root_set for b in ideals))
 
 
 def _gauss_jordan(matrix):
@@ -408,6 +480,78 @@ def test_edge_letters_match_the_whole_word_rho_shift(label):
     for e in graph.edges:
         low, high = graph.catalog.entries[e.lower], graph.catalog.entries[e.upper]
         assert _edge_letter(rs, low, high) == _whole_word_edge_letter(rs, low, high) == e.letter
+
+
+def _without_ideal(graph, drop):
+    """The graph of the catalog with ideal `drop` left out: the remaining
+    ideals, masks and one-root edges, reindexed."""
+    cat = graph.catalog
+    sub = object.__new__(IdealCatalog)
+    sub.rs = cat.rs
+    sub.ideals = tuple(a for k, a in enumerate(cat.ideals) if k != drop)
+    sub.masks = tuple(m for k, m in enumerate(cat.masks) if k != drop)
+    sub.index = {m: k for k, m in enumerate(sub.masks)}
+    edges = tuple(HasseEdge(sub.index[m & ~(1 << r)], k, 0)
+                  for k, m in enumerate(sub.masks) for r in mask_bits(m)
+                  if m & ~(1 << r) in sub.index)
+    return SimpleNamespace(catalog=sub, edges=edges)
+
+
+def _cover_verdict(check, graph):
+    try:
+        check(graph)
+    except InvariantViolation as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("label", ALL_LABELS)
+def test_cover_check_matches_the_pairwise_test(label):
+    graph = build_graph(build(label))
+    assert _cover_verdict(verify_cover_structure, graph) is None
+    assert _cover_verdict(_pairwise_cover_structure, graph) is None
+
+
+@pytest.mark.parametrize("label", [label for label in SMALL_LABELS if label != "A1"])
+def test_cover_check_matches_the_pairwise_test_with_an_ideal_left_out(label):
+    # leaving one ideal out of the catalog breaks some nested pairs'
+    # one-root steps; both tests must agree on whether any pair is broken,
+    # and the closure test must name a pair with no step inside the larger
+    graph = build_graph(build(label))
+    failures = 0
+    for drop in range(len(graph.catalog.ideals)):
+        sub = _without_ideal(graph, drop)
+        got = _cover_verdict(verify_cover_structure, sub)
+        assert (got is None) == (_cover_verdict(_pairwise_cover_structure, sub) is None)
+        if got is None:
+            continue
+        failures += 1
+        ideals = sub.catalog.ideals
+        named = [(a, b) for a in ideals for b in ideals if a.root_set < b.root_set
+                 and got == f"no one-root step from {a.roots} toward {b.roots}"]
+        assert len(named) == 1
+        a, b = named[0]
+        known = {c.root_set for c in ideals}
+        assert not any(a.root_set | {r} in known for r in b.root_set - a.root_set)
+    assert failures > 0
+
+
+@pytest.mark.parametrize("label", ALL_LABELS)
+def test_automorphisms_match_the_profile_rescan_search(label):
+    graph = build_graph(build(label))
+    adj = graph.adjacency
+    perms, order = _profile_rescan_automorphisms(adj)
+    assert graph_automorphisms(graph) == perms
+    colors = _refine_colors(adj, [len(adj[v]) for v in range(len(adj))])
+    candidates = [tuple(u for u in range(len(adj)) if colors[u] == colors[v])
+                  for v in range(len(adj))]
+    assert _anchor_order(adj, candidates) == order
+
+
+@pytest.mark.parametrize("label", ALL_LABELS)
+def test_maximal_ideals_match_the_pairwise_search(label):
+    rs = build(label)
+    assert maximal_ideals(rs) == _pairwise_maximal_ideals(rs)
 
 
 def _assert_matches_gauss_jordan(matrix):
