@@ -33,15 +33,15 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, List, Sequence, Tuple
 
-from .qpoly import Poly, poly, poly_prod
+from .qpoly import Poly, poly
 from .root_system import Q, Root, RootSystem, WeightVector, vadd, vneg, vscale, vsub
 from .weyl import (
     carry_images,
     check_letters,
-    classify_components,
     mat_mul,
     mat_vec,
     matrix_of,
+    parabolic_poincare,
     reflect_simple,
 )
 
@@ -279,11 +279,11 @@ def _minimal_coset_reps_cached(rs: RootSystem, phi: Root) -> Tuple[AffineWord, .
 
 
 def wall_subgroup_poincare(rs: RootSystem, phi: Root, include_zero: bool) -> Poly:
-    """Exponent-product Poincare series of the wall subgroup of phi,
-    with or without letter 0."""
-    gens = tuple(i for i in perp_generators(rs, phi) if include_zero or i)
-    cartan = affine_cartan_matrix(rs)
-    return poly_prod(comp.poincare for comp in classify_components(gens, lambda a, b: cartan[a][b]))
+    """Poincare series of the wall subgroup of phi, with or without letter
+    0: the exponent product of the affine Cartan submatrix on its letters,
+    a proper subset of 0..rank and so of finite type."""
+    gens = (i for i in perp_generators(rs, phi) if include_zero or i)
+    return parabolic_poincare(affine_cartan_matrix(rs), gens)
 
 
 def coset_poincare(rs: RootSystem, phi: Root) -> Poly:

@@ -28,7 +28,6 @@ from .ideals import (
     InvariantViolation,
     associated_long_root,
     catalog_of,
-    enumerate_all,
     forbidden_roots,
     from_param,
     is_ideal_mask,
@@ -395,7 +394,7 @@ def check_facet_ratios(rs: RootSystem) -> CheckResult:
 def check_young_bridge(rs: RootSystem) -> CheckResult:
     """Ideals of A_l are the diagrams with hooks below l+1, compatibly coded."""
     n = rs.rank + 1
-    ideals = enumerate_all(rs)
+    ideals = catalog_of(rs).ideals
     seen: Dict[Tuple[int, ...], int] = {}
     for a in ideals:
         d = young_of_ideal(rs, a)

@@ -162,6 +162,18 @@ def _positive_roots(cartan: Sequence[Sequence[int]]) -> Tuple[Root, ...]:
     return tuple(sorted(roots, key=lambda r: (sum(r), r)))
 
 
+def height_exponents(roots: Iterable[Root], rank: int) -> Tuple[int, ...]:
+    """The exponents, read off the positive roots as the partition conjugate
+    to the number of roots at each height (Kostant, Amer. J. Math. 81
+    (1959) 973-1032).  A reducible system gives the union of its
+    components' exponents."""
+    hist: Dict[int, int] = {}
+    for r in roots:
+        h = sum(r)
+        hist[h] = hist.get(h, 0) + 1
+    return tuple(sorted(sum(1 for v in hist.values() if v >= i) for i in range(1, rank + 1)))
+
+
 def bareiss(matrix: Sequence[Sequence[int]]) -> Tuple[int, Optional[Tuple[Tuple[int, ...], ...]]]:
     """Determinant and adjugate (None when singular) of an integer matrix by
     fraction-free Gauss-Jordan elimination on [A | I] (E. H. Bareiss, Math.
@@ -252,11 +264,7 @@ class RootSystem:
         self.marks = self.theta
         self.coxeter_number = sum(self.theta) + 1
 
-        hist: Dict[int, int] = {}
-        for r in self.positive_roots:
-            h = sum(r)
-            hist[h] = hist.get(h, 0) + 1
-        self.exponents = tuple(sorted(sum(1 for v in hist.values() if v >= i) for i in range(1, l + 1)))
+        self.exponents = height_exponents(self.positive_roots, l)
 
         det, adj = bareiss(self.cartan)
         # fundamental_weights[i] solves <w, alpha_j-check> = delta_{ij} (0-based here)

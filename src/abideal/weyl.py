@@ -9,7 +9,8 @@ only when a caller asks for a group element: its columns are the word's
 images of the basis vectors.
 
 Subsets of nodes name standard parabolic subgroups.  Their length
-generating functions are exponent products of the classified diagram;
+generating functions are products over the exponents, which are read off
+the heights of the subdiagram's positive roots, with no classification;
 `verify` compares each one it uses with a walk of the subgroup's coset
 spaces, one node at a time, in Dynkin labels (fundamental-weight
 coordinates), where a simple reflection changes a point by a multiple of
@@ -19,13 +20,11 @@ where reflect_simple is the one simple-reflection routine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from math import prod
 from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
 
-from .qpoly import Poly, bracket, poly_mul, poly_prod
-from .root_system import Root, RootSystem, vsum
+from .qpoly import Poly, bracket, poly_eval_one, poly_mul, poly_prod
+from .root_system import Root, RootSystem, _positive_roots, bareiss, height_exponents, vsum
 
 WeylWord = Tuple[int, ...]
 Matrix = Tuple[Tuple[int, ...], ...]
@@ -167,81 +166,6 @@ def _word_to_theta_cached(rs: RootSystem, phi: Root) -> WeylWord:
     return tuple(reversed(letters))
 
 
-# ----------------------------------------------------------------------
-# diagram classification for node subsets
-#
-# Any proper subset of the extended diagram's nodes spans a finite-type
-# diagram; its connected components are recognized here by edge weights
-# and branch shape.  Families B and C share a Weyl group, hence "BC".
-
-_FAMILY_EXPONENTS: Dict[str, Callable[[int], Tuple[int, ...]]] = {
-    "A": lambda n: tuple(range(1, n + 1)),
-    "BC": lambda n: tuple(range(1, 2 * n, 2)),
-    "D": lambda n: tuple(sorted(list(range(1, 2 * n - 2, 2)) + [n - 1])),
-    "E6": lambda n: (1, 4, 5, 7, 8, 11),
-    "E7": lambda n: (1, 5, 7, 9, 11, 13, 17),
-    "E8": lambda n: (1, 7, 11, 13, 17, 19, 23, 29),
-    "F4": lambda n: (1, 5, 7, 11),
-    "G2": lambda n: (1, 5),
-}
-
-
-@dataclass(frozen=True)
-class DiagramComponent:
-    family: str
-    size: int
-    nodes: Tuple[int, ...]
-
-    @property
-    def exponents(self) -> Tuple[int, ...]:
-        return _FAMILY_EXPONENTS[self.family](self.size)
-
-    @property
-    def order(self) -> int:
-        return prod(m + 1 for m in self.exponents)
-
-    @property
-    def poincare(self) -> Poly:
-        return poly_prod(bracket(m + 1) for m in self.exponents)
-
-
-def classify_components(nodes: Sequence[int], entry: Callable[[int, int], int]) -> Tuple[DiagramComponent, ...]:
-    """Split a node set into components and name each one's family.
-
-    `entry(i, j)` returns the Cartan integer pairing node j against node
-    i's coroot.  Only finite-type shapes are accepted.
-    """
-    nodes = sorted(set(nodes))
-    adj: Dict[int, List[int]] = {i: [] for i in nodes}
-    weight: Dict[Tuple[int, int], int] = {}
-    for a in nodes:
-        for b in nodes:
-            if a < b:
-                w = entry(a, b) * entry(b, a)
-                if w:
-                    adj[a].append(b)
-                    adj[b].append(a)
-                    weight[(a, b)] = weight[(b, a)] = w
-
-    out: List[DiagramComponent] = []
-    unseen = set(nodes)
-    while unseen:
-        start = min(unseen)
-        comp = [start]
-        unseen.discard(start)
-        queue = [start]
-        while queue:
-            x = queue.pop()
-            for y in adj[x]:
-                if y in unseen:
-                    unseen.discard(y)
-                    comp.append(y)
-                    queue.append(y)
-        comp.sort()
-        out.append(_classify_one(comp, adj, weight))
-    return tuple(sorted(out, key=lambda c: (c.family, c.size, c.nodes)))
-
-
 def graph_distances(adj, start: int) -> Dict[int, int]:
     """Breadth-first distances from `start`; adj[x] lists x's neighbors."""
     dist = {start: 0}
@@ -257,73 +181,34 @@ def graph_distances(adj, start: int) -> Dict[int, int]:
     return dist
 
 
-def _classify_one(comp: List[int], adj: Dict[int, List[int]], weight: Dict[Tuple[int, int], int]) -> DiagramComponent:
-    n = len(comp)
-    nodes = tuple(comp)
-    edges = [(a, b) for (a, b) in weight if a < b and a in comp and b in comp]
-    if len(edges) >= n:
-        raise ValueError(f"nodes {nodes} contain a cycle; not a finite-type diagram")
-    degrees = {x: sum(1 for y in adj[x] if y in comp) for x in comp}
-    heavy = [e for e in edges if weight[e] > 1]
-
-    if any(weight[e] == 3 for e in edges):
-        if n != 2:
-            raise ValueError(f"nodes {nodes}: triple edge in a component of size {n}")
-        return DiagramComponent("G2", 2, nodes)
-
-    if heavy:
-        if len(heavy) > 1 or any(d > 2 for d in degrees.values()):
-            raise ValueError(f"nodes {nodes}: not a finite-type diagram")
-        # a path; F4 exactly when the double edge is the middle of a 4-chain
-        (a, b) = heavy[0]
-        if n == 4 and degrees[a] == 2 and degrees[b] == 2:
-            return DiagramComponent("F4", 4, nodes)
-        return DiagramComponent("BC", n, nodes)
-
-    branch = [x for x in comp if degrees[x] >= 3]
-    if not branch:
-        return DiagramComponent("A", n, nodes)
-    if len(branch) > 1 or degrees[branch[0]] > 3:
-        raise ValueError(f"nodes {nodes}: not a finite-type diagram")
-    center = branch[0]
-    legs = []
-    for first in adj[center]:
-        if first not in comp:
-            continue
-        length = 1
-        prev, cur = center, first
-        while True:
-            nxt = [y for y in adj[cur] if y in comp and y != prev]
-            if not nxt:
-                break
-            prev, cur = cur, nxt[0]
-            length += 1
-        legs.append(length)
-    legs.sort()
-    if legs[0] == 1 and legs[1] == 1:
-        return DiagramComponent("D", legs[2] + 3, nodes)
-    if legs == [1, 2, 2]:
-        return DiagramComponent("E6", 6, nodes)
-    if legs == [1, 2, 3]:
-        return DiagramComponent("E7", 7, nodes)
-    if legs == [1, 2, 4]:
-        return DiagramComponent("E8", 8, nodes)
-    raise ValueError(f"nodes {nodes}: branch shape {legs} is not finite-type")
-
-
 # ----------------------------------------------------------------------
-# standard parabolic subgroups of the finite group
+# standard parabolic subgroups
 
-def finite_components(rs: RootSystem, nodes: Iterable[int]) -> Tuple[DiagramComponent, ...]:
+def parabolic_poincare(cartan: Sequence[Sequence[int]], nodes: Iterable[int]) -> Poly:
+    """Length generating function of the Coxeter group on the finite-type
+    Cartan submatrix on `nodes` (row indices of `cartan`, any order):
+    prod [m + 1] over its exponents m (Macdonald, Math. Ann. 199 (1972)
+    161-174), read off the heights of its positive roots.  The root
+    closure, not a coset walk, so `verify` can compare the two."""
+    idx = sorted(set(nodes))
+    sub = [[cartan[a][b] for b in idx] for a in idx]
+    if bareiss(sub)[0] <= 0:  # an affine diagram would never close
+        raise ValueError(f"nodes {idx} do not span a finite-type diagram")
+    return poly_prod(bracket(m + 1) for m in height_exponents(_positive_roots(sub), len(idx)))
+
+
+def subgroup_poincare(rs: RootSystem, nodes: Iterable[int]) -> Poly:
+    """Length generating function of the parabolic subgroup on `nodes`
+    (1-based)."""
     nodes = list(nodes)
     for i in nodes:
         if not 1 <= i <= rs.rank:
             raise ValueError(f"node {i} out of range 1..{rs.rank}")
-    return classify_components(nodes, lambda a, b: rs.cartan[a - 1][b - 1])
+    return parabolic_poincare(rs.cartan, (i - 1 for i in nodes))
 
 
 def subgroup_order(rs: RootSystem, nodes: Iterable[int]) -> int:
-    return prod(comp.order for comp in finite_components(rs, nodes))
+    return poly_eval_one(subgroup_poincare(rs, nodes))
 
 
 def subgroup_positive_count(rs: RootSystem, nodes: Iterable[int]) -> int:
@@ -371,12 +256,6 @@ def _orbit_poincare(rs: RootSystem, nodes: Sequence[int]) -> Poly:
             layer = nxt
         series = poly_mul(series, counts)
     return series
-
-
-def subgroup_poincare(rs: RootSystem, nodes: Iterable[int]) -> Poly:
-    """Length generating function of the parabolic subgroup on `nodes`:
-    the product of its components' exponent series."""
-    return poly_prod(c.poincare for c in finite_components(rs, nodes))
 
 
 def weyl_order(rs: RootSystem) -> int:

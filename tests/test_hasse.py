@@ -4,7 +4,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from abideal import checks, hasse, ideals, weyl
+from abideal import affine, checks, hasse, ideals, weyl
 from abideal.affine import alcove_vertices, element_of_affine_word, inverse_word, perp_generators
 from abideal.checks import check_kostant, check_normalization, check_upper_alcoves
 from abideal.hasse import (
@@ -26,7 +26,6 @@ from abideal.ideals import InvariantViolation, catalog_of, long_simple_nodes
 from abideal.qpoly import bracket, poly_mul
 from abideal.reference import reference_hasse_group
 from abideal.root_system import build, supported_types
-from abideal.weyl import DiagramComponent
 
 from conftest import SMALL_LABELS, corrupted_gram_copy
 
@@ -310,12 +309,17 @@ def test_series_checks_compare_the_coset_walk(monkeypatch, small_label):
 
 
 def test_series_checks_compare_the_exponent_product(monkeypatch, small_label):
-    # every component's series times [2]: the finite wall subgroups meet
-    # the walk, the affine ones the coset series; A1 and A2 have only
-    # trivial wall subgroups, with no component to corrupt
-    real = DiagramComponent.poincare.fget
-    monkeypatch.setattr(DiagramComponent, "poincare",
-                        property(lambda c: poly_mul(real(c), bracket(2))))
+    # every nonempty node set's series times [2]: the finite wall
+    # subgroups meet the walk, the affine ones the coset series; A1 and A2
+    # have only trivial wall subgroups, with nothing to corrupt
+    real = weyl.parabolic_poincare
+
+    def doubled(cartan, nodes):
+        nodes = tuple(nodes)
+        return poly_mul(real(cartan, nodes), bracket(2)) if nodes else real(cartan, nodes)
+
+    for module in (weyl, affine):
+        monkeypatch.setattr(module, "parabolic_poincare", doubled)
     rs = build(small_label)
     res = checks.check_theta_quotient(rs)
     assert not res.passed and "exponent product" in res.details

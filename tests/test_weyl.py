@@ -3,14 +3,15 @@ import pytest
 from abideal.root_system import build
 from abideal.qpoly import poly_eval_one
 from abideal import weyl
+from abideal.affine import affine_cartan_matrix
 from abideal.weyl import (
     apply_word,
     element_of_word,
-    finite_components,
     identity_matrix,
     inversion_roots,
     length_of_element,
     minimal_word_to_theta,
+    parabolic_poincare,
     reflect_simple,
     subgroup_order,
     subgroup_poincare,
@@ -108,21 +109,6 @@ def test_minimal_word_reaches_theta(each_label):
         assert len(word) == int(rs.length_to_theta(phi))
 
 
-def test_component_classification():
-    rs = build("E8")
-    # dropping one endpoint of the long chain leaves the rank-7 system
-    comps = finite_components(rs, (1, 2, 3, 4, 5, 6, 7, 8))
-    assert [c.family for c in comps] == ["E8"]
-    comps = finite_components(rs, (2, 3, 4, 5, 6, 7, 8))
-    assert [c.family for c in comps] == ["E7"]
-    comps = finite_components(rs, (1, 2, 3, 4, 5, 6, 8))
-    assert [(c.family, c.size) for c in comps] == [("A", 7)]
-
-    b5 = build("B5")
-    comps = finite_components(b5, (1, 2, 4, 5))
-    assert sorted((c.family, c.size) for c in comps) == [("A", 2), ("BC", 2)]
-
-
 def test_subgroup_order_and_positive_count():
     rs = build("B3")
     assert subgroup_order(rs, (1, 2)) == 6       # simply laced pair
@@ -134,10 +120,73 @@ def test_subgroup_order_and_positive_count():
     assert poly_eval_one(subgroup_poincare(rs, (2, 3))) == 8
 
 
+@pytest.mark.parametrize("node", ["zero", "rank + 1"])
+def test_subgroup_series_reject_nodes_outside_the_rank(node):
+    rs = build("B3")
+    nodes = (1, 0 if node == "zero" else rs.rank + 1)
+    with pytest.raises(ValueError):
+        subgroup_poincare(rs, nodes)
+    with pytest.raises(ValueError):
+        subgroup_order(rs, nodes)
+
+
+def test_subgroup_series_ignore_node_order_and_repeats():
+    rs = build("F4")
+    assert subgroup_poincare(rs, (3, 2, 3, 1, 2)) == subgroup_poincare(rs, (1, 2, 3))
+    assert subgroup_order(rs, (4, 4, 3)) == subgroup_order(rs, (3, 4)) == 6
+
+
+def test_parabolic_poincare_rejects_an_affine_diagram():
+    # letters 0..rank together do not close to a finite root system
+    rs = build("A2")
+    with pytest.raises(ValueError):
+        parabolic_poincare(affine_cartan_matrix(rs), range(rs.rank + 1))
+
+
 def test_subgroup_poincare_matches_orbit_count(small_label):
     rs = build(small_label)
     nodes = tuple(range(1, rs.rank))
-    assert poly_eval_one(subgroup_poincare(rs, nodes)) == subgroup_order(rs, nodes)
+    walked = _reference_orbit_poincare(rs, nodes)
+    assert subgroup_poincare(rs, nodes) == walked
+    assert subgroup_order(rs, nodes) == sum(walked)
+
+
+def test_exponent_product_matches_the_coset_walk_on_every_node_subset(each_label):
+    rs = build(each_label)
+    for mask in range(2 ** rs.rank):
+        nodes = tuple(i for i in range(1, rs.rank + 1) if mask >> (i - 1) & 1)
+        assert subgroup_poincare(rs, nodes) == weyl._orbit_poincare(rs, nodes), nodes
+
+
+def _label_orbit_poincare(cartan, nodes):
+    """Breadth-first walk of the orbit of the point with every Dynkin label
+    1 under the Coxeter group of the Cartan submatrix on `nodes`, keeping
+    every point seen.  The point has trivial stabilizer, so layer k holds
+    the elements of length k."""
+    sub = [[cartan[a][b] for b in nodes] for a in nodes]
+    start = (1,) * len(nodes)
+    seen = {start}
+    layer = [start]
+    counts = []
+    while layer:
+        counts.append(len(layer))
+        nxt = []
+        for point in layer:
+            for j, c in enumerate(point):
+                img = tuple(x - c * row[j] for x, row in zip(point, sub))
+                if img not in seen:
+                    seen.add(img)
+                    nxt.append(img)
+        layer = nxt
+    return tuple(counts)
+
+
+def test_exponent_product_matches_a_walk_on_every_affine_wall(small_label):
+    rs = build(small_label)
+    cartan = affine_cartan_matrix(rs)
+    for mask in range(2 ** (rs.rank + 1) - 1):
+        nodes = tuple(j for j in range(rs.rank + 1) if mask >> j & 1)
+        assert parabolic_poincare(cartan, nodes) == _label_orbit_poincare(cartan, nodes), nodes
 
 
 def _reference_orbit_poincare(rs, nodes):
