@@ -167,9 +167,8 @@ def affine_inversion_set(rs: RootSystem, word: Sequence[int]) -> Tuple[AffineRoo
     tuples (finite part, then level), with the affine Cartan matrix.
     """
     check_letters(rs, word, 0)
-    simple = [vneg(rs.theta) + (1,)] + [rs.simple_root(j) + (0,) for j in range(1, rs.rank + 1)]
     seen: Dict[Tuple[int, ...], AffineRoot] = {}
-    for beta in carry_images(affine_cartan_matrix(rs), simple, word, 0):
+    for beta in carry_images(affine_cartan_matrix(rs), list(alcove_walls(rs, ())), word, 0):
         root = AffineRoot(beta[:-1], beta[-1])
         if beta in seen:
             raise ValueError(f"affine word {tuple(word)} is not reduced: {root} repeats")
@@ -181,6 +180,20 @@ def affine_inversion_set(rs: RootSystem, word: Sequence[int]) -> Tuple[AffineRoo
 
 def affine_length(rs: RootSystem, word: Sequence[int]) -> int:
     return len(affine_inversion_set(rs, word))
+
+
+def alcove_walls(rs: RootSystem, word: Sequence[int],
+                 start: Sequence[Tuple[int, ...]] = ()) -> Tuple[Tuple[int, ...], ...]:
+    """w(beta_0), ..., w(beta_rank) as (finite part, level) integer tuples;
+    wall j of the alcove w(A) is the facet opposite its vertex of type j.
+    The final state of `weyl.carry_images`, from the affine simple roots or
+    from `start`, the walls of a prefix already walked."""
+    check_letters(rs, word, 0)
+    walls = list(start) or [vneg(rs.theta) + (1,)] + [
+        rs.simple_root(j) + (0,) for j in range(1, rs.rank + 1)]
+    for _ in carry_images(affine_cartan_matrix(rs), walls, word, 0):
+        pass
+    return tuple(walls)
 
 
 # ----------------------------------------------------------------------

@@ -159,8 +159,12 @@ def _cmd_hasse(args: argparse.Namespace) -> int:
     if args.dot == "-":
         sys.stdout.write(text)
     else:
-        with open(args.dot, "w", encoding="ascii") as fh:
-            fh.write(text)
+        try:
+            with open(args.dot, "w", encoding="ascii") as fh:
+                fh.write(text)
+        except OSError as exc:
+            sys.stderr.write(f"abideal hasse: error: cannot write {args.dot}: {exc.strerror}\n")
+            return 2
     return 0
 
 

@@ -2,19 +2,18 @@
 
 Nodes are the catalog's ideals in canonical order; an edge joins ideals
 whose bitmasks over the positive roots differ by exactly one bit, found by
-looking each one-root-smaller mask up in the catalog.  Each edge is
-labeled by the unique affine letter carrying one endpoint's group element
-to the other's, found by pulling the added root back through the lower
-endpoint's word.  A separate verification confirms the edges are exactly
-the cover relations of inclusion by a downward closure on bitsets over the
-catalog: the ideals contained in b (an AND of "ideals lacking root k" over
-the roots k outside b) must be exactly those reaching b along edges (b ORed
-with what reaches its lower neighbours).
+looking each one-root-smaller mask up in the catalog.  Each ideal is an
+alcove of the doubled alcove 2A, and the catalog holds its walls, the
+images of the affine simple roots.  An edge crosses the wall the two
+alcoves share, and its label is that wall's type in the lower alcove.  A
+separate verification confirms the edges are exactly the cover relations
+of inclusion by a downward closure on bitsets over the catalog: the ideals
+contained in b (an AND of "ideals lacking root k" over the roots k outside
+b) must be exactly those reaching b along edges (b ORed with what reaches
+its lower neighbours).
 
-Upper alcoves are found without building any affine map: the pairing of
-an alcove's vertices with theta needs only the image of the origin and
-theta pulled back through the word, two integer vector actions of
-O(rank) work per letter.
+Upper alcoves are read off the same walls: the far wall of 2A among an
+alcove's walls names the facet on it, and the vertex opposite.
 
 Automorphisms are computed on the unlabeled undirected graph: colour
 refinement from degrees alone (neighbourhood colours to a fixpoint; the
@@ -35,9 +34,8 @@ from itertools import repeat
 from math import lcm
 from typing import Dict, FrozenSet, List, Sequence, Tuple
 
-from .affine import affine_reflect, affine_simple_root, linear_reflect
+from .affine import rho_shift_in_2A
 from .ideals import (
-    CatalogEntry,
     IdealCatalog,
     InvariantViolation,
     catalog_of,
@@ -74,37 +72,23 @@ class HasseGraph:
 
 @lru_cache(maxsize=None)
 def build_graph(rs: RootSystem) -> HasseGraph:
+    """Edge j -- k when ideal k adds one root r to ideal j, labelled by the
+    index of (-r, 1) in the walls of j: element(k) = element(j) s_label."""
     cat = catalog_of(rs)
     edges: List[HasseEdge] = []
-    for k, (entry, mask) in enumerate(zip(cat.entries, cat.masks)):
+    for k, mask in enumerate(cat.masks):
         for r in mask_bits(mask):
             j = cat.index.get(mask & ~(1 << r))
             if j is None:
                 continue
-            edges.append(HasseEdge(j, k, _edge_letter(rs, cat.entries[j], entry)))
+            crossed = vneg(rs.positive_roots[r]) + (1,)
+            if crossed not in cat.walls[j]:
+                raise InvariantViolation(
+                    f"elements of adjacent ideals do not differ by one reflection "
+                    f"({cat.entries[j].coset_word} vs {cat.entries[k].coset_word})")
+            edges.append(HasseEdge(j, k, cat.walls[j].index(crossed)))
     edges.sort(key=lambda e: (e.lower, e.upper))
     return HasseGraph(rs, cat, tuple(edges))
-
-
-def _edge_letter(rs: RootSystem, low: CatalogEntry, high: CatalogEntry) -> int:
-    """The affine letter j with element(high) = element(low) * s_j.
-
-    The root r that high adds to low is the new inversion of the longer
-    word, at level one: element(low)(beta_j) = (-r, 1).  So j is read off
-    -r pulled back through low's word alone, by the letters' linear parts,
-    and compared with the finite part of each affine simple root beta_j.
-    """
-    added = high.ideal.root_set - low.ideal.root_set
-    if len(added) == 1 and high.ideal.dim == low.ideal.dim + 1:
-        target = vneg(next(iter(added)))
-        for i in low.word:
-            target = linear_reflect(rs, i, target)
-        for j in range(rs.rank + 1):
-            if affine_simple_root(rs, j).finite == target:
-                return j
-    raise InvariantViolation(
-        f"elements of adjacent ideals do not differ by one reflection "
-        f"({low.coset_word} vs {high.coset_word})")
 
 
 def verify_cover_structure(graph: HasseGraph) -> None:
@@ -179,38 +163,18 @@ class UpperAlcove:
 def upper_alcoves(rs: RootSystem) -> Tuple[UpperAlcove, ...]:
     """Alcoves in the doubled alcove with a facet on the far theta-wall.
 
-    An ideal's alcove is upper when all vertices but one pair to 1 with
-    theta; the remaining "lower" vertex always carries a long simple type.
-
-    Write the ideal's element as w = (M, w(0)).  Vertex i of w(A) pairs
-    with theta as (w(0)|theta) + (v_i|M^-1 theta), and for the vertex
-    v_i = covee_i / n_i of A that is beta_i / (2 n_i) on any beta in
-    simple-root coordinates (v_0 = 0 pairs to 0).  w(0) is the origin moved
-    by the word's letters, rightmost first; M^-1 theta is theta moved by
-    the letters' finite parts in word order, letter 0 acting as s_theta.
-    Each pairing is compared with 1 in integers, times 2 n_i form_den
-    (beta_0 = 0 and n_0 = 1 at v_0).
+    An alcove lies in 2A exactly when its rho-point does (`rho_shift_in_2A`
+    on the root sum).  Its facet on the far wall is the wall (-theta, 2);
+    the vertex opposite, the "lower" vertex, always has a long simple type.
     """
     cat = catalog_of(rs)
-    den = rs.form_den
+    far = vneg(rs.theta) + (2,)
     out: List[UpperAlcove] = []
-    for k, entry in enumerate(cat.entries):
-        origin = (0,) * rs.rank
-        for i in reversed(entry.word):
-            origin = affine_reflect(rs, i, origin)
-        pulled = rs.theta
-        for i in entry.word:
-            pulled = linear_reflect(rs, i, pulled)
-        base = rs.raw_inner(origin, rs.theta)
-        off_wall = []
-        for i, (b, n) in enumerate(zip((0,) + pulled, (1,) + rs.marks)):
-            excess = 2 * n * (base - den) + b * den
-            if excess > 0:
-                raise InvariantViolation(f"alcove vertex beyond the doubled wall at node {k}")
-            if excess:
-                off_wall.append(i)
-        if len(off_wall) == 1:
-            t = off_wall[0]
+    for k, (a, walls) in enumerate(zip(cat.ideals, cat.walls)):
+        if not rho_shift_in_2A(rs, a.root_sum(rs.rank)):
+            raise InvariantViolation(f"alcove of node {k} lies beyond the doubled wall")
+        if far in walls:
+            t = walls.index(far)
             if t == 0 or not rs.is_long(rs.simple_root(t)):
                 raise InvariantViolation(
                     f"lower vertex of upper alcove {k} has type {t}, not a long simple type")

@@ -30,12 +30,12 @@ from .affine import (
     AffineWord,
     affine_cartan_matrix,
     affine_inversion_set,
+    alcove_walls,
     coset_poincare,
     label_reflect,
     minimal_coset_reps,
     perp_generators,
     rho_shift,
-    rho_shift_in_2A,
     wall_point,
 )
 from .qpoly import poly_degree, poly_eval_one
@@ -152,6 +152,9 @@ def kostant_value(rs: RootSystem, roots: Iterable[Root]) -> Q:
 # construction from the affine parametrization
 
 def _ideal_from_affine_word(rs: RootSystem, word: AffineWord) -> AbelianIdeal:
+    """Minus the finite parts of the word's level-one inversions.  That the
+    ideal is the one the catalog attached by the word's rho-shift is the
+    `parametrization` check; `upper_alcoves` tests each alcove against 2A."""
     inv = affine_inversion_set(rs, word)
     roots = []
     for beta in inv:
@@ -166,13 +169,6 @@ def _ideal_from_affine_word(rs: RootSystem, word: AffineWord) -> AbelianIdeal:
     ideal = make_ideal(roots)
     if ideal.dim != len(word):
         raise InvariantViolation(f"parameter word {word} lost inversions")
-    if not is_abelian_ideal(rs, ideal.roots):
-        raise InvariantViolation(f"parameter word {word} does not give an abelian ideal")
-    shift = ideal.root_sum(rs.rank)
-    if rho_shift(rs, word) != shift:
-        raise InvariantViolation(f"rho point of {word} does not match the root sum")
-    if not rho_shift_in_2A(rs, shift):
-        raise InvariantViolation(f"rho point of {word} leaves the doubled alcove")
     return ideal
 
 
@@ -286,6 +282,18 @@ class IdealCatalog:
         return len(self.entries)
 
     @cached_property
+    def walls(self) -> Tuple[Tuple[Tuple[int, ...], ...], ...]:
+        """`affine.alcove_walls` of each entry's word; the prefix
+        (0,) + minimal_word_to_theta(phi) is walked once per phi."""
+        prefixes: Dict[Optional[Root], Tuple[Tuple[int, ...], ...]] = {None: ()}
+        out = []
+        for e in self.entries:
+            if e.phi not in prefixes:
+                prefixes[e.phi] = alcove_walls(self.rs, parameter_word(self.rs, e.phi, ()))
+            out.append(alcove_walls(self.rs, e.coset_word, prefixes[e.phi]))
+        return tuple(out)
+
+    @cached_property
     def holders(self) -> Tuple[int, ...]:
         """Bitsets over the catalog, one per positive root: bit k of
         holders[j] when ideal k holds root j."""
@@ -310,6 +318,8 @@ def catalog(label: str) -> IdealCatalog:
 
 def not_perp_theta(rs: RootSystem, ideal: AbelianIdeal) -> AbelianIdeal:
     """The sub-ideal of roots not orthogonal to the highest root."""
+    if not is_abelian_ideal(rs, ideal.roots):
+        raise ValueError(f"{ideal.roots} is not an abelian ideal")
     kept = [r for r in ideal.roots if r not in rs.perp_theta]
     out = make_ideal(kept)
     if not is_abelian_ideal(rs, out.roots):

@@ -96,18 +96,17 @@ def length_of_element(rs: RootSystem, m: Matrix) -> int:
     return sum(1 for phi in rs.positive_roots if sum(c * x for c, x in zip(phi, point)) < 0)
 
 
-def carry_images(cartan: Sequence[Sequence[int]], images: Sequence[tuple],
+def carry_images(cartan: Sequence[Sequence[int]], images: List[tuple],
                  word: Sequence[int], lowest: int) -> Iterator[tuple]:
     """w(beta_i) for each letter i of a word, w the prefix before it.
 
-    The images w(beta_j) of the simple roots are carried along, starting at
-    images[j - lowest] = beta_j, and appending s_i sends w(beta_j) to
-    w(beta_j) - a_ij w(beta_i), with a_ij = cartan[i - lowest][j - lowest].
-    The vectors are integer tuples of any length: the affine inversion set
-    carries the level as a last coordinate.  The shared walk of
-    `inversion_roots` and `affine.affine_inversion_set`.
+    The images w(beta_j) of the simple roots are carried along in the
+    caller's list, in place, starting at images[j - lowest] = beta_j, and
+    appending s_i sends w(beta_j) to w(beta_j) - a_ij w(beta_i), with
+    a_ij = cartan[i - lowest][j - lowest]; the list ends holding the word's
+    images.  The vectors are integer tuples of any length: affine walks
+    carry the level last.  Shared by `inversion_roots` and `affine`.
     """
-    images = list(images)
     for i in word:
         beta = images[i - lowest]
         yield beta

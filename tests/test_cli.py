@@ -146,6 +146,15 @@ def test_hasse_writes_dot(tmp_path, capsys):
     assert out.startswith("graph hasse_G2 {") and "rim" not in out
 
 
+def test_hasse_unwritable_path_is_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "out.dot"
+    code = cli.main(["hasse", "A2", "--dot", str(target)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith(f"abideal hasse: error: cannot write {target}: ")
+    assert captured.err.count("\n") == 1 and not target.exists()
+
+
 def test_hasse_dot_deterministic(tmp_path):
     a = tmp_path / "a.dot"
     b = tmp_path / "b.dot"

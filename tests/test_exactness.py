@@ -4,8 +4,9 @@
 pass if a float slipped into the arithmetic.  These tests check the types
 of the public rational quantities for every type, and scan the sources for
 float literals and the name `float`.  They also hold the hot loops of the
-facet, alcove and Kostant checks to integers: no Fraction is built inside
-a loop there, and the Fraction elimination `gauss_jordan` is gone.
+alcove walls, the Hasse edges and the facet, alcove and Kostant checks to
+integers: no Fraction is built inside a loop there, and the Fraction
+elimination `gauss_jordan` is gone.
 """
 
 import ast
@@ -73,7 +74,12 @@ def test_no_fraction_elimination_is_exported():
 
 
 _LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
-_INTEGER_LOOPS = {"hasse.py": ("facet_volume_ratios", "upper_alcoves"), "checks.py": ("check_kostant",)}
+_INTEGER_LOOPS = {
+    "affine.py": ("alcove_walls",),
+    "ideals.py": ("walls",),
+    "hasse.py": ("build_graph", "facet_volume_ratios", "upper_alcoves"),
+    "checks.py": ("check_kostant",),
+}
 
 
 def test_integer_loops_build_no_fraction():

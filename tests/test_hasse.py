@@ -11,7 +11,6 @@ from abideal.hasse import (
     HasseEdge,
     HasseGraph,
     UpperAlcove,
-    _edge_letter,
     build_graph,
     expected_facet_ratios,
     facet_volume_ratios,
@@ -22,7 +21,7 @@ from abideal.hasse import (
     upper_alcoves,
     verify_cover_structure,
 )
-from abideal.ideals import InvariantViolation, catalog_of, long_simple_nodes
+from abideal.ideals import InvariantViolation, IdealCatalog, catalog_of, long_simple_nodes, make_ideal
 from abideal.qpoly import bracket, poly_mul
 from abideal.reference import reference_hasse_group
 from abideal.root_system import build, supported_types
@@ -78,13 +77,15 @@ def test_edges_differ_by_one_generator(small_label):
         assert step == element_of_affine_word(rs, (e.letter,))
 
 
-def test_edge_letter_rejects_non_adjacent_entries():
-    rs = build("A2")
-    cat = build_graph(rs).catalog
-    zero = cat.entries[0]
-    top = next(e for e in cat.entries if e.ideal.dim == 2)
-    with pytest.raises(InvariantViolation):
-        _edge_letter(rs, zero, top)
+def test_build_graph_rejects_walls_without_the_added_root(monkeypatch):
+    # the zero ideal's walls lose beta_0 = (-theta, 1), the wall that the
+    # edge up to {theta} crosses; a copy keeps the cached graph intact
+    rs = copy.copy(build("A2"))
+    cat = IdealCatalog(rs)
+    cat.walls = (cat.walls[0][1:],) + cat.walls[1:]
+    monkeypatch.setattr(hasse, "catalog_of", lambda rs: cat)
+    with pytest.raises(InvariantViolation, match="do not differ by one reflection"):
+        build_graph(rs)
 
 
 def test_every_nonzero_node_has_a_lower_cover(small_label):
@@ -150,6 +151,17 @@ def test_upper_alcoves_match_vertex_pairings(label):
         if len(off_wall) == 1:
             expected.append(UpperAlcove(k, off_wall[0]))
     assert upper_alcoves(rs) == tuple(expected)
+
+
+def test_upper_alcoves_reject_points_outside_2A():
+    # halve the form's denominator on a copy: (rho + theta|theta) of A2 is
+    # (2 + 2) / 6, doubled in raw terms 8 against 2 * 6, and now 8 > 2 * 3,
+    # so the alcove of the ideal {theta} leaves the doubled alcove
+    rs = copy.copy(build("A2"))
+    rs.form_den //= 2
+    with pytest.raises(InvariantViolation, match="beyond the doubled wall"):
+        upper_alcoves(rs)
+    assert not _passes(check_upper_alcoves, rs)
 
 
 UPPER_MULTISETS = {"A2": [1, 2], "C2": [2, 2], "G2": [2]}
@@ -277,6 +289,16 @@ def test_parametrization_checks_the_associated_long_root(monkeypatch, label):
     res = checks.check_parametrization(build(label))
     assert not res.passed
     assert "associated long root" in res.details
+
+
+def test_parametrization_checks_the_rebuilt_ideal(monkeypatch, small_label):
+    # every rebuilt ideal loses its lowest root
+    real = checks.from_param
+    monkeypatch.setattr(checks, "from_param",
+                        lambda rs, phi, word: make_ideal(real(rs, phi, word).roots[1:]))
+    res = checks.check_parametrization(build(small_label))
+    assert not res.passed
+    assert "disagrees" in res.details
 
 
 @pytest.mark.parametrize("label", NOT_SIMPLE_THETA)

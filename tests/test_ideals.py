@@ -4,7 +4,9 @@ import random
 import pytest
 
 from abideal import ideals
+from abideal.affine import label_reflect, rho_shift, wall_point
 from abideal.ideals import (
+    IdealCatalog,
     InvariantViolation,
     _ideal_from_affine_word,
     a_max,
@@ -22,6 +24,7 @@ from abideal.ideals import (
     max_dimension,
     maximal_ideals,
     not_perp_theta,
+    parameter_word,
     projection_node,
     sum_formula_report,
 )
@@ -30,7 +33,7 @@ from abideal.reference import (
     reference_max_dimension,
     reference_max_dimension_multiplicity,
 )
-from abideal.root_system import build, vadd, vneg, vsum
+from abideal.root_system import build, supported_types, vadd, vneg, vsum
 
 
 def test_count_is_two_to_the_rank(each_label):
@@ -155,24 +158,74 @@ def test_from_param_rejects_bad_input():
         from_param(rs, theta, (1,))  # letter not orthogonal to theta
 
 
-def test_affine_word_construction_rejects_bad_words(monkeypatch):
+def test_affine_word_construction_rejects_bad_words():
     rs = build("A2")
     assert _ideal_from_affine_word(rs, (0,)).roots == (rs.theta,)
     with pytest.raises(InvariantViolation, match="level one"):
         _ideal_from_affine_word(rs, (1,))  # a finite inversion, at level zero
+
+
+def test_catalog_rejects_a_wrong_rho_shift(monkeypatch):
+    # every parameter word claims the zero ideal's rho-point; the catalog
+    # attaches parameters by rho-shift, so it is the one that must notice
     monkeypatch.setattr(ideals, "rho_shift", lambda rs, word: (0,) * rs.rank)
-    with pytest.raises(InvariantViolation, match="rho point"):
-        _ideal_from_affine_word(rs, (0,))
+    with pytest.raises(InvariantViolation, match="parametrized twice"):
+        IdealCatalog(copy.copy(build("A2")))
 
 
-def test_affine_word_construction_rejects_points_outside_2A():
-    # no word reaches the doubled-alcove test with a good inversion set, so
-    # halve the form's denominator on a copy: (rho + theta|theta) of A2 is
-    # (2 + 2) / 6, doubled in raw terms 8 against 2 * 6, and now 8 > 2 * 3
+def _label_valid_words(rs, phi):
+    """Every coset word that from_param accepts for phi: each path of
+    ascents from wall_point, depth first."""
+    gens, start = wall_point(rs, phi)
+    stack = [((), start)]
+    while stack:
+        word, point = stack.pop()
+        yield word
+        for j in gens:
+            if point[j] > 0:
+                stack.append((word + (j,), label_reflect(rs, j, point)))
+
+
+# label-valid words that are not the catalog's word for their coset
+UNHELD_WORDS = {"A6": 26, "C5": 55, "D6": 6}
+
+
+@pytest.mark.parametrize("label", [str(st) for st in supported_types(6)])
+def test_from_param_on_every_label_valid_word(label):
+    # from_param no longer re-checks its ideal; the catalog and verify see
+    # only one reduced word per coset, so every other word must still give
+    # the catalog ideal whose root sum is that word's rho-shift
+    rs = build(label)
+    cat = catalog_of(rs)
+    by_sum = {a.root_sum(rs.rank): a for a in cat.ideals}
+    held = {(e.phi, e.coset_word) for e in cat.entries}
+    unheld = 0
+    for phi in rs.long_positive_roots():
+        for word in _label_valid_words(rs, phi):
+            shift = rho_shift(rs, parameter_word(rs, phi, word))
+            assert from_param(rs, phi, word) == by_sum[shift], (phi, word)
+            unheld += (phi, word) not in held
+    assert unheld == UNHELD_WORDS.get(label, unheld)
+
+
+def test_associated_long_root_rejects_a_non_ideal():
+    rs = build("A2")
+    with pytest.raises(ValueError, match="not an abelian ideal"):
+        associated_long_root(rs, make_ideal([(1, 0)]))
+    with pytest.raises(ValueError, match="not an abelian ideal"):
+        not_perp_theta(rs, make_ideal([(1, 0)]))
+
+
+def test_associated_long_root_faults_on_valid_ideals(monkeypatch):
+    # a valid ideal that the tables cannot place is an internal fault
     rs = copy.copy(build("A2"))
-    rs.form_den //= 2
-    with pytest.raises(InvariantViolation, match="leaves the doubled alcove"):
-        _ideal_from_affine_word(rs, (0,))
+    ideal = make_ideal([(1, 0), rs.theta])
+    rs.perp_theta = frozenset([rs.theta])  # leaves {alpha_1}, not an ideal
+    with pytest.raises(InvariantViolation, match="do not form an ideal"):
+        associated_long_root(rs, ideal)
+    monkeypatch.setattr(ideals, "_a_min_table", lambda rs: {})
+    with pytest.raises(InvariantViolation, match="no long root matches"):
+        associated_long_root(build("A2"), ideal)
 
 
 def test_min_max_bracket_every_fiber(small_label):

@@ -38,6 +38,18 @@ def _is_positive(vec) -> bool:
     return all(c >= 0 for c in vec) and any(c > 0 for c in vec)
 
 
+def _column(m, i):
+    """m alpha_i: column i of m, alpha_i being the i-th basis vector."""
+    return tuple(row[i - 1] for row in m)
+
+
+def _times_reflection(rs, m, i):
+    """m s_i, a rank-one change: s_i e_j = e_j - a_ij e_i, so column j of
+    m s_i is column j of m less cartan[i-1][j-1] times column i."""
+    a = rs.cartan[i - 1]
+    return tuple(tuple(x - c * row[i - 1] for x, c in zip(row, a)) for row in m)
+
+
 def _random_reduced_word(rs, rng, max_len):
     """Grow a reduced word one letter at a time.
 
@@ -49,16 +61,12 @@ def _random_reduced_word(rs, rng, max_len):
     word = []
     target = rng.randint(0, max_len)
     while len(word) < target:
-        choices = [
-            i
-            for i in range(1, rs.rank + 1)
-            if _is_positive(mat_vec(m, rs.simple_root(i)))
-        ]
+        choices = [i for i in range(1, rs.rank + 1) if _is_positive(_column(m, i))]
         if not choices:
             break
         i = rng.choice(choices)
         word.append(i)
-        m = mat_mul(m, reflection_matrix(rs, i))
+        m = _times_reflection(rs, m, i)
     return tuple(word), m
 
 
@@ -69,9 +77,9 @@ def _descent_word(rs, m):
     cur = m
     for _ in range(n):
         for i in range(1, rs.rank + 1):
-            if not _is_positive(mat_vec(cur, rs.simple_root(i))):
+            if not _is_positive(_column(cur, i)):
                 tail_first.append(i)
-                cur = mat_mul(cur, reflection_matrix(rs, i))
+                cur = _times_reflection(rs, cur, i)
                 break
         else:
             raise AssertionError("element of positive length has no descent")

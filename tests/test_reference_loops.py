@@ -5,8 +5,10 @@ at a time.  The functions below are the algorithms it replaced: they
 re-apply the whole prefix for every letter, multiply one reflection matrix
 per letter, walk the coset words by root action with a global rho-shift
 seen-set, accept a parameter word by its inversion set and rho-shift, walk
-a parabolic subgroup's whole rho orbit, and label a Hasse edge by the
-rho-shift of the whole word low^-1 high.  The exact arithmetic that moved
+a parabolic subgroup's whole rho orbit, label a Hasse edge by the
+rho-shift of the whole word low^-1 high or by pulling the added root back
+through the lower ideal's word, and find the upper alcoves by pairing each
+alcove's vertices with theta, from the origin and theta moved by the word.  The exact arithmetic that moved
 to integers keeps its Fraction versions here: Gauss-Jordan elimination for
 determinants and inverses, facet ratios from Fraction Gram matrices, the
 Kostant sampler's set-based ideal test with Fraction Kostant values, and
@@ -33,10 +35,12 @@ from abideal.affine import (
     AffineRoot,
     affine_cartan_matrix,
     affine_inversion_set,
+    affine_reflect,
     affine_simple_root,
     inverse_word,
     fundamental_alcove_vertices,
     in_2A,
+    linear_reflect,
     minimal_coset_reps,
     perp_generators,
     rho_point,
@@ -46,12 +50,13 @@ from abideal.affine import (
 from abideal.checks import _random_non_ideal_subsets
 from abideal.hasse import (
     HasseEdge,
+    UpperAlcove,
     _anchor_order,
-    _edge_letter,
     _refine_colors,
     build_graph,
     facet_volume_ratios,
     graph_automorphisms,
+    upper_alcoves,
     verify_cover_structure,
 )
 from abideal.ideals import (
@@ -209,6 +214,48 @@ def _whole_word_edge_letter(rs, low, high):
         if affine_simple_root(rs, j).finite == target:
             return j
     raise AssertionError("not adjacent")
+
+
+def _pullback_edge_letter(rs, low, high):
+    """j with element(high) = element(low) s_j: element(low)(beta_j) is
+    (-r, 1) for the added root r, so -r pulled back through low's word by
+    the letters' linear parts is the finite part of beta_j."""
+    added = high.ideal.root_set - low.ideal.root_set
+    if len(added) == 1 and high.ideal.dim == low.ideal.dim + 1:
+        target = tuple(-c for c in next(iter(added)))
+        for i in low.word:
+            target = linear_reflect(rs, i, target)
+        for j in range(rs.rank + 1):
+            if affine_simple_root(rs, j).finite == target:
+                return j
+    raise InvariantViolation("elements of adjacent ideals do not differ by one reflection")
+
+
+def _vertex_pairing_upper_alcoves(rs):
+    """Vertex i of w(A) pairs with theta as (w(0)|theta) + (v_i|M^-1 theta),
+    with w(0) the origin moved by the word, rightmost letter first, and
+    M^-1 theta theta moved by the letters' linear parts in word order; the
+    pairings are compared with 1 in integers, times 2 n_i form_den."""
+    den = rs.form_den
+    out = []
+    for k, entry in enumerate(catalog_of(rs).entries):
+        origin = (0,) * rs.rank
+        for i in reversed(entry.word):
+            origin = affine_reflect(rs, i, origin)
+        pulled = rs.theta
+        for i in entry.word:
+            pulled = linear_reflect(rs, i, pulled)
+        base = rs.raw_inner(origin, rs.theta)
+        off_wall = []
+        for i, (b, n) in enumerate(zip((0,) + pulled, (1,) + rs.marks)):
+            excess = 2 * n * (base - den) + b * den
+            if excess > 0:
+                raise InvariantViolation(f"alcove vertex beyond the doubled wall at node {k}")
+            if excess:
+                off_wall.append(i)
+        if len(off_wall) == 1:
+            out.append(UpperAlcove(k, off_wall[0]))
+    return tuple(out)
 
 
 def _pairwise_cover_structure(graph):
@@ -479,7 +526,22 @@ def test_edge_letters_match_the_whole_word_rho_shift(label):
     graph = build_graph(rs)
     for e in graph.edges:
         low, high = graph.catalog.entries[e.lower], graph.catalog.entries[e.upper]
-        assert _edge_letter(rs, low, high) == _whole_word_edge_letter(rs, low, high) == e.letter
+        assert _whole_word_edge_letter(rs, low, high) == e.letter
+
+
+@pytest.mark.parametrize("label", EVERY_LABEL)
+def test_edge_letters_match_the_pullback(label):
+    rs = build(label)
+    graph = build_graph(rs)
+    for e in graph.edges:
+        low, high = graph.catalog.entries[e.lower], graph.catalog.entries[e.upper]
+        assert _pullback_edge_letter(rs, low, high) == e.letter
+
+
+@pytest.mark.parametrize("label", EVERY_LABEL)
+def test_upper_alcoves_match_the_vertex_pairings_of_the_word(label):
+    rs = build(label)
+    assert upper_alcoves(rs) == _vertex_pairing_upper_alcoves(rs)
 
 
 def _without_ideal(graph, drop):
