@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 from typing import Dict, List, Sequence, Tuple
 
 from .qpoly import Poly, poly
@@ -182,15 +183,12 @@ def affine_length(rs: RootSystem, word: Sequence[int]) -> int:
     return len(affine_inversion_set(rs, word))
 
 
-def alcove_walls(rs: RootSystem, word: Sequence[int],
-                 start: Sequence[Tuple[int, ...]] = ()) -> Tuple[Tuple[int, ...], ...]:
+def alcove_walls(rs: RootSystem, word: Sequence[int]) -> Tuple[Tuple[int, ...], ...]:
     """w(beta_0), ..., w(beta_rank) as (finite part, level) integer tuples;
     wall j of the alcove w(A) is the facet opposite its vertex of type j.
-    The final state of `weyl.carry_images`, from the affine simple roots or
-    from `start`, the walls of a prefix already walked."""
+    The final state of `weyl.carry_images` from the affine simple roots."""
     check_letters(rs, word, 0)
-    walls = list(start) or [vneg(rs.theta) + (1,)] + [
-        rs.simple_root(j) + (0,) for j in range(1, rs.rank + 1)]
+    walls = [vneg(rs.theta) + (1,)] + [rs.simple_root(j) + (0,) for j in range(1, rs.rank + 1)]
     for _ in carry_images(affine_cartan_matrix(rs), walls, word, 0):
         pass
     return tuple(walls)
@@ -236,10 +234,9 @@ def perp_generators(rs: RootSystem, phi: Root) -> Tuple[int, ...]:
     """Letters whose mirror contains phi: finite ones orthogonal to phi,
     plus 0 when theta is orthogonal to phi."""
     out = [0] if rs.raw_inner(rs.theta, phi) == 0 else []
-    for i in range(1, rs.rank + 1):
-        if rs.simple_coroot_pairing(phi, i) == 0:
-            out.append(i)
-    return tuple(sorted(out))
+    # <phi, alpha_i-check> is row i of the Cartan matrix applied to phi
+    out += [i for i, row in enumerate(rs.cartan, 1) if not sum(map(mul, row, phi))]
+    return tuple(out)
 
 
 def wall_point(rs: RootSystem, phi: Root) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:

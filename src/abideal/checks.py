@@ -15,7 +15,13 @@ from fractions import Fraction as Q
 from typing import Callable, Dict, List, Sequence, Tuple
 
 from . import weyl
-from .affine import affine_inversion_set, coset_poincare, perp_generators, wall_subgroup_poincare
+from .affine import (
+    affine_inversion_set,
+    coset_poincare,
+    minimal_coset_reps,
+    perp_generators,
+    wall_subgroup_poincare,
+)
 from .hasse import (
     build_graph,
     expected_facet_ratios,
@@ -28,12 +34,11 @@ from .ideals import (
     InvariantViolation,
     associated_long_root,
     catalog_of,
+    coset_tree,
     forbidden_roots,
-    from_param,
-    is_ideal_mask,
-    kostant_raw,
     long_simple_nodes,
     make_ideal,
+    mask_bits,
     max_dimension,
     maximal_ideals,
     sum_formula_report,
@@ -121,56 +126,124 @@ def check_ideal_count(rs: RootSystem) -> CheckResult:
     return _ok("ideal_count", f"{expected} abelian ideals")
 
 
-def _random_non_ideal_subsets(rs: RootSystem, rng: random.Random,
-                              count: int) -> List[Tuple[Tuple[int, ...], ...]]:
-    roots = rs.positive_roots
-    n = len(roots)
+def _random_below(rng: random.Random, n: int) -> int:
+    """Uniform in 0..n-1, by rejection from rng.getrandbits."""
+    bits = n.bit_length()
+    r = rng.getrandbits(bits)
+    while r >= n:
+        r = rng.getrandbits(bits)
+    return r
+
+
+def _random_non_ideal_masks(rs: RootSystem, rng: random.Random, count: int) -> List[int]:
+    """`count` masks over rs.positive_roots that are not ideals.  Each draw
+    takes its size k uniform in 1..n, then a uniform k-subset by Floyd's
+    algorithm (Bentley and Floyd, "A sample of brilliance", CACM 30(9),
+    1987), drawn as its complement when k > n/2; ideals are rejected by the
+    cover and conflict masks."""
+    n = rs.num_positive
     if n == 1:
         # rank one: both subsets of the single positive root are ideals
         return []
-    out: List[Tuple[Tuple[int, ...], ...]] = []
+    covers, conflicts = rs.cover_masks, rs.conflict_masks
+    full = (1 << n) - 1
+    getrandbits = rng.getrandbits
+    out: List[int] = []
     while len(out) < count:
-        k = rng.randint(1, n)
-        picked = sorted(rng.sample(range(n), k))
-        if not is_ideal_mask(rs, picked):
-            out.append(tuple(roots[i] for i in picked))
+        k = 1 + _random_below(rng, n)
+        drawn = min(k, n - k)
+        mask = 0
+        for j in range(n - drawn, n):
+            # _random_below(rng, j + 1), inlined: this is the sampler's hot loop
+            bits = (j + 1).bit_length()
+            t = getrandbits(bits)
+            while t > j:
+                t = getrandbits(bits)
+            mask |= 1 << (j if mask >> t & 1 else t)
+        if drawn < k:
+            mask ^= full
+        if any(covers[i] & ~mask or conflicts[i] & mask for i in mask_bits(mask)):
+            out.append(mask)
     return out
+
+
+def _kostant_mask_raw(rs: RootSystem) -> Callable[[int], int]:
+    """`kostant_raw` of the sum of the roots in a mask over rs.positive_roots.
+
+    Each root is packed into one integer: a field per coordinate and a last
+    field for its linear term 2 raw(rho, root), wide enough for the sum of
+    all positive roots, so sums never carry between fields.  Per-byte tables
+    hold the packed sum of every subset of eight consecutive roots, and the
+    quadratic term raw(sigma, sigma) is read off the nonzero form entries,
+    a pair (i, j) and (j, i) at once."""
+    rank, form = rs.rank, rs.form
+    fields = [root + (sum(form[j][j] * c for j, c in enumerate(root)),)
+              for root in rs.positive_roots]
+    width = max(map(sum, zip(*fields))).bit_length()
+    packed = [sum(c << (width * i) for i, c in enumerate(f)) for f in fields]
+    tables = []
+    for start in range(0, len(packed), 8):
+        chunk = packed[start:start + 8]
+        table = [0] * 256
+        for v in range(1, 1 << len(chunk)):
+            low = v & -v
+            table[v] = table[v ^ low] + chunk[low.bit_length() - 1]
+        tables.append(table)
+    nbytes = len(tables)
+    shifts = [width * i for i in range(rank + 1)]
+    field = (1 << width) - 1
+    quad = [(i, j, form[i][j] + form[j][i] if i < j else form[i][i])
+            for i in range(rank) for j in range(i, rank) if form[i][j] or form[j][i]]
+
+    def raw(mask: int) -> int:
+        total = sum(map(list.__getitem__, tables, mask.to_bytes(nbytes, "little")))
+        sigma = [total >> sh & field for sh in shifts]
+        return sigma[rank] + sum(a * sigma[i] * sigma[j] for i, j, a in quad)
+
+    return raw
 
 
 def check_kostant(rs: RootSystem, samples: int = 1000) -> CheckResult:
     """|rho + sum|^2 - |rho|^2 = dim on ideals, strictly below elsewhere;
-    both sides are compared times form_den, in integers."""
+    both sides are compared times form_den, in integers, on masks."""
     cat = catalog_of(rs)
     den = rs.form_den
-    for a in cat.ideals:
-        if kostant_raw(rs, a.root_sum(rs.rank)) != a.dim * den:
+    raw = _kostant_mask_raw(rs)
+    for a, mask in zip(cat.ideals, cat.masks):
+        if raw(mask) != a.dim * den:
             return _fail("kostant", f"equality fails on ideal {[_compact(r) for r in a.roots]}")
 
     rng = random.Random(f"kostant:{rs.simple_type}")
-    subsets = _random_non_ideal_subsets(rs, rng, samples)
-    for s in subsets:
-        if not kostant_raw(rs, tuple(map(sum, zip(*s)))) < len(s) * den:
-            return _fail("kostant", f"non-ideal subset of size {len(s)} not strictly below")
-    tail = (f"{len(subsets)} random non-ideal subsets strictly below"
-            if subsets else "no non-ideal subsets exist at rank one")
+    masks = _random_non_ideal_masks(rs, rng, samples)
+    for mask in masks:
+        size = mask.bit_count()
+        if not raw(mask) < size * den:
+            return _fail("kostant", f"non-ideal subset of size {size} not strictly below")
+    tail = (f"{len(masks)} random non-ideal subsets strictly below"
+            if masks else "no non-ideal subsets exist at rank one")
     return _ok("kostant", f"equality on {len(cat)} ideals; {tail}")
 
 
 def check_parametrization(rs: RootSystem) -> CheckResult:
     """Nonzero ideals are hit once each by (long root, minimal coset word):
-    each is rebuilt by `from_param`, its root found by `associated_long_root`."""
+    the catalog attaches each word by its rho-shift, and the word's mask in
+    `coset_tree` must be the attached ideal's; `associated_long_root` must
+    find the parameter's root."""
     cat = catalog_of(rs)
     params = set()
-    for e in cat.entries:
+    trees: Dict[Tuple[int, ...], Dict[Tuple[int, ...], int]] = {}
+    for e, mask in zip(cat.entries, cat.masks):
         if e.phi is None:
             if e.ideal.dim != 0 or e.word != ():
                 return _fail("parametrization", "unparametrized entry is not the zero ideal")
             continue
         params.add((e.phi, e.coset_word))
-        rebuilt = from_param(rs, e.phi, e.coset_word)
-        if rebuilt.root_set != e.ideal.root_set:
+        if e.phi not in trees:
+            trees[e.phi] = {w: m for w, (_, m) in
+                            zip(minimal_coset_reps(rs, e.phi), coset_tree(rs, e.phi))}
+        if trees[e.phi].get(e.coset_word) != mask:
             return _fail("parametrization",
-                         f"from_param({_compact(e.phi)}, {list(e.coset_word)}) disagrees")
+                         f"coset tree mask of ({_compact(e.phi)}, {list(e.coset_word)}) disagrees")
         assoc = associated_long_root(rs, e.ideal)
         if assoc != e.phi:
             return _fail("parametrization",

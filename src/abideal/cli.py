@@ -3,13 +3,15 @@
 Subcommands: info, ideals, verify, hasse, tables, young.  All output is
 deterministic — the same invocation always produces byte-identical text,
 JSON or DOT.  Exit codes: 0 success, 1 a verification check failed,
-2 usage error.
+2 usage error, 141 (128 + SIGPIPE) stdout closed early, as when piped into
+`head`: the rest of the output is discarded and nothing goes to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Dict, List, Optional, Sequence
 
@@ -292,7 +294,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser.error("pass exactly one of <TYPE> or --all")
     if args.command == "young" and not 1 <= args.rank <= 11:
         parser.error("rank must be between 1 and 11")
-    return args.fn(args)
+    try:
+        code = args.fn(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone: send what is still buffered, and the
+        # interpreter's final flush, to the null device
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+    return code
 
 
 if __name__ == "__main__":

@@ -16,8 +16,9 @@ the affine word
 
 whose inversion roots all sit at level one; negating their finite parts
 yields the ideal.  The catalog attaches each parameter word to the
-enumerated ideal whose root sum is the word's rho-shift; rebuilding every
-ideal from its parameter is the `parametrization` check of `verify`.
+enumerated ideal whose root sum is the word's rho-shift; reading every
+word's ideal off one walk of the coset-word tree (`coset_tree`) and
+comparing the two is the `parametrization` check of `verify`.
 """
 
 from __future__ import annotations
@@ -40,7 +41,13 @@ from .affine import (
 )
 from .qpoly import poly_degree, poly_eval_one
 from .root_system import Q, Root, RootSystem, build, vneg, vsub, vsum
-from .weyl import graph_distances, inversion_roots, minimal_word_to_theta, subgroup_positive_count
+from .weyl import (
+    carry_images,
+    graph_distances,
+    inversion_roots,
+    minimal_word_to_theta,
+    subgroup_positive_count,
+)
 
 
 class InvariantViolation(AssertionError):
@@ -152,9 +159,10 @@ def kostant_value(rs: RootSystem, roots: Iterable[Root]) -> Q:
 # construction from the affine parametrization
 
 def _ideal_from_affine_word(rs: RootSystem, word: AffineWord) -> AbelianIdeal:
-    """Minus the finite parts of the word's level-one inversions.  That the
-    ideal is the one the catalog attached by the word's rho-shift is the
-    `parametrization` check; `upper_alcoves` tests each alcove against 2A."""
+    """Minus the finite parts of the word's level-one inversions, from the
+    whole word.  `coset_tree` reads the same ideal off its parent's by one
+    letter, and `verify` compares that with the ideal the catalog attached
+    by the word's rho-shift; `upper_alcoves` tests each alcove against 2A."""
     inv = affine_inversion_set(rs, word)
     roots = []
     for beta in inv:
@@ -174,6 +182,59 @@ def _ideal_from_affine_word(rs: RootSystem, word: AffineWord) -> AbelianIdeal:
 
 def parameter_word(rs: RootSystem, phi: Root, coset_word: Sequence[int]) -> AffineWord:
     return (0,) + minimal_word_to_theta(rs, phi) + tuple(coset_word)
+
+
+Walls = Tuple[Tuple[int, ...], ...]
+
+
+def coset_tree(rs: RootSystem, phi: Root) -> Tuple[Tuple[Walls, int], ...]:
+    """Each minimal coset word's alcove walls (`affine.alcove_walls` of its
+    parameter word) and ideal mask, aligned with `minimal_coset_reps`.
+
+    The coset words form an order ideal in the weak order (Bjorner and
+    Brenti, GTM 231, 2.4), and the orbit walk builds each as its parent
+    word[:-1] plus one letter j.  So the prefix (0,) + minimal_word_to_theta(phi)
+    is walked once, and each child takes its walls from its parent's by one
+    `carry_images` letter: it crosses the parent's wall j, whose root
+    -finite(wall j) joins the parent's mask.  Every crossed wall is held to
+    `_ideal_from_affine_word`'s conditions: level one, minus a positive
+    root, and a root not yet in the mask, so the mask has one root per
+    letter.  Cached per root system instance and root."""
+    return _coset_tree_cached(rs, tuple(phi))
+
+
+@lru_cache(maxsize=None)
+def _coset_tree_cached(rs: RootSystem, phi: Root) -> Tuple[Tuple[Walls, int], ...]:
+    cartan = affine_cartan_matrix(rs)
+
+    def cross(walls: List[Tuple[int, ...]], letters: Sequence[int], mask: int,
+              word: AffineWord) -> int:
+        """Walks `letters` on `walls` in place; the mask gains each crossed
+        wall's root.  `word` names the coset word in errors."""
+        for beta in carry_images(cartan, walls, letters, 0):
+            if beta[-1] != 1:
+                raise InvariantViolation(
+                    f"wall {beta} crossed by parameter ({phi}, {word}) is not at level one")
+            k = rs.root_index.get(vneg(beta[:-1]))
+            if k is None:
+                raise InvariantViolation(
+                    f"wall {beta} crossed by parameter ({phi}, {word}) has bad finite part")
+            if mask >> k & 1:
+                raise InvariantViolation(f"parameter ({phi}, {word}) crosses the wall {beta} twice")
+            mask |= 1 << k
+        return mask
+
+    walls = list(alcove_walls(rs, ()))
+    mask = cross(walls, parameter_word(rs, phi, ()), 0, ())
+    nodes: Dict[AffineWord, Tuple[Walls, int]] = {(): (tuple(walls), mask)}
+    for word in minimal_coset_reps(rs, phi)[1:]:
+        parent = nodes.get(word[:-1])
+        if parent is None:
+            raise InvariantViolation(f"coset word {word} of {phi} has no parent in the walk")
+        walls = list(parent[0])
+        mask = cross(walls, word[-1:], parent[1], word)
+        nodes[word] = (tuple(walls), mask)
+    return tuple(nodes.values())
 
 
 def from_param(rs: RootSystem, phi: Root, coset_word: Sequence[int] = ()) -> AbelianIdeal:
@@ -282,16 +343,14 @@ class IdealCatalog:
         return len(self.entries)
 
     @cached_property
-    def walls(self) -> Tuple[Tuple[Tuple[int, ...], ...], ...]:
-        """`affine.alcove_walls` of each entry's word; the prefix
-        (0,) + minimal_word_to_theta(phi) is walked once per phi."""
-        prefixes: Dict[Optional[Root], Tuple[Tuple[int, ...], ...]] = {None: ()}
-        out = []
-        for e in self.entries:
-            if e.phi not in prefixes:
-                prefixes[e.phi] = alcove_walls(self.rs, parameter_word(self.rs, e.phi, ()))
-            out.append(alcove_walls(self.rs, e.coset_word, prefixes[e.phi]))
-        return tuple(out)
+    def walls(self) -> Tuple[Walls, ...]:
+        """`affine.alcove_walls` of each entry's word, read off `coset_tree`;
+        the zero ideal's are the affine simple roots."""
+        trees = {phi: dict(zip(minimal_coset_reps(self.rs, phi), coset_tree(self.rs, phi)))
+                 for phi in self.rs.long_positive_roots()}
+        zero = alcove_walls(self.rs, ())
+        return tuple(zero if e.phi is None else trees[e.phi][e.coset_word][0]
+                     for e in self.entries)
 
     @cached_property
     def holders(self) -> Tuple[int, ...]:

@@ -21,7 +21,7 @@ where reflect_simple is the one simple-reflection routine.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .qpoly import Poly, bracket, poly_eval_one, poly_mul, poly_prod
 from .root_system import Root, RootSystem, _positive_roots, bareiss, height_exponents, vsum
@@ -188,12 +188,22 @@ def parabolic_poincare(cartan: Sequence[Sequence[int]], nodes: Iterable[int]) ->
     Cartan submatrix on `nodes` (row indices of `cartan`, any order):
     prod [m + 1] over its exponents m (Macdonald, Math. Ann. 199 (1972)
     161-174), read off the heights of its positive roots.  The root
-    closure, not a coset walk, so `verify` can compare the two."""
+    closure, not a coset walk, so `verify` can compare the two.  Memoized
+    by the submatrix itself, so equal diagrams share one closure."""
     idx = sorted(set(nodes))
-    sub = [[cartan[a][b] for b in idx] for a in idx]
-    if bareiss(sub)[0] <= 0:  # an affine diagram would never close
+    series = _exponent_product(tuple(tuple(cartan[a][b] for b in idx) for a in idx))
+    if series is None:  # an affine diagram would never close
         raise ValueError(f"nodes {idx} do not span a finite-type diagram")
-    return poly_prod(bracket(m + 1) for m in height_exponents(_positive_roots(sub), len(idx)))
+    return series
+
+
+@lru_cache(maxsize=None)
+def _exponent_product(sub: Matrix) -> Optional[Poly]:
+    """`parabolic_poincare` of a whole Cartan matrix; None unless its
+    determinant is positive."""
+    if bareiss(sub)[0] <= 0:
+        return None
+    return poly_prod(bracket(m + 1) for m in height_exponents(_positive_roots(sub), len(sub)))
 
 
 def subgroup_poincare(rs: RootSystem, nodes: Iterable[int]) -> Poly:

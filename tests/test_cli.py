@@ -1,6 +1,9 @@
 import io
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -236,3 +239,22 @@ def test_verify_all_prints_each_type_as_it_finishes(monkeypatch):
     assert f"== {labels[-2]} ==" in at_last[0]
     assert f"== {labels[-1]} ==" not in at_last[0]
     assert out.getvalue().startswith(at_last[0])
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+@pytest.mark.parametrize("argv", [("verify", "--all", "--max-rank", "3"), ("young", "11", "--list")])
+def test_closed_stdout_exits_141_quietly(argv):
+    # stdout is a pipe whose reader is already gone, as after `| head -1`
+    # has exited: every write fails with EPIPE
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    try:
+        proc = subprocess.run([sys.executable, "-m", "abideal.cli", *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert proc.stderr == b""

@@ -4,8 +4,9 @@
 pass if a float slipped into the arithmetic.  These tests check the types
 of the public rational quantities for every type, and scan the sources for
 float literals and the name `float`.  They also hold the hot loops of the
-alcove walls, the Hasse edges and the facet, alcove and Kostant checks to
-integers: no Fraction is built inside a loop there, and the Fraction
+alcove walls and the coset-word tree, the Hasse edges, the facet and
+alcove checks, and the Kostant check with its mask sampler and mask-sum
+kernel to integers: no Fraction is built inside a loop there, and the Fraction
 elimination `gauss_jordan` is gone.
 """
 
@@ -76,9 +77,9 @@ def test_no_fraction_elimination_is_exported():
 _LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
 _INTEGER_LOOPS = {
     "affine.py": ("alcove_walls",),
-    "ideals.py": ("walls",),
+    "ideals.py": ("walls", "_coset_tree_cached"),
     "hasse.py": ("build_graph", "facet_volume_ratios", "upper_alcoves"),
-    "checks.py": ("check_kostant",),
+    "checks.py": ("check_kostant", "_kostant_mask_raw", "_random_non_ideal_masks"),
 }
 
 

@@ -21,7 +21,7 @@ from abideal.hasse import (
     upper_alcoves,
     verify_cover_structure,
 )
-from abideal.ideals import InvariantViolation, IdealCatalog, catalog_of, long_simple_nodes, make_ideal
+from abideal.ideals import InvariantViolation, IdealCatalog, catalog_of, long_simple_nodes
 from abideal.qpoly import bracket, poly_mul
 from abideal.reference import reference_hasse_group
 from abideal.root_system import build, supported_types
@@ -292,10 +292,10 @@ def test_parametrization_checks_the_associated_long_root(monkeypatch, label):
 
 
 def test_parametrization_checks_the_rebuilt_ideal(monkeypatch, small_label):
-    # every rebuilt ideal loses its lowest root
-    real = checks.from_param
-    monkeypatch.setattr(checks, "from_param",
-                        lambda rs, phi, word: make_ideal(real(rs, phi, word).roots[1:]))
+    # every mask of the coset-word tree loses its lowest root
+    real = checks.coset_tree
+    monkeypatch.setattr(checks, "coset_tree",
+                        lambda rs, phi: tuple((walls, m & (m - 1)) for walls, m in real(rs, phi)))
     res = checks.check_parametrization(build(small_label))
     assert not res.passed
     assert "disagrees" in res.details

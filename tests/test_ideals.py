@@ -14,6 +14,7 @@ from abideal.ideals import (
     a_min_plus,
     associated_long_root,
     catalog_of,
+    coset_tree,
     enumerate_all,
     forbidden_roots,
     from_param,
@@ -163,6 +164,28 @@ def test_affine_word_construction_rejects_bad_words():
     assert _ideal_from_affine_word(rs, (0,)).roots == (rs.theta,)
     with pytest.raises(InvariantViolation, match="level one"):
         _ideal_from_affine_word(rs, (1,))  # a finite inversion, at level zero
+
+
+@pytest.mark.parametrize("reps, message", [
+    (((), (0,), (0, 0)), "level one"),   # crossing wall 0 twice leaves level one
+    (((), (0, 0)), "no parent"),
+])
+def test_coset_tree_rejects_bad_words(monkeypatch, reps, message):
+    # the tree is cached per root system instance, so each case walks a copy
+    monkeypatch.setattr(ideals, "minimal_coset_reps", lambda rs, phi: reps)
+    with pytest.raises(InvariantViolation, match=message):
+        coset_tree(copy.copy(build("B2")), (1, 0))
+
+
+@pytest.mark.parametrize("index, message", [
+    (lambda rs: {r: k for r, k in rs.root_index.items() if r != rs.theta}, "bad finite part"),
+    (lambda rs: dict.fromkeys(rs.root_index, 0), "twice"),   # every root at bit 0
+])
+def test_coset_tree_rejects_walls_off_the_positive_roots(index, message):
+    rs = copy.copy(build("B2"))
+    rs.root_index = index(rs)
+    with pytest.raises(InvariantViolation, match=message):
+        coset_tree(rs, (1, 0))
 
 
 def test_catalog_rejects_a_wrong_rho_shift(monkeypatch):

@@ -17,7 +17,11 @@ keep their memoized search for theta - 2 phi as a sum of positive roots.
 The Hasse checks keep their pairwise forms: the cover test over every
 nested pair of ideals, the automorphism search seeded with BFS distance
 profiles and anchored by rescanning the whole vertex pool, and the
-maximal ideals found by comparing every pair.
+maximal ideals found by comparing every pair.  The Kostant check keeps
+the sampler it drew through, `random.sample` with vector sums of roots, and
+the coset-word tree keeps the whole-word forms it replaced: each entry's
+walls walked from the affine simple roots, and its ideal rebuilt by
+`from_param`.
 Each test requires the library to give exactly what its reference gives,
 errors included.
 """
@@ -37,6 +41,7 @@ from abideal.affine import (
     affine_inversion_set,
     affine_reflect,
     affine_simple_root,
+    alcove_walls,
     inverse_word,
     fundamental_alcove_vertices,
     in_2A,
@@ -47,7 +52,7 @@ from abideal.affine import (
     rho_shift,
     rho_shift_in_2A,
 )
-from abideal.checks import _random_non_ideal_subsets
+from abideal.checks import _kostant_mask_raw, _random_non_ideal_masks
 from abideal.hasse import (
     HasseEdge,
     UpperAlcove,
@@ -63,9 +68,11 @@ from abideal.ideals import (
     IdealCatalog,
     InvariantViolation,
     catalog_of,
+    coset_tree,
     forbidden_roots,
     from_param,
     is_abelian_ideal,
+    is_ideal_mask,
     kostant_raw,
     kostant_value,
     mask_bits,
@@ -384,6 +391,22 @@ def _sum_search_forbidden_roots(rs):
     return tuple(sorted(out, key=lambda r: (sum(r), r)))
 
 
+def _random_non_ideal_subsets(rs, rng, count):
+    """The sampler `check_kostant` drew through before bitmasks: the same
+    size law, a k-subset from random.sample, tested on indices."""
+    roots = rs.positive_roots
+    n = len(roots)
+    if n == 1:
+        return []
+    out = []
+    while len(out) < count:
+        k = rng.randint(1, n)
+        picked = sorted(rng.sample(range(n), k))
+        if not is_ideal_mask(rs, picked):
+            out.append(tuple(roots[i] for i in picked))
+    return out
+
+
 def _set_test_non_ideal_subsets(rs, rng, count):
     roots = rs.positive_roots
     n = len(roots)
@@ -655,6 +678,10 @@ def test_bareiss_matches_gauss_jordan_on_random_matrices(seed):
                 _assert_matches_gauss_jordan(m)
 
 
+def _mask_of(rs, roots):
+    return sum(1 << rs.root_index[r] for r in roots)
+
+
 def _kostant_verdicts(rs, subsets):
     new = [kostant_raw(rs, vsum(s, rs.rank)) < len(s) * rs.form_den for s in subsets]
     ref = [kostant_value(rs, s) < len(s) for s in subsets]
@@ -668,6 +695,11 @@ def test_kostant_sampler_and_verdicts_match_the_set_test(label):
     assert subsets == _set_test_non_ideal_subsets(rs, random.Random(f"kostant:{label}"), 1000)
     new, ref = _kostant_verdicts(rs, subsets)
     assert new == ref
+    # the mask kernel gives the vector sum's raw value, strictly below
+    raw = _kostant_mask_raw(rs)
+    for s in subsets:
+        value = raw(_mask_of(rs, s))
+        assert value == kostant_raw(rs, vsum(s, rs.rank)) and value < len(s) * rs.form_den, s
     ideals = catalog_of(rs).ideals
     assert ([kostant_raw(rs, a.root_sum(rs.rank)) == a.dim * rs.form_den for a in ideals]
             == [kostant_value(rs, a.roots) == a.dim for a in ideals])
@@ -680,6 +712,70 @@ def test_kostant_verdicts_match_on_a_corrupted_form(label):
     subsets = _set_test_non_ideal_subsets(rs, random.Random(f"kostant:{label}"), 200)
     new, ref = _kostant_verdicts(rs, subsets)
     assert new == ref and not all(ref)
+    raw = _kostant_mask_raw(rs)
+    assert [raw(_mask_of(rs, s)) for s in subsets] == [kostant_raw(rs, vsum(s, rs.rank)) for s in subsets]
+
+
+@pytest.mark.parametrize("label", ALL_LABELS)
+def test_mask_sampler_draws_non_ideals_of_every_size(label):
+    # 20 draws per size on average, so a missed size is not a matter of luck
+    rs = build(label)
+    n = rs.num_positive
+    masks = _random_non_ideal_masks(rs, random.Random(f"sizes:{label}"), 20 * n)
+    if n == 1:
+        assert masks == []
+        return
+    assert len(masks) == 20 * n
+    assert not any(is_ideal_mask(rs, list(mask_bits(m))) for m in masks)
+    assert {m.bit_count() for m in masks} == set(range(1, n + 1))
+    assert all(0 < m < 1 << n for m in masks)
+
+
+@pytest.mark.parametrize("label", ["B2", "G2"])
+def test_mask_sampler_reaches_every_non_ideal_subset(label):
+    # a given 3-subset of G2's six roots comes once in 120 draws, so 1000
+    # draws miss one of the twenty with probability near 1/200 (the check's
+    # own 1000 G2 draws do); 5000 draws make a miss a sampler fault
+    rs = build(label)
+    masks = _random_non_ideal_masks(rs, random.Random(f"kostant:{label}"), 5000)
+    non_ideals = set(range(1 << rs.num_positive)) - set(catalog_of(rs).masks)
+    assert set(masks) == non_ideals
+
+
+def _tree_nodes(rs):
+    """(phi, coset word) -> (walls, mask) over every long root's tree."""
+    return {(phi, word): node for phi in rs.long_positive_roots()
+            for word, node in zip(minimal_coset_reps(rs, phi), coset_tree(rs, phi))}
+
+
+@pytest.mark.parametrize("label", EVERY_LABEL)
+def test_coset_tree_matches_the_whole_word_forms(label):
+    # the walls of each entry's whole parameter word, walked from the
+    # affine simple roots, and the ideal from_param rebuilds from it
+    rs = build(label)
+    cat = catalog_of(rs)
+    nodes = _tree_nodes(rs)
+    assert len(nodes) == len(cat) - 1
+    for e, walls, mask in zip(cat.entries, cat.walls, cat.masks):
+        assert walls == alcove_walls(rs, e.word), e.word
+        if e.phi is None:
+            continue
+        assert nodes[e.phi, e.coset_word] == (walls, mask), e.word
+        assert _mask_of(rs, from_param(rs, e.phi, e.coset_word).roots) == mask, e.word
+
+
+@pytest.mark.parametrize("label", EVERY_LABEL)
+def test_coset_tree_edges_are_hasse_edges(label):
+    rs = build(label)
+    cat = catalog_of(rs)
+    position = {(e.phi, e.coset_word): k for k, e in enumerate(cat.entries)}
+    letters = {(e.lower, e.upper): e.letter for e in build_graph(rs).edges}
+    edges = 0
+    for phi, word in _tree_nodes(rs):
+        if word:
+            assert letters[position[phi, word[:-1]], position[phi, word]] == word[-1], (phi, word)
+            edges += 1
+    assert edges == len(cat) - 1 - len(rs.long_positive_roots())
 
 
 @pytest.mark.parametrize("label", ALL_LABELS)

@@ -137,10 +137,22 @@ def test_subgroup_series_ignore_node_order_and_repeats():
 
 
 def test_parabolic_poincare_rejects_an_affine_diagram():
-    # letters 0..rank together do not close to a finite root system
+    # letters 0..rank together do not close to a finite root system, on
+    # every call: the memo holds no answer for them
     rs = build("A2")
-    with pytest.raises(ValueError):
-        parabolic_poincare(affine_cartan_matrix(rs), range(rs.rank + 1))
+    for _ in range(2):
+        with pytest.raises(ValueError, match=r"nodes \[0, 1, 2\] do not span"):
+            parabolic_poincare(affine_cartan_matrix(rs), range(rs.rank + 1))
+
+
+def test_parabolic_poincare_is_memoized_by_the_submatrix():
+    # the same node set of two systems names different matrices, and so
+    # different series; equal submatrices share one
+    a2, g2 = build("A2"), build("G2")
+    assert poly_eval_one(parabolic_poincare(a2.cartan, (0, 1))) == 6
+    assert poly_eval_one(parabolic_poincare(g2.cartan, (1, 0))) == 12
+    e8 = build("E8")
+    assert parabolic_poincare(e8.cartan, (1, 0)) == parabolic_poincare(a2.cartan, (0, 1))
 
 
 def test_subgroup_poincare_matches_orbit_count(small_label):
