@@ -13,19 +13,12 @@ from .weyl import (
     inversion_roots,
     length_of_element,
     minimal_word_to_theta,
-    weyl_order,
     weyl_poincare,
 )
 from .affine import (
-    AffineElement,
     AffineRoot,
     affine_inversion_set,
-    affine_length,
-    alcove_vertices,
     coset_poincare,
-    element_of_affine_word,
-    fundamental_alcove_vertices,
-    in_2A,
     minimal_coset_reps,
 )
 from .ideals import (
@@ -53,7 +46,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "AbelianIdeal",
-    "AffineElement",
     "AffineRoot",
     "CatalogEntry",
     "CheckResult",
@@ -68,8 +60,6 @@ __all__ = [
     "WeightVector",
     "YoungDiagram",
     "affine_inversion_set",
-    "affine_length",
-    "alcove_vertices",
     "apply_word",
     "associated_long_root",
     "build",
@@ -77,15 +67,12 @@ __all__ = [
     "catalog",
     "catalog_of",
     "coset_poincare",
-    "element_of_affine_word",
     "element_of_word",
     "enumerate_all",
     "from_param",
-    "fundamental_alcove_vertices",
     "golden_a11_check",
     "hasse_automorphism_name",
     "ideal_of_young",
-    "in_2A",
     "inversion_roots",
     "is_abelian_ideal",
     "kostant_value",
@@ -101,7 +88,6 @@ __all__ = [
     "upper_alcoves",
     "verify_all",
     "verify_type",
-    "weyl_order",
     "weyl_poincare",
     "young_decode",
     "young_encode",

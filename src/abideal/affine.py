@@ -8,12 +8,10 @@ where the pairing with theta-check equals the dual Coxeter number g, so
 With this scaling every generator preserves the lattice spanned by the
 simple roots.  rho lies strictly inside the g-scaled fundamental alcove,
 since <rho, alpha_i-check> = 1 > 0 and <rho, theta-check> = g - 1 < g, so
-an element w is determined by its rho-point w(rho).  Construction
-identifies elements by rho-point and moves one point, or the rank + 1
-images of the affine simple roots, one letter at a time with vector
-actions.  An integer matrix plus an integer translation vector
-(AffineElement) is built only when a caller asks for the full affine map,
-from the images of the basis and of the origin.
+an element w is determined by its rho-point w(rho), and the package names
+it by integers alone: its rho-shift w(rho) - rho, moved one letter at a
+time, or its alcove walls, the rank + 1 images of the affine simple roots
+carried along the word.  No matrix or Fraction point is built here.
 
 Minimal coset words of a root's wall subgroup come from an orbit walk in
 extended Dynkin labels (a point's pairings with beta_0, ..., beta_rank),
@@ -23,8 +21,8 @@ Affine roots are (finite root, level) pairs; the extra simple root is
 (-theta, 1).  Positive means level > 0, or level 0 with positive finite
 part.
 
-The fundamental alcove A has vertices 0 and covee_i / n_i (n_i the marks);
-the doubled alcove 2A is cut out by dominance together with (x|theta) <= 1.
+The doubled fundamental alcove 2A is cut out by dominance together with
+(x|theta) <= 1; `rho_shift_in_2A` tests a rho-point against it.
 """
 
 from __future__ import annotations
@@ -35,16 +33,8 @@ from operator import mul
 from typing import Dict, List, Sequence, Tuple
 
 from .qpoly import Poly, poly
-from .root_system import Q, Root, RootSystem, WeightVector, vadd, vneg, vscale, vsub
-from .weyl import (
-    carry_images,
-    check_letters,
-    mat_mul,
-    mat_vec,
-    matrix_of,
-    parabolic_poincare,
-    reflect_simple,
-)
+from .root_system import Root, RootSystem, vadd, vneg, vsub
+from .weyl import carry_images, check_letters, parabolic_poincare, reflect_simple
 
 AffineWord = Tuple[int, ...]
 
@@ -62,23 +52,6 @@ class AffineRoot:
 
     def __str__(self) -> str:
         return f"({self.finite}, {self.level})"
-
-
-@dataclass(frozen=True)
-class AffineElement:
-    """x -> matrix @ x + shift, with integer entries throughout."""
-
-    matrix: Tuple[Tuple[int, ...], ...]
-    shift: Tuple[int, ...]
-
-    def __call__(self, vec: Sequence) -> tuple:
-        return vadd(mat_vec(self.matrix, vec), self.shift)
-
-    def compose(self, other: "AffineElement") -> "AffineElement":
-        return AffineElement(
-            mat_mul(self.matrix, other.matrix),
-            vadd(mat_vec(self.matrix, other.shift), self.shift),
-        )
 
 
 @lru_cache(maxsize=None)
@@ -104,18 +77,6 @@ def reflect_theta(rs: RootSystem, vec: Sequence) -> tuple:
     return tuple(x - c * t for x, t in zip(vec, rs.theta))
 
 
-def linear_reflect(rs: RootSystem, i: int, vec: Sequence) -> tuple:
-    """The linear part of generator i: s_theta for letter 0, s_i otherwise."""
-    return reflect_theta(rs, vec) if i == 0 else reflect_simple(rs, i, vec)
-
-
-def affine_reflect(rs: RootSystem, i: int, vec: Sequence) -> tuple:
-    """Generator i acting on a point: s_0(x) = s_theta(x) + g theta."""
-    if i == 0:
-        return vadd(reflect_theta(rs, vec), vscale(rs.dual_coxeter_number, rs.theta))
-    return reflect_simple(rs, i, vec)
-
-
 def rho_shift(rs: RootSystem, word: Sequence[int]) -> Root:
     """w(rho) - rho for the element named by the word, in integers, one
     letter at a time: s_i(rho + y) = rho + s_i(y) - alpha_i and
@@ -128,36 +89,6 @@ def rho_shift(rs: RootSystem, word: Sequence[int]) -> Root:
         else:
             shift = vsub(reflect_simple(rs, i, shift), rs.simple_root(i))
     return shift
-
-
-def rho_point(rs: RootSystem, word: Sequence[int]) -> WeightVector:
-    """w(rho) for the element named by the word."""
-    return vadd(rs.rho, rho_shift(rs, word))
-
-
-def element_of_affine_word(rs: RootSystem, word: Sequence[int]) -> AffineElement:
-    """The full affine map of the word: its linear part is the matrix of the
-    letters' linear parts acting on the basis, rightmost first, and its
-    shift is the image of the origin."""
-    check_letters(rs, word, 0)
-
-    def act(step, vec: Sequence) -> tuple:
-        for i in reversed(word):
-            vec = step(rs, i, vec)
-        return vec
-
-    return AffineElement(matrix_of(rs.rank, lambda e: act(linear_reflect, e)),
-                         act(affine_reflect, (0,) * rs.rank))
-
-
-def inverse_word(word: Sequence[int]) -> AffineWord:
-    return tuple(reversed(word))
-
-
-def affine_simple_root(rs: RootSystem, i: int) -> AffineRoot:
-    if i == 0:
-        return AffineRoot(tuple(-c for c in rs.theta), 1)
-    return AffineRoot(rs.simple_root(i), 0)
 
 
 def affine_inversion_set(rs: RootSystem, word: Sequence[int]) -> Tuple[AffineRoot, ...]:
@@ -179,10 +110,6 @@ def affine_inversion_set(rs: RootSystem, word: Sequence[int]) -> Tuple[AffineRoo
     return tuple(seen.values())
 
 
-def affine_length(rs: RootSystem, word: Sequence[int]) -> int:
-    return len(affine_inversion_set(rs, word))
-
-
 def alcove_walls(rs: RootSystem, word: Sequence[int]) -> Tuple[Tuple[int, ...], ...]:
     """w(beta_0), ..., w(beta_rank) as (finite part, level) integer tuples;
     wall j of the alcove w(A) is the facet opposite its vertex of type j.
@@ -194,35 +121,9 @@ def alcove_walls(rs: RootSystem, word: Sequence[int]) -> Tuple[Tuple[int, ...], 
     return tuple(walls)
 
 
-# ----------------------------------------------------------------------
-# alcoves
-
-def fundamental_alcove_vertices(rs: RootSystem) -> Tuple[WeightVector, ...]:
-    """Vertex i is covee_i / n_i; vertex 0 is the origin."""
-    zero = tuple(Q(0) for _ in range(rs.rank))
-    verts = [zero]
-    for i in range(rs.rank):
-        verts.append(vscale(Q(1, rs.marks[i]), rs.coweights[i]))
-    return tuple(verts)
-
-
-def alcove_vertices(rs: RootSystem, word_or_element) -> Tuple[WeightVector, ...]:
-    """Images of the fundamental alcove's vertices; index = vertex type."""
-    el = word_or_element if isinstance(word_or_element, AffineElement) else element_of_affine_word(rs, word_or_element)
-    return tuple(el(v) for v in fundamental_alcove_vertices(rs))
-
-
-def in_2A(rs: RootSystem, vec: Sequence) -> bool:
-    """Dominant and on the origin side of the doubled theta-wall, read from
-    the signs of <vec, alpha_i-check> and (vec|theta) <= 1 as raw_inner."""
-    if any(rs.simple_coroot_pairing(vec, i) < 0 for i in range(1, rs.rank + 1)):
-        return False
-    return rs.raw_inner(vec, rs.theta) <= rs.form_den
-
-
 def rho_shift_in_2A(rs: RootSystem, shift: Sequence[int]) -> bool:
-    """`in_2A` at rho + shift, in integers: <rho, alpha_i-check> = 1, and
-    (rho + shift|theta) <= 1 times 2 form_den."""
+    """Whether rho + shift lies in 2A, in integers: dominance from
+    <rho, alpha_i-check> = 1, and (rho + shift|theta) <= 1 times 2 form_den."""
     return (all(1 + rs.simple_coroot_pairing(shift, i) >= 0 for i in range(1, rs.rank + 1))
             and rs.twice_raw_rho(rs.theta) + 2 * rs.raw_inner(shift, rs.theta) <= 2 * rs.form_den)
 

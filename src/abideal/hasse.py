@@ -190,15 +190,17 @@ def facet_volume_ratios(rs: RootSystem) -> Tuple[Q, ...]:
 
     Facet i of the fundamental alcove is spanned by all vertices but
     vertex i; its squared (rank-1)-volume is a Gram determinant of edge
-    vectors, and the common factorial normalization cancels in ratios, as
-    does the common factor from scaling the vertices to integers and
-    reading the form as raw_inner.
+    vectors, and the common factorial normalization cancels in ratios.
+    Vertex i is covee_i / n_i, and covee_i is a positive multiple, the
+    same for every i, of column i of the form's adjugate, so the vertices
+    are taken as the integer points lcm(marks) / n_i times those columns;
+    that common factor cancels in ratios too, as does reading the form as
+    raw_inner.
     """
-    from .affine import fundamental_alcove_vertices
-
-    verts = fundamental_alcove_vertices(rs)
-    scale = lcm(*(c.denominator for v in verts for c in v))
-    points = [tuple(c.numerator * (scale // c.denominator) for c in v) for v in verts]
+    adj = bareiss(rs.form)[1]
+    scale = lcm(*rs.marks)
+    points = [(0,) * rs.rank] + [tuple(scale // n * row[i] for row in adj)
+                                 for i, n in enumerate(rs.marks)]
 
     def gram_det(skip: int) -> int:
         pts = [v for i, v in enumerate(points) if i != skip]

@@ -30,7 +30,6 @@ from typing import Collection, Dict, FrozenSet, Iterable, Iterator, List, Option
 from .affine import (
     AffineWord,
     affine_cartan_matrix,
-    affine_inversion_set,
     alcove_walls,
     coset_poincare,
     label_reflect,
@@ -151,40 +150,43 @@ def kostant_raw(rs: RootSystem, sigma: Sequence[int]) -> int:
 
 def kostant_value(rs: RootSystem, roots: Iterable[Root]) -> Q:
     """|rho + sum|^2 - |rho|^2; at most the number of roots, with equality
-    exactly on abelian ideals."""
+    exactly on abelian ideals.  Every vector must have rank coordinates."""
+    roots = tuple(roots)
+    for r in roots:
+        if len(r) != rs.rank:
+            raise ValueError(f"vector {tuple(r)} has {len(r)} coordinates, not rank {rs.rank}")
     return Q(kostant_raw(rs, vsum(roots, rs.rank)), rs.form_den)
 
 
 # ----------------------------------------------------------------------
 # construction from the affine parametrization
 
-def _ideal_from_affine_word(rs: RootSystem, word: AffineWord) -> AbelianIdeal:
-    """Minus the finite parts of the word's level-one inversions, from the
-    whole word.  `coset_tree` reads the same ideal off its parent's by one
-    letter, and `verify` compares that with the ideal the catalog attached
-    by the word's rho-shift; `upper_alcoves` tests each alcove against 2A."""
-    inv = affine_inversion_set(rs, word)
-    roots = []
-    for beta in inv:
-        if beta.level != 1:
-            raise InvariantViolation(
-                f"inversion {beta} of parameter word {word} is not at level one")
-        psi = vneg(beta.finite)
-        if not rs.is_positive_root(psi):
-            raise InvariantViolation(
-                f"inversion {beta} of parameter word {word} has bad finite part")
-        roots.append(psi)
-    ideal = make_ideal(roots)
-    if ideal.dim != len(word):
-        raise InvariantViolation(f"parameter word {word} lost inversions")
-    return ideal
-
-
 def parameter_word(rs: RootSystem, phi: Root, coset_word: Sequence[int]) -> AffineWord:
     return (0,) + minimal_word_to_theta(rs, phi) + tuple(coset_word)
 
 
 Walls = Tuple[Tuple[int, ...], ...]
+
+
+def cross_walls(rs: RootSystem, walls: List[Tuple[int, ...]], letters: Sequence[int],
+                mask: int, phi: Root, word: AffineWord) -> int:
+    """Walks `letters` on `walls` in place, by `carry_images` with the
+    affine Cartan matrix, and returns `mask` with each crossed wall's root
+    added.  A crossed wall must be at level one, minus a positive root, and
+    a root not yet in the mask, so the mask gains one root per letter;
+    (phi, word) names the parameter in errors."""
+    for beta in carry_images(affine_cartan_matrix(rs), walls, letters, 0):
+        if beta[-1] != 1:
+            raise InvariantViolation(
+                f"wall {beta} crossed by parameter ({phi}, {word}) is not at level one")
+        k = rs.root_index.get(vneg(beta[:-1]))
+        if k is None:
+            raise InvariantViolation(
+                f"wall {beta} crossed by parameter ({phi}, {word}) has bad finite part")
+        if mask >> k & 1:
+            raise InvariantViolation(f"parameter ({phi}, {word}) crosses the wall {beta} twice")
+        mask |= 1 << k
+    return mask
 
 
 def coset_tree(rs: RootSystem, phi: Root) -> Tuple[Tuple[Walls, int], ...]:
@@ -195,44 +197,23 @@ def coset_tree(rs: RootSystem, phi: Root) -> Tuple[Tuple[Walls, int], ...]:
     Brenti, GTM 231, 2.4), and the orbit walk builds each as its parent
     word[:-1] plus one letter j.  So the prefix (0,) + minimal_word_to_theta(phi)
     is walked once, and each child takes its walls from its parent's by one
-    `carry_images` letter: it crosses the parent's wall j, whose root
-    -finite(wall j) joins the parent's mask.  Every crossed wall is held to
-    `_ideal_from_affine_word`'s conditions: level one, minus a positive
-    root, and a root not yet in the mask, so the mask has one root per
-    letter.  Cached per root system instance and root."""
+    `cross_walls` letter: it crosses the parent's wall j, whose root
+    -finite(wall j) joins the parent's mask.  Cached per root system
+    instance and root."""
     return _coset_tree_cached(rs, tuple(phi))
 
 
 @lru_cache(maxsize=None)
 def _coset_tree_cached(rs: RootSystem, phi: Root) -> Tuple[Tuple[Walls, int], ...]:
-    cartan = affine_cartan_matrix(rs)
-
-    def cross(walls: List[Tuple[int, ...]], letters: Sequence[int], mask: int,
-              word: AffineWord) -> int:
-        """Walks `letters` on `walls` in place; the mask gains each crossed
-        wall's root.  `word` names the coset word in errors."""
-        for beta in carry_images(cartan, walls, letters, 0):
-            if beta[-1] != 1:
-                raise InvariantViolation(
-                    f"wall {beta} crossed by parameter ({phi}, {word}) is not at level one")
-            k = rs.root_index.get(vneg(beta[:-1]))
-            if k is None:
-                raise InvariantViolation(
-                    f"wall {beta} crossed by parameter ({phi}, {word}) has bad finite part")
-            if mask >> k & 1:
-                raise InvariantViolation(f"parameter ({phi}, {word}) crosses the wall {beta} twice")
-            mask |= 1 << k
-        return mask
-
     walls = list(alcove_walls(rs, ()))
-    mask = cross(walls, parameter_word(rs, phi, ()), 0, ())
+    mask = cross_walls(rs, walls, parameter_word(rs, phi, ()), 0, phi, ())
     nodes: Dict[AffineWord, Tuple[Walls, int]] = {(): (tuple(walls), mask)}
     for word in minimal_coset_reps(rs, phi)[1:]:
         parent = nodes.get(word[:-1])
         if parent is None:
             raise InvariantViolation(f"coset word {word} of {phi} has no parent in the walk")
         walls = list(parent[0])
-        mask = cross(walls, word[-1:], parent[1], word)
+        mask = cross_walls(rs, walls, word[-1:], parent[1], phi, word)
         nodes[word] = (tuple(walls), mask)
     return tuple(nodes.values())
 
@@ -242,7 +223,9 @@ def from_param(rs: RootSystem, phi: Root, coset_word: Sequence[int] = ()) -> Abe
 
     The word is checked on the labels of `minimal_coset_reps`' orbit walk:
     every letter is a wall letter of phi whose label is positive at the
-    point the previous letters reached."""
+    point the previous letters reached.  The parameter word is then walked
+    from the affine simple roots by `cross_walls`, and the ideal is the
+    roots of the walls it crosses."""
     phi = tuple(phi)
     if not (rs.is_positive_root(phi) and rs.is_long(phi)):
         raise ValueError(f"{phi} is not a long positive root")
@@ -254,7 +237,9 @@ def from_param(rs: RootSystem, phi: Root, coset_word: Sequence[int] = ()) -> Abe
         if point[i] <= 0:
             raise ValueError(f"{coset_word} is not a minimal coset word for {phi}")
         point = label_reflect(rs, i, point)
-    return _ideal_from_affine_word(rs, parameter_word(rs, phi, coset_word))
+    mask = cross_walls(rs, list(alcove_walls(rs, ())), parameter_word(rs, phi, coset_word),
+                       0, phi, coset_word)
+    return make_ideal(rs.positive_roots[k] for k in mask_bits(mask))
 
 
 def a_min(rs: RootSystem, phi: Root) -> AbelianIdeal:
@@ -267,25 +252,6 @@ def a_min(rs: RootSystem, phi: Root) -> AbelianIdeal:
     if ideal.dim != 1 + len(w):
         raise InvariantViolation(f"repeated roots in the minimal ideal of {phi}")
     return ideal
-
-
-def a_min_plus(rs: RootSystem, phi: Root) -> AbelianIdeal:
-    """One step above a_min: defined when phi is orthogonal to theta."""
-    phi = tuple(phi)
-    if rs.raw_inner(rs.theta, phi) != 0:
-        raise ValueError(f"{phi} is not orthogonal to the highest root")
-    return from_param(rs, phi, (0,))
-
-
-def a_max(rs: RootSystem, phi: Root) -> AbelianIdeal:
-    """Largest ideal in phi's family: the unique longest coset word."""
-    phi = tuple(phi)
-    reps = minimal_coset_reps(rs, phi)
-    top = max(len(w) for w in reps)
-    longest = [w for w in reps if len(w) == top]
-    if len(longest) != 1:
-        raise InvariantViolation(f"no unique longest coset word for {phi}")
-    return from_param(rs, phi, longest[0])
 
 
 # ----------------------------------------------------------------------
@@ -377,20 +343,33 @@ def catalog(label: str) -> IdealCatalog:
 
 def not_perp_theta(rs: RootSystem, ideal: AbelianIdeal) -> AbelianIdeal:
     """The sub-ideal of roots not orthogonal to the highest root."""
-    if not is_abelian_ideal(rs, ideal.roots):
-        raise ValueError(f"{ideal.roots} is not an abelian ideal")
-    kept = [r for r in ideal.roots if r not in rs.perp_theta]
-    out = make_ideal(kept)
-    if not is_abelian_ideal(rs, out.roots):
-        raise InvariantViolation("roots off theta's wall do not form an ideal")
-    return out
+    return make_ideal(rs.positive_roots[k] for k in mask_bits(_not_perp_theta_mask(rs, ideal)))
 
 
 @lru_cache(maxsize=None)
-def _a_min_table(rs: RootSystem) -> Dict[FrozenSet[Root], Root]:
-    table: Dict[FrozenSet[Root], Root] = {}
+def _perp_theta_mask(rs: RootSystem) -> int:
+    return sum(1 << rs.root_index[r] for r in rs.perp_theta)
+
+
+def _not_perp_theta_mask(rs: RootSystem, ideal: AbelianIdeal) -> int:
+    """`not_perp_theta` as a mask over rs.positive_roots; ValueError when
+    the input is not an abelian ideal."""
+    indices = {rs.root_index.get(tuple(r)) for r in ideal.roots}
+    if None in indices or not is_ideal_mask(rs, indices):
+        raise ValueError(f"{ideal.roots} is not an abelian ideal")
+    perp = _perp_theta_mask(rs)
+    kept = [k for k in indices if not perp >> k & 1]
+    if not is_ideal_mask(rs, kept):
+        raise InvariantViolation("roots off theta's wall do not form an ideal")
+    return sum(map((1).__lshift__, kept))
+
+
+@lru_cache(maxsize=None)
+def _a_min_table(rs: RootSystem) -> Dict[int, Root]:
+    """Each long root, keyed by the mask of its `a_min`."""
+    table: Dict[int, Root] = {}
     for phi in rs.long_positive_roots():
-        key = a_min(rs, phi).root_set
+        key = sum(1 << rs.root_index[r] for r in a_min(rs, phi).roots)
         if key in table:
             raise InvariantViolation("two long roots share a minimal ideal")
         table[key] = phi
@@ -402,9 +381,7 @@ def associated_long_root(rs: RootSystem, ideal: AbelianIdeal) -> Root:
     ideal that are off theta's wall."""
     if ideal.dim == 0:
         raise ValueError("the zero ideal has no associated long root")
-    key = not_perp_theta(rs, ideal).root_set
-    table = _a_min_table(rs)
-    phi = table.get(key)
+    phi = _a_min_table(rs).get(_not_perp_theta_mask(rs, ideal))
     if phi is None:
         raise InvariantViolation("no long root matches this ideal's theta-visible part")
     return phi

@@ -23,11 +23,6 @@ def poly(coeffs: Iterable[int]) -> Poly:
     return tuple(cs)
 
 
-def poly_add(p: Sequence[int], q: Sequence[int]) -> Poly:
-    n = max(len(p), len(q))
-    return poly((p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0) for i in range(n))
-
-
 def poly_mul(p: Sequence[int], q: Sequence[int]) -> Poly:
     if not p or not q:
         return ()
@@ -89,24 +84,3 @@ def poly_eval_one(p: Sequence[int]) -> int:
 def poly_degree(p: Sequence[int]) -> int:
     """Degree, with the zero polynomial mapped to -1."""
     return len(poly(p)) - 1
-
-
-def poly_str(p: Sequence[int]) -> str:
-    p = poly(p)
-    if not p:
-        return "0"
-    parts = []
-    for i, c in enumerate(p):
-        if not c:
-            continue
-        if i == 0:
-            parts.append(str(c))
-        else:
-            t = "t" if i == 1 else f"t^{i}"
-            if c == 1:
-                parts.append(t)
-            elif c == -1:
-                parts.append(f"-{t}")
-            else:
-                parts.append(f"{c}{t}")
-    return " + ".join(parts).replace("+ -", "- ")

@@ -287,11 +287,6 @@ class RootSystem:
         self.dual_coxeter_number = int(pairing_rho_theta) + 1
         self.form_den = self.dual_coxeter_number * theta_raw
 
-        self.coweights: Tuple[WeightVector, ...] = tuple(
-            tuple(c / self.norm2(self.simple_root(i + 1)) for c in w)
-            for i, w in enumerate(self.fundamental_weights)
-        )
-
         self._long_positive = tuple(r for r in self.positive_roots if self.is_long(r))
         self.perp_theta: FrozenSet[Root] = frozenset(
             r for r in self.positive_roots if self.raw_inner(r, self.theta) == 0)
@@ -307,10 +302,6 @@ class RootSystem:
 
     def is_positive_root(self, v: Sequence[int]) -> bool:
         return tuple(v) in self.root_index
-
-    def is_root(self, v: Sequence[int]) -> bool:
-        t = tuple(v)
-        return t in self.root_index or tuple(-c for c in t) in self.root_index
 
     def raw_inner(self, x: Sequence, y: Sequence):
         """x^T form y: form_den times (x|y); an int on integer vectors."""
@@ -391,10 +382,6 @@ def vsub(x: Sequence, y: Sequence) -> tuple:
 
 def vneg(x: Sequence) -> tuple:
     return tuple(-a for a in x)
-
-
-def vscale(c, x: Sequence) -> tuple:
-    return tuple(c * a for a in x)
 
 
 def vsum(vectors: Iterable[Sequence], rank: int) -> tuple:

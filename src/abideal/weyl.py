@@ -23,7 +23,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .qpoly import Poly, bracket, poly_eval_one, poly_mul, poly_prod
+from .qpoly import Poly, bracket, poly_mul, poly_prod
 from .root_system import Root, RootSystem, _positive_roots, bareiss, height_exponents, vsum
 
 WeylWord = Tuple[int, ...]
@@ -38,18 +38,6 @@ def matrix_of(rank: int, action: Callable[[tuple], tuple]) -> Matrix:
     """Matrix of a linear vector action (columns are images of the basis)."""
     basis = identity_matrix(rank)
     return tuple(zip(*(action(e) for e in basis)))
-
-
-def reflection_matrix(rs: RootSystem, i: int) -> Matrix:
-    """Matrix of s_i on simple-root coordinates (columns are images)."""
-    if not 1 <= i <= rs.rank:
-        raise ValueError(f"letter {i} out of range 1..{rs.rank}")
-    return matrix_of(rs.rank, lambda e: reflect_simple(rs, i, e))
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    bt = tuple(zip(*b))
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
 
 
 def mat_vec(m: Matrix, v: Sequence) -> tuple:
@@ -216,10 +204,6 @@ def subgroup_poincare(rs: RootSystem, nodes: Iterable[int]) -> Poly:
     return parabolic_poincare(rs.cartan, (i - 1 for i in nodes))
 
 
-def subgroup_order(rs: RootSystem, nodes: Iterable[int]) -> int:
-    return poly_eval_one(subgroup_poincare(rs, nodes))
-
-
 def subgroup_positive_count(rs: RootSystem, nodes: Iterable[int]) -> int:
     """Positive roots supported on the given nodes; also the longest length."""
     allowed = set(nodes)
@@ -265,10 +249,6 @@ def _orbit_poincare(rs: RootSystem, nodes: Sequence[int]) -> Poly:
             layer = nxt
         series = poly_mul(series, counts)
     return series
-
-
-def weyl_order(rs: RootSystem) -> int:
-    return subgroup_order(rs, range(1, rs.rank + 1))
 
 
 def weyl_poincare(rs: RootSystem) -> Poly:

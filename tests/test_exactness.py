@@ -4,10 +4,13 @@
 pass if a float slipped into the arithmetic.  These tests check the types
 of the public rational quantities for every type, and scan the sources for
 float literals and the name `float`.  They also hold the hot loops of the
-alcove walls and the coset-word tree, the Hasse edges, the facet and
-alcove checks, and the Kostant check with its mask sampler and mask-sum
-kernel to integers: no Fraction is built inside a loop there, and the Fraction
-elimination `gauss_jordan` is gone.
+alcove walls, the wall-crossing kernel with the coset-word tree and
+`from_param` on it, the Hasse edges, the facet and alcove checks, and the
+Kostant check with its mask sampler and mask-sum kernel to integers: no
+Fraction is built inside a loop there.  The Fraction elimination
+`gauss_jordan` is gone, and so is the matrix and Fraction picture of an
+affine element, which tests keep in `reference_impl.py`: no package module
+defines its names, and the affine and Weyl modules import no Fraction.
 """
 
 import ast
@@ -16,11 +19,14 @@ import pkgutil
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 import abideal
-from abideal.affine import fundamental_alcove_vertices
 from abideal.hasse import facet_volume_ratios
 from abideal.ideals import enumerate_all, kostant_value
-from abideal.root_system import build
+from abideal.root_system import RootSystem, build
+
+from reference_impl import fundamental_alcove_vertices
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "abideal"
 
@@ -74,10 +80,42 @@ def test_no_fraction_elimination_is_exported():
     assert [m.__name__ for m in modules if hasattr(m, "gauss_jordan")] == []
 
 
+# the matrix and Fraction picture of an affine element, now in reference_impl
+_MOVED_NAMES = (
+    "AffineElement", "element_of_affine_word", "linear_reflect", "affine_reflect",
+    "rho_point", "inverse_word", "affine_simple_root", "affine_length",
+    "fundamental_alcove_vertices", "alcove_vertices", "in_2A",
+    "reflection_matrix", "mat_mul", "weyl_order", "subgroup_order",
+    "a_max", "a_min_plus", "poly_add", "poly_str", "vscale", "_ideal_from_affine_word",
+)
+
+
+def test_no_moved_reference_is_in_the_package():
+    modules = [abideal] + [importlib.import_module(f"abideal.{m.name}")
+                           for m in pkgutil.iter_modules(abideal.__path__)]
+    offenders = [f"{m.__name__}.{name}" for m in modules
+                 for name in _MOVED_NAMES if hasattr(m, name)]
+    assert offenders == []
+    assert not hasattr(RootSystem, "is_root")
+    assert not hasattr(build("A2"), "coweights")
+
+
+@pytest.mark.parametrize("filename", ["affine.py", "weyl.py"])
+def test_affine_and_weyl_import_no_fraction(filename):
+    tree = ast.parse((SRC / filename).read_text(), filename=filename)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            imported |= {node.module or ""} | {alias.asname or alias.name for alias in node.names}
+    assert imported & {"Q", "Fraction", "fractions"} == set()
+
+
 _LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
 _INTEGER_LOOPS = {
     "affine.py": ("alcove_walls",),
-    "ideals.py": ("walls", "_coset_tree_cached"),
+    "ideals.py": ("walls", "_coset_tree_cached", "cross_walls", "from_param"),
     "hasse.py": ("build_graph", "facet_volume_ratios", "upper_alcoves"),
     "checks.py": ("check_kostant", "_kostant_mask_raw", "_random_non_ideal_masks"),
 }

@@ -1,20 +1,19 @@
 import copy
 import random
+import re
 
 import pytest
 
 from abideal import ideals
-from abideal.affine import label_reflect, rho_shift, wall_point
+from abideal.affine import alcove_walls, label_reflect, rho_shift, wall_point
 from abideal.ideals import (
     IdealCatalog,
     InvariantViolation,
-    _ideal_from_affine_word,
-    a_max,
     a_min,
-    a_min_plus,
     associated_long_root,
     catalog_of,
     coset_tree,
+    cross_walls,
     enumerate_all,
     forbidden_roots,
     from_param,
@@ -35,6 +34,8 @@ from abideal.reference import (
     reference_max_dimension_multiplicity,
 )
 from abideal.root_system import build, supported_types, vadd, vneg, vsum
+
+from reference_impl import a_max, a_min_plus
 
 
 def test_count_is_two_to_the_rank(each_label):
@@ -132,6 +133,15 @@ def test_kostant_value_matches_norms(label):
         assert kostant_value(rs, s) == rs.norm2(vadd(rs.rho, sigma)) - rs.norm2(rs.rho), s
 
 
+@pytest.mark.parametrize("vector", [(1,), (1, 0, 0), ()])
+def test_kostant_value_rejects_vectors_of_the_wrong_length(vector):
+    # a short vector was read as padded with zeros, a long one hit an IndexError
+    rs = build("A2")
+    message = f"vector {vector} has {len(vector)} coordinates, not rank 2"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        kostant_value(rs, [(1, 1), vector])
+
+
 def test_catalog_parameters_rebuild(small_label):
     rs = build(small_label)
     cat = catalog_of(rs)
@@ -161,9 +171,11 @@ def test_from_param_rejects_bad_input():
 
 def test_affine_word_construction_rejects_bad_words():
     rs = build("A2")
-    assert _ideal_from_affine_word(rs, (0,)).roots == (rs.theta,)
+    mask = cross_walls(rs, list(alcove_walls(rs, ())), (0,), 0, rs.theta, ())
+    assert mask == 1 << rs.root_index[rs.theta]
     with pytest.raises(InvariantViolation, match="level one"):
-        _ideal_from_affine_word(rs, (1,))  # a finite inversion, at level zero
+        # a finite inversion, at level zero
+        cross_walls(rs, list(alcove_walls(rs, ())), (1,), 0, rs.theta, ())
 
 
 @pytest.mark.parametrize("reps, message", [

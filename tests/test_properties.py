@@ -14,21 +14,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from abideal.affine import (
-    element_of_affine_word,
     minimal_coset_reps,
     perp_generators,
 )
-from abideal.root_system import build, vadd, vscale, vsub, vsum
+from abideal.root_system import build, vadd, vsub, vsum
 from abideal.weyl import (
     element_of_word,
     identity_matrix,
     inversion_roots,
     length_of_element,
-    mat_mul,
     mat_vec,
     minimal_word_to_theta,
-    reflection_matrix,
 )
+
+from reference_impl import element_of_affine_word, mat_mul, reflection_matrix, vscale
 
 SAMPLES = 100
 

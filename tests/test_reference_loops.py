@@ -8,20 +8,23 @@ seen-set, accept a parameter word by its inversion set and rho-shift, walk
 a parabolic subgroup's whole rho orbit, label a Hasse edge by the
 rho-shift of the whole word low^-1 high or by pulling the added root back
 through the lower ideal's word, and find the upper alcoves by pairing each
-alcove's vertices with theta, from the origin and theta moved by the word.  The exact arithmetic that moved
-to integers keeps its Fraction versions here: Gauss-Jordan elimination for
-determinants and inverses, facet ratios from Fraction Gram matrices, the
-Kostant sampler's set-based ideal test with Fraction Kostant values, and
-the doubled-alcove test at the Fraction rho-point.  The forbidden roots
-keep their memoized search for theta - 2 phi as a sum of positive roots.
-The Hasse checks keep their pairwise forms: the cover test over every
-nested pair of ideals, the automorphism search seeded with BFS distance
-profiles and anchored by rescanning the whole vertex pool, and the
-maximal ideals found by comparing every pair.  The Kostant check keeps
-the sampler it drew through, `random.sample` with vector sums of roots, and
-the coset-word tree keeps the whole-word forms it replaced: each entry's
-walls walked from the affine simple roots, and its ideal rebuilt by
-`from_param`.
+alcove's vertices with theta, from the origin and theta moved by the word.
+The exact arithmetic that moved to integers keeps its Fraction versions
+here: Gauss-Jordan elimination for determinants and inverses, facet ratios
+from Fraction Gram matrices of the Fraction alcove vertices (the library
+takes integer vertices from the form's adjugate), the Kostant sampler's
+set-based ideal test with Fraction Kostant values, and the doubled-alcove
+test at the Fraction rho-point.  The forbidden roots keep their memoized
+search for theta - 2 phi as a sum of positive roots.  The Hasse checks
+keep their pairwise forms: the cover test over every nested pair of
+ideals, the automorphism search seeded with BFS distance profiles and
+anchored by rescanning the whole vertex pool, and the maximal ideals found
+by comparing every pair.  The Kostant check keeps the sampler it drew
+through, `random.sample` with vector sums of roots, and the coset-word tree
+keeps the whole-word forms it replaced: each entry's walls walked from the
+affine simple roots, its ideal rebuilt by `from_param`, and its ideal read
+off the whole word's affine inversion set.  The matrix and Fraction picture
+of an affine element these references use lives in `reference_impl.py`.
 Each test requires the library to give exactly what its reference gives,
 errors included.
 """
@@ -39,16 +42,9 @@ from abideal.affine import (
     AffineRoot,
     affine_cartan_matrix,
     affine_inversion_set,
-    affine_reflect,
-    affine_simple_root,
     alcove_walls,
-    inverse_word,
-    fundamental_alcove_vertices,
-    in_2A,
-    linear_reflect,
     minimal_coset_reps,
     perp_generators,
-    rho_point,
     rho_shift,
     rho_shift_in_2A,
 )
@@ -78,20 +74,29 @@ from abideal.ideals import (
     mask_bits,
     maximal_ideals,
 )
-from abideal.root_system import bareiss, build, supported_types, vsub, vsum
+from abideal.root_system import bareiss, build, supported_types, vadd, vsub, vsum
 from abideal.weyl import (
     apply_word,
     element_of_word,
     identity_matrix,
     inversion_roots,
     length_of_element,
-    mat_mul,
     mat_vec,
     reflect_simple,
-    reflection_matrix,
 )
 
 from conftest import ALL_LABELS, SMALL_LABELS, corrupted_gram_copy
+from reference_impl import (
+    affine_reflect,
+    affine_simple_root,
+    fundamental_alcove_vertices,
+    ideal_from_affine_word,
+    in_2A,
+    inverse_word,
+    linear_reflect,
+    mat_mul,
+    reflection_matrix,
+)
 
 EVERY_LABEL = tuple(str(st) for st in supported_types(11))  # A1-A11 and the rest: 35 types
 SAMPLES = 40
@@ -751,7 +756,8 @@ def _tree_nodes(rs):
 @pytest.mark.parametrize("label", EVERY_LABEL)
 def test_coset_tree_matches_the_whole_word_forms(label):
     # the walls of each entry's whole parameter word, walked from the
-    # affine simple roots, and the ideal from_param rebuilds from it
+    # affine simple roots, the ideal from_param rebuilds from it, and the
+    # ideal read off the whole word's affine inversion set
     rs = build(label)
     cat = catalog_of(rs)
     nodes = _tree_nodes(rs)
@@ -762,6 +768,7 @@ def test_coset_tree_matches_the_whole_word_forms(label):
             continue
         assert nodes[e.phi, e.coset_word] == (walls, mask), e.word
         assert _mask_of(rs, from_param(rs, e.phi, e.coset_word).roots) == mask, e.word
+        assert _mask_of(rs, ideal_from_affine_word(rs, e.word).roots) == mask, e.word
 
 
 @pytest.mark.parametrize("label", EVERY_LABEL)
@@ -784,8 +791,10 @@ def test_integer_2A_test_matches_the_rho_point(label):
     verdicts = set()
     for entry in catalog_of(rs).entries:
         for word in [entry.word] + [entry.word + (j,) for j in range(rs.rank + 1)]:
-            verdict = rho_shift_in_2A(rs, rho_shift(rs, word))
-            assert verdict == in_2A(rs, rho_point(rs, word)), word
+            # one shift for both tests: the Fraction rho-point is rho + shift
+            shift = rho_shift(rs, word)
+            verdict = rho_shift_in_2A(rs, shift)
+            assert verdict == in_2A(rs, vadd(rs.rho, shift)), word
             verdicts.add(verdict)
     assert verdicts == {True, False}
 
