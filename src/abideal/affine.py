@@ -33,8 +33,8 @@ from operator import mul
 from typing import Dict, List, Sequence, Tuple
 
 from .qpoly import Poly, poly
-from .root_system import Root, RootSystem, vadd, vneg, vsub
-from .weyl import carry_images, check_letters, parabolic_poincare, reflect_simple
+from .root_system import Root, RootSystem, vneg
+from .weyl import carry_images, check_letters, parabolic_poincare
 
 AffineWord = Tuple[int, ...]
 
@@ -69,26 +69,32 @@ def affine_cartan_matrix(rs: RootSystem) -> Tuple[Tuple[int, ...], ...]:
     return tuple(tuple(pairing(b, a) for b in roots) for a in roots)
 
 
-def reflect_theta(rs: RootSystem, vec: Sequence) -> tuple:
-    """s_theta(vec), with <vec, theta-check> read off row 0 of the affine
-    Cartan matrix: <alpha_j, theta-check> = -a_0j."""
-    row = affine_cartan_matrix(rs)[0]
-    c = -sum(a * x for a, x in zip(row[1:], vec) if a)
-    return tuple(x - c * t for x, t in zip(vec, rs.theta))
+@lru_cache(maxsize=None)
+def _sparse_rows(rs: RootSystem) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
+    """The nonzero entries (j, a_{a,j+1}) of each row a of the affine Cartan
+    matrix, over the finite columns only."""
+    return tuple(tuple((j, x) for j, x in enumerate(row[1:]) if x)
+                 for row in affine_cartan_matrix(rs))
 
 
 def rho_shift(rs: RootSystem, word: Sequence[int]) -> Root:
     """w(rho) - rho for the element named by the word, in integers, one
-    letter at a time: s_i(rho + y) = rho + s_i(y) - alpha_i and
-    s_0(rho + y) = rho + s_theta(y) + theta."""
+    letter at a time from the right.  With y the shift so far and a the
+    affine Cartan matrix, s_i(rho + y) = rho + s_i(y) - alpha_i lowers
+    coordinate i by 1 + <y, alpha_i-check> = 1 + sum_j a_ij y_j, and
+    s_0(rho + y) = rho + s_theta(y) + theta adds (1 + sum_j a_0j y_j) theta,
+    as <y, theta-check> = -sum_j a_0j y_j.  Independent of the coset tree,
+    so `parametrization` can compare the two."""
     check_letters(rs, word, 0)
-    shift = (0,) * rs.rank
+    rows, theta = _sparse_rows(rs), rs.theta
+    shift = [0] * rs.rank
     for i in reversed(word):
-        if i == 0:
-            shift = vadd(reflect_theta(rs, shift), rs.theta)
+        c = 1 + sum(a * shift[j] for j, a in rows[i])
+        if i:
+            shift[i - 1] -= c
         else:
-            shift = vsub(reflect_simple(rs, i, shift), rs.simple_root(i))
-    return shift
+            shift = [y + c * t for y, t in zip(shift, theta)]
+    return tuple(shift)
 
 
 def affine_inversion_set(rs: RootSystem, word: Sequence[int]) -> Tuple[AffineRoot, ...]:

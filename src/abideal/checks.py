@@ -170,17 +170,18 @@ def _random_non_ideal_masks(rs: RootSystem, rng: random.Random, count: int) -> L
 def _kostant_mask_raw(rs: RootSystem) -> Callable[[int], int]:
     """`kostant_raw` of the sum of the roots in a mask over rs.positive_roots.
 
-    Each root is packed into one integer: a field per coordinate and a last
-    field for its linear term 2 raw(rho, root), wide enough for the sum of
-    all positive roots, so sums never carry between fields.  Per-byte tables
-    hold the packed sum of every subset of eight consecutive roots, and the
-    quadratic term raw(sigma, sigma) is read off the nonzero form entries,
-    a pair (i, j) and (j, i) at once."""
+    Each root is its packed form `rs.packed_roots`, with its linear term
+    2 raw(rho, root) added in the top field, at shift pack_width * rank:
+    the packing holds the coordinate sums of all positive roots, so sums
+    never carry between fields, `rs.unpack` reads the coordinates back,
+    and nothing lies above the top field.  Per-byte tables hold the packed
+    sum of every subset of eight consecutive roots, and the quadratic term
+    raw(sigma, sigma) is read off the nonzero form entries, a pair (i, j)
+    and (j, i) at once."""
     rank, form = rs.rank, rs.form
-    fields = [root + (sum(form[j][j] * c for j, c in enumerate(root)),)
-              for root in rs.positive_roots]
-    width = max(map(sum, zip(*fields))).bit_length()
-    packed = [sum(c << (width * i) for i, c in enumerate(f)) for f in fields]
+    top = rs.pack_width * rank
+    packed = [p + (rs.twice_raw_rho(root) << top)
+              for p, root in zip(rs.packed_roots, rs.positive_roots)]
     tables = []
     for start in range(0, len(packed), 8):
         chunk = packed[start:start + 8]
@@ -190,15 +191,14 @@ def _kostant_mask_raw(rs: RootSystem) -> Callable[[int], int]:
             table[v] = table[v ^ low] + chunk[low.bit_length() - 1]
         tables.append(table)
     nbytes = len(tables)
-    shifts = [width * i for i in range(rank + 1)]
-    field = (1 << width) - 1
+    unpack = rs.unpack
     quad = [(i, j, form[i][j] + form[j][i] if i < j else form[i][i])
             for i in range(rank) for j in range(i, rank) if form[i][j] or form[j][i]]
 
     def raw(mask: int) -> int:
         total = sum(map(list.__getitem__, tables, mask.to_bytes(nbytes, "little")))
-        sigma = [total >> sh & field for sh in shifts]
-        return sigma[rank] + sum(a * sigma[i] * sigma[j] for i, j, a in quad)
+        sigma = unpack(total)
+        return (total >> top) + sum(a * sigma[i] * sigma[j] for i, j, a in quad)
 
     return raw
 

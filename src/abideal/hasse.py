@@ -164,14 +164,15 @@ def upper_alcoves(rs: RootSystem) -> Tuple[UpperAlcove, ...]:
     """Alcoves in the doubled alcove with a facet on the far theta-wall.
 
     An alcove lies in 2A exactly when its rho-point does (`rho_shift_in_2A`
-    on the root sum).  Its facet on the far wall is the wall (-theta, 2);
-    the vertex opposite, the "lower" vertex, always has a long simple type.
+    on the root sum in `IdealCatalog.sums`).  Its facet on the far wall is
+    the wall (-theta, 2); the vertex opposite, the "lower" vertex, always
+    has a long simple type.
     """
     cat = catalog_of(rs)
     far = vneg(rs.theta) + (2,)
     out: List[UpperAlcove] = []
-    for k, (a, walls) in enumerate(zip(cat.ideals, cat.walls)):
-        if not rho_shift_in_2A(rs, a.root_sum(rs.rank)):
+    for k, (shift, walls) in enumerate(zip(cat.sums, cat.walls)):
+        if not rho_shift_in_2A(rs, shift):
             raise InvariantViolation(f"alcove of node {k} lies beyond the doubled wall")
         if far in walls:
             t = walls.index(far)

@@ -75,9 +75,6 @@ class AbelianIdeal:
     def root_sum(self, rank: int) -> Tuple[int, ...]:
         return vsum(self.roots, rank)
 
-    def sort_key(self, rank: int):
-        return (self.dim, self.root_sum(rank), self.roots)
-
     def __contains__(self, root: Sequence[int]) -> bool:
         return tuple(root) in self.root_set
 
@@ -118,25 +115,34 @@ def enumerate_all(rs: RootSystem) -> Tuple[AbelianIdeal, ...]:
     return _enumerate_masks(rs)[0]
 
 
-def _enumerate_masks(rs: RootSystem) -> Tuple[Tuple[AbelianIdeal, ...], Tuple[int, ...]]:
-    """`enumerate_all` with each ideal's mask over rs.positive_roots,
-    aligned with the ideals."""
-    roots = rs.positive_roots
+def _enumerate_masks(rs: RootSystem) -> Tuple[Tuple[AbelianIdeal, ...], Tuple[int, ...], Tuple[Root, ...]]:
+    """`enumerate_all` with each ideal's mask over rs.positive_roots and
+    its root sum, aligned with the ideals.
+
+    Every ideal is reached once, as its roots added in descending index
+    order: each prefix of that order is an ideal too, since a root's covers
+    come later in rs.positive_roots.  So the walk extends an ideal by each
+    lower root whose covers it holds and which conflicts with none of its
+    roots.  It carries the packed sum of the chosen roots
+    (`RootSystem.packed_roots`) and the roots themselves with the mask;
+    each new root goes in front, so the roots stay in index order, which
+    is already the canonical (height, coordinates) order.  Each sum is
+    unpacked once."""
+    roots, packed = rs.positive_roots, rs.packed_roots
     covers, conflicts = rs.cover_masks, rs.conflict_masks
-    found: List[int] = []
+    found: List[Tuple[int, int, Tuple[Root, ...]]] = [(0, 0, ())]
 
-    def walk(k: int, chosen: int) -> None:
-        if k < 0:
-            found.append(chosen)
-            return
-        walk(k - 1, chosen)
-        if (covers[k] & ~chosen) == 0 and (conflicts[k] & chosen) == 0:
-            walk(k - 1, chosen | (1 << k))
+    def walk(k: int, chosen: int, total: int, members: Tuple[Root, ...]) -> None:
+        for j in range(k - 1, -1, -1):
+            if not (covers[j] & ~chosen or conflicts[j] & chosen):
+                mask, sigma, grown = chosen | 1 << j, total + packed[j], (roots[j],) + members
+                found.append((mask, sigma, grown))
+                walk(j, mask, sigma, grown)
 
-    walk(len(roots) - 1, 0)
-    pairs = [(make_ideal(r for k, r in enumerate(roots) if mask >> k & 1), mask) for mask in found]
-    pairs.sort(key=lambda p: p[0].sort_key(rs.rank))
-    return tuple(a for a, _ in pairs), tuple(m for _, m in pairs)
+    walk(len(roots), 0, 0, ())
+    rows = sorted((len(members), rs.unpack(total), members, mask) for mask, total, members in found)
+    return (tuple(AbelianIdeal(r[2]) for r in rows), tuple(r[3] for r in rows),
+            tuple(r[1] for r in rows))
 
 
 # ----------------------------------------------------------------------
@@ -270,12 +276,13 @@ class IdealCatalog:
     the enumerated ideal whose root sum is the parameter word's rho-shift.
 
     `masks[k]` is ideal k's bitmask over rs.positive_roots (bit j for root
-    j), and `index` finds an ideal's position from its mask."""
+    j), `sums[k]` its root sum, and `index` finds an ideal's position from
+    its mask."""
 
     def __init__(self, rs: RootSystem) -> None:
         self.rs = rs
-        oracle, masks = _enumerate_masks(rs)
-        by_sum: Dict[Root, int] = {a.root_sum(rs.rank): k for k, a in enumerate(oracle)}
+        oracle, masks, sums = _enumerate_masks(rs)
+        by_sum: Dict[Root, int] = {s: k for k, s in enumerate(sums)}
         if len(by_sum) != len(oracle):
             raise InvariantViolation("two enumerated ideals share a root sum")
 
@@ -303,6 +310,7 @@ class IdealCatalog:
         self.entries: Tuple[CatalogEntry, ...] = tuple(entries)  # type: ignore[arg-type]
         self.ideals: Tuple[AbelianIdeal, ...] = oracle
         self.masks: Tuple[int, ...] = masks
+        self.sums: Tuple[Root, ...] = sums
         self.index: Dict[int, int] = {m: k for k, m in enumerate(masks)}
 
     def __len__(self) -> int:

@@ -226,12 +226,20 @@ class RootSystem:
     Instances are built once per type via :func:`build` and treated as
     immutable.  All rational data is exact.
 
-    Besides the roots and the form, an instance stores the root poset's
-    relations as bitmasks over indices into ``positive_roots`` (found by
-    ``root_index``): bit k of ``cover_masks[j]`` when root k is root j plus
-    a simple root, bit k of ``conflict_masks[j]`` when root j plus root k
-    (j = k included) is a root.  ``perp_theta`` holds the roots orthogonal
-    to theta.
+    Besides the roots and the form, an instance stores each positive root
+    packed into one int, ``packed_roots[k]``, with ``pack_width`` bits per
+    coordinate (coordinate i at bit pack_width * i).  The width holds the
+    coordinate sums of all positive roots, so adding packed roots never
+    carries from one field into the next: a packed sum of distinct roots
+    (or of a root with itself, or with a simple root) is the packing of the
+    vector sum, and ``unpack`` reads it back.
+
+    The root poset's relations are bitmasks over indices into
+    ``positive_roots`` (found by ``root_index``), built on the packed
+    roots: bit k of ``cover_masks[j]`` when root k is root j plus a simple
+    root, bit k of ``conflict_masks[j]`` when root j plus root k (j = k
+    included) is a root.  ``perp_theta`` holds the roots orthogonal to
+    theta.
     """
 
     def __init__(self, simple_type: SimpleType) -> None:
@@ -242,19 +250,8 @@ class RootSystem:
         self.positive_roots = _positive_roots(self.cartan)
         self._simple_roots: Tuple[Root, ...] = tuple(
             tuple(int(k == i) for k in range(l)) for i in range(l))
-        roots = self.positive_roots
-        self.root_index: Dict[Root, int] = {phi: k for k, phi in enumerate(roots)}
-        self.cover_masks: Tuple[int, ...] = tuple(
-            sum(1 << self.root_index[up] for up in (vadd(phi, a) for a in self._simple_roots)
-                if up in self.root_index)
-            for phi in roots)
-        conflicts = [0] * len(roots)
-        for j, phi in enumerate(roots):
-            for k in range(j, len(roots)):
-                if vadd(phi, roots[k]) in self.root_index:
-                    conflicts[j] |= 1 << k
-                    conflicts[k] |= 1 << j
-        self.conflict_masks: Tuple[int, ...] = tuple(conflicts)
+        self.root_index: Dict[Root, int] = {phi: k for k, phi in enumerate(self.positive_roots)}
+        self._pack(max(map(sum, zip(*self.positive_roots))).bit_length())
         self.num_positive = len(self.positive_roots)
         self.dimension = l + 2 * self.num_positive  # rank + #roots
 
@@ -287,9 +284,36 @@ class RootSystem:
         self.dual_coxeter_number = int(pairing_rho_theta) + 1
         self.form_den = self.dual_coxeter_number * theta_raw
 
-        self._long_positive = tuple(r for r in self.positive_roots if self.is_long(r))
+        self._long_positive = tuple(
+            r for r in self.positive_roots if self.raw_inner(r, r) == theta_raw)
         self.perp_theta: FrozenSet[Root] = frozenset(
             r for r in self.positive_roots if self.raw_inner(r, self.theta) == 0)
+
+    def _pack(self, width: int) -> None:
+        """Packs each positive root `width` bits per coordinate, and builds
+        the cover and conflict masks by int addition and a lookup of the
+        packed sum."""
+        shifts = [width * i for i in range(self.rank)]
+        self.pack_width = width
+        self.packed_roots: Tuple[int, ...] = tuple(
+            sum(c << sh for c, sh in zip(phi, shifts)) for phi in self.positive_roots)
+        index = {p: k for k, p in enumerate(self.packed_roots)}
+        simples = [1 << sh for sh in shifts]
+        self.cover_masks: Tuple[int, ...] = tuple(
+            sum(1 << index[p + a] for a in simples if p + a in index) for p in self.packed_roots)
+        conflicts = [0] * len(index)
+        for j, p in enumerate(self.packed_roots):
+            for k, q in enumerate(self.packed_roots[j:], j):
+                if p + q in index:
+                    conflicts[j] |= 1 << k
+                    conflicts[k] |= 1 << j
+        self.conflict_masks: Tuple[int, ...] = tuple(conflicts)
+
+    def unpack(self, packed: int) -> Root:
+        """The coordinates of a packed sum of distinct positive roots."""
+        width = self.pack_width
+        field = (1 << width) - 1
+        return tuple(packed >> (width * i) & field for i in range(self.rank))
 
     # ------------------------------------------------------------------
     # basic queries

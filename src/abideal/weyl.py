@@ -127,11 +127,14 @@ def inversion_roots(rs: RootSystem, word: Sequence[int]) -> Tuple[Root, ...]:
 def minimal_word_to_theta(rs: RootSystem, phi: Root) -> WeylWord:
     """A shortest word w with w(phi) = theta, for a long positive root phi.
 
-    Greedy: repeatedly reflect by the lowest-indexed simple root having
-    negative inner product with the current root.  Each step raises the
+    Greedy: reflect by the lowest-indexed simple root having negative
+    inner product with the current root, until theta.  Each step raises the
     distance functional by exactly one, so the word length equals
     length_to_theta(phi); the resulting group element does not depend on the
-    tie-break.  Cached per root system instance and root.
+    tie-break.  The greedy walk from phi continues as the walk from its
+    first step s_i(phi), so the word of phi is the word of s_i(phi) plus
+    (i,), one step per root (`_greedy_word`).  Only phi itself is
+    validated.  Cached per root system instance and root.
     """
     return _word_to_theta_cached(rs, tuple(phi))
 
@@ -140,17 +143,18 @@ def minimal_word_to_theta(rs: RootSystem, phi: Root) -> WeylWord:
 def _word_to_theta_cached(rs: RootSystem, phi: Root) -> WeylWord:
     if not (rs.is_positive_root(phi) and rs.is_long(phi)):
         raise ValueError(f"{phi} is not a long positive root")
-    letters: List[int] = []
-    current = phi
-    while current != rs.theta:
-        for i in range(1, rs.rank + 1):
-            if rs.simple_coroot_pairing(current, i) < 0:
-                letters.append(i)
-                current = reflect_simple(rs, i, current)
-                break
-        else:
-            raise AssertionError(f"stuck before reaching the highest root from {phi}")
-    return tuple(reversed(letters))
+    return _greedy_word(rs, phi)
+
+
+@lru_cache(maxsize=None)
+def _greedy_word(rs: RootSystem, phi: Root) -> WeylWord:
+    """`minimal_word_to_theta` of a root reached from a valid one, unchecked."""
+    if phi == rs.theta:
+        return ()
+    for i in range(1, rs.rank + 1):
+        if rs.simple_coroot_pairing(phi, i) < 0:
+            return _greedy_word(rs, reflect_simple(rs, i, phi)) + (i,)
+    raise AssertionError(f"stuck before reaching the highest root from {phi}")
 
 
 def graph_distances(adj, start: int) -> Dict[int, int]:

@@ -6,10 +6,11 @@ plus an integer translation (`AffineElement`), composed by matrix products,
 applied to Fraction points such as rho and the alcove vertices covee_i / n_i,
 with the doubled alcove 2A tested on Fraction coordinates.  They also keep
 the whole-word ideal of a parameter word, read off its affine inversion set,
-and a few helpers the package no longer needs: finite reflection matrices,
-group orders, polynomial sums and printing, the fiber extremes a_max and
-a_min_plus, scalar multiples of vectors, root membership and the
-coweights.  Tests compare the package's integer routines with these.
+and a few helpers the package no longer needs: the reflection s_theta,
+finite reflection matrices, group orders, polynomial sums and printing,
+the fiber extremes a_max and a_min_plus, scalar multiples of vectors, root
+membership and the coweights.  Tests compare the package's integer
+routines with these.
 """
 
 from __future__ import annotations
@@ -21,9 +22,9 @@ from typing import Sequence, Tuple
 from abideal.affine import (
     AffineRoot,
     AffineWord,
+    affine_cartan_matrix,
     affine_inversion_set,
     minimal_coset_reps,
-    reflect_theta,
     rho_shift,
 )
 from abideal.ideals import AbelianIdeal, InvariantViolation, from_param, make_ideal
@@ -129,6 +130,14 @@ class AffineElement:
             mat_mul(self.matrix, other.matrix),
             vadd(mat_vec(self.matrix, other.shift), self.shift),
         )
+
+
+def reflect_theta(rs: RootSystem, vec: Sequence) -> tuple:
+    """s_theta(vec), with <vec, theta-check> read off row 0 of the affine
+    Cartan matrix: <alpha_j, theta-check> = -a_0j."""
+    row = affine_cartan_matrix(rs)[0]
+    c = -sum(a * x for a, x in zip(row[1:], vec) if a)
+    return tuple(x - c * t for x, t in zip(vec, rs.theta))
 
 
 def linear_reflect(rs: RootSystem, i: int, vec: Sequence) -> tuple:

@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from abideal import ideals
+from abideal import checks, ideals
 from abideal.affine import alcove_walls, label_reflect, rho_shift, wall_point
 from abideal.ideals import (
     IdealCatalog,
@@ -206,6 +206,28 @@ def test_catalog_rejects_a_wrong_rho_shift(monkeypatch):
     monkeypatch.setattr(ideals, "rho_shift", lambda rs, word: (0,) * rs.rank)
     with pytest.raises(InvariantViolation, match="parametrized twice"):
         IdealCatalog(copy.copy(build("A2")))
+
+
+# one bit too narrow: where some ideal's root sum reaches the dropped bit,
+# the enumeration's packed sums carry; elsewhere only the Kostant sampler's
+# larger subsets do
+NARROW_SUMS_CARRY = ("A1", "A2", "A3", "C3", "G2")
+NARROW_SUMS_FIT = ("B2", "D4", "F4")
+
+
+@pytest.mark.parametrize("label", NARROW_SUMS_CARRY + NARROW_SUMS_FIT)
+def test_verify_fails_on_a_packing_one_bit_too_narrow(monkeypatch, label):
+    good = build(label)
+    narrow = copy.copy(good)
+    narrow._pack(good.pack_width - 1)
+    reach = max(max(s) for s in catalog_of(good).sums)
+    assert (reach >= 1 << narrow.pack_width) == (label in NARROW_SUMS_CARRY)
+    monkeypatch.setattr(checks, "build", lambda label: narrow)
+    failed = {r.name for r in checks.verify_type(label).results if not r.passed}
+    if label in NARROW_SUMS_CARRY:
+        assert failed & {"ideal_count", "parametrization"}
+    else:
+        assert "kostant" in failed
 
 
 def _label_valid_words(rs, phi):

@@ -23,12 +23,16 @@ by comparing every pair.  The Kostant check keeps the sampler it drew
 through, `random.sample` with vector sums of roots, and the coset-word tree
 keeps the whole-word forms it replaced: each entry's walls walked from the
 affine simple roots, its ideal rebuilt by `from_param`, and its ideal read
-off the whole word's affine inversion set.  The matrix and Fraction picture
-of an affine element these references use lives in `reference_impl.py`.
-Each test requires the library to give exactly what its reference gives,
-errors included.
+off the whole word's affine inversion set.  Cold construction keeps its
+tuple forms: the rho-shift that builds one tuple per letter, the greedy
+walk from a root all the way to theta, the cover and conflict masks from
+`vadd` sums, and the enumeration whose ideals `make_ideal` re-sorts, with
+`vsum` root sums.  The matrix and Fraction picture of an affine element
+these references use lives in `reference_impl.py`.  Each test requires the
+library to give exactly what its reference gives, errors included.
 """
 
+import copy
 import random
 from fractions import Fraction as Q
 from itertools import product
@@ -63,6 +67,7 @@ from abideal.hasse import (
 from abideal.ideals import (
     IdealCatalog,
     InvariantViolation,
+    _enumerate_masks,
     catalog_of,
     coset_tree,
     forbidden_roots,
@@ -71,17 +76,20 @@ from abideal.ideals import (
     is_ideal_mask,
     kostant_raw,
     kostant_value,
+    make_ideal,
     mask_bits,
     maximal_ideals,
 )
 from abideal.root_system import bareiss, build, supported_types, vadd, vsub, vsum
 from abideal.weyl import (
     apply_word,
+    check_letters,
     element_of_word,
     identity_matrix,
     inversion_roots,
     length_of_element,
     mat_vec,
+    minimal_word_to_theta,
     reflect_simple,
 )
 
@@ -95,6 +103,7 @@ from reference_impl import (
     inverse_word,
     linear_reflect,
     mat_mul,
+    reflect_theta,
     reflection_matrix,
 )
 
@@ -803,3 +812,131 @@ def test_integer_2A_test_matches_the_rho_point(label):
 def test_forbidden_roots_match_the_sum_search(label):
     rs = build(label)
     assert forbidden_roots(rs) == _sum_search_forbidden_roots(rs)
+
+
+# ----------------------------------------------------------------------
+# cold construction: the tuple forms that packed roots and one-step
+# recurrences replaced
+
+def _tuple_rho_shift(rs, word):
+    """One new tuple per letter: s_i(rho + y) = rho + s_i(y) - alpha_i and
+    s_0(rho + y) = rho + s_theta(y) + theta."""
+    check_letters(rs, word, 0)
+    shift = (0,) * rs.rank
+    for i in reversed(word):
+        if i == 0:
+            shift = vadd(reflect_theta(rs, shift), rs.theta)
+        else:
+            shift = vsub(reflect_simple(rs, i, shift), rs.simple_root(i))
+    return shift
+
+
+def _greedy_loop_word_to_theta(rs, phi):
+    """The whole greedy walk from phi up to theta, one reflection at a
+    time, lowest negative pairing first."""
+    letters = []
+    current = phi
+    while current != rs.theta:
+        for i in range(1, rs.rank + 1):
+            if rs.simple_coroot_pairing(current, i) < 0:
+                letters.append(i)
+                current = reflect_simple(rs, i, current)
+                break
+        else:
+            raise AssertionError(f"stuck before reaching the highest root from {phi}")
+    return tuple(reversed(letters))
+
+
+def _vadd_masks(rs):
+    """Cover and conflict masks from tuple sums looked up in root_index."""
+    roots, index = rs.positive_roots, rs.root_index
+    simples = [rs.simple_root(i) for i in range(1, rs.rank + 1)]
+    covers = tuple(sum(1 << index[up] for up in (vadd(phi, a) for a in simples) if up in index)
+                   for phi in roots)
+    conflicts = [0] * len(roots)
+    for j, phi in enumerate(roots):
+        for k in range(j, len(roots)):
+            if vadd(phi, roots[k]) in index:
+                conflicts[j] |= 1 << k
+                conflicts[k] |= 1 << j
+    return covers, tuple(conflicts)
+
+
+def _make_ideal_enumeration(rs):
+    """The inclusion search on the tuple masks without sums; each ideal
+    re-sorted by `make_ideal`, and the ideals sorted by dim, `vsum` root
+    sum and roots."""
+    covers, conflicts = _vadd_masks(rs)
+    found = []
+
+    def walk(k, chosen):
+        if k < 0:
+            found.append(chosen)
+            return
+        walk(k - 1, chosen)
+        if (covers[k] & ~chosen) == 0 and (conflicts[k] & chosen) == 0:
+            walk(k - 1, chosen | (1 << k))
+
+    walk(rs.num_positive - 1, 0)
+    pairs = [(make_ideal(r for k, r in enumerate(rs.positive_roots) if mask >> k & 1), mask)
+             for mask in found]
+    pairs.sort(key=lambda p: (p[0].dim, vsum(p[0].roots, rs.rank), p[0].roots))
+    return (tuple(a for a, _ in pairs), tuple(m for _, m in pairs),
+            tuple(vsum(a.roots, rs.rank) for a, _ in pairs))
+
+
+def _random_affine_words(rs, rng, count):
+    """Words over 0..rank of length 0..3 rank + 3, reduced or not; every
+    fourth one has a letter doubled in place."""
+    for n in range(count):
+        word = [rng.randint(0, rs.rank) for _ in range(rng.randint(0, 3 * rs.rank + 3))]
+        if word and n % 4 == 0:
+            at = rng.randrange(len(word))
+            word.insert(at, word[at])
+        yield tuple(word)
+
+
+@pytest.mark.parametrize("label", EVERY_LABEL)
+def test_rho_shift_matches_the_tuple_form(label):
+    rs = build(label)
+    for entry in catalog_of(rs).entries:
+        assert rho_shift(rs, entry.word) == _tuple_rho_shift(rs, entry.word), entry.word
+    words = list(_random_affine_words(rs, random.Random(f"rho_shift:{label}"), 4 * SAMPLES))
+    assert any(0 in w for w in words) and any(a == b for w in words for a, b in zip(w, w[1:]))
+    for word in words:
+        assert rho_shift(rs, word) == _tuple_rho_shift(rs, word), word
+    for bad in [(rs.rank + 1,), (0, -1)]:
+        with pytest.raises(ValueError, match="out of range"):
+            rho_shift(rs, bad)
+
+
+@pytest.mark.parametrize("label", EVERY_LABEL)
+def test_word_to_theta_matches_the_greedy_loop(label):
+    # on a fresh copy too, where the per-root memo starts empty
+    rs = build(label)
+    fresh = copy.copy(rs)
+    for phi in rs.long_positive_roots():
+        word = _greedy_loop_word_to_theta(rs, phi)
+        assert minimal_word_to_theta(rs, phi) == word, phi
+        assert minimal_word_to_theta(fresh, phi) == word, phi
+    for phi in set(rs.positive_roots) - set(rs.long_positive_roots()):
+        with pytest.raises(ValueError, match="not a long positive root"):
+            minimal_word_to_theta(rs, phi)
+
+
+@pytest.mark.parametrize("label", EVERY_LABEL)
+def test_packed_masks_match_the_tuple_sums(label):
+    rs = build(label)
+    assert [rs.unpack(p) for p in rs.packed_roots] == list(rs.positive_roots)
+    # the width holds the sum of all positive roots, so nothing carries
+    assert rs.unpack(sum(rs.packed_roots)) == vsum(rs.positive_roots, rs.rank)
+    assert (rs.cover_masks, rs.conflict_masks) == _vadd_masks(rs)
+
+
+@pytest.mark.parametrize("label", EVERY_LABEL)
+def test_enumeration_matches_make_ideal_and_vsum(label):
+    rs = build(label)
+    reference = _make_ideal_enumeration(rs)
+    assert _enumerate_masks(rs) == reference
+    cat = catalog_of(rs)
+    assert (cat.ideals, cat.masks, cat.sums) == reference
