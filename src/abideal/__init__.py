@@ -6,7 +6,7 @@ checks behind the ``abideal`` command.  Everything is computed over the
 rationals; there is not a single float in the package.
 """
 
-from .root_system import Q, Root, RootSystem, SimpleType, WeightVector, build, supported_types
+from .root_system import Q, Root, RootSystem, SimpleType, build, supported_types
 from .weyl import (
     apply_word,
     element_of_word,
@@ -57,7 +57,6 @@ __all__ = [
     "RootSystem",
     "SimpleType",
     "TypeReport",
-    "WeightVector",
     "YoungDiagram",
     "affine_inversion_set",
     "apply_word",

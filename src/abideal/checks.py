@@ -61,10 +61,9 @@ from .reference import (
     reference_theta_quotient,
     reference_word_to_theta,
 )
-from .root_system import RootSystem, build, supported_types, vadd, vneg
+from .root_system import RootSystem, build, supported_types, vneg
 from .weyl import (
     apply_word,
-    element_of_word,
     minimal_word_to_theta,
     subgroup_poincare,
     weyl_poincare,
@@ -95,21 +94,25 @@ def _compact(root: Sequence[int]) -> str:
 # normalization of the invariant form
 
 def check_normalization(rs: RootSystem) -> CheckResult:
-    """Five exact identities pinning the scale of the bilinear form."""
-    g = rs.dual_coxeter_number
-    rho, theta = rs.rho, rs.theta
-    rho_plus = vadd(rho, theta)
-
+    """Five exact identities pinning the scale of the bilinear form, each a
+    raw value over its denominator against the expected fraction, compared
+    cross-multiplied in integers.  Here rho is half the sum of the positive
+    roots, `rs.two_rho`; g came from <rho, alpha_i-check> = 1 on the form's
+    diagonal, so casimir and strange hold the two routes to rho together."""
+    raw, den, g = rs.raw_inner, rs.form_den, rs.dual_coxeter_number
+    two_rho, theta = rs.two_rho, rs.theta
+    theta_raw = raw(theta, theta)
+    simples = map(rs.simple_root, range(1, rs.rank + 1))
     identities = (
-        ("casimir", rs.norm2(rho_plus) - rs.norm2(rho), Q(1)),
-        ("theta_norm", rs.norm2(theta), Q(1, g)),
-        ("strange", rs.norm2(rho), Q(rs.dimension, 24)),
-        ("root_norm_sum", 2 * sum((rs.norm2(r) for r in rs.positive_roots), Q(0)), Q(rs.rank)),
-        ("mark_weighted", rs.norm2(theta)
-         + sum((n * rs.norm2(rs.simple_root(i + 1)) for i, n in enumerate(rs.marks)), Q(0)),
-         Q(1)),
+        # (rho+theta | rho+theta) - (rho | rho) = (2rho | theta) + (theta | theta)
+        ("casimir", raw(two_rho, theta) + theta_raw, den, 1, 1),
+        ("theta_norm", theta_raw, den, 1, g),
+        ("strange", raw(two_rho, two_rho), 4 * den, rs.dimension, 24),
+        ("root_norm_sum", 2 * sum(raw(r, r) for r in rs.positive_roots), den, rs.rank, 1),
+        ("mark_weighted", theta_raw + sum(n * raw(a, a) for n, a in zip(rs.marks, simples)), den, 1, 1),
     )
-    bad = [f"{name}: {got} != {want}" for name, got, want in identities if got != want]
+    bad = [f"{name}: {Q(got, got_den)} != {Q(want, want_den)}"
+           for name, got, got_den, want, want_den in identities if got * want_den != want * got_den]
     if bad:
         return _fail("normalization", "; ".join(bad))
     return _ok("normalization", f"five identities hold, 1/|theta|^2 = {g}")
@@ -286,7 +289,8 @@ def check_word_table(rs: RootSystem) -> CheckResult:
         if apply_word(rs, word, alpha) != rs.theta:
             return _fail("word_table", f"node {i}: word does not send the root to theta")
         ref = reference_word_to_theta(st, i)
-        if ref is not None and element_of_word(rs, ref) != element_of_word(rs, word):
+        # 2rho is regular, so two elements that agree on it are equal
+        if ref is not None and apply_word(rs, ref, rs.two_rho) != apply_word(rs, word, rs.two_rho):
             return _fail("word_table", f"node {i}: element differs from the tabulated word")
         checked += 1
     return _ok("word_table", f"{checked} long nodes, all words of length {g - 2}")

@@ -216,11 +216,9 @@ def facet_volume_ratios(rs: RootSystem) -> Tuple[Q, ...]:
 
 def expected_facet_ratios(rs: RootSystem) -> Tuple[Q, ...]:
     """n_i^2 |alpha_i|^2 / |theta|^2, with 1 in slot 0."""
-    out = [Q(1)]
-    for i in range(1, rs.rank + 1):
-        n_i = rs.marks[i - 1]
-        out.append(n_i * n_i * rs.norm2(rs.simple_root(i)) / rs.norm2(rs.theta))
-    return tuple(out)
+    theta_raw = rs.raw_inner(rs.theta, rs.theta)
+    return (Q(1),) + tuple(Q(n * n * rs.raw_inner(a, a), theta_raw)
+                           for n, a in zip(rs.marks, map(rs.simple_root, range(1, rs.rank + 1))))
 
 
 # ----------------------------------------------------------------------

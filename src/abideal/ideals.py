@@ -105,7 +105,7 @@ def is_abelian_ideal(rs: RootSystem, roots: Iterable[Root]) -> bool:
 def is_ideal_mask(rs: RootSystem, indices: Collection[int]) -> bool:
     """The same test on indices into rs.positive_roots, read from the root
     system's cover and conflict masks."""
-    mask = sum(map((1).__lshift__, indices))
+    mask = sum(map((1).__lshift__, set(indices)))
     return not any(rs.cover_masks[k] & ~mask or rs.conflict_masks[k] & mask for k in indices)
 
 

@@ -1,9 +1,9 @@
 """Finite irreducible root systems over exact rationals.
 
 Everything is coordinatized in the simple-root basis: a root is a tuple of
-ints, a weight a tuple of Fractions.  Node indices are 1-based in the public
-API (0 is reserved for the extra affine reflection elsewhere); coordinate
-tuples are ordinary 0-based Python data.
+ints.  Node indices are 1-based in the public API (0 is reserved for the
+extra affine reflection elsewhere); coordinate tuples are ordinary 0-based
+Python data.
 
 The invariant inner product is normalized so the highest root theta has
 squared length 1/g, where g is the dual Coxeter number.  It is stored once,
@@ -12,7 +12,9 @@ over the single integer denominator form_den = g (theta|theta)_raw, so
 
     (x|y) = sum_ij x_i form[i][j] y_j / form_den.
 
-Sums run over integers (or over rho's half-integers).  Sign and zero tests,
+rho enters only as 2 rho, the integer sum of the positive roots
+(`two_rho`), and through <rho, alpha_i-check> = 1, which reads 2 (rho|x)
+off the form's diagonal (`twice_raw_rho`).  Sums, sign and zero tests,
 and determinants and adjugates from the one fraction-free elimination
 `bareiss`, stay in the integers; a Fraction is built only where a value
 leaves the package.  The global rescaling puts the classical identities
@@ -24,8 +26,9 @@ into denominator-free shape:
     sum_{all roots phi} (phi | phi) = rank
     (theta | theta) + sum_i n_i (alpha_i | alpha_i) = 1
 
-The constructor only *uses* the first normalization (it fixes the scale);
-the rest are theorems and live in the test suite and the `verify` command.
+The constructor only *uses* the first normalization (it fixes the scale,
+through <rho, theta-check> = g - 1); the rest are theorems and live in the
+test suite and the `verify` command.
 """
 
 from __future__ import annotations
@@ -34,14 +37,13 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd
 from operator import mul
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 Q = Fraction
 
 Root = Tuple[int, ...]
-WeightVector = Tuple[Q, ...]
 
 _RANK_BOUNDS = {"A": (1, 11), "B": (2, 8), "C": (2, 8), "D": (4, 8), "E": (6, 8), "F": (4, 4), "G": (2, 2)}
 
@@ -199,32 +201,34 @@ def bareiss(matrix: Sequence[Sequence[int]]) -> Tuple[int, Optional[Tuple[Tuple[
 
 
 def _symmetrizer(cartan: Sequence[Sequence[int]]) -> Tuple[int, ...]:
-    """Minimal positive integers d with d_i a_ij = d_j a_ji."""
+    """Minimal positive integers d with d_i a_ij = d_j a_ji, spread from
+    node 0 by d_j = d_i a_ij / a_ji, rescaling every value found so far
+    when that quotient is not whole."""
     l = len(cartan)
-    d: List[Q] = [Q(0)] * l
-    d[0] = Q(1)
+    d = [0] * l
+    d[0] = 1
     todo = [0]
-    seen = {0}
     while todo:
         i = todo.pop()
         for j in range(l):
-            if j not in seen and cartan[i][j]:
-                d[j] = d[i] * cartan[i][j] / cartan[j][i]
-                seen.add(j)
+            if not d[j] and cartan[i][j]:
+                num, den = d[i] * cartan[i][j], cartan[j][i]
+                scale = abs(den) // gcd(num, den)
+                d = [x * scale for x in d]
+                d[j] = num * scale // den
                 todo.append(j)
-    if len(seen) != l:
+    if not all(d):
         raise ValueError("Cartan matrix is not connected")
-    mult = lcm(*(x.denominator for x in d))
-    ints = [int(x * mult) for x in d]
-    g = gcd(*ints)
-    return tuple(x // g for x in ints)
+    g = gcd(*d)
+    return tuple(x // g for x in d)
 
 
 class RootSystem:
     """One finite irreducible root system with its normalized inner product.
 
     Instances are built once per type via :func:`build` and treated as
-    immutable.  All rational data is exact.
+    immutable.  All rational data is exact.  ``two_rho`` is 2 rho, the sum
+    of the positive roots.
 
     Besides the roots and the form, an instance stores each positive root
     packed into one int, ``packed_roots[k]``, with ``pack_width`` bits per
@@ -263,12 +267,7 @@ class RootSystem:
 
         self.exponents = height_exponents(self.positive_roots, l)
 
-        det, adj = bareiss(self.cartan)
-        # fundamental_weights[i] solves <w, alpha_j-check> = delta_{ij} (0-based here)
-        self.fundamental_weights: Tuple[WeightVector, ...] = tuple(
-            tuple(Q(adj[r][c], det) for r in range(l)) for c in range(l)
-        )
-        self.rho: WeightVector = tuple(sum(col) for col in zip(*self.fundamental_weights))
+        self.two_rho: Root = vsum(self.positive_roots, l)
 
         d = _symmetrizer(self.cartan)
         self.form: Tuple[Tuple[int, ...], ...] = tuple(
@@ -278,10 +277,10 @@ class RootSystem:
             raise AssertionError("symmetrizer failed")
 
         theta_raw = self.raw_inner(self.theta, self.theta)
-        pairing_rho_theta = Q(2 * self.raw_inner(self.rho, self.theta), theta_raw)
-        if pairing_rho_theta.denominator != 1:
+        pairing_rho_theta, rest = divmod(self.twice_raw_rho(self.theta), theta_raw)
+        if rest:
             raise AssertionError("<rho, theta-check> is not an integer")
-        self.dual_coxeter_number = int(pairing_rho_theta) + 1
+        self.dual_coxeter_number = pairing_rho_theta + 1
         self.form_den = self.dual_coxeter_number * theta_raw
 
         self._long_positive = tuple(
@@ -339,17 +338,6 @@ class RootSystem:
         """2 raw(rho, x) from the form's diagonal, as raw(rho, alpha_j) = d_j."""
         return sum(row[j] * c for j, (row, c) in enumerate(zip(self.form, x)) if c)
 
-    def inner(self, x: Sequence, y: Sequence) -> Q:
-        """Normalized invariant form (x|y)."""
-        return Q(self.raw_inner(x, y), self.form_den)
-
-    def norm2(self, x: Sequence) -> Q:
-        return self.inner(x, x)
-
-    def coroot_pairing(self, lam: Sequence, phi: Sequence[int]) -> Q:
-        """<lam, phi-check> = 2 (lam|phi) / (phi|phi)."""
-        return Q(2 * self.raw_inner(lam, phi), self.raw_inner(phi, phi))
-
     def simple_coroot_pairing(self, phi: Sequence, j: int):
         """<phi, alpha_j-check> from the Cartan row alone; an int on integer
         coordinates."""
@@ -361,10 +349,6 @@ class RootSystem:
     def long_positive_roots(self) -> Tuple[Root, ...]:
         return self._long_positive
 
-    def level(self, lam: Sequence) -> Q:
-        """<lam, theta-check> = 2 g (lam|theta) under this normalization."""
-        return self.coroot_pairing(lam, self.theta)
-
     def length_to_theta(self, phi: Sequence[int]) -> Q:
         """Distance functional 2 (theta - phi | rho) / (theta|theta).
 
@@ -373,7 +357,7 @@ class RootSystem:
         reflections carrying phi to theta.
         """
         diff = tuple(t - p for t, p in zip(self.theta, phi))
-        return Q(2 * self.dual_coxeter_number * self.raw_inner(self.rho, diff), self.form_den)
+        return Q(self.twice_raw_rho(diff), self.raw_inner(self.theta, self.theta))
 
     def __repr__(self) -> str:
         return f"RootSystem({self.simple_type})"
@@ -395,10 +379,6 @@ def build(type_or_label) -> RootSystem:
 
 # ----------------------------------------------------------------------
 # small exact-vector helpers shared by the other modules
-
-def vadd(x: Sequence, y: Sequence) -> tuple:
-    return tuple(a + b for a, b in zip(x, y))
-
 
 def vsub(x: Sequence, y: Sequence) -> tuple:
     return tuple(a - b for a, b in zip(x, y))

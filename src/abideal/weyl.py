@@ -24,7 +24,7 @@ from functools import lru_cache
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .qpoly import Poly, bracket, poly_mul, poly_prod
-from .root_system import Root, RootSystem, _positive_roots, bareiss, height_exponents, vsum
+from .root_system import Root, RootSystem, _positive_roots, bareiss, height_exponents
 
 WeylWord = Tuple[int, ...]
 Matrix = Tuple[Tuple[int, ...], ...]
@@ -78,9 +78,9 @@ def element_of_word(rs: RootSystem, word: Sequence[int]) -> Matrix:
 def length_of_element(rs: RootSystem, m: Matrix) -> int:
     """The number of positive roots phi with (phi | m 2rho) < 0, counted in
     integers: phi is such a root exactly when m^-1 sends it negative, and
-    m and m^-1 have the same length.  2rho is the sum of the positive
-    roots, and the form is applied to its image once."""
-    point = mat_vec(rs.form, mat_vec(m, vsum(rs.positive_roots, rs.rank)))
+    m and m^-1 have the same length.  The form is applied to the image of
+    2rho once."""
+    point = mat_vec(rs.form, mat_vec(m, rs.two_rho))
     return sum(1 for phi in rs.positive_roots if sum(c * x for c, x in zip(phi, point)) < 0)
 
 

@@ -1,4 +1,11 @@
-"""The matrix and Fraction picture of the affine Weyl group, kept as references.
+"""The Fraction weights and form, and the matrix and Fraction picture of
+the affine Weyl group, kept as references.
+
+The package reads rho only as the integer 2 rho and the invariant form only
+as the integer `raw_inner` over `form_den`.  Here the fundamental weights,
+and rho as their sum, come from the Bareiss adjugate of the Cartan matrix,
+a route independent of the positive roots, and the normalized form, its
+norms, coroot pairings and levels are Fractions.
 
 The package identifies an affine element by integer walls and rho-shifts and
 never builds its full map.  The routines below build it: an integer matrix
@@ -8,15 +15,16 @@ with the doubled alcove 2A tested on Fraction coordinates.  They also keep
 the whole-word ideal of a parameter word, read off its affine inversion set,
 and a few helpers the package no longer needs: the reflection s_theta,
 finite reflection matrices, group orders, polynomial sums and printing,
-the fiber extremes a_max and a_min_plus, scalar multiples of vectors, root
-membership and the coweights.  Tests compare the package's integer
-routines with these.
+the fiber extremes a_max and a_min_plus, sums and scalar multiples of
+vectors, root membership and the coweights.  Tests compare the package's
+integer routines with these.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Q
+from functools import lru_cache
 from typing import Sequence, Tuple
 
 from abideal.affine import (
@@ -29,7 +37,7 @@ from abideal.affine import (
 )
 from abideal.ideals import AbelianIdeal, InvariantViolation, from_param, make_ideal
 from abideal.qpoly import Poly, poly, poly_eval_one
-from abideal.root_system import Root, RootSystem, WeightVector, vadd, vneg
+from abideal.root_system import Root, RootSystem, bareiss, vneg
 from abideal.weyl import (
     Matrix,
     check_letters,
@@ -40,8 +48,48 @@ from abideal.weyl import (
 )
 
 
+WeightVector = Tuple[Q, ...]
+
+
 # ----------------------------------------------------------------------
 # root system data
+
+@lru_cache(maxsize=None)
+def fundamental_weights(rs: RootSystem) -> Tuple[WeightVector, ...]:
+    """w_i with <w_i, alpha_j-check> = delta_ij: the columns of the inverse
+    Cartan matrix, the adjugate over the determinant."""
+    det, adj = bareiss(rs.cartan)
+    return tuple(tuple(Q(row[c], det) for row in adj) for c in range(rs.rank))
+
+
+@lru_cache(maxsize=None)
+def rho(rs: RootSystem) -> WeightVector:
+    """The sum of the fundamental weights."""
+    return tuple(sum(col) for col in zip(*fundamental_weights(rs)))
+
+
+def inner(rs: RootSystem, x: Sequence, y: Sequence) -> Q:
+    """Normalized invariant form (x|y)."""
+    return Q(rs.raw_inner(x, y), rs.form_den)
+
+
+def norm2(rs: RootSystem, x: Sequence) -> Q:
+    return inner(rs, x, x)
+
+
+def coroot_pairing(rs: RootSystem, lam: Sequence, phi: Sequence[int]) -> Q:
+    """<lam, phi-check> = 2 (lam|phi) / (phi|phi)."""
+    return Q(2 * rs.raw_inner(lam, phi), rs.raw_inner(phi, phi))
+
+
+def level(rs: RootSystem, lam: Sequence) -> Q:
+    """<lam, theta-check> = 2 g (lam|theta) under this normalization."""
+    return coroot_pairing(rs, lam, rs.theta)
+
+
+def vadd(x: Sequence, y: Sequence) -> tuple:
+    return tuple(a + b for a, b in zip(x, y))
+
 
 def vscale(c, x: Sequence) -> tuple:
     return tuple(c * a for a in x)
@@ -55,8 +103,8 @@ def is_root(rs: RootSystem, v: Sequence[int]) -> bool:
 def coweights(rs: RootSystem) -> Tuple[WeightVector, ...]:
     """covee_i = w_i / |alpha_i|^2 for the fundamental weights w_i."""
     return tuple(
-        tuple(c / rs.norm2(rs.simple_root(i + 1)) for c in w)
-        for i, w in enumerate(rs.fundamental_weights)
+        tuple(c / norm2(rs, rs.simple_root(i + 1)) for c in w)
+        for i, w in enumerate(fundamental_weights(rs))
     )
 
 
@@ -154,7 +202,7 @@ def affine_reflect(rs: RootSystem, i: int, vec: Sequence) -> tuple:
 
 def rho_point(rs: RootSystem, word: Sequence[int]) -> WeightVector:
     """w(rho) for the element named by the word."""
-    return vadd(rs.rho, rho_shift(rs, word))
+    return vadd(rho(rs), rho_shift(rs, word))
 
 
 def element_of_affine_word(rs: RootSystem, word: Sequence[int]) -> AffineElement:

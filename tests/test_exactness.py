@@ -2,15 +2,19 @@
 
 `Fraction(1, 2) == 0.5` is true, so the equality tests elsewhere would still
 pass if a float slipped into the arithmetic.  These tests check the types
-of the public rational quantities for every type, and scan the sources for
-float literals and the name `float`.  They also hold the hot loops of the
-alcove walls, the wall-crossing kernel with the coset-word tree and
-`from_param` on it, the Hasse edges, the facet and alcove checks, and the
-Kostant check with its mask sampler and mask-sum kernel to integers: no
-Fraction is built inside a loop there.  The Fraction elimination
-`gauss_jordan` is gone, and so is the matrix and Fraction picture of an
-affine element, which tests keep in `reference_impl.py`: no package module
-defines its names, and the affine and Weyl modules import no Fraction.
+of the public rational quantities for every type, and of the Fraction
+weights and form that tests keep in `reference_impl.py`, and scan the
+sources for float literals and the name `float`.  They also hold the hot
+loops of the alcove walls, the wall-crossing kernel with the coset-word
+tree and `from_param` on it, the Hasse edges, the facet and alcove checks,
+and the Kostant check with its mask sampler and mask-sum kernel to
+integers: no Fraction is built inside a loop there.  Root-system
+construction builds no Fraction at all: a root system has no Fraction
+weights and no Fraction form methods, and the package exports no weight
+type.  The Fraction elimination `gauss_jordan` is gone, and so is the
+matrix and Fraction picture of an affine element, which tests keep in
+`reference_impl.py`: no package module defines its names, and the affine
+and Weyl modules import no Fraction.
 """
 
 import ast
@@ -24,9 +28,9 @@ import pytest
 import abideal
 from abideal.hasse import facet_volume_ratios
 from abideal.ideals import enumerate_all, kostant_value
-from abideal.root_system import RootSystem, build
+from abideal.root_system import RootSystem, build, supported_types
 
-from reference_impl import fundamental_alcove_vertices
+from reference_impl import coroot_pairing, fundamental_alcove_vertices, inner, level, norm2, rho
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "abideal"
 
@@ -39,11 +43,11 @@ def _assert_exact(values):
 def test_form_values_are_exact(each_label):
     rs = build(each_label)
     simples = [rs.simple_root(i) for i in range(1, rs.rank + 1)]
-    _assert_exact(rs.rho)
-    _assert_exact([rs.inner(rs.rho, rs.theta), rs.norm2(rs.rho), rs.level(rs.rho)])
+    _assert_exact(rho(rs))
+    _assert_exact([inner(rs, rho(rs), rs.theta), norm2(rs, rho(rs)), level(rs, rho(rs))])
     for phi in rs.positive_roots:
-        _assert_exact([rs.inner(phi, rs.rho), rs.norm2(phi), rs.level(phi)])
-        _assert_exact(rs.coroot_pairing(phi, a) for a in simples)
+        _assert_exact([inner(rs, phi, rho(rs)), norm2(rs, phi), level(rs, phi)])
+        _assert_exact(coroot_pairing(rs, phi, a) for a in simples)
         # sign and zero tests on integer roots stay in the integers
         assert type(rs.raw_inner(phi, rs.theta)) is int
         assert all(type(rs.simple_coroot_pairing(phi, i)) is int for i in range(1, rs.rank + 1))
@@ -86,7 +90,7 @@ _MOVED_NAMES = (
     "rho_point", "inverse_word", "affine_simple_root", "affine_length",
     "fundamental_alcove_vertices", "alcove_vertices", "in_2A",
     "reflection_matrix", "mat_mul", "weyl_order", "subgroup_order",
-    "a_max", "a_min_plus", "poly_add", "poly_str", "vscale", "_ideal_from_affine_word",
+    "a_max", "a_min_plus", "poly_add", "poly_str", "vadd", "vscale", "_ideal_from_affine_word",
 )
 
 
@@ -139,3 +143,29 @@ def test_integer_loops_build_no_fraction():
                             and node.func.id in ("Q", "Fraction")):
                         offenders.append(f"{filename}:{node.lineno} in {name}")
     assert offenders == []
+
+
+def _fraction_calls(tree) -> list:
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in ("Q", "Fraction")]
+
+
+def test_construction_builds_no_fraction():
+    tree = ast.parse((SRC / "root_system.py").read_text(), filename="root_system.py")
+    top = {node.name: node for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    init = next(node for node in top["RootSystem"].body
+                if isinstance(node, ast.FunctionDef) and node.name == "__init__")
+    assert _fraction_calls(init) == []
+    assert _fraction_calls(top["_symmetrizer"]) == []
+
+
+_FRACTION_FORM = ("rho", "fundamental_weights", "inner", "norm2", "coroot_pairing", "level")
+
+
+def test_no_root_system_has_fraction_weights_or_form_methods():
+    systems = [RootSystem] + [build(st) for st in supported_types(11)]
+    offenders = [f"{rs!r}.{name}" for rs in systems for name in _FRACTION_FORM if hasattr(rs, name)]
+    assert offenders == []
+    assert not hasattr(abideal, "WeightVector")
+    assert "WeightVector" not in abideal.__all__

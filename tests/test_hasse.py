@@ -27,7 +27,7 @@ from abideal.reference import reference_hasse_group
 from abideal.root_system import build, supported_types
 
 from conftest import SMALL_LABELS, corrupted_gram_copy
-from reference_impl import alcove_vertices, element_of_affine_word, inverse_word
+from reference_impl import alcove_vertices, element_of_affine_word, inner, inverse_word, vadd
 
 A2_DOT = """graph hasse_A2 {
   node [shape=circle];
@@ -146,7 +146,7 @@ def test_upper_alcoves_match_vertex_pairings(label):
     rs = build(label)
     expected = []
     for k, entry in enumerate(catalog_of(rs).entries):
-        pairings = [rs.inner(v, rs.theta) for v in alcove_vertices(rs, entry.word)]
+        pairings = [inner(rs, v, rs.theta) for v in alcove_vertices(rs, entry.word)]
         assert max(pairings) <= 1
         off_wall = [i for i, t in enumerate(pairings) if t != 1]
         if len(off_wall) == 1:
@@ -190,6 +190,16 @@ def test_corrupted_gram_fails_normalization(small_label):
     res = check_normalization(corrupted_gram_copy(small_label))
     assert not res.passed
     assert "casimir" in res.details or "theta_norm" in res.details
+
+
+def test_half_root_sum_route_to_rho_fails_normalization(small_label):
+    # g comes from <rho, alpha_i-check> = 1 on the form's diagonal; a wrong
+    # sum of the positive roots leaves that route intact and breaks the other
+    rs = copy.copy(build(small_label))
+    rs.two_rho = vadd(rs.two_rho, rs.simple_root(1))
+    res = check_normalization(rs)
+    assert not res.passed
+    assert "strange" in res.details
 
 
 @pytest.mark.parametrize("check", [check_kostant, check_upper_alcoves])
@@ -309,6 +319,17 @@ def test_word_table_checks_the_word_to_theta(monkeypatch, label):
     real = checks.minimal_word_to_theta
     monkeypatch.setattr(checks, "minimal_word_to_theta", lambda rs, phi: real(rs, phi)[1:])
     assert not checks.check_word_table(build(label)).passed
+
+
+@pytest.mark.parametrize("label", NOT_SIMPLE_THETA)
+def test_word_table_checks_the_tabulated_element(monkeypatch, label):
+    # one letter fewer changes the parity of the length, hence the element
+    real = checks.reference_word_to_theta
+    monkeypatch.setattr(checks, "reference_word_to_theta",
+                        lambda st, i: None if real(st, i) is None else real(st, i)[1:])
+    res = checks.check_word_table(build(label))
+    assert not res.passed
+    assert "element differs" in res.details
 
 
 # Fault injection for the checks not reached above: each test patches one

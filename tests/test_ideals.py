@@ -33,14 +33,24 @@ from abideal.reference import (
     reference_max_dimension,
     reference_max_dimension_multiplicity,
 )
-from abideal.root_system import build, supported_types, vadd, vneg, vsum
+from abideal.root_system import build, supported_types, vneg, vsum
 
-from reference_impl import a_max, a_min_plus
+from reference_impl import a_max, a_min_plus, inner, norm2, rho, vadd
 
 
 def test_count_is_two_to_the_rank(each_label):
     rs = build(each_label)
     assert len(enumerate_all(rs)) == 2 ** rs.rank
+
+
+def test_repeated_indices_name_the_same_ideal():
+    # a mask summed from 1 << k carries on a repeated index
+    rs = build("A2")
+    assert ideals.is_ideal_mask(rs, [1, 2])
+    assert ideals.is_ideal_mask(rs, [1, 1, 2])
+    assert ideals.is_ideal_mask(rs, [2, 2, 2])
+    assert not ideals.is_ideal_mask(rs, [0, 0])
+    assert is_abelian_ideal(rs, [rs.positive_roots[1], rs.positive_roots[1], rs.theta])
 
 
 def test_handmade_non_ideals():
@@ -130,7 +140,7 @@ def test_kostant_value_matches_norms(label):
     rs = build(label)
     for s in _ideal_test_inputs(rs):
         sigma = vsum(s, rs.rank)
-        assert kostant_value(rs, s) == rs.norm2(vadd(rs.rho, sigma)) - rs.norm2(rs.rho), s
+        assert kostant_value(rs, s) == norm2(rs, vadd(rho(rs), sigma)) - norm2(rs, rho(rs)), s
 
 
 @pytest.mark.parametrize("vector", [(1,), (1, 0, 0), ()])
@@ -307,7 +317,7 @@ def test_min_ideal_sizes(each_label):
 
 def test_min_plus_grows_by_one():
     rs = build("C4")
-    perp = [p for p in rs.long_positive_roots() if rs.inner(p, rs.theta) == 0]
+    perp = [p for p in rs.long_positive_roots() if inner(rs, p, rs.theta) == 0]
     assert perp
     for phi in perp:
         lo = a_min(rs, phi)

@@ -35,6 +35,7 @@ library to give exactly what its reference gives, errors included.
 import copy
 import random
 from fractions import Fraction as Q
+from functools import partial
 from itertools import product
 from math import gcd
 from types import SimpleNamespace
@@ -80,7 +81,7 @@ from abideal.ideals import (
     mask_bits,
     maximal_ideals,
 )
-from abideal.root_system import bareiss, build, supported_types, vadd, vsub, vsum
+from abideal.root_system import bareiss, build, supported_types, vsub, vsum
 from abideal.weyl import (
     apply_word,
     check_letters,
@@ -100,11 +101,14 @@ from reference_impl import (
     fundamental_alcove_vertices,
     ideal_from_affine_word,
     in_2A,
+    inner,
     inverse_word,
     linear_reflect,
     mat_mul,
     reflect_theta,
     reflection_matrix,
+    rho,
+    vadd,
 )
 
 EVERY_LABEL = tuple(str(st) for st in supported_types(11))  # A1-A11 and the rest: 35 types
@@ -368,7 +372,7 @@ def _facet_grams(rs, vertices, inner):
 
 
 def _fraction_facet_ratios(rs):
-    dets = [_gauss_jordan(g)[0] for g in _facet_grams(rs, fundamental_alcove_vertices(rs), rs.inner)]
+    dets = [_gauss_jordan(g)[0] for g in _facet_grams(rs, fundamental_alcove_vertices(rs), partial(inner, rs))]
     return tuple(d / dets[0] for d in dets)
 
 
@@ -803,7 +807,7 @@ def test_integer_2A_test_matches_the_rho_point(label):
             # one shift for both tests: the Fraction rho-point is rho + shift
             shift = rho_shift(rs, word)
             verdict = rho_shift_in_2A(rs, shift)
-            assert verdict == in_2A(rs, vadd(rs.rho, shift)), word
+            assert verdict == in_2A(rs, vadd(rho(rs), shift)), word
             verdicts.add(verdict)
     assert verdicts == {True, False}
 

@@ -2,9 +2,9 @@ from fractions import Fraction as Q
 
 import pytest
 
-from abideal.root_system import SimpleType, build, supported_types, vadd
+from abideal.root_system import SimpleType, _symmetrizer, build, supported_types
 
-from reference_impl import is_root
+from reference_impl import coroot_pairing, fundamental_weights, is_root, level, norm2, rho, vadd
 
 # type: (dual coxeter number, coxeter number, positive roots, dimension)
 GOLDEN = {
@@ -86,13 +86,13 @@ def test_normalization_identities(each_label):
     rs = build(each_label)
     g = rs.dual_coxeter_number
     # the scale is pinned by the highest-root norm
-    assert rs.norm2(rs.theta) == Q(1, g)
-    assert rs.norm2(vadd(rs.rho, rs.theta)) - rs.norm2(rs.rho) == 1
-    assert rs.norm2(rs.rho) == Q(rs.dimension, 24)
-    total = 2 * sum((rs.norm2(r) for r in rs.positive_roots), Q(0))
+    assert norm2(rs, rs.theta) == Q(1, g)
+    assert norm2(rs, vadd(rho(rs), rs.theta)) - norm2(rs, rho(rs)) == 1
+    assert norm2(rs, rho(rs)) == Q(rs.dimension, 24)
+    total = 2 * sum((norm2(rs, r) for r in rs.positive_roots), Q(0))
     assert total == rs.rank
-    weighted = rs.norm2(rs.theta) + sum(
-        (n * rs.norm2(rs.simple_root(i + 1)) for i, n in enumerate(rs.marks)), Q(0))
+    weighted = norm2(rs, rs.theta) + sum(
+        (n * norm2(rs, rs.simple_root(i + 1)) for i, n in enumerate(rs.marks)), Q(0))
     assert weighted == 1
 
 
@@ -101,7 +101,7 @@ def test_theta_is_long_and_highest(each_label):
     assert rs.is_long(rs.theta)
     top = max(sum(r) for r in rs.positive_roots)
     assert sum(rs.theta) == top
-    assert rs.level(rs.theta) == 2
+    assert level(rs, rs.theta) == 2
 
 
 def test_root_membership(small_label):
@@ -116,7 +116,7 @@ def test_coroot_pairing_integrality(small_label):
     rs = build(small_label)
     for r in rs.positive_roots:
         for i in range(1, rs.rank + 1):
-            p = rs.coroot_pairing(r, rs.simple_root(i))
+            p = coroot_pairing(rs, r, rs.simple_root(i))
             assert p.denominator == 1
             assert int(p) == rs.simple_coroot_pairing(r, i)
 
@@ -136,5 +136,25 @@ def test_fundamental_weight_duality(small_label):
     rs = build(small_label)
     for i in range(1, rs.rank + 1):
         for j in range(1, rs.rank + 1):
-            pair = rs.coroot_pairing(rs.fundamental_weights[i - 1], rs.simple_root(j))
+            pair = coroot_pairing(rs, fundamental_weights(rs)[i - 1], rs.simple_root(j))
             assert pair == (1 if i == j else 0)
+
+
+@pytest.mark.parametrize("label", [str(st) for st in supported_types(11)])
+def test_two_rho_is_twice_the_sum_of_the_fundamental_weights(label):
+    # the package sums the positive roots; the reference inverts the Cartan matrix
+    rs = build(label)
+    assert tuple(2 * sum(col) for col in zip(*fundamental_weights(rs))) == rs.two_rho
+    assert all(type(c) is int for c in rs.two_rho)
+
+
+@pytest.mark.parametrize("label, d", [("A3", (1, 1, 1)), ("B3", (2, 2, 1)), ("C3", (1, 1, 2)),
+                                      ("F4", (2, 2, 1, 1)), ("G2", (1, 3))])
+def test_symmetrizer_is_minimal_and_integer(label, d):
+    got = _symmetrizer(build(label).cartan)
+    assert got == d and all(type(x) is int for x in got)
+
+
+def test_symmetrizer_rejects_a_disconnected_diagram():
+    with pytest.raises(ValueError, match="not connected"):
+        _symmetrizer(((2, 0), (0, 2)))

@@ -1,16 +1,20 @@
-"""Every module-level import in the package is used by its module.
+"""Every module-level import in the package is used by its module, and
+every name the benchmark worker imports from the package exists.
 
 `__init__.py` is skipped: its imports are re-exports.  A name counts as
 used when it appears as a bare name anywhere in the module, attribute
-bases and annotations included.
+bases and annotations included.  The worker is parsed, not imported, so a
+deleted public name fails here rather than as a failed benchmark run.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "abideal"
+WORKER = Path(__file__).resolve().parents[1] / "perfbench" / "worker.py"
 MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -36,3 +40,14 @@ def test_the_guard_sees_an_unused_import():
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unused_module_level_import(module):
     assert _unused_imports((PACKAGE / module).read_text()) == []
+
+
+def test_benchmark_worker_imports_resolve():
+    tree = ast.parse(WORKER.read_text(), filename=str(WORKER))
+    imported = [(node.module, alias.name) for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "abideal"
+                for alias in node.names]
+    assert {module for module, _ in imported} >= {"abideal", "abideal.hasse", "abideal.ideals"}
+    missing = [f"{module}.{name}" for module, name in imported
+               if not hasattr(importlib.import_module(module), name)]
+    assert missing == []

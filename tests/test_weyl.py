@@ -18,7 +18,7 @@ from abideal.weyl import (
     weyl_poincare,
 )
 
-from reference_impl import mat_mul, subgroup_order, weyl_order
+from reference_impl import mat_mul, rho, subgroup_order, weyl_order
 
 ORDERS = {
     "A1": 2, "A4": 120, "A8": 362880,
@@ -38,7 +38,7 @@ def test_weyl_order(label):
 
 def test_rightmost_letter_acts_first():
     rs = build("B3")
-    v = rs.rho
+    v = rho(rs)
     word = (1, 3, 2)
     assert apply_word(rs, word, v) == reflect_simple(
         rs, 1, reflect_simple(rs, 3, reflect_simple(rs, 2, v)))
@@ -58,8 +58,8 @@ def test_reflection_touches_one_coordinate():
         w = reflect_simple(rs, i, v)
         assert all(w[k] == v[k] for k in range(4) if k != i - 1)
         # on a strictly dominant point the move is always proper
-        moved = reflect_simple(rs, i, rs.rho)
-        assert [k for k in range(4) if moved[k] != rs.rho[k]] == [i - 1]
+        moved = reflect_simple(rs, i, rho(rs))
+        assert [k for k in range(4) if moved[k] != rho(rs)[k]] == [i - 1]
 
 
 def test_involution_and_length(small_label):
@@ -203,8 +203,8 @@ def test_exponent_product_matches_a_walk_on_every_affine_wall(small_label):
 def _reference_orbit_poincare(rs, nodes):
     """Breadth-first walk of the rho orbit in simple-root coordinates,
     through reflect_simple, keeping every point seen."""
-    seen = {rs.rho}
-    layer = [rs.rho]
+    seen = {rho(rs)}
+    layer = [rho(rs)]
     counts = []
     while layer:
         counts.append(len(layer))
