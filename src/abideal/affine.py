@@ -27,22 +27,27 @@ The doubled fundamental alcove 2A is cut out by dominance together with
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul
 from typing import Dict, List, Sequence, Tuple
 
 from .qpoly import Poly, poly
-from .root_system import Root, RootSystem, vneg
+from .root_system import Record, Root, RootSystem, vneg
 from .weyl import carry_images, check_letters, parabolic_poincare
 
 AffineWord = Tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class AffineRoot:
+class AffineRoot(Record):
+    """A (finite root, level) pair."""
+
+    __slots__ = _fields = ("finite", "level")
     finite: Root
     level: int
+
+    def __init__(self, finite: Root, level: int) -> None:
+        object.__setattr__(self, "finite", finite)
+        object.__setattr__(self, "level", level)
 
     @property
     def is_positive(self) -> bool:

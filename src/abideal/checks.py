@@ -10,9 +10,8 @@ constructions run here, once, inside named checks.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction as Q
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Sequence, Tuple
 
 from . import weyl
 from .affine import (
@@ -71,8 +70,7 @@ from .weyl import (
 from .young import ideal_of_young, young_encode, young_of_ideal
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     details: str = ""
@@ -549,8 +547,7 @@ _CHECK_FUNCTIONS: Tuple[Tuple[str, Callable[[RootSystem], CheckResult]], ...] = 
 )
 
 
-@dataclass(frozen=True)
-class TypeReport:
+class TypeReport(NamedTuple):
     label: str
     results: Tuple[CheckResult, ...]
 

@@ -27,12 +27,11 @@ catalog of small groups.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from heapq import heappop, heappush
 from itertools import repeat
 from math import lcm
-from typing import Dict, FrozenSet, List, Sequence, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Sequence, Tuple
 
 from .affine import rho_shift_in_2A
 from .ideals import (
@@ -46,8 +45,7 @@ from .root_system import Q, RootSystem, bareiss, vneg, vsub
 Permutation = Tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class HasseEdge:
+class HasseEdge(NamedTuple):
     lower: int
     upper: int
     letter: int
@@ -154,8 +152,7 @@ def to_dot(graph: HasseGraph) -> str:
 # ----------------------------------------------------------------------
 # upper alcoves
 
-@dataclass(frozen=True)
-class UpperAlcove:
+class UpperAlcove(NamedTuple):
     node: int                  # catalog index
     lower_vertex_type: int     # 1-based node index of the off-wall vertex
 
@@ -315,8 +312,7 @@ def graph_automorphisms(graph: HasseGraph) -> Tuple[Permutation, ...]:
 # ----------------------------------------------------------------------
 # naming the group
 
-@dataclass(frozen=True)
-class GroupFingerprint:
+class GroupFingerprint(NamedTuple):
     order: int
     abelian: bool
     element_orders: Tuple[int, ...]

@@ -19,13 +19,19 @@ yields the ideal.  The catalog attaches each parameter word to the
 enumerated ideal whose root sum is the word's rho-shift; reading every
 word's ideal off one walk of the coset-word tree (`coset_tree`) and
 comparing the two is the `parametrization` check of `verify`.
+
+Going back, an ideal's long root is read off its roots not orthogonal to
+theta: they form the minimal ideal of the root, theta together with theta
+minus each inversion root of its word to theta.  The greedy words share
+their suffixes, so the table of minimal ideals (`_a_min_table`) is built
+one letter and one root per long root.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Collection, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import (Collection, Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 from .affine import (
     AffineWord,
@@ -39,12 +45,13 @@ from .affine import (
     wall_point,
 )
 from .qpoly import poly_degree, poly_eval_one
-from .root_system import Q, Root, RootSystem, build, vneg, vsub, vsum
+from .root_system import Q, Record, Root, RootSystem, build, vneg, vsub, vsum
 from .weyl import (
     carry_images,
+    check_length,
     graph_distances,
-    inversion_roots,
     minimal_word_to_theta,
+    reflect_simple,
     subgroup_positive_count,
 )
 
@@ -57,20 +64,28 @@ def _root_sort_key(r: Root):
     return (sum(r), r)
 
 
-@dataclass(frozen=True)
-class AbelianIdeal:
+class AbelianIdeal(Record):
     """An abelian ideal, stored as its positive roots sorted by height."""
 
+    __slots__ = ("roots", "_root_set")
+    _fields = ("roots",)
     roots: Tuple[Root, ...]
+
+    def __init__(self, roots: Tuple[Root, ...]) -> None:
+        object.__setattr__(self, "roots", roots)
 
     @property
     def dim(self) -> int:
         return len(self.roots)
 
-    @cached_property
+    @property
     def root_set(self) -> FrozenSet[Root]:
         """Built once per ideal; equality and hashing still use `roots`."""
-        return frozenset(self.roots)
+        try:
+            return self._root_set
+        except AttributeError:
+            object.__setattr__(self, "_root_set", frozenset(self.roots))
+            return self._root_set
 
     def root_sum(self, rank: int) -> Tuple[int, ...]:
         return vsum(self.roots, rank)
@@ -159,8 +174,7 @@ def kostant_value(rs: RootSystem, roots: Iterable[Root]) -> Q:
     exactly on abelian ideals.  Every vector must have rank coordinates."""
     roots = tuple(roots)
     for r in roots:
-        if len(r) != rs.rank:
-            raise ValueError(f"vector {tuple(r)} has {len(r)} coordinates, not rank {rs.rank}")
+        check_length(rs, r)
     return Q(kostant_raw(rs, vsum(roots, rs.rank)), rs.form_den)
 
 
@@ -248,23 +262,10 @@ def from_param(rs: RootSystem, phi: Root, coset_word: Sequence[int] = ()) -> Abe
     return make_ideal(rs.positive_roots[k] for k in mask_bits(mask))
 
 
-def a_min(rs: RootSystem, phi: Root) -> AbelianIdeal:
-    """Smallest ideal whose roots off theta's wall point at phi:
-    theta together with theta minus each inversion of the word to theta."""
-    phi = tuple(phi)
-    w = minimal_word_to_theta(rs, phi)
-    roots = [rs.theta] + [vsub(rs.theta, psi) for psi in inversion_roots(rs, w)]
-    ideal = make_ideal(roots)
-    if ideal.dim != 1 + len(w):
-        raise InvariantViolation(f"repeated roots in the minimal ideal of {phi}")
-    return ideal
-
-
 # ----------------------------------------------------------------------
 # the catalog: every ideal with its parameter
 
-@dataclass
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     ideal: AbelianIdeal
     phi: Optional[Root]
     coset_word: AffineWord
@@ -374,13 +375,39 @@ def _not_perp_theta_mask(rs: RootSystem, ideal: AbelianIdeal) -> int:
 
 @lru_cache(maxsize=None)
 def _a_min_table(rs: RootSystem) -> Dict[int, Root]:
-    """Each long root, keyed by the mask of its `a_min`."""
-    table: Dict[int, Root] = {}
-    for phi in rs.long_positive_roots():
-        key = sum(1 << rs.root_index[r] for r in a_min(rs, phi).roots)
-        if key in table:
+    """Each long root phi, keyed by the mask of its minimal ideal: theta
+    together with theta minus each inversion root of
+    `minimal_word_to_theta(phi)`, the smallest ideal whose roots off
+    theta's wall point at phi.
+
+    The greedy word of phi is the word of s_i(phi) plus (i,), i the lowest
+    letter with <phi, alpha_i-check> < 0, so its inversion roots are those
+    of s_i(phi)'s word and one more: the image of alpha_i under that word.
+    The long roots are walked by descending height, so s_i(phi) is done
+    before phi.  Each carries its word's simple-root images and its mask,
+    and one `carry_images` letter gives the new root, which must be
+    positive, with theta minus it a positive root not yet in the mask.
+    The images are dropped once the table is built.  Cached per root
+    system instance."""
+    theta, index = rs.theta, rs.root_index
+    simple = [rs.simple_root(j) for j in range(1, rs.rank + 1)]
+    walked: Dict[Root, Tuple[List[Root], int]] = {theta: (simple, 1 << index[theta])}
+    table: Dict[int, Root] = {1 << index[theta]: theta}
+    for phi in reversed(rs.long_positive_roots()[:-1]):
+        i = next(i for i in range(1, rs.rank + 1) if rs.simple_coroot_pairing(phi, i) < 0)
+        parent, mask = walked[reflect_simple(rs, i, phi)]
+        images = list(parent)
+        for beta in carry_images(rs.cartan, images, (i,), 1):
+            k = index.get(vsub(theta, beta))
+            if beta not in index or k is None or mask >> k & 1:
+                raise InvariantViolation(
+                    f"inversion root {beta} of the word to theta of {phi} "
+                    f"does not extend its minimal ideal")
+            mask |= 1 << k
+        if mask in table:
             raise InvariantViolation("two long roots share a minimal ideal")
-        table[key] = phi
+        walked[phi] = (images, mask)
+        table[mask] = phi
     return table
 
 
@@ -411,8 +438,7 @@ def maximal_ideals(rs: RootSystem) -> Tuple[AbelianIdeal, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class MaxDimensionReport:
+class MaxDimensionReport(NamedTuple):
     value: int
     multiplicity: int            # number of ideals attaining the maximum
     witnesses: Tuple[int, ...]   # long simple nodes whose family reaches it
@@ -482,8 +508,7 @@ def projection_node(rs: RootSystem, phi: Root) -> Optional[int]:
     return nearest[0]
 
 
-@dataclass(frozen=True)
-class SumFormulaReport:
+class SumFormulaReport(NamedTuple):
     type_label: str
     first_total: int                 # sum of coset counts over long positive roots
     first_expected: int              # 2^rank - 1

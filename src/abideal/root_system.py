@@ -34,9 +34,8 @@ test suite and the `verify` command.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, total_ordering
 from math import gcd
 from operator import mul
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
@@ -50,20 +49,64 @@ _RANK_BOUNDS = {"A": (1, 11), "B": (2, 8), "C": (2, 8), "D": (4, 8), "E": (6, 8)
 _TYPE_RE = re.compile(r"^([A-G])([0-9]{1,2})$")
 
 
-@dataclass(frozen=True, order=True)
-class SimpleType:
-    """A Cartan-Killing label such as A3, D5 or E8."""
+class Record:
+    """Base of the package's small immutable records that validate or
+    cache.  A subclass lists its fields in `_fields` (a prefix of its
+    `__slots__`) and sets them once in `__init__` through
+    `object.__setattr__`; repr, equality (same class only) and hash are
+    those of the field tuple, as for a frozen dataclass, and assignment
+    raises AttributeError."""
 
+    __slots__ = ()
+    _fields: Tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({body})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()  # type: ignore[attr-defined]
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+@total_ordering
+class SimpleType(Record):
+    """A Cartan-Killing label such as A3, D5 or E8, ordered by (letter, rank)."""
+
+    __slots__ = _fields = ("letter", "rank")
     letter: str
     rank: int
 
-    def __post_init__(self) -> None:
-        bounds = _RANK_BOUNDS.get(self.letter)
+    def __init__(self, letter: str, rank: int) -> None:
+        bounds = _RANK_BOUNDS.get(letter)
         if bounds is None:
-            raise ValueError(f"unknown family {self.letter!r}")
+            raise ValueError(f"unknown family {letter!r}")
         lo, hi = bounds
-        if not lo <= self.rank <= hi:
-            raise ValueError(f"{self.letter}{self.rank} is not supported (rank must be in [{lo}, {hi}])")
+        if not lo <= rank <= hi:
+            raise ValueError(f"{letter}{rank} is not supported (rank must be in [{lo}, {hi}])")
+        object.__setattr__(self, "letter", letter)
+        object.__setattr__(self, "rank", rank)
+
+    def __lt__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() < other._values()  # type: ignore[attr-defined]
+        return NotImplemented
 
     @classmethod
     def parse(cls, text: str) -> "SimpleType":

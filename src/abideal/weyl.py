@@ -62,8 +62,16 @@ def check_letters(rs: RootSystem, word: Sequence[int], lowest: int) -> None:
             raise ValueError(f"letter {i} out of range {lowest}..{rs.rank}")
 
 
+def check_length(rs: RootSystem, vec: Sequence) -> None:
+    """Reject a vector without rank coordinates, before any action."""
+    if len(vec) != rs.rank:
+        raise ValueError(f"vector {tuple(vec)} has {len(vec)} coordinates, not rank {rs.rank}")
+
+
 def apply_word(rs: RootSystem, word: Sequence[int], vec: Sequence) -> tuple:
+    """The word's image of a vector with rank coordinates."""
     check_letters(rs, word, 1)
+    check_length(rs, vec)
     out = tuple(vec)
     for i in reversed(word):
         out = reflect_simple(rs, i, out)
@@ -79,7 +87,9 @@ def length_of_element(rs: RootSystem, m: Matrix) -> int:
     """The number of positive roots phi with (phi | m 2rho) < 0, counted in
     integers: phi is such a root exactly when m^-1 sends it negative, and
     m and m^-1 have the same length.  The form is applied to the image of
-    2rho once."""
+    2rho once.  The matrix must be rank by rank."""
+    if len(m) != rs.rank or any(len(row) != rs.rank for row in m):
+        raise ValueError(f"matrix {tuple(map(tuple, m))} is not {rs.rank} by {rs.rank}")
     point = mat_vec(rs.form, mat_vec(m, rs.two_rho))
     return sum(1 for phi in rs.positive_roots if sum(c * x for c, x in zip(phi, point)) < 0)
 
@@ -93,7 +103,10 @@ def carry_images(cartan: Sequence[Sequence[int]], images: List[tuple],
     appending s_i sends w(beta_j) to w(beta_j) - a_ij w(beta_i), with
     a_ij = cartan[i - lowest][j - lowest]; the list ends holding the word's
     images.  The vectors are integer tuples of any length: affine walks
-    carry the level last.  Shared by `inversion_roots` and `affine`.
+    carry the level last.  Shared by `inversion_roots` (a whole word),
+    the minimal-ideal table and the coset-word tree in `ideals` (one letter
+    from a parent's images), and `affine`'s alcove walls and inversion
+    sets.
     """
     for i in word:
         beta = images[i - lowest]

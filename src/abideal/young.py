@@ -15,22 +15,26 @@ code of the empty diagram is 0 and the map is a bijection onto [0, 2^l).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Iterable, List, Tuple
 
 from .ideals import AbelianIdeal, make_ideal
-from .root_system import RootSystem
+from .root_system import Record, RootSystem
 
 
-@dataclass(frozen=True)
-class YoungDiagram:
+class YoungDiagram(Record):
+    """A partition, as its weakly decreasing positive row lengths; any
+    iterable of rows is stored as a tuple."""
+
+    __slots__ = _fields = ("rows",)
     rows: Tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if any(r <= 0 for r in self.rows):
+    def __init__(self, rows: Iterable[int]) -> None:
+        rows = tuple(rows)
+        if any(r <= 0 for r in rows):
             raise ValueError("rows must be positive")
-        if any(a < b for a, b in zip(self.rows, self.rows[1:])):
+        if any(a < b for a, b in zip(rows, rows[1:])):
             raise ValueError("rows must be weakly decreasing")
+        object.__setattr__(self, "rows", rows)
 
     @property
     def size(self) -> int:
@@ -110,7 +114,7 @@ def young_of_ideal(rs: RootSystem, a: AbelianIdeal) -> YoungDiagram:
         width = sum(1 for (row, _col) in cells if row == r)
         if width:
             rows.append(width)
-    d = YoungDiagram(tuple(rows))
+    d = YoungDiagram(rows)
     shape_cells = {(r + 1, c + 1) for r, width in enumerate(d.rows) for c in range(width)}
     if shape_cells != cells:
         raise ValueError("ideal cells are not a left-justified shape")

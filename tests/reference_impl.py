@@ -15,7 +15,7 @@ with the doubled alcove 2A tested on Fraction coordinates.  They also keep
 the whole-word ideal of a parameter word, read off its affine inversion set,
 and a few helpers the package no longer needs: the reflection s_theta,
 finite reflection matrices, group orders, polynomial sums and printing,
-the fiber extremes a_max and a_min_plus, sums and scalar multiples of
+the fiber extremes a_min, a_max and a_min_plus, sums and scalar multiples of
 vectors, root membership and the coweights.  Tests compare the package's
 integer routines with these.
 """
@@ -37,12 +37,14 @@ from abideal.affine import (
 )
 from abideal.ideals import AbelianIdeal, InvariantViolation, from_param, make_ideal
 from abideal.qpoly import Poly, poly, poly_eval_one
-from abideal.root_system import Root, RootSystem, bareiss, vneg
+from abideal.root_system import Root, RootSystem, bareiss, vneg, vsub
 from abideal.weyl import (
     Matrix,
     check_letters,
+    inversion_roots,
     mat_vec,
     matrix_of,
+    minimal_word_to_theta,
     reflect_simple,
     subgroup_poincare,
 )
@@ -282,6 +284,20 @@ def ideal_from_affine_word(rs: RootSystem, word: AffineWord) -> AbelianIdeal:
     ideal = make_ideal(roots)
     if ideal.dim != len(word):
         raise InvariantViolation(f"parameter word {word} lost inversions")
+    return ideal
+
+
+def a_min(rs: RootSystem, phi: Root) -> AbelianIdeal:
+    """Smallest ideal whose roots off theta's wall point at phi: theta
+    together with theta minus each inversion of the whole word to theta;
+    the package builds the same masks one letter per long root
+    (`ideals._a_min_table`)."""
+    phi = tuple(phi)
+    w = minimal_word_to_theta(rs, phi)
+    roots = [rs.theta] + [vsub(rs.theta, psi) for psi in inversion_roots(rs, w)]
+    ideal = make_ideal(roots)
+    if ideal.dim != 1 + len(w):
+        raise InvariantViolation(f"repeated roots in the minimal ideal of {phi}")
     return ideal
 
 

@@ -90,7 +90,7 @@ _MOVED_NAMES = (
     "rho_point", "inverse_word", "affine_simple_root", "affine_length",
     "fundamental_alcove_vertices", "alcove_vertices", "in_2A",
     "reflection_matrix", "mat_mul", "weyl_order", "subgroup_order",
-    "a_max", "a_min_plus", "poly_add", "poly_str", "vadd", "vscale", "_ideal_from_affine_word",
+    "a_max", "a_min", "a_min_plus", "poly_add", "poly_str", "vadd", "vscale", "_ideal_from_affine_word",
 )
 
 
@@ -119,7 +119,8 @@ def test_affine_and_weyl_import_no_fraction(filename):
 _LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
 _INTEGER_LOOPS = {
     "affine.py": ("alcove_walls", "rho_shift"),
-    "ideals.py": ("walls", "_coset_tree_cached", "cross_walls", "from_param", "_enumerate_masks"),
+    "ideals.py": ("walls", "_coset_tree_cached", "cross_walls", "from_param", "_enumerate_masks",
+                  "_a_min_table"),
     "weyl.py": ("_greedy_word",),
     "root_system.py": ("_pack",),
     "hasse.py": ("build_graph", "facet_volume_ratios", "upper_alcoves"),

@@ -302,6 +302,23 @@ def test_parametrization_checks_the_associated_long_root(monkeypatch, label):
     assert "associated long root" in res.details
 
 
+@pytest.mark.parametrize("label", NOT_SIMPLE_THETA)
+def test_parametrization_checks_the_minimal_ideal_table(monkeypatch, label):
+    # theta's and the lowest long root's minimal ideals trade long roots;
+    # an empty table places no ideal at all
+    real = ideals._a_min_table
+
+    def swapped(rs):
+        table = dict(real(rs))
+        first, last = min(table), max(table)
+        table[first], table[last] = table[last], table[first]
+        return table
+
+    for fake in (swapped, lambda rs: {}):
+        monkeypatch.setattr(ideals, "_a_min_table", fake)
+        assert not _passes(checks.check_parametrization, build(label))
+
+
 def test_parametrization_checks_the_rebuilt_ideal(monkeypatch, small_label):
     # every mask of the coset-word tree loses its lowest root
     real = checks.coset_tree

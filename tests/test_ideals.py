@@ -9,7 +9,6 @@ from abideal.affine import alcove_walls, label_reflect, rho_shift, wall_point
 from abideal.ideals import (
     IdealCatalog,
     InvariantViolation,
-    a_min,
     associated_long_root,
     catalog_of,
     coset_tree,
@@ -35,7 +34,7 @@ from abideal.reference import (
 )
 from abideal.root_system import build, supported_types, vneg, vsum
 
-from reference_impl import a_max, a_min_plus, inner, norm2, rho, vadd
+from reference_impl import a_max, a_min, a_min_plus, inner, norm2, rho, vadd
 
 
 def test_count_is_two_to_the_rank(each_label):
@@ -306,6 +305,28 @@ def test_min_max_bracket_every_fiber(small_label):
         assert lo.root_set <= e.ideal.root_set <= hi.root_set
         assert not_perp_theta(rs, e.ideal).root_set == lo.root_set
         assert associated_long_root(rs, e.ideal) == e.phi
+
+
+@pytest.mark.parametrize("label", [str(st) for st in supported_types(11)])
+def test_a_min_table_matches_the_whole_word_route(label):
+    # one carried letter per long root against an inversion walk over each
+    # whole word to theta; the copy's per-instance memo starts empty
+    rs = build(label)
+    want = {sum(1 << rs.root_index[r] for r in a_min(rs, phi).roots): phi
+            for phi in rs.long_positive_roots()}
+    assert len(want) == len(rs.long_positive_roots())
+    for system in (rs, copy.copy(rs)):
+        assert ideals._a_min_table(system) == want
+    assert ideals._a_min_table(copy.copy(rs)) is not ideals._a_min_table(rs)
+
+
+def test_a_min_table_checks_each_carried_root(monkeypatch):
+    # every carried inversion root doubled is no root at all
+    real = ideals.carry_images
+    monkeypatch.setattr(ideals, "carry_images", lambda cartan, images, word, lowest: (
+        tuple(2 * x for x in beta) for beta in real(cartan, images, word, lowest)))
+    with pytest.raises(InvariantViolation, match="does not extend its minimal ideal"):
+        ideals._a_min_table(copy.copy(build("B3")))
 
 
 def test_min_ideal_sizes(each_label):

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from abideal.root_system import build
@@ -49,6 +51,30 @@ def test_apply_word_rejects_letters_outside_the_rank(letter):
     rs = build("A3")
     with pytest.raises(ValueError):
         apply_word(rs, (1, letter), (0, 0, 1))
+
+
+@pytest.mark.parametrize("vector", [(1, 0), (1, 0, 0, 0), ()])
+def test_apply_word_rejects_vectors_of_the_wrong_length(vector):
+    # a short vector used to be read as its first coordinates: in A3,
+    # apply_word(rs, [1], (1, 0)) gave (-1, 0)
+    rs = build("A3")
+    message = f"vector {vector} has {len(vector)} coordinates, not rank 3"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        apply_word(rs, [1], vector)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        apply_word(rs, [], vector)
+
+
+@pytest.mark.parametrize("matrix", [((1, 0), (0, 1)),
+                                    ((1, 0, 0), (0, 1, 0)),
+                                    ((1, 0, 0), (0, 1, 0), (0, 0)),
+                                    ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0))])
+def test_length_of_element_rejects_a_matrix_that_is_not_rank_by_rank(matrix):
+    # the 2 by 2 identity used to have length 1 in A3
+    rs = build("A3")
+    with pytest.raises(ValueError, match="is not 3 by 3"):
+        length_of_element(rs, matrix)
+    assert length_of_element(rs, element_of_word(rs, (1, 2))) == 2
 
 
 def test_reflection_touches_one_coordinate():

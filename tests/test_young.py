@@ -24,6 +24,15 @@ def test_diagram_validation():
         YoungDiagram((2, 0))          # zero row
 
 
+def test_diagram_stores_its_rows_as_a_tuple():
+    # rows given as a list used to be stored as one, so hashing raised
+    d = YoungDiagram([2, 1])
+    assert d.rows == (2, 1) and type(d.rows) is tuple
+    assert d == YoungDiagram((2, 1))
+    assert hash(d) == hash(YoungDiagram((2, 1))) == hash(((2, 1),))
+    assert YoungDiagram(r for r in (3, 3, 1)).rows == (3, 3, 1)
+
+
 def test_golden_rim_code():
     d = YoungDiagram((5, 4, 4, 4, 4, 3, 2))
     code = young_encode(d, 12)
