@@ -577,10 +577,6 @@ def verify_type(label: str) -> TypeReport:
     return TypeReport(label, tuple(results))
 
 
-def verify_all(max_rank: int = 8) -> Tuple[TypeReport, ...]:
-    return tuple(verify_type(str(st)) for st in supported_types(max_rank))
-
-
 # ----------------------------------------------------------------------
 # summary tables
 

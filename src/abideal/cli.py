@@ -5,21 +5,25 @@ deterministic — the same invocation always produces byte-identical text,
 JSON or DOT.  Exit codes: 0 success, 1 a verification check failed,
 2 usage error, 141 (128 + SIGPIPE) stdout closed early, as when piped into
 `head`: the rest of the output is discarded and nothing goes to stderr.
+
+Each subcommand imports the modules it runs when it runs, so a fresh
+process loads only what its command prints: `info` and `ideals` never load
+the checks, the Hasse graph or the Young lattice.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-from typing import Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Sequence
 
-from .checks import TypeReport, summary_rows, verify_type
-from .hasse import build_graph, to_dot
-from .ideals import catalog_of, enumerate_all, long_simple_nodes
 from .root_system import RootSystem, SimpleType, build, supported_types
-from .young import YoungDiagram, young_encode, young_lattice
+
+if TYPE_CHECKING:
+    from .checks import TypeReport
+    from .ideals import IdealCatalog
+    from .young import YoungDiagram
 
 _VALID_TYPES = "A1-A11, B2-B8, C2-C8, D4-D8, E6-E8, F4, G2"
 
@@ -37,6 +41,7 @@ def _print(text: str) -> None:
 
 
 def _dump_json(obj) -> None:
+    import json
     _print(json.dumps(obj, indent=2))
 
 
@@ -44,6 +49,7 @@ def _dump_json(obj) -> None:
 # info
 
 def _cmd_info(args: argparse.Namespace) -> int:
+    from .ideals import enumerate_all, long_simple_nodes
     rs = build(args.type)
     ideals = enumerate_all(rs)
     rows = [
@@ -70,32 +76,48 @@ def _cmd_info(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------------
 # ideals
 
-def _ideal_dict(rs: RootSystem, entry) -> Dict[str, object]:
-    a = entry.ideal
-    out: Dict[str, object] = {
-        "type": str(rs.simple_type),
-        "roots": [list(r) for r in sorted(a.roots)],
-        "dim": a.dim,
-    }
-    if a.dim == 0:
-        out["assoc_long_root"] = None
-        out["param"] = None
-    else:
-        out["assoc_long_root"] = list(entry.phi)
-        out["param"] = {"phi": list(entry.phi), "coset_word": list(entry.coset_word)}
-    return out
+def _json_list(items: Iterable[str], depth: int) -> str:
+    """json.dumps(values, indent=2) of a list `depth` levels deep, from
+    the JSON texts of its items."""
+    item = "\n" + "  " * (depth + 1)
+    body = ("," + item).join(items)
+    return f"[{item}{body}\n{'  ' * depth}]" if body else "[]"
+
+
+def _ideals_json(rs: RootSystem, cat: IdealCatalog) -> Iterator[str]:
+    """json.dumps(doc, indent=2) + "\n" of the document
+
+        {"schema": 1, "type": T, "count": N, "ideals": [
+            {"type": T, "roots": sorted roots, "dim": d, "assoc_long_root": phi,
+             "param": {"phi": phi, "coset_word": word}},   (both null for 0)
+            ...]}
+
+    one chunk per ideal, so the whole text is never held.  Each root's
+    text is formatted once: a member of "roots" and a "phi" sit four
+    levels deep, an "assoc_long_root" three."""
+    label = f'"{rs.simple_type}"'
+    member = {r: _json_list(map(str, r), 4) for r in rs.positive_roots}
+    assoc = {phi: _json_list(map(str, phi), 3) for phi in rs.long_positive_roots()}
+    lead = f'{{\n  "schema": 1,\n  "type": {label},\n  "count": {len(cat)},\n  "ideals": [\n'
+    for e in cat.entries:
+        roots = _json_list([member[r] for r in sorted(e.ideal.roots)], 3)
+        if e.phi is None:
+            param = 'null,\n      "param": null'
+        else:
+            param = (f'{assoc[e.phi]},\n      "param": {{\n        "phi": {member[e.phi]},\n'
+                     f'        "coset_word": {_json_list(map(str, e.coset_word), 4)}\n      }}')
+        yield (f'{lead}    {{\n      "type": {label},\n      "roots": {roots},\n'
+               f'      "dim": {e.ideal.dim},\n      "assoc_long_root": {param}\n    }}')
+        lead = ",\n"
+    yield "\n  ]\n}\n"
 
 
 def _cmd_ideals(args: argparse.Namespace) -> int:
+    from .ideals import catalog_of
     rs = build(args.type)
     cat = catalog_of(rs)
     if args.json:
-        _dump_json({
-            "schema": 1,
-            "type": str(rs.simple_type),
-            "count": len(cat),
-            "ideals": [_ideal_dict(rs, e) for e in cat.entries],
-        })
+        sys.stdout.writelines(_ideals_json(rs, cat))
         return 0
     _print(f"# {len(cat)} abelian ideals of type {rs.simple_type}")
     for k, e in enumerate(cat.entries):
@@ -130,10 +152,11 @@ def _report_dict(report: TypeReport) -> Dict[str, object]:
 def _cmd_verify(args: argparse.Namespace) -> int:
     """Text output prints each type's block, flushed, as soon as that type
     is verified; JSON is written once, at the end."""
+    from . import checks
     labels = [str(st) for st in supported_types(args.max_rank)] if args.all else [args.type]
     reports: List[TypeReport] = []
     for label in labels:
-        reports.append(verify_type(label))
+        reports.append(checks.verify_type(label))
         if not args.json:
             for line in _report_lines(reports[-1]):
                 _print(line)
@@ -156,6 +179,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 # hasse
 
 def _cmd_hasse(args: argparse.Namespace) -> int:
+    from .hasse import build_graph, to_dot
     rs = build(args.type)
     text = to_dot(build_graph(rs))
     if args.dot == "-":
@@ -179,6 +203,7 @@ def _decomposition_str(d: Sequence[int]) -> str:
 
 
 def _cmd_tables(args: argparse.Namespace) -> int:
+    from .checks import summary_rows
     rows = summary_rows(args.max_rank)
     if args.json:
         _dump_json({"schema": 1, "rows": rows})
@@ -202,6 +227,7 @@ def _cmd_tables(args: argparse.Namespace) -> int:
 # young
 
 def _parse_shape(text: str) -> YoungDiagram:
+    from .young import YoungDiagram
     try:
         rows = tuple(int(p) for p in text.split(","))
         return YoungDiagram(rows)
@@ -210,6 +236,7 @@ def _parse_shape(text: str) -> YoungDiagram:
 
 
 def _cmd_young(args: argparse.Namespace) -> int:
+    from .young import young_encode, young_lattice
     n = args.rank + 1
     if args.encode is not None:
         d = args.encode
@@ -222,9 +249,10 @@ def _cmd_young(args: argparse.Namespace) -> int:
         return 0
     lattice = young_lattice(n)
     if args.list:
-        for code, d in enumerate(lattice):
-            shape = ",".join(str(r) for r in d.rows) or "-"
-            _print(f"{code:>{len(str(len(lattice) - 1))}} {code:0{n - 1}b} {shape}")
+        width = len(str(len(lattice) - 1))
+        sys.stdout.write("".join(
+            f"{code:>{width}} {code:0{n - 1}b} {','.join(map(str, d.rows)) or '-'}\n"
+            for code, d in enumerate(lattice)))
         return 0
     by_size: Dict[int, int] = {}
     for d in lattice:

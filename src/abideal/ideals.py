@@ -87,9 +87,6 @@ class AbelianIdeal(Record):
             object.__setattr__(self, "_root_set", frozenset(self.roots))
             return self._root_set
 
-    def root_sum(self, rank: int) -> Tuple[int, ...]:
-        return vsum(self.roots, rank)
-
     def __contains__(self, root: Sequence[int]) -> bool:
         return tuple(root) in self.root_set
 

@@ -178,33 +178,44 @@ def _cartan_matrix(st: SimpleType) -> Tuple[Tuple[int, ...], ...]:
     return tuple(tuple(row) for row in a)
 
 
+_ROOT_FIELD = 4    # bits per coordinate while closing: E8's largest mark, 6, fits
+
+
 def _positive_roots(cartan: Sequence[Sequence[int]]) -> Tuple[Root, ...]:
-    """Closure of the simple roots under root-string addition, by height."""
+    """Closure of the simple roots under root-string addition, by height.
+
+    phi + alpha_j is a root when the alpha_j-string down from phi is longer
+    than <phi, alpha_j-check>.  Roots are packed `_ROOT_FIELD` bits per
+    coordinate and keyed to their pairings with the simple coroots, which
+    grow by Cartan column j with each alpha_j added.  Walking a string
+    below a zero coordinate borrows, which leaves the field all ones, a
+    coefficient no root reaches; a coefficient that would reach it means
+    the matrix is not of finite type."""
     l = len(cartan)
-    simples = [tuple(1 if k == i else 0 for k in range(l)) for i in range(l)]
-    roots = set(simples)
-    layer = list(simples)
+    simples = [1 << _ROOT_FIELD * j for j in range(l)]
+    columns = [tuple(row[j] for row in cartan) for j in range(l)]
+    pairings = dict(zip(simples, columns))
+    full = (1 << _ROOT_FIELD) - 1
+    layer, out = simples, []
     while layer:
-        nxt: List[Root] = []
-        for phi in layer:
-            for j in range(l):
-                pairing = sum(c * cartan[j][k] for k, c in enumerate(phi) if c)
-                p = 0
-                lower = list(phi)
-                while True:
-                    lower[j] -= 1
-                    if tuple(lower) not in roots:
-                        break
-                    p += 1
-                if p - pairing > 0:
-                    up = list(phi)
-                    up[j] += 1
-                    cand = tuple(up)
-                    if cand not in roots:
-                        roots.add(cand)
-                        nxt.append(cand)
+        out += sorted(tuple(p >> _ROOT_FIELD * i & full for i in range(l)) for p in layer)
+        nxt: List[int] = []
+        for p in layer:
+            labels = pairings[p]
+            for j, a in enumerate(simples):
+                up = p + a
+                if up in pairings:
+                    continue
+                down, q = 0, p - a
+                while q in pairings:
+                    down, q = down + 1, q - a
+                if down > labels[j]:
+                    if up >> _ROOT_FIELD * j & full == full:
+                        raise ValueError("Cartan matrix is not of finite type")
+                    pairings[up] = tuple(x + y for x, y in zip(labels, columns[j]))
+                    nxt.append(up)
         layer = nxt
-    return tuple(sorted(roots, key=lambda r: (sum(r), r)))
+    return tuple(out)
 
 
 def height_exponents(roots: Iterable[Root], rank: int) -> Tuple[int, ...]:

@@ -80,23 +80,23 @@ def young_encode(d: YoungDiagram, n: int) -> int:
 
 
 def young_decode(code: int, n: int) -> YoungDiagram:
+    """The diagram of a rim code, in one pass over its bits from the low
+    (top-right) end.  There each 0 climbs one row and each 1 closes a
+    column one cell taller than the climb so far, so the columns come
+    shortest first; the rows are their conjugate.  While `width` columns
+    remain, counting the one just closed, every row up to its height is
+    `width` cells long."""
     if not 0 <= code < (1 << (n - 1)):
         raise ValueError(f"code {code} out of range for n={n}")
-    if code == 0:
-        return YoungDiagram(())
-    bits = [int(b) for b in bin(code)[2:]]
-    # Read the rim backwards (top-right end first): each 1 closes a
-    # column whose height exceeds the previous column's by the number of
-    # interleaved zeros.
-    heights: List[int] = []
-    climb = 0
-    for b in reversed(bits):
-        if b:
-            heights.append(climb + 1)
+    rows: List[int] = []
+    width, height = code.bit_count(), 1
+    while code:
+        if code & 1:
+            rows += [width] * (height - len(rows))
+            width -= 1
         else:
-            climb += 1
-    heights.reverse()
-    rows = tuple(sum(1 for h in heights if h > r) for r in range(max(heights)))
+            height += 1
+        code >>= 1
     return YoungDiagram(rows)
 
 

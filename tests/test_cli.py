@@ -9,7 +9,8 @@ import pytest
 
 from abideal import checks, cli
 from abideal.checks import CheckResult, TypeReport, verify_type
-from abideal.root_system import supported_types
+from abideal.ideals import catalog_of
+from abideal.root_system import build, supported_types
 
 
 def run(capsys, *argv):
@@ -54,6 +55,42 @@ def test_ideals_json_schema(capsys):
         assert isinstance(item["param"]["coset_word"], list)
 
 
+def _ideal_dict(rs, entry):
+    """One ideal of the `ideals --json` document, as a JSON-ready dict."""
+    a = entry.ideal
+    out = {
+        "type": str(rs.simple_type),
+        "roots": [list(r) for r in sorted(a.roots)],
+        "dim": a.dim,
+    }
+    if a.dim == 0:
+        out["assoc_long_root"] = None
+        out["param"] = None
+    else:
+        out["assoc_long_root"] = list(entry.phi)
+        out["param"] = {"phi": list(entry.phi), "coset_word": list(entry.coset_word)}
+    return out
+
+
+@pytest.mark.parametrize("label", [str(st) for st in supported_types(11)])
+def test_ideals_json_writer_matches_json_dumps(label):
+    rs = build(label)
+    cat = catalog_of(rs)
+    doc = {"schema": 1, "type": label, "count": len(cat),
+           "ideals": [_ideal_dict(rs, e) for e in cat.entries]}
+    chunks = list(cli._ideals_json(rs, cat))
+    assert len(chunks) == len(cat) + 1
+    assert "".join(chunks) == json.dumps(doc, indent=2) + "\n"
+
+
+def test_ideals_json_writes_to_the_current_stdout(monkeypatch):
+    # the writer finds sys.stdout when it runs, as under redirect_stdout
+    out = io.StringIO()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert cli.main(["ideals", "A3", "--json"]) == 0
+    assert json.loads(out.getvalue())["count"] == 8
+
+
 def test_ideals_json_deterministic(capsys):
     _, first = run(capsys, "ideals", "D4", "--json")
     _, second = run(capsys, "ideals", "D4", "--json")
@@ -81,7 +118,7 @@ def test_verify_json(capsys):
 
 def test_verify_reports_failure_exit_code(capsys, monkeypatch):
     broken = TypeReport("G2", (CheckResult("normalization", False, "forced"),))
-    monkeypatch.setattr(cli, "verify_type", lambda label: broken)
+    monkeypatch.setattr(checks, "verify_type", lambda label: broken)
     code, out = run(capsys, "verify", "G2")
     assert code == 1
     assert "FAIL" in out
@@ -233,7 +270,7 @@ def test_verify_all_prints_each_type_as_it_finishes(monkeypatch):
             at_last.append(flushed[-1] if flushed else "")
         return verify_type(label)
 
-    monkeypatch.setattr(cli, "verify_type", spy)
+    monkeypatch.setattr(checks, "verify_type", spy)
     assert cli.main(["verify", "--all", "--max-rank", "2"]) == 0
     assert at_last[0].startswith(f"== {labels[0]} ==\n")
     assert f"== {labels[-2]} ==" in at_last[0]
@@ -244,7 +281,8 @@ def test_verify_all_prints_each_type_as_it_finishes(monkeypatch):
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-@pytest.mark.parametrize("argv", [("verify", "--all", "--max-rank", "3"), ("young", "11", "--list")])
+@pytest.mark.parametrize("argv", [("verify", "--all", "--max-rank", "3"), ("young", "11", "--list"),
+                                  ("ideals", "E8", "--json")])
 def test_closed_stdout_exits_141_quietly(argv):
     # stdout is a pipe whose reader is already gone, as after `| head -1`
     # has exited: every write fails with EPIPE

@@ -263,7 +263,7 @@ def test_from_param_on_every_label_valid_word(label):
     # the catalog ideal whose root sum is that word's rho-shift
     rs = build(label)
     cat = catalog_of(rs)
-    by_sum = {a.root_sum(rs.rank): a for a in cat.ideals}
+    by_sum = {vsum(a.roots, rs.rank): a for a in cat.ideals}
     held = {(e.phi, e.coset_word) for e in cat.entries}
     unheld = 0
     for phi in rs.long_positive_roots():

@@ -1,0 +1,82 @@
+"""The package resolves its exports lazily, and each command loads only the
+modules it runs.
+
+Every name in `abideal.__all__` is its home module's object; a fresh
+interpreter that imports the package has loaded no submodule, and a
+command run in one leaves the checks, the Hasse graph and the reference
+data unloaded unless it prints them.
+"""
+
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import abideal
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _fresh(code: str, *args: str) -> str:
+    """Runs `code` in a new interpreter on the package sources; returns
+    its stderr, where the code reports."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", code, *args], stdout=subprocess.DEVNULL,
+                          stderr=subprocess.PIPE, env=env, timeout=120, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stderr
+
+
+@pytest.mark.parametrize("name", abideal.__all__)
+def test_every_export_is_its_home_modules_object(name):
+    home = importlib.import_module(f"abideal.{abideal._HOME[name]}")
+    value = getattr(abideal, name)
+    assert value is getattr(home, name)
+    if getattr(value, "__module__", "").startswith("abideal."):
+        assert value.__module__ == home.__name__
+    assert name in dir(abideal)
+
+
+def test_star_import_binds_every_export():
+    namespace = {}
+    exec("from abideal import *", namespace)
+    assert sorted(k for k in namespace if k != "__builtins__") == sorted(abideal.__all__)
+    assert namespace["catalog_of"] is abideal.ideals.catalog_of
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'verify_all'"):
+        abideal.verify_all
+    with pytest.raises(ImportError):
+        exec("from abideal import no_such_name", {})
+
+
+def test_importing_the_package_loads_no_submodule():
+    loaded = _fresh(
+        "import sys, abideal\n"
+        "before = sorted(m for m in sys.modules if m.startswith('abideal.'))\n"
+        "abideal.catalog_of\n"
+        "after = sorted(m for m in sys.modules if m.startswith('abideal.'))\n"
+        "sys.stderr.write(repr((before, after)))")
+    before, after = eval(loaded)
+    assert before == []
+    assert "abideal.ideals" in after
+    assert not {"abideal.checks", "abideal.hasse", "abideal.young"} & set(after)
+
+
+@pytest.mark.parametrize("argv, unloaded", [
+    (("info", "E8"), {"checks", "hasse", "reference", "young"}),
+    (("ideals", "E8", "--json"), {"checks", "hasse", "reference", "young"}),
+    (("young", "11", "--list"), {"checks", "hasse", "reference"}),
+])
+def test_commands_load_only_what_they_run(argv, unloaded):
+    loaded = _fresh("import sys\nfrom abideal.cli import main\n"
+                    "assert main(sys.argv[1:]) == 0\n"
+                    "sys.stdout.flush()\n"
+                    "sys.stderr.write(' '.join(sys.modules))", *argv).split()
+    assert "abideal.cli" in loaded
+    assert {f"abideal.{m}" for m in unloaded}.isdisjoint(loaded)
+    assert "json" not in loaded

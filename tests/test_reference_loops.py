@@ -26,8 +26,10 @@ affine simple roots, its ideal rebuilt by `from_param`, and its ideal read
 off the whole word's affine inversion set.  Cold construction keeps its
 tuple forms: the rho-shift that builds one tuple per letter, the greedy
 walk from a root all the way to theta, the cover and conflict masks from
-`vadd` sums, and the enumeration whose ideals `make_ideal` re-sorts, with
-`vsum` root sums.  The matrix and Fraction picture of an affine element
+`vadd` sums, the enumeration whose ideals `make_ideal` re-sorts, with
+`vsum` root sums, and the positive-root closure on tuples, with each
+pairing summed from the Cartan row.  The Young decode keeps its bit list,
+read in reverse into column heights.  The matrix and Fraction picture of an affine element
 these references use lives in `reference_impl.py`.  Each test requires the
 library to give exactly what its reference gives, errors included.
 """
@@ -36,7 +38,7 @@ import copy
 import random
 from fractions import Fraction as Q
 from functools import partial
-from itertools import product
+from itertools import combinations, product
 from math import gcd
 from types import SimpleNamespace
 
@@ -81,7 +83,8 @@ from abideal.ideals import (
     mask_bits,
     maximal_ideals,
 )
-from abideal.root_system import bareiss, build, supported_types, vsub, vsum
+from abideal.root_system import (_cartan_matrix, _positive_roots, bareiss, build, supported_types,
+                                 vsub, vsum)
 from abideal.weyl import (
     apply_word,
     check_letters,
@@ -93,6 +96,7 @@ from abideal.weyl import (
     minimal_word_to_theta,
     reflect_simple,
 )
+from abideal.young import YoungDiagram, young_decode
 
 from conftest import ALL_LABELS, SMALL_LABELS, corrupted_gram_copy
 from reference_impl import (
@@ -719,7 +723,7 @@ def test_kostant_sampler_and_verdicts_match_the_set_test(label):
         value = raw(_mask_of(rs, s))
         assert value == kostant_raw(rs, vsum(s, rs.rank)) and value < len(s) * rs.form_den, s
     ideals = catalog_of(rs).ideals
-    assert ([kostant_raw(rs, a.root_sum(rs.rank)) == a.dim * rs.form_den for a in ideals]
+    assert ([kostant_raw(rs, vsum(a.roots, rs.rank)) == a.dim * rs.form_den for a in ideals]
             == [kostant_value(rs, a.roots) == a.dim for a in ideals])
 
 
@@ -944,3 +948,78 @@ def test_enumeration_matches_make_ideal_and_vsum(label):
     assert _enumerate_masks(rs) == reference
     cat = catalog_of(rs)
     assert (cat.ideals, cat.masks, cat.sums) == reference
+
+
+def _tuple_positive_roots(cartan):
+    """The closure on tuples: each string walked down one `tuple(lower)`
+    and set lookup at a time, each pairing summed from the Cartan row."""
+    l = len(cartan)
+    simples = [tuple(1 if k == i else 0 for k in range(l)) for i in range(l)]
+    roots = set(simples)
+    layer = list(simples)
+    while layer:
+        nxt = []
+        for phi in layer:
+            for j in range(l):
+                pairing = sum(c * cartan[j][k] for k, c in enumerate(phi) if c)
+                p = 0
+                lower = list(phi)
+                while True:
+                    lower[j] -= 1
+                    if tuple(lower) not in roots:
+                        break
+                    p += 1
+                if p - pairing > 0:
+                    up = list(phi)
+                    up[j] += 1
+                    cand = tuple(up)
+                    if cand not in roots:
+                        roots.add(cand)
+                        nxt.append(cand)
+        layer = nxt
+    return tuple(sorted(roots, key=lambda r: (sum(r), r)))
+
+
+@pytest.mark.parametrize("label", EVERY_LABEL)
+def test_packed_root_closure_matches_the_tuple_closure(label):
+    # the whole Cartan matrix, and every submatrix `parabolic_poincare`
+    # can hand to `weyl._exponent_product`: each proper node subset of the
+    # affine Cartan matrix, in its own node order
+    cartan = _cartan_matrix(build(label).simple_type)
+    assert _positive_roots(cartan) == _tuple_positive_roots(cartan) == build(label).positive_roots
+    affine = affine_cartan_matrix(build(label))
+    for k in range(1, len(affine)):
+        for idx in combinations(range(len(affine)), k):
+            sub = tuple(tuple(affine[a][b] for b in idx) for a in idx)
+            assert _positive_roots(sub) == _tuple_positive_roots(sub), idx
+    with pytest.raises(ValueError, match="not of finite type"):
+        _positive_roots(affine)
+
+
+def _bit_list_young_decode(code, n):
+    """The code's bits as a list, read in reverse into column heights,
+    and each row counted over all the columns."""
+    if not 0 <= code < (1 << (n - 1)):
+        raise ValueError(f"code {code} out of range for n={n}")
+    if code == 0:
+        return YoungDiagram(())
+    bits = [int(b) for b in bin(code)[2:]]
+    heights = []
+    climb = 0
+    for b in reversed(bits):
+        if b:
+            heights.append(climb + 1)
+        else:
+            climb += 1
+    heights.reverse()
+    rows = tuple(sum(1 for h in heights if h > r) for r in range(max(heights)))
+    return YoungDiagram(rows)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_one_pass_young_decode_matches_the_bit_list(n):
+    for code in range(1 << (n - 1)):
+        assert young_decode(code, n) == _bit_list_young_decode(code, n), code
+    for bad in (-1, 1 << (n - 1)):
+        with pytest.raises(ValueError, match="out of range"):
+            young_decode(bad, n)
