@@ -27,12 +27,11 @@ The doubled fundamental alcove 2A is cut out by dominance together with
 
 from __future__ import annotations
 
-from functools import lru_cache
 from operator import mul
 from typing import Dict, List, Sequence, Tuple
 
 from .qpoly import Poly, poly
-from .root_system import Record, Root, RootSystem, vneg
+from .root_system import Record, Root, RootSystem, system_cache, vneg
 from .weyl import carry_images, check_letters, parabolic_poincare
 
 AffineWord = Tuple[int, ...]
@@ -59,7 +58,7 @@ class AffineRoot(Record):
         return f"({self.finite}, {self.level})"
 
 
-@lru_cache(maxsize=None)
+@system_cache
 def affine_cartan_matrix(rs: RootSystem) -> Tuple[Tuple[int, ...], ...]:
     """Entry [a][b] = <root_b, root_a-check> over letters 0..rank, where
     root_0 = -theta; computed once per root system."""
@@ -74,7 +73,7 @@ def affine_cartan_matrix(rs: RootSystem) -> Tuple[Tuple[int, ...], ...]:
     return tuple(tuple(pairing(b, a) for b in roots) for a in roots)
 
 
-@lru_cache(maxsize=None)
+@system_cache
 def _sparse_rows(rs: RootSystem) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
     """The nonzero entries (j, a_{a,j+1}) of each row a of the affine Cartan
     matrix, over the finite columns only."""
@@ -182,7 +181,7 @@ def minimal_coset_reps(rs: RootSystem, phi: Root) -> Tuple[AffineWord, ...]:
     return _minimal_coset_reps_cached(rs, tuple(phi))
 
 
-@lru_cache(maxsize=None)
+@system_cache
 def _minimal_coset_reps_cached(rs: RootSystem, phi: Root) -> Tuple[AffineWord, ...]:
     if not rs.is_positive_root(phi):
         raise ValueError(f"{phi} is not a positive root")

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction as Q
-from typing import Callable, Dict, List, NamedTuple, Sequence, Tuple
+from functools import reduce
+from operator import add, mul, or_
+from typing import Callable, Dict, Iterator, List, NamedTuple, Sequence, Tuple
 
 from . import weyl
 from .affine import (
@@ -35,9 +37,9 @@ from .ideals import (
     catalog_of,
     coset_tree,
     forbidden_roots,
+    kostant_raw,
     long_simple_nodes,
     make_ideal,
-    mask_bits,
     max_dimension,
     maximal_ideals,
     sum_formula_report,
@@ -136,21 +138,35 @@ def _random_below(rng: random.Random, n: int) -> int:
     return r
 
 
-def _random_non_ideal_masks(rs: RootSystem, rng: random.Random, count: int) -> List[int]:
-    """`count` masks over rs.positive_roots that are not ideals.  Each draw
-    takes its size k uniform in 1..n, then a uniform k-subset by Floyd's
-    algorithm (Bentley and Floyd, "A sample of brilliance", CACM 30(9),
-    1987), drawn as its complement when k > n/2; ideals are rejected by the
-    cover and conflict masks."""
+def _byte_tables(values: Sequence[int], combine: Callable[[int, int], int]) -> List[List[int]]:
+    """One table per eight consecutive values: entry v of table t combines
+    values[8t + b] over the set bits b of v, so a mask's combination is one
+    lookup per byte of the mask."""
+    tables = []
+    for start in range(0, len(values), 8):
+        chunk = values[start:start + 8]
+        table = [0] * 256
+        for v in range(1, 1 << len(chunk)):
+            low = v & -v
+            table[v] = combine(table[v ^ low], chunk[low.bit_length() - 1])
+        tables.append(table)
+    return tables
+
+
+def _random_draws(rs: RootSystem, rng: random.Random) -> Iterator[Tuple[int, bool]]:
+    """Endless random masks over rs.positive_roots, each with whether the
+    cover and conflict masks call it an ideal.  Each draw takes its size k
+    uniform in 1..n, then a uniform k-subset by Floyd's algorithm (Bentley
+    and Floyd, "A sample of brilliance", CACM 30(9), 1987), drawn as its
+    complement when k > n/2.  The ideal test is one OR over per-byte tables
+    of cover | conflict << n: a mask is an ideal when it holds every cover
+    of its roots and none of their conflicts."""
     n = rs.num_positive
-    if n == 1:
-        # rank one: both subsets of the single positive root are ideals
-        return []
-    covers, conflicts = rs.cover_masks, rs.conflict_masks
+    tables = _byte_tables([c | f << n for c, f in zip(rs.cover_masks, rs.conflict_masks)], or_)
+    nbytes = len(tables)
     full = (1 << n) - 1
     getrandbits = rng.getrandbits
-    out: List[int] = []
-    while len(out) < count:
+    while True:
         k = 1 + _random_below(rng, n)
         drawn = min(k, n - k)
         mask = 0
@@ -163,65 +179,102 @@ def _random_non_ideal_masks(rs: RootSystem, rng: random.Random, count: int) -> L
             mask |= 1 << (j if mask >> t & 1 else t)
         if drawn < k:
             mask ^= full
-        if any(covers[i] & ~mask or conflicts[i] & mask for i in mask_bits(mask)):
-            out.append(mask)
-    return out
+        reached = reduce(or_, map(list.__getitem__, tables, mask.to_bytes(nbytes, "little")))
+        yield mask, not reached & (mask << n | full ^ mask)
+
+
+def _kostant_fields(rs: RootSystem) -> Tuple[List[Tuple[int, ...]], int, int]:
+    """The form column F r of each positive root r, the offset c that makes
+    every entry of every column non-negative, and the field width of
+    `_kostant_mask_raw`: the bit length of the largest field it reaches,
+    which is reached on the set of all positive roots, as every field
+    grows with the set."""
+    form, rank = rs.form, rs.rank
+    columns = [tuple(sum(map(mul, row, root)) for row in form) for root in rs.positive_roots]
+    offset = max(0, -min(map(min, columns)))
+    sigma = rs.two_rho
+    upper = [sum(col[i] for col in columns) + offset * len(columns) + form[i][i]
+             for i in range(rank)]
+    # fields 0..rank-1 of the product of the coordinate half and the upper half
+    products = [sum(sigma[i] * upper[i + rank - 1 - m] for i in range(m + 1)) for m in range(rank)]
+    return columns, offset, max(*products, *upper, sum(sigma)).bit_length()
 
 
 def _kostant_mask_raw(rs: RootSystem) -> Callable[[int], int]:
-    """`kostant_raw` of the sum of the roots in a mask over rs.positive_roots.
+    """`kostant_raw` of the sum sigma of the roots in a mask over
+    rs.positive_roots.
 
-    Each root is its packed form `rs.packed_roots`, with its linear term
-    2 raw(rho, root) added in the top field, at shift pack_width * rank:
-    the packing holds the coordinate sums of all positive roots, so sums
-    never carry between fields, `rs.unpack` reads the coordinates back,
-    and nothing lies above the top field.  Per-byte tables hold the packed
-    sum of every subset of eight consecutive roots, and the quadratic term
-    raw(sigma, sigma) is read off the nonzero form entries, a pair (i, j)
-    and (j, i) at once."""
-    rank, form = rs.rank, rs.form
-    top = rs.pack_width * rank
-    packed = [p + (rs.twice_raw_rho(root) << top)
-              for p, root in zip(rs.packed_roots, rs.positive_roots)]
-    tables = []
-    for start in range(0, len(packed), 8):
-        chunk = packed[start:start + 8]
-        table = [0] * 256
-        for v in range(1, 1 << len(chunk)):
-            low = v & -v
-            table[v] = table[v ^ low] + chunk[low.bit_length() - 1]
-        tables.append(table)
+    Fields are w bits wide (`_kostant_fields`).  Each root packs its
+    coordinates in fields 0..rank-1, its height in field rank, and above
+    those its form column plus the offset c, in reversed order (entry i in
+    field rank-1-i of the upper half).  Per-byte tables hold the packed sum
+    of every subset of eight consecutive roots.  Adding the form's diagonal
+    to the upper half's fields, the product of the two halves carries in
+    its field rank-1
+
+        sum_i sigma_i ((F sigma)_i + c |S| + F_ii)
+            = raw(sigma, sigma) + 2 raw(rho, sigma) + c |S| ht(sigma),
+
+    as raw(rho, alpha_i) = F_ii / 2.  Every field of the sum, and every
+    field of the product up to rank-1, is at most its value on all
+    positive roots, which fits in w bits, so nothing carries between
+    fields."""
+    rank = rs.rank
+    columns, offset, width = _kostant_fields(rs)
+    top = width * (rank + 1)
+    packed = [sum(x << width * i for i, x in enumerate(root)) + (sum(root) << width * rank)
+              + (sum((x + offset) << width * (rank - 1 - i) for i, x in enumerate(col)) << top)
+              for root, col in zip(rs.positive_roots, columns)]
+    tables = _byte_tables(packed, add)
     nbytes = len(tables)
-    unpack = rs.unpack
-    quad = [(i, j, form[i][j] + form[j][i] if i < j else form[i][i])
-            for i in range(rank) for j in range(i, rank) if form[i][j] or form[j][i]]
+    diagonal = sum(rs.form[i][i] << width * (rank - 1 - i) for i in range(rank))
+    field = (1 << width) - 1
+    low = (1 << width * rank) - 1
+    middle, height = width * (rank - 1), width * rank
 
     def raw(mask: int) -> int:
         total = sum(map(list.__getitem__, tables, mask.to_bytes(nbytes, "little")))
-        sigma = unpack(total)
-        return (total >> top) + sum(a * sigma[i] * sigma[j] for i, j, a in quad)
+        product = (total & low) * ((total >> top) + diagonal)
+        return (product >> middle & field) - offset * mask.bit_count() * (total >> height & field)
 
     return raw
 
 
 def check_kostant(rs: RootSystem, samples: int = 1000) -> CheckResult:
     """|rho + sum|^2 - |rho|^2 = dim on ideals, strictly below elsewhere;
-    both sides are compared times form_den, in integers, on masks."""
+    both sides are compared times form_den, in integers, on masks.
+
+    The mask kernel is first held to `kostant_raw` of the packed sum of all
+    positive roots read back by `rs.unpack`: that sum is where every field
+    of the kernel and of the root system's packing is largest, so a width
+    too narrow for either shows there.  Each random draw that the cover and
+    conflict tables call an ideal must reach equality too."""
     cat = catalog_of(rs)
     den = rs.form_den
     raw = _kostant_mask_raw(rs)
+    n = rs.num_positive
+    if raw((1 << n) - 1) != kostant_raw(rs, rs.unpack(sum(rs.packed_roots))):
+        return _fail("kostant", "mask kernel and packed sum disagree on all positive roots")
     for a, mask in zip(cat.ideals, cat.masks):
         if raw(mask) != a.dim * den:
             return _fail("kostant", f"equality fails on ideal {[_compact(r) for r in a.roots]}")
 
-    rng = random.Random(f"kostant:{rs.simple_type}")
-    masks = _random_non_ideal_masks(rs, rng, samples)
-    for mask in masks:
-        size = mask.bit_count()
-        if not raw(mask) < size * den:
-            return _fail("kostant", f"non-ideal subset of size {size} not strictly below")
-    tail = (f"{len(masks)} random non-ideal subsets strictly below"
-            if masks else "no non-ideal subsets exist at rank one")
+    kept = 0
+    if n > 1:
+        draws = _random_draws(rs, random.Random(f"kostant:{rs.simple_type}"))
+        while kept < samples:
+            mask, ideal = next(draws)
+            size = mask.bit_count()
+            if ideal:
+                if raw(mask) != size * den:
+                    return _fail("kostant", f"subset of size {size} passes the ideal tables "
+                                            "without equality")
+            elif raw(mask) < size * den:
+                kept += 1
+            else:
+                return _fail("kostant", f"non-ideal subset of size {size} not strictly below")
+    tail = (f"{kept} random non-ideal subsets strictly below"
+            if kept else "no non-ideal subsets exist at rank one")
     return _ok("kostant", f"equality on {len(cat)} ideals; {tail}")
 
 

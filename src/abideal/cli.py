@@ -18,7 +18,7 @@ import os
 import sys
 from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Sequence
 
-from .root_system import RootSystem, SimpleType, build, supported_types
+from .root_system import RootSystem, SimpleType, build, clear_system_caches, supported_types
 
 if TYPE_CHECKING:
     from .checks import TypeReport
@@ -116,17 +116,21 @@ def _cmd_ideals(args: argparse.Namespace) -> int:
     from .ideals import catalog_of
     rs = build(args.type)
     cat = catalog_of(rs)
-    if args.json:
-        sys.stdout.writelines(_ideals_json(rs, cat))
-        return 0
-    _print(f"# {len(cat)} abelian ideals of type {rs.simple_type}")
+    sys.stdout.writelines(_ideals_json(rs, cat) if args.json else _ideals_text(rs, cat))
+    return 0
+
+
+def _ideals_text(rs: RootSystem, cat: IdealCatalog) -> Iterator[str]:
+    """The text listing: a header line, then one line per ideal with its
+    dimension, parameter and roots, each root's text formatted once."""
+    text = {r: "".join(map(str, r)) for r in rs.positive_roots}
+    yield f"# {len(cat)} abelian ideals of type {rs.simple_type}\n"
     for k, e in enumerate(cat.entries):
         a = e.ideal
-        phi = "".join(str(c) for c in e.phi) if e.phi is not None else "-"
-        word = ".".join(str(i) for i in e.coset_word) if e.coset_word else "-"
-        roots = ",".join("".join(str(c) for c in r) for r in a.roots) or "-"
-        _print(f"{k} dim={a.dim} phi={phi} coset={word} roots={roots}")
-    return 0
+        phi = "-" if e.phi is None else text[e.phi]
+        word = ".".join(map(str, e.coset_word)) or "-"
+        roots = ",".join([text[r] for r in a.roots]) or "-"
+        yield f"{k} dim={a.dim} phi={phi} coset={word} roots={roots}\n"
 
 
 # ----------------------------------------------------------------------
@@ -151,12 +155,16 @@ def _report_dict(report: TypeReport) -> Dict[str, object]:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     """Text output prints each type's block, flushed, as soon as that type
-    is verified; JSON is written once, at the end."""
+    is verified; JSON is written once, at the end.  Once a type's report is
+    recorded, the caches built for its root system are emptied, so a run
+    over many types holds one type's catalog, coset trees and Hasse graph
+    at a time."""
     from . import checks
     labels = [str(st) for st in supported_types(args.max_rank)] if args.all else [args.type]
     reports: List[TypeReport] = []
     for label in labels:
         reports.append(checks.verify_type(label))
+        clear_system_caches()
         if not args.json:
             for line in _report_lines(reports[-1]):
                 _print(line)

@@ -27,11 +27,10 @@ catalog of small groups.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from heapq import heappop, heappush
 from itertools import repeat
 from math import lcm
-from typing import Dict, FrozenSet, List, NamedTuple, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterator, List, NamedTuple, Sequence, Tuple
 
 from .affine import rho_shift_in_2A
 from .ideals import (
@@ -40,7 +39,7 @@ from .ideals import (
     catalog_of,
     mask_bits,
 )
-from .root_system import Q, RootSystem, bareiss, vneg, vsub
+from .root_system import Q, RootSystem, bareiss, system_cache, vneg, vsub
 
 Permutation = Tuple[int, ...]
 
@@ -68,7 +67,7 @@ class HasseGraph:
         return len(self.catalog.ideals)
 
 
-@lru_cache(maxsize=None)
+@system_cache
 def build_graph(rs: RootSystem) -> HasseGraph:
     """Edge j -- k when ideal k adds one root r to ideal j, labelled by the
     index of (-r, 1) in the walls of j: element(k) = element(j) s_label."""
@@ -340,12 +339,16 @@ def _perm_order(p: Permutation) -> int:
     return out
 
 
+def _commute(p: Permutation, q: Permutation) -> bool:
+    """p q = q p, read position by position: p[q[i]] == q[p[i]]."""
+    return all(p[y] == q[x] for x, y in zip(p, q))
+
+
 def group_fingerprint(perms: Sequence[Permutation]) -> GroupFingerprint:
     elems = list(perms)
     orders = tuple(sorted(_perm_order(p) for p in elems))
-    abelian = all(_perm_mul(p, q) == _perm_mul(q, p) for p in elems for q in elems)
-    center = sum(1 for p in elems if all(_perm_mul(p, q) == _perm_mul(q, p) for q in elems))
-    return GroupFingerprint(len(elems), abelian, orders, center)
+    center = sum(1 for p in elems if all(_commute(p, q) for q in elems))
+    return GroupFingerprint(len(elems), center == len(elems), orders, center)
 
 
 def _closure(gens: List[Permutation], n: int) -> List[Permutation]:
@@ -364,41 +367,38 @@ def _closure(gens: List[Permutation], n: int) -> List[Permutation]:
     return sorted(elems)
 
 
-@lru_cache(maxsize=1)
-def _named_fingerprints() -> Dict[GroupFingerprint, str]:
-    def cyc(n: int) -> Permutation:
-        return tuple((i + 1) % n for i in range(n))
+def _cyclic(n: int) -> Permutation:
+    return tuple((i + 1) % n for i in range(n))
 
-    def flip(n: int) -> Permutation:
-        return tuple((n - i) % n for i in range(n))
 
-    table: Dict[GroupFingerprint, str] = {}
+def _flip(n: int) -> Permutation:
+    return tuple((n - i) % n for i in range(n))
 
-    def put(name: str, gens: List[Permutation], n: int) -> None:
-        fp = group_fingerprint(_closure(gens, n))
-        other = table.get(fp)
-        if other is not None and other != name:
-            raise AssertionError(f"fingerprint collision: {name} vs {other}")
-        table[fp] = name
 
-    put("1", [], 1)
+def _named_groups() -> Iterator[Tuple[int, str, List[Permutation], int]]:
+    """Every group `identify_group` can name: its order, name, generators
+    and the degree they act on."""
+    yield 1, "1", [], 1
     for n in range(2, 13):
-        put(f"Z/{n}", [cyc(n)], n)
-    put("Z/2 x Z/2", [(1, 0, 2, 3), (0, 1, 3, 2)], 4)
-    put("Sym_3", [cyc(3), flip(3)], 3)
+        yield n, f"Z/{n}", [_cyclic(n)], n
+    yield 4, "Z/2 x Z/2", [(1, 0, 2, 3), (0, 1, 3, 2)], 4
+    yield 6, "Sym_3", [_cyclic(3), _flip(3)], 3
     for n in range(4, 13):
-        put(f"Dih_{n}", [cyc(n), flip(n)], n)
-    put("Sym_4", [cyc(4), (1, 0, 2, 3)], 4)
-    put("Alt_4", [(1, 2, 0, 3), (0, 2, 3, 1)], 4)
-    return table
+        yield 2 * n, f"Dih_{n}", [_cyclic(n), _flip(n)], n
+    yield 24, "Sym_4", [_cyclic(4), (1, 0, 2, 3)], 4
+    yield 12, "Alt_4", [(1, 2, 0, 3), (0, 2, 3, 1)], 4
 
 
 def identify_group(perms: Sequence[Permutation]) -> str:
+    """The name of the named group with the same fingerprint.  Only the
+    named groups of the same order are closed and fingerprinted: groups of
+    different orders never share a fingerprint, and no two named groups do
+    (a test closes them all)."""
     fp = group_fingerprint(perms)
-    name = _named_fingerprints().get(fp)
-    if name is None:
-        return f"unidentified(order={fp.order})"
-    return name
+    for order, name, gens, degree in _named_groups():
+        if order == fp.order and group_fingerprint(_closure(gens, degree)) == fp:
+            return name
+    return f"unidentified(order={fp.order})"
 
 
 def hasse_automorphism_name(rs: RootSystem) -> str:

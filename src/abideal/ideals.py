@@ -29,7 +29,7 @@ one letter and one root per long root.
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import (Collection, Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Optional,
                     Sequence, Tuple)
 
@@ -45,7 +45,7 @@ from .affine import (
     wall_point,
 )
 from .qpoly import poly_degree, poly_eval_one
-from .root_system import Q, Record, Root, RootSystem, build, vneg, vsub, vsum
+from .root_system import Q, Record, Root, RootSystem, build, system_cache, vneg, vsub, vsum
 from .weyl import (
     carry_images,
     check_length,
@@ -220,7 +220,7 @@ def coset_tree(rs: RootSystem, phi: Root) -> Tuple[Tuple[Walls, int], ...]:
     return _coset_tree_cached(rs, tuple(phi))
 
 
-@lru_cache(maxsize=None)
+@system_cache
 def _coset_tree_cached(rs: RootSystem, phi: Root) -> Tuple[Tuple[Walls, int], ...]:
     walls = list(alcove_walls(rs, ()))
     mask = cross_walls(rs, walls, parameter_word(rs, phi, ()), 0, phi, ())
@@ -335,7 +335,7 @@ class IdealCatalog:
         return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@system_cache
 def catalog_of(rs: RootSystem) -> IdealCatalog:
     return IdealCatalog(rs)
 
@@ -352,7 +352,7 @@ def not_perp_theta(rs: RootSystem, ideal: AbelianIdeal) -> AbelianIdeal:
     return make_ideal(rs.positive_roots[k] for k in mask_bits(_not_perp_theta_mask(rs, ideal)))
 
 
-@lru_cache(maxsize=None)
+@system_cache
 def _perp_theta_mask(rs: RootSystem) -> int:
     return sum(1 << rs.root_index[r] for r in rs.perp_theta)
 
@@ -370,7 +370,7 @@ def _not_perp_theta_mask(rs: RootSystem, ideal: AbelianIdeal) -> int:
     return sum(map((1).__lshift__, kept))
 
 
-@lru_cache(maxsize=None)
+@system_cache
 def _a_min_table(rs: RootSystem) -> Dict[int, Root]:
     """Each long root phi, keyed by the mask of its minimal ideal: theta
     together with theta minus each inversion root of
@@ -522,7 +522,7 @@ class SumFormulaReport(NamedTuple):
         return self.second_total == self.second_expected
 
 
-@lru_cache(maxsize=None)
+@system_cache
 def sum_formula_report(rs: RootSystem) -> SumFormulaReport:
     """Both sum formulas of one root system, computed once per instance."""
     counts: Dict[Root, int] = {}

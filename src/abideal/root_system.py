@@ -38,7 +38,7 @@ from fractions import Fraction
 from functools import lru_cache, total_ordering
 from math import gcd
 from operator import mul
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 Q = Fraction
 
@@ -420,6 +420,31 @@ class RootSystem:
 @lru_cache(maxsize=None)
 def _build_cached(label: str) -> RootSystem:
     return RootSystem(SimpleType.parse(label))
+
+
+# every cache made by `system_cache` in the modules loaded so far
+_SYSTEM_CACHES: List[Callable] = []
+
+
+def system_cache(fn: Callable) -> Callable:
+    """`lru_cache(maxsize=None)` for a function whose first argument is a
+    root system, recorded so that `clear_system_caches` can drop what it
+    holds.  The `lru_cache` wrapper itself is returned, so a cached call
+    stays on its C path and `cache_info` reads its hits and misses.
+
+    `build`'s own cache is not one of these: root systems keep their
+    identity for the life of the process."""
+    cached = lru_cache(maxsize=None)(fn)
+    _SYSTEM_CACHES.append(cached)
+    return cached
+
+
+def clear_system_caches() -> None:
+    """Empty every `system_cache`.  What only the caches held (catalogs,
+    coset trees, Hasse graphs) is freed by reference counting at once:
+    nothing cached points back at a cache."""
+    for cached in _SYSTEM_CACHES:
+        cached.cache_clear()
 
 
 def build(type_or_label) -> RootSystem:

@@ -24,7 +24,7 @@ from functools import lru_cache
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .qpoly import Poly, bracket, poly_mul, poly_prod
-from .root_system import Root, RootSystem, _positive_roots, bareiss, height_exponents
+from .root_system import Root, RootSystem, _positive_roots, bareiss, height_exponents, system_cache
 
 WeylWord = Tuple[int, ...]
 Matrix = Tuple[Tuple[int, ...], ...]
@@ -152,14 +152,14 @@ def minimal_word_to_theta(rs: RootSystem, phi: Root) -> WeylWord:
     return _word_to_theta_cached(rs, tuple(phi))
 
 
-@lru_cache(maxsize=None)
+@system_cache
 def _word_to_theta_cached(rs: RootSystem, phi: Root) -> WeylWord:
     if not (rs.is_positive_root(phi) and rs.is_long(phi)):
         raise ValueError(f"{phi} is not a long positive root")
     return _greedy_word(rs, phi)
 
 
-@lru_cache(maxsize=None)
+@system_cache
 def _greedy_word(rs: RootSystem, phi: Root) -> WeylWord:
     """`minimal_word_to_theta` of a root reached from a valid one, unchecked."""
     if phi == rs.theta:

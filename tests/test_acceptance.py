@@ -239,8 +239,11 @@ def test_criterion_16_property_suites():
         props.test_coset_shift_norm_increment,
         props.test_staircase_prefixes_stay_positive,
     )
+    # each (lemma, type) pair runs here unless test_properties.py already
+    # passed it in this session
     for label in ALL_LABELS:
         for lemma in lemmas:
             lemma(label)
+    assert {(lemma.__name__, label) for lemma in lemmas for label in ALL_LABELS} <= props.PASSED
     print(f"criterion 16: PASS — {len(lemmas)} lemma suites, "
           f"{props.SAMPLES}+ samples per type, all {len(ALL_LABELS)} types")

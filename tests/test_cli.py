@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -29,6 +30,54 @@ def test_info_deterministic(capsys):
     _, first = run(capsys, "info", "E6")
     _, second = run(capsys, "info", "E6")
     assert first == second
+
+
+# SHA-256 of `ideals T` (text) for all 35 types, captured before the
+# listing was written in one `writelines`
+IDEALS_TEXT = {
+    "A1": "d93c620d0ecd7916ff157c59f64f51c383c284be0bd087882d2d141671b27b02",
+    "A2": "4114b6357d9d64001531043fbc3ed1de2a48c2ee9b9b43ef9d462ee7a66a521a",
+    "A3": "f5c8b41528f9d45aacf449f121c1c69b2c316d2b766d23b3a86b0739a19fe447",
+    "A4": "6baf36ab69088423f78c330c190a6abd25a21f01a50058faf6f7526951f8f8a6",
+    "A5": "78fe102c58bb6dece5ec21b76211834691e1ed22c4e63f6bb9a5228227686d43",
+    "A6": "05be0fbfbd12c1bd33d0aa8c2eb059eb7c8756510fe508931c52cf5de87b80a8",
+    "A7": "b5a28e82433664149dba30af040602b6db47b57c25844648affe58e20c59237d",
+    "A8": "499c7d704e067872cced1a33f7dbf474207d5443114eb5af3f046885adea354d",
+    "A9": "4e244015a6924b41910a5c3397b0ac26d84291093a0ff48771f9dd1a3f364ae1",
+    "A10": "adc4a0ca462a31ce08caf2ddbdd575ee9b747d276363d3b84b49007c05e4dcf6",
+    "A11": "6bc4739db40b200e12dfdc7c969959ef92557db8288a4e72ebe8a33b9a270c7e",
+    "B2": "f619f1da041b1190bc4a0abf6142d7efbefe4076328fd6c4c571b6c454e2de44",
+    "B3": "3adabf4535393c903355fbc3ac6dc12af0e4d0c40655ed06769093717f257584",
+    "B4": "642127b25ca7b5779b0d64e4d2bdf38e5639c6ca03606cb1a810f91415d7295c",
+    "B5": "92e2974c9b335de7ace3660cff01c27426de6374b99a1cd99fbd6127baecddbb",
+    "B6": "eb14479a51e3bdbb1956c325d1543f0735b5ae04b41cef5eca171e6de88ff8da",
+    "B7": "e350b92a857071e7afc13ff0b92c50a2154fe16bd0ddf6bced2482eb9f7ae93d",
+    "B8": "cae49dd10c6e9d96824f0d61b0bd543d7373d95a9583cdfc7db943a7882a18da",
+    "C2": "65de8a6b6ddee21d66eabbb1e9667e28d52c766ad38fbefe2f70dcae5da9b10e",
+    "C3": "7c8bda24a97aa6e4813c87c56f9135ae850ff71fcf78dabf918666d6adbe7546",
+    "C4": "a611e6b00cc2c25a55c9ba7fbf974ef4b53ca58b65d3cad7a1e1c6c90dcf6e50",
+    "C5": "2a6a968862c0c40989a7de9162221a1b5a9c9f8d27a513b261cb50bf0f6c7914",
+    "C6": "73e56e4b2594cbd5801bf3cdabc70bc9056da6aeec15fa8bcde061dc7d187d1d",
+    "C7": "78003253fbae49792bef1d4960b462d32d1ffd2084d59a7835f6860beead09f9",
+    "C8": "c1417ceadaa7543bca09bf2da98a1607cdc4dcc831889e9d1657787be3dbe4d3",
+    "D4": "b69db14912343de1c125a5e6f9234db21f891edb8abab6e686475854f62fb77b",
+    "D5": "9df25b413582e9354bf762156aafbea7e7cec4f097ff17c4fab31da3ba0acdd6",
+    "D6": "9c72605c5522abd7871b277aa1eea97aeab0160f2825cb6d1e8ccd35339441d6",
+    "D7": "d233e26831a6c6be53ebcec2451fffd6bc9a566115cad481e1db4ed166f0682e",
+    "D8": "5c86ee0fd6f75a4ecba182d287abc41aea61638b100ad3438c3a3f9c132d7740",
+    "E6": "81db2eba969f9f57bd3f3917549463cac5a1ddcf7b6f4a6ef21ab88255cc1441",
+    "E7": "0e02fb1934cf4ea928cedf7f189e7ba0e5472eaaa52d3907f3fe590a5f56b871",
+    "E8": "a5aa7c69dae5343367d1cd1f246bf9eb7556366d12359aae92742ffad4fc5150",
+    "F4": "fbaf64d194f9f4460c8d0a89c66f6097ebd20e5aacc1d908ab92c8a6935a0b28",
+    "G2": "7fb2d6896e6dc4ce843c439787800da67053710d656af8849e7e840280584edd",
+}
+
+
+@pytest.mark.parametrize("label", sorted(IDEALS_TEXT))
+def test_ideals_text_digest(capsys, label):
+    code, out = run(capsys, "ideals", label)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == IDEALS_TEXT[label]
 
 
 def test_ideals_text(capsys):

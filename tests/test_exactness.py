@@ -7,8 +7,8 @@ weights and form that tests keep in `reference_impl.py`, and scan the
 sources for float literals and the name `float`.  They also hold the hot
 loops of the alcove walls, the wall-crossing kernel with the coset-word
 tree and `from_param` on it, the Hasse edges, the facet and alcove checks,
-and the Kostant check with its mask sampler and mask-sum kernel to
-integers: no Fraction is built inside a loop there.  Root-system
+and the Kostant check with its mask sampler, its mask-sum kernel and
+the per-byte tables both build on to integers: no Fraction is built inside a loop there.  Root-system
 construction builds no Fraction at all: a root system has no Fraction
 weights and no Fraction form methods, and the package exports no weight
 type.  The Fraction elimination `gauss_jordan` is gone, and so is the
@@ -124,7 +124,8 @@ _INTEGER_LOOPS = {
     "weyl.py": ("_greedy_word",),
     "root_system.py": ("_pack",),
     "hasse.py": ("build_graph", "facet_volume_ratios", "upper_alcoves"),
-    "checks.py": ("check_kostant", "_kostant_mask_raw", "_random_non_ideal_masks"),
+    "checks.py": ("check_kostant", "_kostant_mask_raw", "_kostant_fields", "_random_draws",
+                  "_byte_tables"),
 }
 
 

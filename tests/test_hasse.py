@@ -135,6 +135,27 @@ def test_identify_small_groups():
     assert identify_group(tuple(square)) == "Dih_4"
 
 
+def test_named_groups_have_their_orders_and_distinct_fingerprints():
+    # identify_group fingerprints only the named groups of the found order;
+    # that loses nothing while every named group has the order it is filed
+    # under and no two share a fingerprint
+    seen = {}
+    for order, name, gens, degree in hasse._named_groups():
+        group = hasse._closure(gens, degree)
+        assert len(group) == order, name
+        fp = hasse.group_fingerprint(group)
+        assert fp not in seen, f"fingerprint collision: {name} vs {seen.get(fp)}"
+        seen[fp] = name
+        assert identify_group(group) == name
+    assert len(seen) == 25
+
+
+def test_commutation_matches_the_products():
+    perms = list(permutations(range(4)))
+    assert all(hasse._commute(p, q) == (hasse._perm_mul(p, q) == hasse._perm_mul(q, p))
+               for p in perms for q in perms)
+
+
 def test_upper_alcove_vertex_types(small_label):
     rs = build(small_label)
     ups = upper_alcoves(rs)

@@ -1,4 +1,5 @@
 import copy
+import operator
 import random
 import re
 
@@ -34,6 +35,7 @@ from abideal.reference import (
 )
 from abideal.root_system import build, supported_types, vneg, vsum
 
+from conftest import ALL_LABELS
 from reference_impl import a_max, a_min, a_min_plus, inner, norm2, rho, vadd
 
 
@@ -218,8 +220,8 @@ def test_catalog_rejects_a_wrong_rho_shift(monkeypatch):
 
 
 # one bit too narrow: where some ideal's root sum reaches the dropped bit,
-# the enumeration's packed sums carry; elsewhere only the Kostant sampler's
-# larger subsets do
+# the enumeration's packed sums carry; elsewhere only larger sums do, and
+# the Kostant check reads back the largest, the sum of all positive roots
 NARROW_SUMS_CARRY = ("A1", "A2", "A3", "C3", "G2")
 NARROW_SUMS_FIT = ("B2", "D4", "F4")
 
@@ -237,6 +239,55 @@ def test_verify_fails_on_a_packing_one_bit_too_narrow(monkeypatch, label):
         assert failed & {"ideal_count", "parametrization"}
     else:
         assert "kostant" in failed
+
+
+def _failed_checks(label):
+    return {r.name for r in checks.verify_type(label).results if not r.passed}
+
+
+@pytest.mark.parametrize("label", ALL_LABELS)
+def test_verify_fails_on_a_kostant_field_one_bit_too_narrow(monkeypatch, label):
+    # every field of the mask kernel is largest on the set of all positive
+    # roots, where the check compares the kernel with kostant_raw
+    real = checks._kostant_fields
+
+    def narrow(rs):
+        columns, offset, width = real(rs)
+        return columns, offset, width - 1
+
+    monkeypatch.setattr(checks, "_kostant_fields", narrow)
+    assert _failed_checks(label) == {"kostant"}
+
+
+# a dropped cover bit lets some non-ideals through the tables as ideals; it
+# shows once a draw lands on one, which on these types a thousand draws do
+# for every cover bit, and on the larger small types for the first root's
+EVERY_COVER_BIT = ("A2", "A3", "B2", "C2", "G2")
+FIRST_COVER_BIT = ("B3", "C3", "D4", "F4")
+
+
+def _cover_bits(label):
+    rs = build(label)
+    if label in FIRST_COVER_BIT:
+        return [(0, rs.cover_masks[0] & -rs.cover_masks[0])]
+    return [(j, 1 << k) for j, cover in enumerate(rs.cover_masks)
+            for k in range(rs.num_positive) if cover >> k & 1]
+
+
+@pytest.mark.parametrize("label", EVERY_COVER_BIT + FIRST_COVER_BIT)
+def test_verify_fails_without_a_cover_bit_in_the_ideal_tables(monkeypatch, label):
+    real = checks._byte_tables
+    bits = _cover_bits(label)
+    assert bits and all(bit for _, bit in bits)
+    for j, bit in bits:
+        def dropped(values, combine, j=j, bit=bit):
+            if combine is operator.or_:
+                values = list(values)
+                values[j] &= ~bit
+            return real(values, combine)
+
+        monkeypatch.setattr(checks, "_byte_tables", dropped)
+        assert _failed_checks(label) == {"kostant"}, (j, bit)
 
 
 def _label_valid_words(rs, phi):

@@ -29,7 +29,10 @@ walk from a root all the way to theta, the cover and conflict masks from
 `vadd` sums, the enumeration whose ideals `make_ideal` re-sorts, with
 `vsum` root sums, and the positive-root closure on tuples, with each
 pairing summed from the Cartan row.  The Young decode keeps its bit list,
-read in reverse into column heights.  The matrix and Fraction picture of an affine element
+read in reverse into column heights.  The Kostant mask sampler keeps its
+per-bit ideal test over each drawn root's cover and conflict masks, and
+the mask kernel its tuple evaluator: the packed coordinate sum unpacked,
+then the quadratic term summed over the nonzero form entries.  The matrix and Fraction picture of an affine element
 these references use lives in `reference_impl.py`.  Each test requires the
 library to give exactly what its reference gives, errors included.
 """
@@ -38,7 +41,7 @@ import copy
 import random
 from fractions import Fraction as Q
 from functools import partial
-from itertools import combinations, product
+from itertools import combinations, islice, product
 from math import gcd
 from types import SimpleNamespace
 
@@ -55,7 +58,7 @@ from abideal.affine import (
     rho_shift,
     rho_shift_in_2A,
 )
-from abideal.checks import _kostant_mask_raw, _random_non_ideal_masks
+from abideal.checks import _kostant_mask_raw, _random_below, _random_draws
 from abideal.hasse import (
     HasseEdge,
     UpperAlcove,
@@ -411,6 +414,15 @@ def _sum_search_forbidden_roots(rs):
         if reachable(target, len(roots) - 1):
             out.append(phi)
     return tuple(sorted(out, key=lambda r: (sum(r), r)))
+
+
+def _random_non_ideal_masks(rs, rng, count):
+    """The first `count` draws of the Kostant check's sampler that its
+    tables call non-ideals; none at rank one, where every subset of the
+    single positive root is an ideal."""
+    if rs.num_positive == 1:
+        return []
+    return list(islice((mask for mask, ideal in _random_draws(rs, rng) if not ideal), count))
 
 
 def _random_non_ideal_subsets(rs, rng, count):
@@ -1023,3 +1035,68 @@ def test_one_pass_young_decode_matches_the_bit_list(n):
     for bad in (-1, 1 << (n - 1)):
         with pytest.raises(ValueError, match="out of range"):
             young_decode(bad, n)
+
+
+def _per_bit_non_ideal_masks(rs, rng, count):
+    """The mask sampler before its per-byte OR tables: the same draws, each
+    tested bit by bit against the drawn roots' cover and conflict masks."""
+    n = rs.num_positive
+    if n == 1:
+        return []
+    covers, conflicts = rs.cover_masks, rs.conflict_masks
+    full = (1 << n) - 1
+    out = []
+    while len(out) < count:
+        k = 1 + _random_below(rng, n)
+        drawn = min(k, n - k)
+        mask = 0
+        for j in range(n - drawn, n):
+            t = _random_below(rng, j + 1)
+            mask |= 1 << (j if mask >> t & 1 else t)
+        if drawn < k:
+            mask ^= full
+        if any(covers[i] & ~mask or conflicts[i] & mask for i in mask_bits(mask)):
+            out.append(mask)
+    return out
+
+
+def _tuple_kostant_mask_raw(rs):
+    """The mask kernel before its single product: per-byte tables of the
+    packed roots with 2 raw(rho, root) in a top field, the sum unpacked to
+    a tuple, and raw(sigma, sigma) summed over the nonzero form entries."""
+    rank, form = rs.rank, rs.form
+    top = rs.pack_width * rank
+    packed = [p + (rs.twice_raw_rho(root) << top)
+              for p, root in zip(rs.packed_roots, rs.positive_roots)]
+    tables = []
+    for start in range(0, len(packed), 8):
+        chunk = packed[start:start + 8]
+        table = [0] * 256
+        for v in range(1, 1 << len(chunk)):
+            low = v & -v
+            table[v] = table[v ^ low] + chunk[low.bit_length() - 1]
+        tables.append(table)
+    nbytes = len(tables)
+    quad = [(i, j, form[i][j] + form[j][i] if i < j else form[i][i])
+            for i in range(rank) for j in range(i, rank) if form[i][j] or form[j][i]]
+
+    def raw(mask):
+        total = sum(map(list.__getitem__, tables, mask.to_bytes(nbytes, "little")))
+        sigma = rs.unpack(total)
+        return (total >> top) + sum(a * sigma[i] * sigma[j] for i, j, a in quad)
+
+    return raw
+
+
+@pytest.mark.parametrize("label", EVERY_LABEL)
+def test_kostant_tables_and_product_match_the_per_bit_and_tuple_forms(label):
+    rs = build(label)
+    n = rs.num_positive
+    masks = []
+    for seed, count in ((f"kostant:{label}", 1000), (f"sizes:{label}", 20 * n)):
+        drawn = _random_non_ideal_masks(rs, random.Random(seed), count)
+        assert drawn == _per_bit_non_ideal_masks(rs, random.Random(seed), count)
+        masks += drawn
+    masks += list(catalog_of(rs).masks) + [(1 << n) - 1]
+    raw, ref = _kostant_mask_raw(rs), _tuple_kostant_mask_raw(rs)
+    assert [raw(m) for m in masks] == [ref(m) for m in masks]
