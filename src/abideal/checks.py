@@ -19,7 +19,6 @@ from . import weyl
 from .affine import (
     affine_inversion_set,
     coset_poincare,
-    minimal_coset_reps,
     perp_generators,
     wall_subgroup_poincare,
 )
@@ -35,7 +34,6 @@ from .ideals import (
     InvariantViolation,
     associated_long_root,
     catalog_of,
-    coset_tree,
     forbidden_roots,
     kostant_raw,
     long_simple_nodes,
@@ -240,7 +238,10 @@ def _kostant_mask_raw(rs: RootSystem) -> Callable[[int], int]:
     return raw
 
 
-def check_kostant(rs: RootSystem, samples: int = 1000) -> CheckResult:
+KOSTANT_SAMPLES = 1000   # random non-ideal subsets per type
+
+
+def check_kostant(rs: RootSystem) -> CheckResult:
     """|rho + sum|^2 - |rho|^2 = dim on ideals, strictly below elsewhere;
     both sides are compared times form_den, in integers, on masks.
 
@@ -262,7 +263,7 @@ def check_kostant(rs: RootSystem, samples: int = 1000) -> CheckResult:
     kept = 0
     if n > 1:
         draws = _random_draws(rs, random.Random(f"kostant:{rs.simple_type}"))
-        while kept < samples:
+        while kept < KOSTANT_SAMPLES:
             mask, ideal = next(draws)
             size = mask.bit_count()
             if ideal:
@@ -280,22 +281,19 @@ def check_kostant(rs: RootSystem, samples: int = 1000) -> CheckResult:
 
 def check_parametrization(rs: RootSystem) -> CheckResult:
     """Nonzero ideals are hit once each by (long root, minimal coset word):
-    the catalog attaches each word by its rho-shift, and the word's mask in
-    `coset_tree` must be the attached ideal's; `associated_long_root` must
-    find the parameter's root."""
+    the catalog attaches each word by its rho-shift, and the mask of the
+    walls the word crosses in the catalog's coset-word tree
+    (`IdealCatalog.tree`) must be the attached ideal's;
+    `associated_long_root` must find the parameter's root."""
     cat = catalog_of(rs)
     params = set()
-    trees: Dict[Tuple[int, ...], Dict[Tuple[int, ...], int]] = {}
-    for e, mask in zip(cat.entries, cat.masks):
+    for e, mask, crossed in zip(cat.entries, cat.masks, cat.tree[1]):
         if e.phi is None:
             if e.ideal.dim != 0 or e.word != ():
                 return _fail("parametrization", "unparametrized entry is not the zero ideal")
             continue
         params.add((e.phi, e.coset_word))
-        if e.phi not in trees:
-            trees[e.phi] = {w: m for w, (_, m) in
-                            zip(minimal_coset_reps(rs, e.phi), coset_tree(rs, e.phi))}
-        if trees[e.phi].get(e.coset_word) != mask:
+        if crossed != mask:
             return _fail("parametrization",
                          f"coset tree mask of ({_compact(e.phi)}, {list(e.coset_word)}) disagrees")
         assoc = associated_long_root(rs, e.ideal)

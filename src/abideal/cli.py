@@ -157,8 +157,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     """Text output prints each type's block, flushed, as soon as that type
     is verified; JSON is written once, at the end.  Once a type's report is
     recorded, the caches built for its root system are emptied, so a run
-    over many types holds one type's catalog, coset trees and Hasse graph
-    at a time."""
+    over many types holds one type's catalog (with its coset-word tree)
+    and Hasse graph at a time."""
     from . import checks
     labels = [str(st) for st in supported_types(args.max_rank)] if args.all else [args.type]
     reports: List[TypeReport] = []

@@ -16,9 +16,10 @@ the affine word
 
 whose inversion roots all sit at level one; negating their finite parts
 yields the ideal.  The catalog attaches each parameter word to the
-enumerated ideal whose root sum is the word's rho-shift; reading every
-word's ideal off one walk of the coset-word tree (`coset_tree`) and
-comparing the two is the `parametrization` check of `verify`.
+enumerated ideal whose root sum is the word's rho-shift.  It also reads
+every word's ideal off the alcove walls the word crosses, in one walk of
+the coset-word tree over its entries (`IdealCatalog.tree`); comparing the
+two is the `parametrization` check of `verify`.
 
 Going back, an ideal's long root is read off its roots not orthogonal to
 theta: they form the minimal ideal of the root, theta together with theta
@@ -50,6 +51,7 @@ from .weyl import (
     carry_images,
     check_length,
     graph_distances,
+    greedy_letter,
     minimal_word_to_theta,
     reflect_simple,
     subgroup_positive_count,
@@ -206,35 +208,6 @@ def cross_walls(rs: RootSystem, walls: List[Tuple[int, ...]], letters: Sequence[
     return mask
 
 
-def coset_tree(rs: RootSystem, phi: Root) -> Tuple[Tuple[Walls, int], ...]:
-    """Each minimal coset word's alcove walls (`affine.alcove_walls` of its
-    parameter word) and ideal mask, aligned with `minimal_coset_reps`.
-
-    The coset words form an order ideal in the weak order (Bjorner and
-    Brenti, GTM 231, 2.4), and the orbit walk builds each as its parent
-    word[:-1] plus one letter j.  So the prefix (0,) + minimal_word_to_theta(phi)
-    is walked once, and each child takes its walls from its parent's by one
-    `cross_walls` letter: it crosses the parent's wall j, whose root
-    -finite(wall j) joins the parent's mask.  Cached per root system
-    instance and root."""
-    return _coset_tree_cached(rs, tuple(phi))
-
-
-@system_cache
-def _coset_tree_cached(rs: RootSystem, phi: Root) -> Tuple[Tuple[Walls, int], ...]:
-    walls = list(alcove_walls(rs, ()))
-    mask = cross_walls(rs, walls, parameter_word(rs, phi, ()), 0, phi, ())
-    nodes: Dict[AffineWord, Tuple[Walls, int]] = {(): (tuple(walls), mask)}
-    for word in minimal_coset_reps(rs, phi)[1:]:
-        parent = nodes.get(word[:-1])
-        if parent is None:
-            raise InvariantViolation(f"coset word {word} of {phi} has no parent in the walk")
-        walls = list(parent[0])
-        mask = cross_walls(rs, walls, word[-1:], parent[1], phi, word)
-        nodes[word] = (tuple(walls), mask)
-    return tuple(nodes.values())
-
-
 def from_param(rs: RootSystem, phi: Root, coset_word: Sequence[int] = ()) -> AbelianIdeal:
     """The ideal named by a long positive root and a minimal coset word.
 
@@ -243,19 +216,16 @@ def from_param(rs: RootSystem, phi: Root, coset_word: Sequence[int] = ()) -> Abe
     point the previous letters reached.  The parameter word is then walked
     from the affine simple roots by `cross_walls`, and the ideal is the
     roots of the walls it crosses."""
-    phi = tuple(phi)
-    if not (rs.is_positive_root(phi) and rs.is_long(phi)):
-        raise ValueError(f"{phi} is not a long positive root")
+    phi, coset_word = tuple(phi), tuple(coset_word)
+    word = parameter_word(rs, phi, coset_word)  # validates phi
     gens, point = wall_point(rs, phi)
-    coset_word = tuple(coset_word)
     for i in coset_word:
         if i not in gens:
             raise ValueError(f"letter {i} does not fix the walls through {phi}")
         if point[i] <= 0:
             raise ValueError(f"{coset_word} is not a minimal coset word for {phi}")
         point = label_reflect(rs, i, point)
-    mask = cross_walls(rs, list(alcove_walls(rs, ())), parameter_word(rs, phi, coset_word),
-                       0, phi, coset_word)
+    mask = cross_walls(rs, list(alcove_walls(rs, ())), word, 0, phi, coset_word)
     return make_ideal(rs.positive_roots[k] for k in mask_bits(mask))
 
 
@@ -315,14 +285,39 @@ class IdealCatalog:
         return len(self.entries)
 
     @cached_property
-    def walls(self) -> Tuple[Walls, ...]:
-        """`affine.alcove_walls` of each entry's word, read off `coset_tree`;
-        the zero ideal's are the affine simple roots."""
-        trees = {phi: dict(zip(minimal_coset_reps(self.rs, phi), coset_tree(self.rs, phi)))
-                 for phi in self.rs.long_positive_roots()}
+    def tree(self) -> Tuple[Tuple[Walls, ...], Tuple[int, ...]]:
+        """Each entry's alcove walls (`affine.alcove_walls` of its word) and
+        the mask of the roots of the walls its word crosses.
+
+        A long root's coset words form an order ideal in the weak order
+        (Bjorner and Brenti, GTM 231, 2.4): each is its parent word[:-1]
+        plus one letter j, and comes after it, as entries are sorted by
+        dimension, the parameter word's length.  The empty coset word walks
+        its whole parameter word from the affine simple roots; a child
+        crosses its parent's wall j by one `cross_walls` letter, and that
+        wall's root joins the parent's mask."""
         zero = alcove_walls(self.rs, ())
-        return tuple(zero if e.phi is None else trees[e.phi][e.coset_word][0]
-                     for e in self.entries)
+        walls: List[Walls] = []
+        masks: List[int] = []
+        position: Dict[Tuple[Optional[Root], AffineWord], int] = {}
+        for k, e in enumerate(self.entries):
+            start, mask, letters = zero, 0, e.word
+            if e.coset_word:
+                parent = position.get((e.phi, e.coset_word[:-1]))
+                if parent is None:
+                    raise InvariantViolation(
+                        f"coset word {e.coset_word} of {e.phi} has no parent in the walk")
+                start, mask, letters = walls[parent], masks[parent], e.coset_word[-1:]
+            current = list(start)
+            masks.append(cross_walls(self.rs, current, letters, mask, e.phi, e.coset_word))
+            walls.append(tuple(current))
+            position[e.phi, e.coset_word] = k
+        return tuple(walls), tuple(masks)
+
+    @property
+    def walls(self) -> Tuple[Walls, ...]:
+        """Each entry's alcove walls, from `tree`."""
+        return self.tree[0]
 
     @cached_property
     def holders(self) -> Tuple[int, ...]:
@@ -352,18 +347,13 @@ def not_perp_theta(rs: RootSystem, ideal: AbelianIdeal) -> AbelianIdeal:
     return make_ideal(rs.positive_roots[k] for k in mask_bits(_not_perp_theta_mask(rs, ideal)))
 
 
-@system_cache
-def _perp_theta_mask(rs: RootSystem) -> int:
-    return sum(1 << rs.root_index[r] for r in rs.perp_theta)
-
-
 def _not_perp_theta_mask(rs: RootSystem, ideal: AbelianIdeal) -> int:
     """`not_perp_theta` as a mask over rs.positive_roots; ValueError when
     the input is not an abelian ideal."""
     indices = {rs.root_index.get(tuple(r)) for r in ideal.roots}
     if None in indices or not is_ideal_mask(rs, indices):
         raise ValueError(f"{ideal.roots} is not an abelian ideal")
-    perp = _perp_theta_mask(rs)
+    perp = rs.perp_theta_mask
     kept = [k for k in indices if not perp >> k & 1]
     if not is_ideal_mask(rs, kept):
         raise InvariantViolation("roots off theta's wall do not form an ideal")
@@ -377,9 +367,9 @@ def _a_min_table(rs: RootSystem) -> Dict[int, Root]:
     `minimal_word_to_theta(phi)`, the smallest ideal whose roots off
     theta's wall point at phi.
 
-    The greedy word of phi is the word of s_i(phi) plus (i,), i the lowest
-    letter with <phi, alpha_i-check> < 0, so its inversion roots are those
-    of s_i(phi)'s word and one more: the image of alpha_i under that word.
+    The greedy word of phi is the word of s_i(phi) plus (i,), i its
+    `greedy_letter`, so its inversion roots are those of s_i(phi)'s word
+    and one more: the image of alpha_i under that word.
     The long roots are walked by descending height, so s_i(phi) is done
     before phi.  Each carries its word's simple-root images and its mask,
     and one `carry_images` letter gives the new root, which must be
@@ -391,7 +381,7 @@ def _a_min_table(rs: RootSystem) -> Dict[int, Root]:
     walked: Dict[Root, Tuple[List[Root], int]] = {theta: (simple, 1 << index[theta])}
     table: Dict[int, Root] = {1 << index[theta]: theta}
     for phi in reversed(rs.long_positive_roots()[:-1]):
-        i = next(i for i in range(1, rs.rank + 1) if rs.simple_coroot_pairing(phi, i) < 0)
+        i = greedy_letter(rs, phi)
         parent, mask = walked[reflect_simple(rs, i, phi)]
         images = list(parent)
         for beta in carry_images(rs.cartan, images, (i,), 1):

@@ -38,7 +38,7 @@ from fractions import Fraction
 from functools import lru_cache, total_ordering
 from math import gcd
 from operator import mul
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 Q = Fraction
 
@@ -296,8 +296,8 @@ class RootSystem:
     ``positive_roots`` (found by ``root_index``), built on the packed
     roots: bit k of ``cover_masks[j]`` when root k is root j plus a simple
     root, bit k of ``conflict_masks[j]`` when root j plus root k (j = k
-    included) is a root.  ``perp_theta`` holds the roots orthogonal to
-    theta.
+    included) is a root.  Bit k of ``perp_theta_mask`` is set when root k
+    is orthogonal to theta.
     """
 
     def __init__(self, simple_type: SimpleType) -> None:
@@ -339,8 +339,8 @@ class RootSystem:
 
         self._long_positive = tuple(
             r for r in self.positive_roots if self.raw_inner(r, r) == theta_raw)
-        self.perp_theta: FrozenSet[Root] = frozenset(
-            r for r in self.positive_roots if self.raw_inner(r, self.theta) == 0)
+        self.perp_theta_mask = sum(1 << k for k, r in enumerate(self.positive_roots)
+                                   if self.raw_inner(r, self.theta) == 0)
 
     def _pack(self, width: int) -> None:
         """Packs each positive root `width` bits per coordinate, and builds
@@ -440,9 +440,9 @@ def system_cache(fn: Callable) -> Callable:
 
 
 def clear_system_caches() -> None:
-    """Empty every `system_cache`.  What only the caches held (catalogs,
-    coset trees, Hasse graphs) is freed by reference counting at once:
-    nothing cached points back at a cache."""
+    """Empty every `system_cache`.  What only the caches held (catalogs
+    with their coset-word trees, Hasse graphs) is freed by reference
+    counting at once: nothing cached points back at a cache."""
     for cached in _SYSTEM_CACHES:
         cached.cache_clear()
 

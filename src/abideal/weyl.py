@@ -24,7 +24,7 @@ from functools import lru_cache
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .qpoly import Poly, bracket, poly_mul, poly_prod
-from .root_system import Root, RootSystem, _positive_roots, bareiss, height_exponents, system_cache
+from .root_system import Root, RootSystem, _positive_roots, height_exponents, system_cache
 
 WeylWord = Tuple[int, ...]
 Matrix = Tuple[Tuple[int, ...], ...]
@@ -104,9 +104,9 @@ def carry_images(cartan: Sequence[Sequence[int]], images: List[tuple],
     a_ij = cartan[i - lowest][j - lowest]; the list ends holding the word's
     images.  The vectors are integer tuples of any length: affine walks
     carry the level last.  Shared by `inversion_roots` (a whole word),
-    the minimal-ideal table and the coset-word tree in `ideals` (one letter
-    from a parent's images), and `affine`'s alcove walls and inversion
-    sets.
+    the minimal-ideal table and the catalog's coset-word tree in `ideals`
+    (one letter from a parent's images), and `affine`'s alcove walls and
+    inversion sets.
     """
     for i in word:
         beta = images[i - lowest]
@@ -141,22 +141,27 @@ def minimal_word_to_theta(rs: RootSystem, phi: Root) -> WeylWord:
     """A shortest word w with w(phi) = theta, for a long positive root phi.
 
     Greedy: reflect by the lowest-indexed simple root having negative
-    inner product with the current root, until theta.  Each step raises the
-    distance functional by exactly one, so the word length equals
-    length_to_theta(phi); the resulting group element does not depend on the
-    tie-break.  The greedy walk from phi continues as the walk from its
-    first step s_i(phi), so the word of phi is the word of s_i(phi) plus
-    (i,), one step per root (`_greedy_word`).  Only phi itself is
-    validated.  Cached per root system instance and root.
+    inner product with the current root (`greedy_letter`), until theta.
+    Each step raises the distance functional by exactly one, so the word
+    length equals length_to_theta(phi); the resulting group element does
+    not depend on the tie-break.  The greedy walk from phi continues as the
+    walk from its first step s_i(phi), so the word of phi is the word of
+    s_i(phi) plus (i,), one step per root (`_greedy_word`, cached per root
+    system instance and root).  Only phi itself is validated.
     """
-    return _word_to_theta_cached(rs, tuple(phi))
-
-
-@system_cache
-def _word_to_theta_cached(rs: RootSystem, phi: Root) -> WeylWord:
+    phi = tuple(phi)
     if not (rs.is_positive_root(phi) and rs.is_long(phi)):
         raise ValueError(f"{phi} is not a long positive root")
     return _greedy_word(rs, phi)
+
+
+def greedy_letter(rs: RootSystem, phi: Root) -> int:
+    """The lowest i with <phi, alpha_i-check> < 0, for a long positive root
+    phi other than theta: s_i(phi) is the greedy step toward theta."""
+    for i in range(1, rs.rank + 1):
+        if rs.simple_coroot_pairing(phi, i) < 0:
+            return i
+    raise AssertionError(f"stuck before reaching the highest root from {phi}")
 
 
 @system_cache
@@ -164,10 +169,8 @@ def _greedy_word(rs: RootSystem, phi: Root) -> WeylWord:
     """`minimal_word_to_theta` of a root reached from a valid one, unchecked."""
     if phi == rs.theta:
         return ()
-    for i in range(1, rs.rank + 1):
-        if rs.simple_coroot_pairing(phi, i) < 0:
-            return _greedy_word(rs, reflect_simple(rs, i, phi)) + (i,)
-    raise AssertionError(f"stuck before reaching the highest root from {phi}")
+    i = greedy_letter(rs, phi)
+    return _greedy_word(rs, reflect_simple(rs, i, phi)) + (i,)
 
 
 def graph_distances(adj, start: int) -> Dict[int, int]:
@@ -197,18 +200,20 @@ def parabolic_poincare(cartan: Sequence[Sequence[int]], nodes: Iterable[int]) ->
     by the submatrix itself, so equal diagrams share one closure."""
     idx = sorted(set(nodes))
     series = _exponent_product(tuple(tuple(cartan[a][b] for b in idx) for a in idx))
-    if series is None:  # an affine diagram would never close
+    if series is None:  # the closure of an affine or hyperbolic diagram gave up
         raise ValueError(f"nodes {idx} do not span a finite-type diagram")
     return series
 
 
 @lru_cache(maxsize=None)
 def _exponent_product(sub: Matrix) -> Optional[Poly]:
-    """`parabolic_poincare` of a whole Cartan matrix; None unless its
-    determinant is positive."""
-    if bareiss(sub)[0] <= 0:
+    """`parabolic_poincare` of a whole Cartan matrix; None unless its root
+    closure ends, which it does exactly on finite type."""
+    try:
+        roots = _positive_roots(sub)
+    except ValueError:
         return None
-    return poly_prod(bracket(m + 1) for m in height_exponents(_positive_roots(sub), len(sub)))
+    return poly_prod(bracket(m + 1) for m in height_exponents(roots, len(sub)))
 
 
 def subgroup_poincare(rs: RootSystem, nodes: Iterable[int]) -> Poly:

@@ -15,10 +15,12 @@ code of the empty diagram is 0 and the map is a bijection onto [0, 2^l).
 
 from __future__ import annotations
 
-from typing import Iterable, List, Tuple
+from typing import TYPE_CHECKING, Iterable, List, Tuple
 
-from .ideals import AbelianIdeal, make_ideal
 from .root_system import Record, RootSystem
+
+if TYPE_CHECKING:
+    from .ideals import AbelianIdeal
 
 
 class YoungDiagram(Record):
@@ -106,6 +108,8 @@ def young_of_ideal(rs: RootSystem, a: AbelianIdeal) -> YoungDiagram:
     l = rs.rank
     cells = set()
     for root in a.roots:
+        if not rs.is_positive_root(root):
+            raise ValueError(f"{tuple(root)} is not a positive root of {rs.simple_type}")
         support = [i for i, c in enumerate(root) if c]
         first, last = support[0] + 1, support[-1] + 1
         cells.add((l + 1 - last, first))
@@ -122,6 +126,7 @@ def young_of_ideal(rs: RootSystem, a: AbelianIdeal) -> YoungDiagram:
 
 
 def ideal_of_young(rs: RootSystem, d: YoungDiagram) -> AbelianIdeal:
+    from .ideals import make_ideal
     if rs.simple_type.letter != "A":
         raise ValueError("the staircase picture requires type A")
     l = rs.rank

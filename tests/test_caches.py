@@ -22,10 +22,9 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "abideal"
 
 REGISTERED = {
     "affine": ("affine_cartan_matrix", "_sparse_rows", "_minimal_coset_reps_cached"),
-    "ideals": ("_coset_tree_cached", "catalog_of", "_perp_theta_mask", "_a_min_table",
-               "sum_formula_report"),
+    "ideals": ("catalog_of", "_a_min_table", "sum_formula_report"),
     "hasse": ("build_graph",),
-    "weyl": ("_word_to_theta_cached", "_greedy_word"),
+    "weyl": ("_greedy_word",),
 }
 
 
@@ -38,7 +37,7 @@ def test_the_registry_holds_the_root_system_caches():
     _load_all()
     got = {(c.__module__.rsplit(".", 1)[1], c.__name__) for c in _SYSTEM_CACHES}
     assert got == {(module, name) for module, names in REGISTERED.items() for name in names}
-    assert len(_SYSTEM_CACHES) == 11
+    assert len(_SYSTEM_CACHES) == 8
     for module, names in REGISTERED.items():
         for name in names:
             cached = getattr(importlib.import_module(f"abideal.{module}"), name)

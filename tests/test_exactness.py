@@ -119,9 +119,8 @@ def test_affine_and_weyl_import_no_fraction(filename):
 _LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
 _INTEGER_LOOPS = {
     "affine.py": ("alcove_walls", "rho_shift"),
-    "ideals.py": ("walls", "_coset_tree_cached", "cross_walls", "from_param", "_enumerate_masks",
-                  "_a_min_table"),
-    "weyl.py": ("_greedy_word",),
+    "ideals.py": ("tree", "cross_walls", "from_param", "_enumerate_masks", "_a_min_table"),
+    "weyl.py": ("greedy_letter",),
     "root_system.py": ("_pack",),
     "hasse.py": ("build_graph", "facet_volume_ratios", "upper_alcoves"),
     "checks.py": ("check_kostant", "_kostant_mask_raw", "_kostant_fields", "_random_draws",

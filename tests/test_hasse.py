@@ -83,7 +83,7 @@ def test_build_graph_rejects_walls_without_the_added_root(monkeypatch):
     # edge up to {theta} crosses; a copy keeps the cached graph intact
     rs = copy.copy(build("A2"))
     cat = IdealCatalog(rs)
-    cat.walls = (cat.walls[0][1:],) + cat.walls[1:]
+    cat.tree = ((cat.walls[0][1:],) + cat.walls[1:], cat.tree[1])
     monkeypatch.setattr(hasse, "catalog_of", lambda rs: cat)
     with pytest.raises(InvariantViolation, match="do not differ by one reflection"):
         build_graph(rs)
@@ -341,11 +341,14 @@ def test_parametrization_checks_the_minimal_ideal_table(monkeypatch, label):
 
 
 def test_parametrization_checks_the_rebuilt_ideal(monkeypatch, small_label):
-    # every mask of the coset-word tree loses its lowest root
-    real = checks.coset_tree
-    monkeypatch.setattr(checks, "coset_tree",
-                        lambda rs, phi: tuple((walls, m & (m - 1)) for walls, m in real(rs, phi)))
-    res = checks.check_parametrization(build(small_label))
+    # every mask of the coset-word tree loses its lowest root, in a
+    # catalog of a copy, so the cached one stays intact
+    rs = copy.copy(build(small_label))
+    cat = IdealCatalog(rs)
+    walls, masks = cat.tree
+    cat.tree = (walls, tuple(m & (m - 1) for m in masks))
+    monkeypatch.setattr(checks, "catalog_of", lambda rs: cat)
+    res = checks.check_parametrization(rs)
     assert not res.passed
     assert "disagrees" in res.details
 

@@ -8,11 +8,11 @@ import pytest
 from abideal import checks, ideals
 from abideal.affine import alcove_walls, label_reflect, rho_shift, wall_point
 from abideal.ideals import (
+    CatalogEntry,
     IdealCatalog,
     InvariantViolation,
     associated_long_root,
     catalog_of,
-    coset_tree,
     cross_walls,
     enumerate_all,
     forbidden_roots,
@@ -193,11 +193,14 @@ def test_affine_word_construction_rejects_bad_words():
     (((), (0,), (0, 0)), "level one"),   # crossing wall 0 twice leaves level one
     (((), (0, 0)), "no parent"),
 ])
-def test_coset_tree_rejects_bad_words(monkeypatch, reps, message):
-    # the tree is cached per root system instance, so each case walks a copy
-    monkeypatch.setattr(ideals, "minimal_coset_reps", lambda rs, phi: reps)
+def test_coset_tree_rejects_bad_words(reps, message):
+    # an uncached catalog whose entries are the given coset words of (1, 0)
+    rs = build("B2")
+    cat = IdealCatalog(rs)
+    cat.entries = tuple(CatalogEntry(cat.ideals[0], (1, 0), w, parameter_word(rs, (1, 0), w))
+                        for w in reps)
     with pytest.raises(InvariantViolation, match=message):
-        coset_tree(copy.copy(build("B2")), (1, 0))
+        cat.tree
 
 
 @pytest.mark.parametrize("index, message", [
@@ -205,10 +208,12 @@ def test_coset_tree_rejects_bad_words(monkeypatch, reps, message):
     (lambda rs: dict.fromkeys(rs.root_index, 0), "twice"),   # every root at bit 0
 ])
 def test_coset_tree_rejects_walls_off_the_positive_roots(index, message):
+    # the catalog is built on a copy, whose index is then replaced
     rs = copy.copy(build("B2"))
+    cat = IdealCatalog(rs)
     rs.root_index = index(rs)
     with pytest.raises(InvariantViolation, match=message):
-        coset_tree(rs, (1, 0))
+        cat.tree
 
 
 def test_catalog_rejects_a_wrong_rho_shift(monkeypatch):
@@ -337,7 +342,7 @@ def test_associated_long_root_faults_on_valid_ideals(monkeypatch):
     # a valid ideal that the tables cannot place is an internal fault
     rs = copy.copy(build("A2"))
     ideal = make_ideal([(1, 0), rs.theta])
-    rs.perp_theta = frozenset([rs.theta])  # leaves {alpha_1}, not an ideal
+    rs.perp_theta_mask = 1 << rs.root_index[rs.theta]  # leaves {alpha_1}, not an ideal
     with pytest.raises(InvariantViolation, match="do not form an ideal"):
         associated_long_root(rs, ideal)
     monkeypatch.setattr(ideals, "_a_min_table", lambda rs: {})

@@ -70,7 +70,8 @@ def test_importing_the_package_loads_no_submodule():
 @pytest.mark.parametrize("argv, unloaded", [
     (("info", "E8"), {"checks", "hasse", "reference", "young"}),
     (("ideals", "E8", "--json"), {"checks", "hasse", "reference", "young"}),
-    (("young", "11", "--list"), {"checks", "hasse", "reference"}),
+    (("young", "11", "--list"), {"checks", "hasse", "reference", "ideals", "affine", "weyl",
+                                 "qpoly"}),
 ])
 def test_commands_load_only_what_they_run(argv, unloaded):
     loaded = _fresh("import sys\nfrom abideal.cli import main\n"

@@ -75,7 +75,6 @@ from abideal.ideals import (
     InvariantViolation,
     _enumerate_masks,
     catalog_of,
-    coset_tree,
     forbidden_roots,
     from_param,
     is_abelian_ideal,
@@ -776,26 +775,24 @@ def test_mask_sampler_reaches_every_non_ideal_subset(label):
     assert set(masks) == non_ideals
 
 
-def _tree_nodes(rs):
-    """(phi, coset word) -> (walls, mask) over every long root's tree."""
-    return {(phi, word): node for phi in rs.long_positive_roots()
-            for word, node in zip(minimal_coset_reps(rs, phi), coset_tree(rs, phi))}
-
-
 @pytest.mark.parametrize("label", EVERY_LABEL)
 def test_coset_tree_matches_the_whole_word_forms(label):
-    # the walls of each entry's whole parameter word, walked from the
-    # affine simple roots, the ideal from_param rebuilds from it, and the
-    # ideal read off the whole word's affine inversion set
+    # the catalog's words are every long root's coset words once each; the
+    # walls of each entry's whole parameter word, walked from the affine
+    # simple roots, the ideal from_param rebuilds from it, and the ideal
+    # read off the whole word's affine inversion set
     rs = build(label)
     cat = catalog_of(rs)
-    nodes = _tree_nodes(rs)
-    assert len(nodes) == len(cat) - 1
-    for e, walls, mask in zip(cat.entries, cat.walls, cat.masks):
+    params = [(phi, word) for phi in rs.long_positive_roots()
+              for word in minimal_coset_reps(rs, phi)]
+    assert len(params) == len(cat) - 1
+    assert {(e.phi, e.coset_word) for e in cat.entries if e.phi is not None} == set(params)
+    assert len(cat.tree[0]) == len(cat.tree[1]) == len(cat)
+    for e, walls, crossed, mask in zip(cat.entries, *cat.tree, cat.masks):
         assert walls == alcove_walls(rs, e.word), e.word
+        assert crossed == mask, e.word
         if e.phi is None:
             continue
-        assert nodes[e.phi, e.coset_word] == (walls, mask), e.word
         assert _mask_of(rs, from_param(rs, e.phi, e.coset_word).roots) == mask, e.word
         assert _mask_of(rs, ideal_from_affine_word(rs, e.word).roots) == mask, e.word
 
@@ -807,7 +804,7 @@ def test_coset_tree_edges_are_hasse_edges(label):
     position = {(e.phi, e.coset_word): k for k, e in enumerate(cat.entries)}
     letters = {(e.lower, e.upper): e.letter for e in build_graph(rs).edges}
     edges = 0
-    for phi, word in _tree_nodes(rs):
+    for phi, word in position:
         if word:
             assert letters[position[phi, word[:-1]], position[phi, word]] == word[-1], (phi, word)
             edges += 1

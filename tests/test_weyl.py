@@ -163,11 +163,14 @@ def test_subgroup_series_ignore_node_order_and_repeats():
 
 def test_parabolic_poincare_rejects_an_affine_diagram():
     # letters 0..rank together do not close to a finite root system, on
-    # every call: the memo holds no answer for them
+    # every call: the memo holds no answer for them.  Neither do two
+    # hyperbolic rank-two blocks, though their determinant, 25, is positive
     rs = build("A2")
-    for _ in range(2):
-        with pytest.raises(ValueError, match=r"nodes \[0, 1, 2\] do not span"):
-            parabolic_poincare(affine_cartan_matrix(rs), range(rs.rank + 1))
+    hyperbolic = ((2, -3, 0, 0), (-3, 2, 0, 0), (0, 0, 2, -3), (0, 0, -3, 2))
+    for cartan, nodes in ((affine_cartan_matrix(rs), "0, 1, 2"), (hyperbolic, "0, 1, 2, 3")):
+        for _ in range(2):
+            with pytest.raises(ValueError, match=rf"nodes \[{nodes}\] do not span"):
+                parabolic_poincare(cartan, range(len(cartan)))
 
 
 def test_parabolic_poincare_is_memoized_by_the_submatrix():

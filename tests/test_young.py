@@ -91,6 +91,13 @@ def test_non_linear_type_rejected():
         young_of_ideal(rs, make_ideal(()))
 
 
+@pytest.mark.parametrize("vector", [(1, 0, 1), (2, 2, 2), (1, 0)])
+def test_vectors_that_are_not_roots_are_rejected(vector):
+    # the first two once read as theta's cell, the diagram (1,)
+    with pytest.raises(ValueError, match="is not a positive root of A3"):
+        young_of_ideal(build("A3"), make_ideal([vector]))
+
+
 rows_strategy = st.lists(st.integers(min_value=1, max_value=9), min_size=0,
                          max_size=6).map(lambda xs: tuple(sorted(xs, reverse=True)))
 
