@@ -87,8 +87,9 @@ def rho_shift(rs: RootSystem, word: Sequence[int]) -> Root:
     affine Cartan matrix, s_i(rho + y) = rho + s_i(y) - alpha_i lowers
     coordinate i by 1 + <y, alpha_i-check> = 1 + sum_j a_ij y_j, and
     s_0(rho + y) = rho + s_theta(y) + theta adds (1 + sum_j a_0j y_j) theta,
-    as <y, theta-check> = -sum_j a_0j y_j.  Independent of the coset tree,
-    so `parametrization` can compare the two."""
+    as <y, theta-check> = -sum_j a_0j y_j.  Independent of the walls the
+    catalog's walk crosses, so `parametrization` compares each word's
+    shift with the root sum of the ideal the walk gave it."""
     check_letters(rs, word, 0)
     rows, theta = _sparse_rows(rs), rs.theta
     shift = [0] * rs.rank

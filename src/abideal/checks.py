@@ -20,6 +20,7 @@ from .affine import (
     affine_inversion_set,
     coset_poincare,
     perp_generators,
+    rho_shift,
     wall_subgroup_poincare,
 )
 from .hasse import (
@@ -60,7 +61,7 @@ from .reference import (
     reference_theta_quotient,
     reference_word_to_theta,
 )
-from .root_system import RootSystem, build, supported_types, vneg
+from .root_system import RootSystem, build, vneg
 from .weyl import (
     apply_word,
     minimal_word_to_theta,
@@ -280,22 +281,25 @@ def check_kostant(rs: RootSystem) -> CheckResult:
 
 
 def check_parametrization(rs: RootSystem) -> CheckResult:
-    """Nonzero ideals are hit once each by (long root, minimal coset word):
-    the catalog attaches each word by its rho-shift, and the mask of the
-    walls the word crosses in the catalog's coset-word tree
-    (`IdealCatalog.tree`) must be the attached ideal's;
+    """Nonzero ideals are hit once each by (long root, minimal coset word).
+    The catalog attaches each word to the ideal of the walls it crosses, in
+    one walk of the word tree; independently, the word's rho-shift
+    (`affine.rho_shift`, walked from rho) must be that ideal's root sum,
+    which names the ideal, as no two ideals share a root sum.
     `associated_long_root` must find the parameter's root."""
     cat = catalog_of(rs)
+    if len(set(cat.sums)) != len(cat):
+        return _fail("parametrization", "two enumerated ideals share a root sum")
     params = set()
-    for e, mask, crossed in zip(cat.entries, cat.masks, cat.tree[1]):
+    for e, total in zip(cat.entries, cat.sums):
         if e.phi is None:
             if e.ideal.dim != 0 or e.word != ():
                 return _fail("parametrization", "unparametrized entry is not the zero ideal")
             continue
         params.add((e.phi, e.coset_word))
-        if crossed != mask:
+        if rho_shift(rs, e.word) != total:
             return _fail("parametrization",
-                         f"coset tree mask of ({_compact(e.phi)}, {list(e.coset_word)}) disagrees")
+                         f"rho-shift of ({_compact(e.phi)}, {list(e.coset_word)}) disagrees")
         assoc = associated_long_root(rs, e.ideal)
         if assoc != e.phi:
             return _fail("parametrization",
@@ -627,32 +631,3 @@ def verify_type(label: str) -> TypeReport:
             results.append(_fail(name, f"raised {type(exc).__name__}: {exc}"))
     return TypeReport(label, tuple(results))
 
-
-# ----------------------------------------------------------------------
-# summary tables
-
-def summary_row(label: str) -> Dict[str, object]:
-    """Per-type headline numbers, all integers, JSON-ready."""
-    rs = build(label)
-    rep = max_dimension(rs)
-    sums = sum_formula_report(rs)
-    return {
-        "type": label,
-        "dual_coxeter_minus_one": rs.dual_coxeter_number - 1,
-        "positive_roots": rs.num_positive,
-        "long_positive_roots": len(rs.long_positive_roots()),
-        "max_dim": rep.value,
-        "max_dim_multiplicity": rep.multiplicity,
-        "witness_nodes": list(rep.witnesses),
-        "decompositions": [list(d) for d in rep.decompositions],
-        "first_sum": {
-            "total": sums.first_total,
-            "expected": sums.first_expected,
-            "per_node": None if sums.per_node is None else list(sums.per_node),
-        },
-        "second_sum": {"total": sums.second_total, "expected": sums.second_expected},
-    }
-
-
-def summary_rows(max_rank: int = 8) -> List[Dict[str, object]]:
-    return [summary_row(str(st)) for st in supported_types(max_rank)]

@@ -7,8 +7,9 @@ JSON or DOT.  Exit codes: 0 success, 1 a verification check failed,
 `head`: the rest of the output is discarded and nothing goes to stderr.
 
 Each subcommand imports the modules it runs when it runs, so a fresh
-process loads only what its command prints: `info` and `ideals` never load
-the checks, the Hasse graph or the Young lattice.
+process loads only what its command prints: `info`, `ideals`, `hasse` and
+`tables` never load the checks, the reference tables or the Young lattice,
+and only `hasse` loads the Hasse graph.
 """
 
 from __future__ import annotations
@@ -157,8 +158,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     """Text output prints each type's block, flushed, as soon as that type
     is verified; JSON is written once, at the end.  Once a type's report is
     recorded, the caches built for its root system are emptied, so a run
-    over many types holds one type's catalog (with its coset-word tree)
-    and Hasse graph at a time."""
+    over many types holds one type's catalog (with its alcove walls) and
+    Hasse graph at a time."""
     from . import checks
     labels = [str(st) for st in supported_types(args.max_rank)] if args.all else [args.type]
     reports: List[TypeReport] = []
@@ -210,8 +211,35 @@ def _decomposition_str(d: Sequence[int]) -> str:
     return f"{g - 1}+{n_hat}-{n_perp}"
 
 
+def summary_row(label: str) -> Dict[str, object]:
+    """Per-type headline numbers, all integers, JSON-ready."""
+    from .ideals import max_dimension, sum_formula_report
+    rs = build(label)
+    rep = max_dimension(rs)
+    sums = sum_formula_report(rs)
+    return {
+        "type": label,
+        "dual_coxeter_minus_one": rs.dual_coxeter_number - 1,
+        "positive_roots": rs.num_positive,
+        "long_positive_roots": len(rs.long_positive_roots()),
+        "max_dim": rep.value,
+        "max_dim_multiplicity": rep.multiplicity,
+        "witness_nodes": list(rep.witnesses),
+        "decompositions": [list(d) for d in rep.decompositions],
+        "first_sum": {
+            "total": sums.first_total,
+            "expected": sums.first_expected,
+            "per_node": None if sums.per_node is None else list(sums.per_node),
+        },
+        "second_sum": {"total": sums.second_total, "expected": sums.second_expected},
+    }
+
+
+def summary_rows(max_rank: int = 8) -> List[Dict[str, object]]:
+    return [summary_row(str(st)) for st in supported_types(max_rank)]
+
+
 def _cmd_tables(args: argparse.Namespace) -> int:
-    from .checks import summary_rows
     rows = summary_rows(args.max_rank)
     if args.json:
         _dump_json({"schema": 1, "rows": rows})

@@ -15,11 +15,12 @@ the affine word
     (0,) + minimal_word_to_theta(phi) + coset_word,
 
 whose inversion roots all sit at level one; negating their finite parts
-yields the ideal.  The catalog attaches each parameter word to the
-enumerated ideal whose root sum is the word's rho-shift.  It also reads
-every word's ideal off the alcove walls the word crosses, in one walk of
-the coset-word tree over its entries (`IdealCatalog.tree`); comparing the
-two is the `parametrization` check of `verify`.
+yields the ideal, the roots of the walls the word crosses.  The words form
+one tree, each a parent's word plus one letter, and the catalog builds
+every entry in one walk of it: a word crosses one wall past its parent's
+walls, and is attached to the enumerated ideal with the crossed roots'
+mask.  The independent route, each word's rho-shift against its ideal's
+root sum, is the `parametrization` check of `verify`.
 
 Going back, an ideal's long root is read off its roots not orthogonal to
 theta: they form the minimal ideal of the root, theta together with theta
@@ -41,9 +42,8 @@ from .affine import (
     coset_poincare,
     label_reflect,
     minimal_coset_reps,
-    perp_generators,
-    rho_shift,
     wall_point,
+    wall_subgroup_poincare,
 )
 from .qpoly import poly_degree, poly_eval_one
 from .root_system import Q, Record, Root, RootSystem, build, system_cache, vneg, vsub, vsum
@@ -54,7 +54,6 @@ from .weyl import (
     greedy_letter,
     minimal_word_to_theta,
     reflect_simple,
-    subgroup_positive_count,
 )
 
 
@@ -240,37 +239,61 @@ class CatalogEntry(NamedTuple):
 
 
 class IdealCatalog:
-    """All abelian ideals of one type, each with its unique parameter:
-    the enumerated ideal whose root sum is the parameter word's rho-shift.
+    """All abelian ideals of one type, each with its unique parameter, in
+    one walk of the parameter words.
 
     `masks[k]` is ideal k's bitmask over rs.positive_roots (bit j for root
-    j), `sums[k]` its root sum, and `index` finds an ideal's position from
-    its mask."""
+    j), `sums[k]` its root sum, `walls[k]` the alcove walls of its word
+    (`affine.alcove_walls`), and `index` finds an ideal's position from
+    its mask.
+
+    The parameter words form one tree: each nonzero entry's word is its
+    parent's word plus one letter.  Theta's word (0,) extends the zero
+    ideal's; the empty coset word of another long root phi extends that of
+    s_i(phi), i its `greedy_letter`, since phi's word to theta is s_i(phi)'s
+    plus (i,); and a coset word extends the word one letter shorter, which
+    `minimal_coset_reps` lists first, as a long root's coset words form an
+    order ideal in the weak order (Bjorner and Brenti, GTM 231, 2.4).  The
+    long roots are walked by descending height, theta first, so a parent
+    always comes first.  Each word copies its parent's walls and mask and
+    crosses one wall by `cross_walls`; its entry is the enumerated ideal
+    with that mask."""
 
     def __init__(self, rs: RootSystem) -> None:
         self.rs = rs
         oracle, masks, sums = _enumerate_masks(rs)
-        by_sum: Dict[Root, int] = {s: k for k, s in enumerate(sums)}
-        if len(by_sum) != len(oracle):
-            raise InvariantViolation("two enumerated ideals share a root sum")
-
+        index = {m: k for k, m in enumerate(masks)}
         entries: List[Optional[CatalogEntry]] = [None] * len(oracle)
-        zero = by_sum[(0,) * rs.rank]
+        walls: List[Walls] = [()] * len(oracle)
+        zero = index[0]
         entries[zero] = CatalogEntry(oracle[zero], None, (), ())
+        walls[zero] = alcove_walls(rs, ())
+        position: Dict[Tuple[Optional[Root], AffineWord], int] = {(None, ()): zero}
 
-        for phi in rs.long_positive_roots():
-            prefix = parameter_word(rs, phi, ())
+        for phi in reversed(rs.long_positive_roots()):
             for rep in minimal_coset_reps(rs, phi):
-                word = prefix + rep
-                k = by_sum.get(rho_shift(rs, word))
+                if rep:
+                    up, letter = (phi, rep[:-1]), rep[-1]
+                elif phi == rs.theta:
+                    up, letter = (None, ()), 0
+                else:
+                    letter = greedy_letter(rs, phi)
+                    up = (reflect_simple(rs, letter, phi), ())
+                parent = position.get(up)
+                if parent is None:
+                    raise InvariantViolation(f"coset word {rep} of {phi} has no parent in the walk")
+                current = list(walls[parent])
+                k = index.get(cross_walls(rs, current, (letter,), masks[parent], phi, rep))
                 if k is None:
                     raise InvariantViolation(
-                        f"parameter ({phi}, {rep}) moves rho outside the enumeration")
+                        f"parameter ({phi}, {rep}) crosses walls outside the enumeration")
                 if entries[k] is not None:
                     raise InvariantViolation(
                         f"ideal {oracle[k].roots} parametrized twice: "
                         f"({entries[k].phi}, {entries[k].coset_word}) and ({phi}, {rep})")
-                entries[k] = CatalogEntry(oracle[k], phi, rep, word)
+                entries[k] = CatalogEntry(oracle[k], phi, rep, entries[parent].word + (letter,))
+                walls[k] = tuple(current)
+                position[phi, rep] = k
 
         missing = [oracle[k] for k, e in enumerate(entries) if e is None]
         if missing:
@@ -279,45 +302,11 @@ class IdealCatalog:
         self.ideals: Tuple[AbelianIdeal, ...] = oracle
         self.masks: Tuple[int, ...] = masks
         self.sums: Tuple[Root, ...] = sums
-        self.index: Dict[int, int] = {m: k for k, m in enumerate(masks)}
+        self.walls: Tuple[Walls, ...] = tuple(walls)
+        self.index: Dict[int, int] = index
 
     def __len__(self) -> int:
         return len(self.entries)
-
-    @cached_property
-    def tree(self) -> Tuple[Tuple[Walls, ...], Tuple[int, ...]]:
-        """Each entry's alcove walls (`affine.alcove_walls` of its word) and
-        the mask of the roots of the walls its word crosses.
-
-        A long root's coset words form an order ideal in the weak order
-        (Bjorner and Brenti, GTM 231, 2.4): each is its parent word[:-1]
-        plus one letter j, and comes after it, as entries are sorted by
-        dimension, the parameter word's length.  The empty coset word walks
-        its whole parameter word from the affine simple roots; a child
-        crosses its parent's wall j by one `cross_walls` letter, and that
-        wall's root joins the parent's mask."""
-        zero = alcove_walls(self.rs, ())
-        walls: List[Walls] = []
-        masks: List[int] = []
-        position: Dict[Tuple[Optional[Root], AffineWord], int] = {}
-        for k, e in enumerate(self.entries):
-            start, mask, letters = zero, 0, e.word
-            if e.coset_word:
-                parent = position.get((e.phi, e.coset_word[:-1]))
-                if parent is None:
-                    raise InvariantViolation(
-                        f"coset word {e.coset_word} of {e.phi} has no parent in the walk")
-                start, mask, letters = walls[parent], masks[parent], e.coset_word[-1:]
-            current = list(start)
-            masks.append(cross_walls(self.rs, current, letters, mask, e.phi, e.coset_word))
-            walls.append(tuple(current))
-            position[e.phi, e.coset_word] = k
-        return tuple(walls), tuple(masks)
-
-    @property
-    def walls(self) -> Tuple[Walls, ...]:
-        """Each entry's alcove walls, from `tree`."""
-        return self.tree[0]
 
     @cached_property
     def holders(self) -> Tuple[int, ...]:
@@ -430,7 +419,9 @@ class MaxDimensionReport(NamedTuple):
     multiplicity: int            # number of ideals attaining the maximum
     witnesses: Tuple[int, ...]   # long simple nodes whose family reaches it
     decompositions: Tuple[Tuple[int, int, int, int], ...]
-    # per witness: (g, n_hat, n_perp, value) with value = g - 1 + n_hat - n_perp
+    # per witness alpha_i: (g, n_hat, n_perp, value), n_hat and n_perp the
+    # degrees of alpha_i's wall-subgroup series with and without letter 0;
+    # `verify` requires value = g - 1 + n_hat - n_perp
 
 
 def long_simple_nodes(rs: RootSystem) -> Tuple[int, ...]:
@@ -446,13 +437,11 @@ def max_dimension(rs: RootSystem) -> MaxDimensionReport:
     decomps = []
     for i in long_simple_nodes(rs):
         alpha = rs.simple_root(i)
-        p = coset_poincare(rs, alpha)
-        finite_nodes = tuple(j for j in perp_generators(rs, alpha) if j != 0)
-        n_perp = subgroup_positive_count(rs, finite_nodes)
-        n_hat = n_perp + poly_degree(p)
-        if g - 1 + poly_degree(p) == value:
+        if g - 1 + poly_degree(coset_poincare(rs, alpha)) == value:
+            n_hat = poly_degree(wall_subgroup_poincare(rs, alpha, True))
+            n_perp = poly_degree(wall_subgroup_poincare(rs, alpha, False))
             witnesses.append(i)
-            decomps.append((g, n_hat, n_perp, g - 1 + n_hat - n_perp))
+            decomps.append((g, n_hat, n_perp, value))
     if not witnesses:
         raise InvariantViolation("no long simple node explains the maximal dimension")
     return MaxDimensionReport(value, multiplicity, tuple(witnesses), tuple(decomps))

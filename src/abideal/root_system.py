@@ -441,8 +441,8 @@ def system_cache(fn: Callable) -> Callable:
 
 def clear_system_caches() -> None:
     """Empty every `system_cache`.  What only the caches held (catalogs
-    with their coset-word trees, Hasse graphs) is freed by reference
-    counting at once: nothing cached points back at a cache."""
+    with their alcove walls, Hasse graphs) is freed by reference counting
+    at once: nothing cached points back at a cache."""
     for cached in _SYSTEM_CACHES:
         cached.cache_clear()
 

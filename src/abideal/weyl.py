@@ -104,9 +104,9 @@ def carry_images(cartan: Sequence[Sequence[int]], images: List[tuple],
     a_ij = cartan[i - lowest][j - lowest]; the list ends holding the word's
     images.  The vectors are integer tuples of any length: affine walks
     carry the level last.  Shared by `inversion_roots` (a whole word),
-    the minimal-ideal table and the catalog's coset-word tree in `ideals`
-    (one letter from a parent's images), and `affine`'s alcove walls and
-    inversion sets.
+    the minimal-ideal table and the catalog's walk of the parameter words
+    in `ideals` (one letter from a parent's images), and `affine`'s alcove
+    walls and inversion sets.
     """
     for i in word:
         beta = images[i - lowest]
@@ -224,16 +224,6 @@ def subgroup_poincare(rs: RootSystem, nodes: Iterable[int]) -> Poly:
         if not 1 <= i <= rs.rank:
             raise ValueError(f"node {i} out of range 1..{rs.rank}")
     return parabolic_poincare(rs.cartan, (i - 1 for i in nodes))
-
-
-def subgroup_positive_count(rs: RootSystem, nodes: Iterable[int]) -> int:
-    """Positive roots supported on the given nodes; also the longest length."""
-    allowed = set(nodes)
-    count = 0
-    for phi in rs.positive_roots:
-        if all(i + 1 in allowed for i, c in enumerate(phi) if c):
-            count += 1
-    return count
 
 
 def _orbit_poincare(rs: RootSystem, nodes: Sequence[int]) -> Poly:

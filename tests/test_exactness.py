@@ -5,8 +5,8 @@ pass if a float slipped into the arithmetic.  These tests check the types
 of the public rational quantities for every type, and of the Fraction
 weights and form that tests keep in `reference_impl.py`, and scan the
 sources for float literals and the name `float`.  They also hold the hot
-loops of the alcove walls, the wall-crossing kernel with the coset-word
-tree and `from_param` on it, the Hasse edges, the facet and alcove checks,
+loops of the alcove walls, the wall-crossing kernel with the catalog's
+walk and `from_param` on it, the Hasse edges, the facet and alcove checks,
 and the Kostant check with its mask sampler, its mask-sum kernel and
 the per-byte tables both build on to integers: no Fraction is built inside a loop there.  Root-system
 construction builds no Fraction at all: a root system has no Fraction
@@ -119,7 +119,8 @@ def test_affine_and_weyl_import_no_fraction(filename):
 _LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
 _INTEGER_LOOPS = {
     "affine.py": ("alcove_walls", "rho_shift"),
-    "ideals.py": ("tree", "cross_walls", "from_param", "_enumerate_masks", "_a_min_table"),
+    "ideals.py": ("IdealCatalog.__init__", "cross_walls", "from_param", "_enumerate_masks",
+                  "_a_min_table"),
     "weyl.py": ("greedy_letter",),
     "root_system.py": ("_pack",),
     "hasse.py": ("build_graph", "facet_volume_ratios", "upper_alcoves"),
@@ -135,6 +136,9 @@ def test_integer_loops_build_no_fraction():
     for filename, names in _INTEGER_LOOPS.items():
         tree = ast.parse((SRC / filename).read_text(), filename=filename)
         functions = {node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+        functions.update((f"{cls.name}.{node.name}", node) for cls in tree.body
+                         if isinstance(cls, ast.ClassDef)
+                         for node in cls.body if isinstance(node, ast.FunctionDef))
         for name in names:
             for loop in ast.walk(functions[name]):
                 if not isinstance(loop, _LOOPS):

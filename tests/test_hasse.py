@@ -83,7 +83,7 @@ def test_build_graph_rejects_walls_without_the_added_root(monkeypatch):
     # edge up to {theta} crosses; a copy keeps the cached graph intact
     rs = copy.copy(build("A2"))
     cat = IdealCatalog(rs)
-    cat.tree = ((cat.walls[0][1:],) + cat.walls[1:], cat.tree[1])
+    cat.walls = (cat.walls[0][1:],) + cat.walls[1:]
     monkeypatch.setattr(hasse, "catalog_of", lambda rs: cat)
     with pytest.raises(InvariantViolation, match="do not differ by one reflection"):
         build_graph(rs)
@@ -341,16 +341,27 @@ def test_parametrization_checks_the_minimal_ideal_table(monkeypatch, label):
 
 
 def test_parametrization_checks_the_rebuilt_ideal(monkeypatch, small_label):
-    # every mask of the coset-word tree loses its lowest root, in a
-    # catalog of a copy, so the cached one stays intact
+    # every root sum is doubled, which keeps the sums distinct, in a
+    # catalog of a copy, so the cached one stays intact; each nonzero
+    # word's rho-shift then misses its ideal's sum
     rs = copy.copy(build(small_label))
     cat = IdealCatalog(rs)
-    walls, masks = cat.tree
-    cat.tree = (walls, tuple(m & (m - 1) for m in masks))
+    cat.sums = tuple(tuple(2 * c for c in s) for s in cat.sums)
     monkeypatch.setattr(checks, "catalog_of", lambda rs: cat)
     res = checks.check_parametrization(rs)
     assert not res.passed
     assert "disagrees" in res.details
+
+
+def test_parametrization_checks_the_root_sums_are_distinct(monkeypatch, small_label):
+    # the rho-shift names an ideal only while no two ideals share a sum
+    rs = copy.copy(build(small_label))
+    cat = IdealCatalog(rs)
+    cat.sums = cat.sums[:-1] + cat.sums[:1]
+    monkeypatch.setattr(checks, "catalog_of", lambda rs: cat)
+    res = checks.check_parametrization(rs)
+    assert not res.passed
+    assert "share a root sum" in res.details
 
 
 @pytest.mark.parametrize("label", NOT_SIMPLE_THETA)
@@ -422,6 +433,22 @@ def test_sum_checks_total_the_coset_series(monkeypatch, small_label, check):
     real = ideals.coset_poincare
     monkeypatch.setattr(ideals, "coset_poincare", lambda rs, phi: real(rs, phi) + (1,))
     assert not _passes(getattr(checks, f"check_{check}"), copy.copy(build(small_label)))
+
+
+@pytest.mark.parametrize("include_zero", [True, False])
+def test_max_dimension_checks_the_wall_subgroup_degrees(monkeypatch, small_label, include_zero):
+    # the longest element of each wall subgroup, with or without letter 0,
+    # gains one letter; the maximum itself is read off the catalog
+    real = ideals.wall_subgroup_poincare
+
+    def longer(rs, phi, zero):
+        series = real(rs, phi, zero)
+        return poly_mul(series, (1, 1)) if zero == include_zero else series
+
+    monkeypatch.setattr(ideals, "wall_subgroup_poincare", longer)
+    res = checks.check_max_dimension(build(small_label))
+    assert not res.passed
+    assert "bad decomposition" in res.details
 
 
 def test_maximal_ideals_checks_the_count(monkeypatch, small_label):

@@ -6,9 +6,8 @@ import re
 import pytest
 
 from abideal import checks, ideals
-from abideal.affine import alcove_walls, label_reflect, rho_shift, wall_point
+from abideal.affine import alcove_walls, label_reflect, minimal_coset_reps, rho_shift, wall_point
 from abideal.ideals import (
-    CatalogEntry,
     IdealCatalog,
     InvariantViolation,
     associated_long_root,
@@ -192,36 +191,50 @@ def test_affine_word_construction_rejects_bad_words():
 @pytest.mark.parametrize("reps, message", [
     (((), (0,), (0, 0)), "level one"),   # crossing wall 0 twice leaves level one
     (((), (0, 0)), "no parent"),
+    (((), ()), "parametrized twice"),
+    (((),), "have no parameter"),
 ])
-def test_coset_tree_rejects_bad_words(reps, message):
-    # an uncached catalog whose entries are the given coset words of (1, 0)
-    rs = build("B2")
-    cat = IdealCatalog(rs)
-    cat.entries = tuple(CatalogEntry(cat.ideals[0], (1, 0), w, parameter_word(rs, (1, 0), w))
-                        for w in reps)
+def test_coset_tree_rejects_bad_words(monkeypatch, reps, message):
+    # the catalog's walk takes the given coset words for (1, 0) of B2
+    real = ideals.minimal_coset_reps
+    monkeypatch.setattr(ideals, "minimal_coset_reps",
+                        lambda rs, phi: reps if phi == (1, 0) else real(rs, phi))
     with pytest.raises(InvariantViolation, match=message):
-        cat.tree
+        IdealCatalog(build("B2"))
 
 
 @pytest.mark.parametrize("index, message", [
     (lambda rs: {r: k for r, k in rs.root_index.items() if r != rs.theta}, "bad finite part"),
-    (lambda rs: dict.fromkeys(rs.root_index, 0), "twice"),   # every root at bit 0
+    # every root at theta's bit: the second wall crossed repeats it
+    (lambda rs: dict.fromkeys(rs.root_index, rs.root_index[rs.theta]), "twice"),
 ])
 def test_coset_tree_rejects_walls_off_the_positive_roots(index, message):
-    # the catalog is built on a copy, whose index is then replaced
+    # the catalog walks a copy whose index is replaced once its coset
+    # words are cached
     rs = copy.copy(build("B2"))
-    cat = IdealCatalog(rs)
+    for phi in rs.long_positive_roots():
+        minimal_coset_reps(rs, phi)
     rs.root_index = index(rs)
     with pytest.raises(InvariantViolation, match=message):
-        cat.tree
+        IdealCatalog(rs)
+
+
+def test_coset_tree_rejects_walls_outside_the_enumeration(monkeypatch):
+    # the enumeration loses its largest ideal, which a word still reaches
+    real = ideals._enumerate_masks
+    monkeypatch.setattr(ideals, "_enumerate_masks", lambda rs: tuple(t[:-1] for t in real(rs)))
+    with pytest.raises(InvariantViolation, match="crosses walls outside the enumeration"):
+        IdealCatalog(build("B2"))
 
 
 def test_catalog_rejects_a_wrong_rho_shift(monkeypatch):
     # every parameter word claims the zero ideal's rho-point; the catalog
-    # attaches parameters by rho-shift, so it is the one that must notice
-    monkeypatch.setattr(ideals, "rho_shift", lambda rs, word: (0,) * rs.rank)
-    with pytest.raises(InvariantViolation, match="parametrized twice"):
-        IdealCatalog(copy.copy(build("A2")))
+    # attaches words by the walls they cross, so the rho-shift route is
+    # verify's, and its parametrization check must notice
+    monkeypatch.setattr(checks, "rho_shift", lambda rs, word: (0,) * rs.rank)
+    res = checks.check_parametrization(build("A2"))
+    assert not res.passed
+    assert "disagrees" in res.details
 
 
 # one bit too narrow: where some ideal's root sum reaches the dropped bit,

@@ -70,6 +70,8 @@ def test_importing_the_package_loads_no_submodule():
 @pytest.mark.parametrize("argv, unloaded", [
     (("info", "E8"), {"checks", "hasse", "reference", "young"}),
     (("ideals", "E8", "--json"), {"checks", "hasse", "reference", "young"}),
+    (("tables", "--max-rank", "6"), {"checks", "hasse", "reference", "young"}),
+    (("hasse", "E8", "--dot", "-"), {"checks", "reference", "young"}),
     (("young", "11", "--list"), {"checks", "hasse", "reference", "ideals", "affine", "weyl",
                                  "qpoly"}),
 ])

@@ -20,10 +20,11 @@ keep their pairwise forms: the cover test over every nested pair of
 ideals, the automorphism search seeded with BFS distance profiles and
 anchored by rescanning the whole vertex pool, and the maximal ideals found
 by comparing every pair.  The Kostant check keeps the sampler it drew
-through, `random.sample` with vector sums of roots, and the coset-word tree
-keeps the whole-word forms it replaced: each entry's walls walked from the
-affine simple roots, its ideal rebuilt by `from_param`, and its ideal read
-off the whole word's affine inversion set.  Cold construction keeps its
+through, `random.sample` with vector sums of roots, and the catalog's walk
+of the word tree keeps the whole-word forms it replaced: each entry's
+walls walked from the affine simple roots, its ideal rebuilt by
+`from_param`, and its ideal read off the whole word's affine inversion
+set.  Cold construction keeps its
 tuple forms: the rho-shift that builds one tuple per letter, the greedy
 walk from a root all the way to theta, the cover and conflict masks from
 `vadd` sums, the enumeration whose ideals `make_ideal` re-sorts, with
@@ -84,6 +85,7 @@ from abideal.ideals import (
     make_ideal,
     mask_bits,
     maximal_ideals,
+    parameter_word,
 )
 from abideal.root_system import (_cartan_matrix, _positive_roots, bareiss, build, supported_types,
                                  vsub, vsum)
@@ -777,51 +779,61 @@ def test_mask_sampler_reaches_every_non_ideal_subset(label):
 
 @pytest.mark.parametrize("label", EVERY_LABEL)
 def test_coset_tree_matches_the_whole_word_forms(label):
-    # the catalog's words are every long root's coset words once each; the
-    # walls of each entry's whole parameter word, walked from the affine
-    # simple roots, the ideal from_param rebuilds from it, and the ideal
-    # read off the whole word's affine inversion set
+    # the catalog's words are every long root's coset words once each, and
+    # each is its whole parameter word; the walls of that word, walked from
+    # the affine simple roots, its rho-shift against the ideal's root sum,
+    # the ideal from_param rebuilds from it, and the ideal read off the
+    # whole word's affine inversion set
     rs = build(label)
     cat = catalog_of(rs)
     params = [(phi, word) for phi in rs.long_positive_roots()
               for word in minimal_coset_reps(rs, phi)]
     assert len(params) == len(cat) - 1
     assert {(e.phi, e.coset_word) for e in cat.entries if e.phi is not None} == set(params)
-    assert len(cat.tree[0]) == len(cat.tree[1]) == len(cat)
-    for e, walls, crossed, mask in zip(cat.entries, *cat.tree, cat.masks):
+    assert len(cat.walls) == len(cat)
+    for e, walls, total, mask in zip(cat.entries, cat.walls, cat.sums, cat.masks):
         assert walls == alcove_walls(rs, e.word), e.word
-        assert crossed == mask, e.word
+        assert rho_shift(rs, e.word) == total, e.word
         if e.phi is None:
             continue
+        assert e.word == parameter_word(rs, e.phi, e.coset_word), e.word
         assert _mask_of(rs, from_param(rs, e.phi, e.coset_word).roots) == mask, e.word
         assert _mask_of(rs, ideal_from_affine_word(rs, e.word).roots) == mask, e.word
 
 
 @pytest.mark.parametrize("label", EVERY_LABEL)
 def test_coset_tree_edges_are_hasse_edges(label):
+    # the parameter words form one tree: each nonzero entry's word less its
+    # last letter is another entry's word, joined to it by a Hasse edge
+    # labelled with that letter
     rs = build(label)
     cat = catalog_of(rs)
-    position = {(e.phi, e.coset_word): k for k, e in enumerate(cat.entries)}
+    position = {e.word: k for k, e in enumerate(cat.entries)}
+    assert len(position) == len(cat)
     letters = {(e.lower, e.upper): e.letter for e in build_graph(rs).edges}
     edges = 0
-    for phi, word in position:
-        if word:
-            assert letters[position[phi, word[:-1]], position[phi, word]] == word[-1], (phi, word)
+    for k, e in enumerate(cat.entries):
+        if e.word:
+            assert letters[position[e.word[:-1]], k] == e.word[-1], e.word
             edges += 1
-    assert edges == len(cat) - 1 - len(rs.long_positive_roots())
+    assert edges == len(cat) - 1
 
 
 @pytest.mark.parametrize("label", ALL_LABELS)
 def test_integer_2A_test_matches_the_rho_point(label):
+    # each entry's word w and its one-letter extensions w s_j, whose shifts
+    # are w's less the finite part of w(beta_j), wall j of w's alcove; each
+    # distinct rho-point is tested once, the Fraction one being rho + shift
     rs = build(label)
+    cat = catalog_of(rs)
+    shifts = set(cat.sums)
+    for total, walls in zip(cat.sums, cat.walls):
+        shifts.update(vsub(total, wall[:-1]) for wall in walls)
     verdicts = set()
-    for entry in catalog_of(rs).entries:
-        for word in [entry.word] + [entry.word + (j,) for j in range(rs.rank + 1)]:
-            # one shift for both tests: the Fraction rho-point is rho + shift
-            shift = rho_shift(rs, word)
-            verdict = rho_shift_in_2A(rs, shift)
-            assert verdict == in_2A(rs, vadd(rho(rs), shift)), word
-            verdicts.add(verdict)
+    for shift in shifts:
+        verdict = rho_shift_in_2A(rs, shift)
+        assert verdict == in_2A(rs, vadd(rho(rs), shift)), shift
+        verdicts.add(verdict)
     assert verdicts == {True, False}
 
 

@@ -3,7 +3,7 @@ import re
 import pytest
 
 from abideal.root_system import build
-from abideal.qpoly import poly_eval_one
+from abideal.qpoly import poly_degree, poly_eval_one
 from abideal import weyl
 from abideal.affine import affine_cartan_matrix
 from abideal.weyl import (
@@ -16,7 +16,6 @@ from abideal.weyl import (
     parabolic_poincare,
     reflect_simple,
     subgroup_poincare,
-    subgroup_positive_count,
     weyl_poincare,
 )
 
@@ -139,8 +138,8 @@ def test_subgroup_order_and_positive_count():
     assert subgroup_order(rs, (1, 2)) == 6       # simply laced pair
     assert subgroup_order(rs, (2, 3)) == 8       # doubled bond pair
     assert subgroup_order(rs, (1, 2, 3)) == weyl_order(rs)
-    assert subgroup_positive_count(rs, (1, 2)) == 3
-    assert subgroup_positive_count(rs, (2, 3)) == 4
+    assert poly_degree(subgroup_poincare(rs, (1, 2))) == 3
+    assert poly_degree(subgroup_poincare(rs, (2, 3))) == 4
     assert subgroup_order(rs, ()) == 1
     assert poly_eval_one(subgroup_poincare(rs, (2, 3))) == 8
 
