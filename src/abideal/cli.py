@@ -235,12 +235,13 @@ def summary_row(label: str) -> Dict[str, object]:
     }
 
 
-def summary_rows(max_rank: int = 8) -> List[Dict[str, object]]:
-    return [summary_row(str(st)) for st in supported_types(max_rank)]
-
-
 def _cmd_tables(args: argparse.Namespace) -> int:
-    rows = summary_rows(args.max_rank)
+    """Each row empties the caches built for its root system, as `verify`
+    does, so the run holds one type's coset words at a time."""
+    rows = []
+    for st in supported_types(args.max_rank):
+        rows.append(summary_row(str(st)))
+        clear_system_caches()
     if args.json:
         _dump_json({"schema": 1, "rows": rows})
         return 0

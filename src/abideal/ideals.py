@@ -16,17 +16,17 @@ the affine word
 
 whose inversion roots all sit at level one; negating their finite parts
 yields the ideal, the roots of the walls the word crosses.  The words form
-one tree, each a parent's word plus one letter, and the catalog builds
-every entry in one walk of it: a word crosses one wall past its parent's
-walls, and is attached to the enumerated ideal with the crossed roots'
-mask.  The independent route, each word's rho-shift against its ideal's
-root sum, is the `parametrization` check of `verify`.
-
-Going back, an ideal's long root is read off its roots not orthogonal to
-theta: they form the minimal ideal of the root, theta together with theta
-minus each inversion root of its word to theta.  The greedy words share
-their suffixes, so the table of minimal ideals (`_a_min_table`) is built
-one letter and one root per long root.
+one tree, each a parent's word plus one letter, and every walk of it
+crosses one wall per letter (`cross_walls`).  The empty coset words form
+the trunk, one greedy chain from theta (`_greedy_chain`): phi's word is
+s_i(phi)'s plus (i,), i its `greedy_letter`, and it names phi's minimal
+ideal, theta together with theta minus each inversion root of phi's word
+to theta.  The chain is walked once per root system; the catalog grows
+each coset word from it, `from_param` crosses only the coset word's
+letters, and going back, an ideal's long root is the one whose minimal
+ideal is the ideal's roots not orthogonal to theta.  The independent
+route, each word's rho-shift against its ideal's root sum, is the
+`parametrization` check of `verify`.
 """
 
 from __future__ import annotations
@@ -207,16 +207,47 @@ def cross_walls(rs: RootSystem, walls: List[Tuple[int, ...]], letters: Sequence[
     return mask
 
 
+@system_cache
+def _greedy_chain(rs: RootSystem) -> Tuple[Dict[Root, Tuple[AffineWord, Walls, int]], Dict[int, Root]]:
+    """The parameters (phi, ()), walked once: for each long root phi its
+    word (0,) + `minimal_word_to_theta(phi)`, the alcove walls of that
+    word and the mask of the roots of the walls it crosses, phi's minimal
+    ideal; and phi keyed by that mask.
+
+    Theta's word is (0,), and phi's is s_i(phi)'s plus (i,), i its
+    `greedy_letter`.  The long roots are walked by descending height,
+    theta first, so s_i(phi) is done before phi, and each crosses one wall
+    past it.  No two long roots may share a minimal ideal."""
+    links: Dict[Root, Tuple[AffineWord, Walls, int]] = {}
+    roots: Dict[int, Root] = {}
+    for phi in reversed(rs.long_positive_roots()):
+        if phi == rs.theta:
+            letter, word, walls, mask = 0, (), alcove_walls(rs, ()), 0
+        else:
+            letter = greedy_letter(rs, phi)
+            word, walls, mask = links[reflect_simple(rs, letter, phi)]
+        current = list(walls)
+        mask = cross_walls(rs, current, (letter,), mask, phi, ())
+        if mask in roots:
+            raise InvariantViolation("two long roots share a minimal ideal")
+        links[phi] = (word + (letter,), tuple(current), mask)
+        roots[mask] = phi
+    return links, roots
+
+
 def from_param(rs: RootSystem, phi: Root, coset_word: Sequence[int] = ()) -> AbelianIdeal:
     """The ideal named by a long positive root and a minimal coset word.
 
     The word is checked on the labels of `minimal_coset_reps`' orbit walk:
     every letter is a wall letter of phi whose label is positive at the
-    point the previous letters reached.  The parameter word is then walked
-    from the affine simple roots by `cross_walls`, and the ideal is the
-    roots of the walls it crosses."""
+    point the previous letters reached.  Its letters are then crossed by
+    `cross_walls` from the walls of phi's empty coset word in the greedy
+    chain, and the ideal is the roots of the walls the whole parameter
+    word crosses."""
     phi, coset_word = tuple(phi), tuple(coset_word)
-    word = parameter_word(rs, phi, coset_word)  # validates phi
+    link = _greedy_chain(rs)[0].get(phi)
+    if link is None:
+        raise ValueError(f"{phi} is not a long positive root")
     gens, point = wall_point(rs, phi)
     for i in coset_word:
         if i not in gens:
@@ -224,7 +255,8 @@ def from_param(rs: RootSystem, phi: Root, coset_word: Sequence[int] = ()) -> Abe
         if point[i] <= 0:
             raise ValueError(f"{coset_word} is not a minimal coset word for {phi}")
         point = label_reflect(rs, i, point)
-    mask = cross_walls(rs, list(alcove_walls(rs, ())), word, 0, phi, coset_word)
+    _, walls, mask = link
+    mask = cross_walls(rs, list(walls), coset_word, mask, phi, coset_word)
     return make_ideal(rs.positive_roots[k] for k in mask_bits(mask))
 
 
@@ -248,16 +280,13 @@ class IdealCatalog:
     its mask.
 
     The parameter words form one tree: each nonzero entry's word is its
-    parent's word plus one letter.  Theta's word (0,) extends the zero
-    ideal's; the empty coset word of another long root phi extends that of
-    s_i(phi), i its `greedy_letter`, since phi's word to theta is s_i(phi)'s
-    plus (i,); and a coset word extends the word one letter shorter, which
-    `minimal_coset_reps` lists first, as a long root's coset words form an
-    order ideal in the weak order (Bjorner and Brenti, GTM 231, 2.4).  The
-    long roots are walked by descending height, theta first, so a parent
-    always comes first.  Each word copies its parent's walls and mask and
-    crosses one wall by `cross_walls`; its entry is the enumerated ideal
-    with that mask."""
+    parent's word plus one letter.  The empty coset words are read off the
+    greedy chain (`_greedy_chain`); any other coset word extends the word
+    one letter shorter, which `minimal_coset_reps` lists first, as a long
+    root's coset words form an order ideal in the weak order (Bjorner and
+    Brenti, GTM 231, 2.4).  Each such word copies its parent's walls and
+    mask and crosses one wall by `cross_walls`; its entry is the
+    enumerated ideal with that mask."""
 
     def __init__(self, rs: RootSystem) -> None:
         self.rs = rs
@@ -268,22 +297,22 @@ class IdealCatalog:
         zero = index[0]
         entries[zero] = CatalogEntry(oracle[zero], None, (), ())
         walls[zero] = alcove_walls(rs, ())
-        position: Dict[Tuple[Optional[Root], AffineWord], int] = {(None, ()): zero}
+        links = _greedy_chain(rs)[0]
 
         for phi in reversed(rs.long_positive_roots()):
+            position: Dict[AffineWord, int] = {}
             for rep in minimal_coset_reps(rs, phi):
                 if rep:
-                    up, letter = (phi, rep[:-1]), rep[-1]
-                elif phi == rs.theta:
-                    up, letter = (None, ()), 0
+                    parent = position.get(rep[:-1])
+                    if parent is None:
+                        raise InvariantViolation(
+                            f"coset word {rep} of {phi} has no parent in the walk")
+                    current = list(walls[parent])
+                    mask = cross_walls(rs, current, rep[-1:], masks[parent], phi, rep)
+                    word = entries[parent].word + rep[-1:]
                 else:
-                    letter = greedy_letter(rs, phi)
-                    up = (reflect_simple(rs, letter, phi), ())
-                parent = position.get(up)
-                if parent is None:
-                    raise InvariantViolation(f"coset word {rep} of {phi} has no parent in the walk")
-                current = list(walls[parent])
-                k = index.get(cross_walls(rs, current, (letter,), masks[parent], phi, rep))
+                    word, current, mask = links[phi]
+                k = index.get(mask)
                 if k is None:
                     raise InvariantViolation(
                         f"parameter ({phi}, {rep}) crosses walls outside the enumeration")
@@ -291,9 +320,9 @@ class IdealCatalog:
                     raise InvariantViolation(
                         f"ideal {oracle[k].roots} parametrized twice: "
                         f"({entries[k].phi}, {entries[k].coset_word}) and ({phi}, {rep})")
-                entries[k] = CatalogEntry(oracle[k], phi, rep, entries[parent].word + (letter,))
+                entries[k] = CatalogEntry(oracle[k], phi, rep, word)
                 walls[k] = tuple(current)
-                position[phi, rep] = k
+                position[rep] = k
 
         missing = [oracle[k] for k, e in enumerate(entries) if e is None]
         if missing:
@@ -331,14 +360,10 @@ def catalog(label: str) -> IdealCatalog:
 # ----------------------------------------------------------------------
 # structure maps
 
-def not_perp_theta(rs: RootSystem, ideal: AbelianIdeal) -> AbelianIdeal:
-    """The sub-ideal of roots not orthogonal to the highest root."""
-    return make_ideal(rs.positive_roots[k] for k in mask_bits(_not_perp_theta_mask(rs, ideal)))
-
-
 def _not_perp_theta_mask(rs: RootSystem, ideal: AbelianIdeal) -> int:
-    """`not_perp_theta` as a mask over rs.positive_roots; ValueError when
-    the input is not an abelian ideal."""
+    """The sub-ideal of roots not orthogonal to the highest root, as a mask
+    over rs.positive_roots; ValueError when the input is not an abelian
+    ideal."""
     indices = {rs.root_index.get(tuple(r)) for r in ideal.roots}
     if None in indices or not is_ideal_mask(rs, indices):
         raise ValueError(f"{ideal.roots} is not an abelian ideal")
@@ -349,50 +374,12 @@ def _not_perp_theta_mask(rs: RootSystem, ideal: AbelianIdeal) -> int:
     return sum(map((1).__lshift__, kept))
 
 
-@system_cache
-def _a_min_table(rs: RootSystem) -> Dict[int, Root]:
-    """Each long root phi, keyed by the mask of its minimal ideal: theta
-    together with theta minus each inversion root of
-    `minimal_word_to_theta(phi)`, the smallest ideal whose roots off
-    theta's wall point at phi.
-
-    The greedy word of phi is the word of s_i(phi) plus (i,), i its
-    `greedy_letter`, so its inversion roots are those of s_i(phi)'s word
-    and one more: the image of alpha_i under that word.
-    The long roots are walked by descending height, so s_i(phi) is done
-    before phi.  Each carries its word's simple-root images and its mask,
-    and one `carry_images` letter gives the new root, which must be
-    positive, with theta minus it a positive root not yet in the mask.
-    The images are dropped once the table is built.  Cached per root
-    system instance."""
-    theta, index = rs.theta, rs.root_index
-    simple = [rs.simple_root(j) for j in range(1, rs.rank + 1)]
-    walked: Dict[Root, Tuple[List[Root], int]] = {theta: (simple, 1 << index[theta])}
-    table: Dict[int, Root] = {1 << index[theta]: theta}
-    for phi in reversed(rs.long_positive_roots()[:-1]):
-        i = greedy_letter(rs, phi)
-        parent, mask = walked[reflect_simple(rs, i, phi)]
-        images = list(parent)
-        for beta in carry_images(rs.cartan, images, (i,), 1):
-            k = index.get(vsub(theta, beta))
-            if beta not in index or k is None or mask >> k & 1:
-                raise InvariantViolation(
-                    f"inversion root {beta} of the word to theta of {phi} "
-                    f"does not extend its minimal ideal")
-            mask |= 1 << k
-        if mask in table:
-            raise InvariantViolation("two long roots share a minimal ideal")
-        walked[phi] = (images, mask)
-        table[mask] = phi
-    return table
-
-
 def associated_long_root(rs: RootSystem, ideal: AbelianIdeal) -> Root:
-    """The long positive root whose minimal ideal matches the roots of the
-    ideal that are off theta's wall."""
+    """The long positive root whose minimal ideal (`_greedy_chain`) matches
+    the roots of the ideal that are off theta's wall."""
     if ideal.dim == 0:
         raise ValueError("the zero ideal has no associated long root")
-    phi = _a_min_table(rs).get(_not_perp_theta_mask(rs, ideal))
+    phi = _greedy_chain(rs)[1].get(_not_perp_theta_mask(rs, ideal))
     if phi is None:
         raise InvariantViolation("no long root matches this ideal's theta-visible part")
     return phi
@@ -429,9 +416,11 @@ def long_simple_nodes(rs: RootSystem) -> Tuple[int, ...]:
 
 
 def max_dimension(rs: RootSystem) -> MaxDimensionReport:
-    cat = catalog_of(rs)
-    value = max(a.dim for a in cat.ideals)
-    multiplicity = sum(1 for a in cat.ideals if a.dim == value)
+    """The largest dimension of an abelian ideal, read off the enumeration
+    with no catalog, and the long simple nodes whose families reach it."""
+    dims = [a.dim for a in _enumerate_masks(rs)[0]]
+    value = max(dims)
+    multiplicity = dims.count(value)
     g = rs.dual_coxeter_number
     witnesses = []
     decomps = []

@@ -24,7 +24,7 @@ from functools import lru_cache
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .qpoly import Poly, bracket, poly_mul, poly_prod
-from .root_system import Root, RootSystem, _positive_roots, height_exponents, system_cache
+from .root_system import Root, RootSystem, _positive_roots, height_exponents
 
 WeylWord = Tuple[int, ...]
 Matrix = Tuple[Tuple[int, ...], ...]
@@ -104,9 +104,9 @@ def carry_images(cartan: Sequence[Sequence[int]], images: List[tuple],
     a_ij = cartan[i - lowest][j - lowest]; the list ends holding the word's
     images.  The vectors are integer tuples of any length: affine walks
     carry the level last.  Shared by `inversion_roots` (a whole word),
-    the minimal-ideal table and the catalog's walk of the parameter words
-    in `ideals` (one letter from a parent's images), and `affine`'s alcove
-    walls and inversion sets.
+    `ideals.cross_walls` (the greedy chain, the catalog and `from_param`,
+    each word from a parent's walls), and `affine`'s alcove walls and
+    inversion sets.
     """
     for i in word:
         beta = images[i - lowest]
@@ -144,15 +144,18 @@ def minimal_word_to_theta(rs: RootSystem, phi: Root) -> WeylWord:
     inner product with the current root (`greedy_letter`), until theta.
     Each step raises the distance functional by exactly one, so the word
     length equals length_to_theta(phi); the resulting group element does
-    not depend on the tie-break.  The greedy walk from phi continues as the
-    walk from its first step s_i(phi), so the word of phi is the word of
-    s_i(phi) plus (i,), one step per root (`_greedy_word`, cached per root
-    system instance and root).  Only phi itself is validated.
+    not depend on the tie-break.  The first reflection acts first, so it
+    is the word's last letter: phi's word is s_i(phi)'s plus (i,), the
+    chain `ideals` walks once per root system.
     """
     phi = tuple(phi)
     if not (rs.is_positive_root(phi) and rs.is_long(phi)):
         raise ValueError(f"{phi} is not a long positive root")
-    return _greedy_word(rs, phi)
+    letters = []
+    while phi != rs.theta:
+        letters.append(greedy_letter(rs, phi))
+        phi = reflect_simple(rs, letters[-1], phi)
+    return tuple(reversed(letters))
 
 
 def greedy_letter(rs: RootSystem, phi: Root) -> int:
@@ -162,15 +165,6 @@ def greedy_letter(rs: RootSystem, phi: Root) -> int:
         if rs.simple_coroot_pairing(phi, i) < 0:
             return i
     raise AssertionError(f"stuck before reaching the highest root from {phi}")
-
-
-@system_cache
-def _greedy_word(rs: RootSystem, phi: Root) -> WeylWord:
-    """`minimal_word_to_theta` of a root reached from a valid one, unchecked."""
-    if phi == rs.theta:
-        return ()
-    i = greedy_letter(rs, phi)
-    return _greedy_word(rs, reflect_simple(rs, i, phi)) + (i,)
 
 
 def graph_distances(adj, start: int) -> Dict[int, int]:

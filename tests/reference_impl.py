@@ -15,9 +15,9 @@ with the doubled alcove 2A tested on Fraction coordinates.  They also keep
 the whole-word ideal of a parameter word, read off its affine inversion set,
 and a few helpers the package no longer needs: the reflection s_theta,
 finite reflection matrices, group orders, polynomial sums and printing,
-the fiber extremes a_min, a_max and a_min_plus, sums and scalar multiples of
-vectors, root membership and the coweights.  Tests compare the package's
-integer routines with these.
+the fiber extremes a_min, a_max and a_min_plus, the roots of an ideal off
+theta's wall, sums and scalar multiples of vectors, root membership and
+the coweights.  Tests compare the package's integer routines with these.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from abideal.affine import (
     minimal_coset_reps,
     rho_shift,
 )
-from abideal.ideals import AbelianIdeal, InvariantViolation, from_param, make_ideal
+from abideal.ideals import AbelianIdeal, InvariantViolation, from_param, is_abelian_ideal, make_ideal
 from abideal.qpoly import Poly, poly, poly_eval_one
 from abideal.root_system import Root, RootSystem, bareiss, vneg, vsub
 from abideal.weyl import (
@@ -290,8 +290,8 @@ def ideal_from_affine_word(rs: RootSystem, word: AffineWord) -> AbelianIdeal:
 def a_min(rs: RootSystem, phi: Root) -> AbelianIdeal:
     """Smallest ideal whose roots off theta's wall point at phi: theta
     together with theta minus each inversion of the whole word to theta;
-    the package builds the same masks one letter per long root
-    (`ideals._a_min_table`)."""
+    the package reads the same masks off its greedy chain, one alcove wall
+    crossed per long root (`ideals._greedy_chain`)."""
     phi = tuple(phi)
     w = minimal_word_to_theta(rs, phi)
     roots = [rs.theta] + [vsub(rs.theta, psi) for psi in inversion_roots(rs, w)]
@@ -299,6 +299,15 @@ def a_min(rs: RootSystem, phi: Root) -> AbelianIdeal:
     if ideal.dim != 1 + len(w):
         raise InvariantViolation(f"repeated roots in the minimal ideal of {phi}")
     return ideal
+
+
+def not_perp_theta(rs: RootSystem, ideal: AbelianIdeal) -> AbelianIdeal:
+    """The sub-ideal of roots not orthogonal to the highest root, by the
+    form; the package reads the same roots off `perp_theta_mask`
+    (`ideals._not_perp_theta_mask`)."""
+    if not is_abelian_ideal(rs, ideal.roots):
+        raise ValueError(f"{ideal.roots} is not an abelian ideal")
+    return make_ideal(r for r in ideal.roots if rs.raw_inner(rs.theta, r) != 0)
 
 
 def a_min_plus(rs: RootSystem, phi: Root) -> AbelianIdeal:

@@ -22,9 +22,8 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "abideal"
 
 REGISTERED = {
     "affine": ("affine_cartan_matrix", "_sparse_rows", "_minimal_coset_reps_cached"),
-    "ideals": ("catalog_of", "_a_min_table", "sum_formula_report"),
+    "ideals": ("catalog_of", "_greedy_chain", "sum_formula_report"),
     "hasse": ("build_graph",),
-    "weyl": ("_greedy_word",),
 }
 
 
@@ -37,7 +36,7 @@ def test_the_registry_holds_the_root_system_caches():
     _load_all()
     got = {(c.__module__.rsplit(".", 1)[1], c.__name__) for c in _SYSTEM_CACHES}
     assert got == {(module, name) for module, names in REGISTERED.items() for name in names}
-    assert len(_SYSTEM_CACHES) == 8
+    assert len(_SYSTEM_CACHES) == 7
     for module, names in REGISTERED.items():
         for name in names:
             cached = getattr(importlib.import_module(f"abideal.{module}"), name)
@@ -52,6 +51,12 @@ def test_verify_all_leaves_every_system_cache_empty(capsys):
     assert "result: PASS" in capsys.readouterr().out
     assert [c.cache_info().currsize for c in _SYSTEM_CACHES] == [0] * len(_SYSTEM_CACHES)
     assert all(build(label) is rs for label, rs in systems.items())
+
+
+def test_tables_leaves_every_system_cache_empty(capsys):
+    assert cli.main(["tables", "--max-rank", "4"]) == 0
+    assert capsys.readouterr().out
+    assert [c.cache_info().currsize for c in _SYSTEM_CACHES] == [0] * len(_SYSTEM_CACHES)
 
 
 def test_clearing_frees_a_root_system_by_reference_counting():

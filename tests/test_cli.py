@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from abideal import checks, cli
+from abideal import checks, cli, ideals
 from abideal.checks import CheckResult, TypeReport, verify_type
 from abideal.ideals import catalog_of
 from abideal.root_system import build, supported_types
@@ -260,6 +260,18 @@ def test_tables_text(capsys):
                                 "decomposition", "witness", "sum1", "sum2"]
     assert any(line.startswith("F4 ") for line in lines)
     assert not any(line.startswith("B5") for line in lines)
+
+
+def test_tables_builds_no_catalog(monkeypatch, capsys):
+    # max_dimension reads the dimensions off the enumeration; the text is
+    # the same as with catalogs allowed
+    code, want = run(capsys, "tables", "--max-rank", "4")
+
+    def refuse(rs):
+        raise AssertionError(f"tables built the catalog of {rs.simple_type}")
+
+    monkeypatch.setattr(ideals, "catalog_of", refuse)
+    assert run(capsys, "tables", "--max-rank", "4") == (code, want) == (0, want)
 
 
 def test_tables_json(capsys):

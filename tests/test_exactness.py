@@ -90,7 +90,7 @@ _MOVED_NAMES = (
     "rho_point", "inverse_word", "affine_simple_root", "affine_length",
     "fundamental_alcove_vertices", "alcove_vertices", "in_2A",
     "reflection_matrix", "mat_mul", "weyl_order", "subgroup_order",
-    "a_max", "a_min", "a_min_plus", "poly_add", "poly_str", "vadd", "vscale", "_ideal_from_affine_word",
+    "a_max", "a_min", "a_min_plus", "not_perp_theta", "poly_add", "poly_str", "vadd", "vscale", "_ideal_from_affine_word",
 )
 
 
@@ -120,8 +120,8 @@ _LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.Gener
 _INTEGER_LOOPS = {
     "affine.py": ("alcove_walls", "rho_shift"),
     "ideals.py": ("IdealCatalog.__init__", "cross_walls", "from_param", "_enumerate_masks",
-                  "_a_min_table"),
-    "weyl.py": ("greedy_letter",),
+                  "_greedy_chain"),
+    "weyl.py": ("greedy_letter", "minimal_word_to_theta"),
     "root_system.py": ("_pack",),
     "hasse.py": ("build_graph", "facet_volume_ratios", "upper_alcoves"),
     "checks.py": ("check_kostant", "_kostant_mask_raw", "_kostant_fields", "_random_draws",

@@ -325,19 +325,44 @@ def test_parametrization_checks_the_associated_long_root(monkeypatch, label):
 
 @pytest.mark.parametrize("label", NOT_SIMPLE_THETA)
 def test_parametrization_checks_the_minimal_ideal_table(monkeypatch, label):
-    # theta's and the lowest long root's minimal ideals trade long roots;
-    # an empty table places no ideal at all
-    real = ideals._a_min_table
+    # in the chain's view from mask to long root, theta's and the lowest
+    # long root's minimal ideals trade long roots; an empty view places no
+    # ideal at all
+    real = ideals._greedy_chain
 
     def swapped(rs):
-        table = dict(real(rs))
+        links, table = real(rs)
+        table = dict(table)
         first, last = min(table), max(table)
         table[first], table[last] = table[last], table[first]
-        return table
+        return links, table
 
-    for fake in (swapped, lambda rs: {}):
-        monkeypatch.setattr(ideals, "_a_min_table", fake)
+    for fake in (swapped, lambda rs: (real(rs)[0], {})):
+        monkeypatch.setattr(ideals, "_greedy_chain", fake)
         assert not _passes(checks.check_parametrization, build(label))
+
+
+# types where some long root has more than one coset word (in A1, A2 and
+# G2 no coset word reads the chain's walls)
+SEVERAL_COSET_WORDS = [label for label in SMALL_LABELS
+                       if len(build(label).long_positive_roots()) < 2 ** build(label).rank - 1]
+
+
+@pytest.mark.parametrize("label", SEVERAL_COSET_WORDS)
+def test_parametrization_checks_the_chain_walls(monkeypatch, label):
+    # on a copy, the long root with the most coset words trades its chain
+    # walls with one that has the fewest, so its coset words grow from the
+    # wrong alcove
+    rs = copy.copy(build(label))
+    links = ideals._greedy_chain(rs)[0]
+    by_count = sorted(rs.long_positive_roots(), key=lambda phi: len(affine.minimal_coset_reps(rs, phi)))
+    low, high = by_count[0], by_count[-1]
+    assert len(affine.minimal_coset_reps(rs, low)) < len(affine.minimal_coset_reps(rs, high))
+    (low_word, low_walls, low_mask), (high_word, high_walls, high_mask) = links[low], links[high]
+    links[low], links[high] = (low_word, high_walls, low_mask), (high_word, low_walls, high_mask)
+    monkeypatch.setattr(checks, "build", lambda label: rs)
+    results = {r.name: r for r in checks.verify_type(label).results}
+    assert not results["parametrization"].passed
 
 
 def test_parametrization_checks_the_rebuilt_ideal(monkeypatch, small_label):
@@ -461,6 +486,23 @@ def test_facet_ratios_check_the_volumes(monkeypatch, small_label):
     real = checks.facet_volume_ratios
     monkeypatch.setattr(checks, "facet_volume_ratios", lambda rs: tuple(2 * x for x in real(rs)))
     assert not _passes(checks.check_facet_ratios, build(small_label))
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "A3", "A4"])
+def test_young_bridge_checks_the_return_trip(monkeypatch, label):
+    # every diagram goes back to the zero ideal, which only the first
+    # catalog ideal is
+    monkeypatch.setattr(checks, "ideal_of_young", lambda rs, d: ideals.make_ideal(()))
+    res = checks.check_young_bridge(build(label))
+    assert not res.passed and "does not return to its ideal" in res.details
+
+
+def test_young_bridge_caches_no_root_sets():
+    # the return trip compares canonical root tuples, so no catalog ideal
+    # keeps a frozenset of its roots
+    rs = copy.copy(build("A5"))
+    assert checks.check_young_bridge(rs).passed
+    assert not any(hasattr(a, "_root_set") for a in catalog_of(rs).ideals)
 
 
 @pytest.mark.parametrize("label", ["A1", "A2", "A3", "A4"])

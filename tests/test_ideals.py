@@ -22,7 +22,6 @@ from abideal.ideals import (
     make_ideal,
     max_dimension,
     maximal_ideals,
-    not_perp_theta,
     parameter_word,
     projection_node,
     sum_formula_report,
@@ -33,9 +32,11 @@ from abideal.reference import (
     reference_max_dimension_multiplicity,
 )
 from abideal.root_system import build, supported_types, vneg, vsum
+from abideal.weyl import minimal_word_to_theta
 
 from conftest import ALL_LABELS
-from reference_impl import a_max, a_min, a_min_plus, inner, norm2, rho, vadd
+from reference_impl import (a_max, a_min, a_min_plus, ideal_from_affine_word, inner, norm2,
+                            not_perp_theta, rho, vadd)
 
 
 def test_count_is_two_to_the_rank(each_label):
@@ -167,16 +168,29 @@ def test_catalog_parameters_rebuild(small_label):
 
 
 def test_from_param_rejects_bad_input():
+    # phi is validated by membership in the greedy chain, before any letter
     rs = build("B3")
     short = rs.simple_root(3)
     assert not rs.is_long(short)
-    with pytest.raises(ValueError):
-        from_param(rs, short, ())
-    with pytest.raises(ValueError):
-        from_param(rs, (9, 9, 9), ())
+    for phi in (short, (9, 9, 9), [0, 0, 1]):
+        message = f"{tuple(phi)} is not a long positive root"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            from_param(rs, phi, ())
+        with pytest.raises(ValueError, match=re.escape(message)):
+            from_param(rs, phi, (1,))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            minimal_word_to_theta(rs, phi)
     theta = rs.theta
+    gens, _ = wall_point(rs, theta)
+    outside = next(j for j in range(rs.rank + 1) if j not in gens)
+    message = f"letter {outside} does not fix the walls through {theta}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        from_param(rs, theta, (outside,))  # letter not orthogonal to theta
     with pytest.raises(ValueError):
-        from_param(rs, theta, (1,))  # letter not orthogonal to theta
+        from_param(rs, theta, (1,))
+    twice = (gens[0], gens[0])
+    with pytest.raises(ValueError, match=re.escape(f"{twice} is not a minimal coset word for {theta}")):
+        from_param(rs, theta, twice)
 
 
 def test_affine_word_construction_rejects_bad_words():
@@ -337,8 +351,11 @@ def test_from_param_on_every_label_valid_word(label):
     unheld = 0
     for phi in rs.long_positive_roots():
         for word in _label_valid_words(rs, phi):
-            shift = rho_shift(rs, parameter_word(rs, phi, word))
+            whole = parameter_word(rs, phi, word)
+            shift = rho_shift(rs, whole)
             assert from_param(rs, phi, word) == by_sum[shift], (phi, word)
+            # from_param crosses only the coset word past phi's chain walls
+            assert from_param(rs, phi, word) == ideal_from_affine_word(rs, whole), (phi, word)
             unheld += (phi, word) not in held
     assert unheld == UNHELD_WORDS.get(label, unheld)
 
@@ -358,7 +375,7 @@ def test_associated_long_root_faults_on_valid_ideals(monkeypatch):
     rs.perp_theta_mask = 1 << rs.root_index[rs.theta]  # leaves {alpha_1}, not an ideal
     with pytest.raises(InvariantViolation, match="do not form an ideal"):
         associated_long_root(rs, ideal)
-    monkeypatch.setattr(ideals, "_a_min_table", lambda rs: {})
+    monkeypatch.setattr(ideals, "_greedy_chain", lambda rs: ({}, {}))
     with pytest.raises(InvariantViolation, match="no long root matches"):
         associated_long_root(build("A2"), ideal)
 
@@ -378,24 +395,38 @@ def test_min_max_bracket_every_fiber(small_label):
 
 @pytest.mark.parametrize("label", [str(st) for st in supported_types(11)])
 def test_a_min_table_matches_the_whole_word_route(label):
-    # one carried letter per long root against an inversion walk over each
-    # whole word to theta; the copy's per-instance memo starts empty
+    # the greedy chain crosses one wall per long root; the references walk
+    # each whole word to theta.  The copy's per-instance memo starts empty
     rs = build(label)
     want = {sum(1 << rs.root_index[r] for r in a_min(rs, phi).roots): phi
             for phi in rs.long_positive_roots()}
     assert len(want) == len(rs.long_positive_roots())
     for system in (rs, copy.copy(rs)):
-        assert ideals._a_min_table(system) == want
-    assert ideals._a_min_table(copy.copy(rs)) is not ideals._a_min_table(rs)
+        links, roots = ideals._greedy_chain(system)
+        assert roots == want
+        assert set(links) == set(rs.long_positive_roots())
+        for phi, (word, walls, mask) in links.items():
+            assert word == parameter_word(rs, phi, ()), phi
+            assert walls == alcove_walls(rs, word), phi
+            assert roots[mask] == phi
+    assert ideals._greedy_chain(copy.copy(rs)) is not ideals._greedy_chain(rs)
 
 
 def test_a_min_table_checks_each_carried_root(monkeypatch):
-    # every carried inversion root doubled is no root at all
+    # every crossed wall doubled sits at level two
     real = ideals.carry_images
     monkeypatch.setattr(ideals, "carry_images", lambda cartan, images, word, lowest: (
         tuple(2 * x for x in beta) for beta in real(cartan, images, word, lowest)))
-    with pytest.raises(InvariantViolation, match="does not extend its minimal ideal"):
-        ideals._a_min_table(copy.copy(build("B3")))
+    with pytest.raises(InvariantViolation, match="level one|bad finite part"):
+        ideals._greedy_chain(copy.copy(build("B3")))
+
+
+def test_greedy_chain_rejects_a_shared_minimal_ideal(monkeypatch):
+    # every crossing yields theta's mask, so the second long root repeats it
+    theta_bit = 1 << build("B3").root_index[build("B3").theta]
+    monkeypatch.setattr(ideals, "cross_walls", lambda rs, walls, letters, mask, phi, word: theta_bit)
+    with pytest.raises(InvariantViolation, match="two long roots share a minimal ideal"):
+        ideals._greedy_chain(copy.copy(build("B3")))
 
 
 def test_min_ideal_sizes(each_label):
