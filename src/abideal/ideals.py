@@ -140,20 +140,18 @@ def _enumerate_masks(rs: RootSystem) -> Tuple[Tuple[AbelianIdeal, ...], Tuple[in
     (`RootSystem.packed_roots`) and the roots themselves with the mask;
     each new root goes in front, so the roots stay in index order, which
     is already the canonical (height, coordinates) order.  Each sum is
-    unpacked once."""
+    unpacked once.  The list of ideals found is also the walk's queue,
+    read while it grows, so no closure or recursion keeps it alive after
+    the call."""
     roots, packed = rs.positive_roots, rs.packed_roots
     covers, conflicts = rs.cover_masks, rs.conflict_masks
-    found: List[Tuple[int, int, Tuple[Root, ...]]] = [(0, 0, ())]
-
-    def walk(k: int, chosen: int, total: int, members: Tuple[Root, ...]) -> None:
+    # (lowest index added, mask, packed sum, roots)
+    found: List[Tuple[int, int, int, Tuple[Root, ...]]] = [(len(roots), 0, 0, ())]
+    for k, chosen, total, members in found:
         for j in range(k - 1, -1, -1):
             if not (covers[j] & ~chosen or conflicts[j] & chosen):
-                mask, sigma, grown = chosen | 1 << j, total + packed[j], (roots[j],) + members
-                found.append((mask, sigma, grown))
-                walk(j, mask, sigma, grown)
-
-    walk(len(roots), 0, 0, ())
-    rows = sorted((len(members), rs.unpack(total), members, mask) for mask, total, members in found)
+                found.append((j, chosen | 1 << j, total + packed[j], (roots[j],) + members))
+    rows = sorted((len(members), rs.unpack(total), members, mask) for _, mask, total, members in found)
     return (tuple(AbelianIdeal(r[2]) for r in rows), tuple(r[3] for r in rows),
             tuple(r[1] for r in rows))
 

@@ -15,7 +15,7 @@ import weakref
 from pathlib import Path
 
 import abideal
-from abideal import checks, cli
+from abideal import checks, cli, ideals
 from abideal.root_system import _SYSTEM_CACHES, build, clear_system_caches, supported_types
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "abideal"
@@ -73,6 +73,18 @@ def test_clearing_frees_a_root_system_by_reference_counting():
         assert all(ref() is not None for ref in refs)
         clear_system_caches()
         assert [ref() for ref in refs] == [None, None, None]
+    finally:
+        gc.enable()
+
+
+def test_enumeration_leaves_no_reference_cycle():
+    # the catalog and max_dimension each enumerate once per type, and what
+    # a call built must go by reference counting alone
+    gc.disable()
+    try:
+        gc.collect()
+        ideals._enumerate_masks(build("E8"))
+        assert gc.collect() == 0
     finally:
         gc.enable()
 
