@@ -10,7 +10,6 @@ constructions run here, once, inside named checks.
 from __future__ import annotations
 
 import random
-from fractions import Fraction as Q
 from functools import reduce
 from operator import add, mul, or_
 from typing import Callable, Iterator, List, NamedTuple, Sequence, Set, Tuple
@@ -98,6 +97,7 @@ def check_normalization(rs: RootSystem) -> CheckResult:
     cross-multiplied in integers.  Here rho is half the sum of the positive
     roots, `rs.two_rho`; g came from <rho, alpha_i-check> = 1 on the form's
     diagonal, so casimir and strange hold the two routes to rho together."""
+    from fractions import Fraction
     raw, den, g = rs.raw_inner, rs.form_den, rs.dual_coxeter_number
     two_rho, theta = rs.two_rho, rs.theta
     theta_raw = raw(theta, theta)
@@ -110,7 +110,7 @@ def check_normalization(rs: RootSystem) -> CheckResult:
         ("root_norm_sum", 2 * sum(raw(r, r) for r in rs.positive_roots), den, rs.rank, 1),
         ("mark_weighted", theta_raw + sum(n * raw(a, a) for n, a in zip(rs.marks, simples)), den, 1, 1),
     )
-    bad = [f"{name}: {Q(got, got_den)} != {Q(want, want_den)}"
+    bad = [f"{name}: {Fraction(got, got_den)} != {Fraction(want, want_den)}"
            for name, got, got_den, want, want_den in identities if got * want_den != want * got_den]
     if bad:
         return _fail("normalization", "; ".join(bad))

@@ -30,7 +30,7 @@ from __future__ import annotations
 from heapq import heappop, heappush
 from itertools import repeat
 from math import lcm
-from typing import Dict, FrozenSet, Iterator, List, NamedTuple, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, Iterator, List, NamedTuple, Sequence, Tuple
 
 from .affine import rho_shift_in_2A
 from .ideals import (
@@ -39,7 +39,10 @@ from .ideals import (
     catalog_of,
     mask_bits,
 )
-from .root_system import Q, RootSystem, bareiss, system_cache, vneg, vsub
+from .root_system import RootSystem, bareiss, system_cache, vneg, vsub
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 Permutation = Tuple[int, ...]
 
@@ -182,7 +185,7 @@ def upper_alcoves(rs: RootSystem) -> Tuple[UpperAlcove, ...]:
 # ----------------------------------------------------------------------
 # facet volumes of the fundamental alcove
 
-def facet_volume_ratios(rs: RootSystem) -> Tuple[Q, ...]:
+def facet_volume_ratios(rs: RootSystem) -> Tuple[Fraction, ...]:
     """Squared volume of facet i over squared volume of facet 0.
 
     Facet i of the fundamental alcove is spanned by all vertices but
@@ -194,6 +197,7 @@ def facet_volume_ratios(rs: RootSystem) -> Tuple[Q, ...]:
     that common factor cancels in ratios too, as does reading the form as
     raw_inner.
     """
+    from fractions import Fraction
     adj = bareiss(rs.form)[1]
     scale = lcm(*rs.marks)
     points = [(0,) * rs.rank] + [tuple(scale // n * row[i] for row in adj)
@@ -207,14 +211,16 @@ def facet_volume_ratios(rs: RootSystem) -> Tuple[Q, ...]:
     dets = [gram_det(i) for i in range(rs.rank + 1)]
     if dets[0] == 0:
         raise InvariantViolation("degenerate base facet")
-    return tuple(map(Q, dets, repeat(dets[0])))
+    return tuple(map(Fraction, dets, repeat(dets[0])))
 
 
-def expected_facet_ratios(rs: RootSystem) -> Tuple[Q, ...]:
+def expected_facet_ratios(rs: RootSystem) -> Tuple[Fraction, ...]:
     """n_i^2 |alpha_i|^2 / |theta|^2, with 1 in slot 0."""
+    from fractions import Fraction
     theta_raw = rs.raw_inner(rs.theta, rs.theta)
-    return (Q(1),) + tuple(Q(n * n * rs.raw_inner(a, a), theta_raw)
-                           for n, a in zip(rs.marks, map(rs.simple_root, range(1, rs.rank + 1))))
+    simples = map(rs.simple_root, range(1, rs.rank + 1))
+    return (Fraction(1),) + tuple(Fraction(n * n * rs.raw_inner(a, a), theta_raw)
+                                  for n, a in zip(rs.marks, simples))
 
 
 # ----------------------------------------------------------------------

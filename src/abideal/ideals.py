@@ -32,8 +32,8 @@ route, each word's rho-shift against its ideal's root sum, is the
 from __future__ import annotations
 
 from functools import cached_property
-from typing import (Collection, Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Optional,
-                    Sequence, Tuple)
+from typing import (TYPE_CHECKING, Collection, Dict, FrozenSet, Iterable, Iterator, List,
+                    NamedTuple, Optional, Sequence, Tuple)
 
 from .affine import (
     AffineWord,
@@ -46,7 +46,7 @@ from .affine import (
     wall_subgroup_poincare,
 )
 from .qpoly import poly_degree, poly_eval_one
-from .root_system import Q, Record, Root, RootSystem, build, system_cache, vneg, vsub, vsum
+from .root_system import Record, Root, RootSystem, build, system_cache, vneg, vsub, vsum
 from .weyl import (
     carry_images,
     check_length,
@@ -55,6 +55,9 @@ from .weyl import (
     minimal_word_to_theta,
     reflect_simple,
 )
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class InvariantViolation(AssertionError):
@@ -165,13 +168,14 @@ def kostant_raw(rs: RootSystem, sigma: Sequence[int]) -> int:
     return rs.twice_raw_rho(sigma) + rs.raw_inner(sigma, sigma)
 
 
-def kostant_value(rs: RootSystem, roots: Iterable[Root]) -> Q:
+def kostant_value(rs: RootSystem, roots: Iterable[Root]) -> Fraction:
     """|rho + sum|^2 - |rho|^2; at most the number of roots, with equality
     exactly on abelian ideals.  Every vector must have rank coordinates."""
+    from fractions import Fraction
     roots = tuple(roots)
     for r in roots:
         check_length(rs, r)
-    return Q(kostant_raw(rs, vsum(roots, rs.rank)), rs.form_den)
+    return Fraction(kostant_raw(rs, vsum(roots, rs.rank)), rs.form_den)
 
 
 # ----------------------------------------------------------------------
@@ -361,15 +365,20 @@ def catalog(label: str) -> IdealCatalog:
 def _not_perp_theta_mask(rs: RootSystem, ideal: AbelianIdeal) -> int:
     """The sub-ideal of roots not orthogonal to the highest root, as a mask
     over rs.positive_roots; ValueError when the input is not an abelian
-    ideal."""
+    ideal.  The input's indices and mask are built once and tested once;
+    the part off theta's wall is a subset of an abelian set, so it is
+    sum-free already, and only its closure under the covers is tested."""
     indices = {rs.root_index.get(tuple(r)) for r in ideal.roots}
-    if None in indices or not is_ideal_mask(rs, indices):
+    if None in indices:
         raise ValueError(f"{ideal.roots} is not an abelian ideal")
-    perp = rs.perp_theta_mask
-    kept = [k for k in indices if not perp >> k & 1]
-    if not is_ideal_mask(rs, kept):
+    mask = sum(map((1).__lshift__, indices))
+    covers, conflicts = rs.cover_masks, rs.conflict_masks
+    if any(covers[k] & ~mask or conflicts[k] & mask for k in indices):
+        raise ValueError(f"{ideal.roots} is not an abelian ideal")
+    kept = mask & ~rs.perp_theta_mask
+    if any(covers[k] & ~kept for k in mask_bits(kept)):
         raise InvariantViolation("roots off theta's wall do not form an ideal")
-    return sum(map((1).__lshift__, kept))
+    return kept
 
 
 def associated_long_root(rs: RootSystem, ideal: AbelianIdeal) -> Root:

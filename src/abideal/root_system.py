@@ -17,8 +17,8 @@ rho enters only as 2 rho, the integer sum of the positive roots
 off the form's diagonal (`twice_raw_rho`).  Sums, sign and zero tests,
 and determinants and adjugates from the one fraction-free elimination
 `bareiss`, stay in the integers; a Fraction is built only where a value
-leaves the package.  The global rescaling puts the classical identities
-into denominator-free shape:
+leaves the package, and `fractions` is imported only there.  The global
+rescaling puts the classical identities into denominator-free shape:
 
     (rho+theta | rho+theta) - (rho | rho) = 1
     1 / (theta | theta) = g
@@ -34,15 +34,25 @@ test suite and the `verify` command.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from functools import lru_cache, total_ordering
 from math import gcd
 from operator import mul
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-Q = Fraction
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 Root = Tuple[int, ...]
+
+
+def __getattr__(name: str):
+    # Q, the exported name of the rational type, imports `fractions` only
+    # when it is read (PEP 562)
+    if name == "Q":
+        from fractions import Fraction
+        return Fraction
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 _RANK_BOUNDS = {"A": (1, 11), "B": (2, 8), "C": (2, 8), "D": (4, 8), "E": (6, 8), "F": (4, 4), "G": (2, 2)}
 
@@ -403,15 +413,16 @@ class RootSystem:
     def long_positive_roots(self) -> Tuple[Root, ...]:
         return self._long_positive
 
-    def length_to_theta(self, phi: Sequence[int]) -> Q:
+    def length_to_theta(self, phi: Sequence[int]) -> Fraction:
         """Distance functional 2 (theta - phi | rho) / (theta|theta).
 
         Vanishes exactly at theta; takes nonnegative integer values on long
         positive roots, where it equals the minimal number of simple
         reflections carrying phi to theta.
         """
+        from fractions import Fraction
         diff = tuple(t - p for t, p in zip(self.theta, phi))
-        return Q(self.twice_raw_rho(diff), self.raw_inner(self.theta, self.theta))
+        return Fraction(self.twice_raw_rho(diff), self.raw_inner(self.theta, self.theta))
 
     def __repr__(self) -> str:
         return f"RootSystem({self.simple_type})"

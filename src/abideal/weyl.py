@@ -5,8 +5,9 @@ reflections they name: the rightmost letter acts first, so the word
 (3, 1) means "apply s_1, then s_3".  Words act on vectors one letter at a
 time, and inversion sets carry the images of the simple roots along the
 word in one pass.  An integer matrix on simple-root coordinates is built
-only when a caller asks for a group element: its columns are the word's
-images of the basis vectors.
+only when a caller asks for a group element, one row update per letter:
+s_i changes only coordinate i of a vector, so s_i M differs from M only in
+row i.
 
 Subsets of nodes name standard parabolic subgroups.  Their length
 generating functions are products over the exponents, which are read off
@@ -21,7 +22,7 @@ where reflect_simple is the one simple-reflection routine.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .qpoly import Poly, bracket, poly_mul, poly_prod
 from .root_system import Root, RootSystem, _positive_roots, height_exponents
@@ -32,12 +33,6 @@ Matrix = Tuple[Tuple[int, ...], ...]
 
 def identity_matrix(rank: int) -> Matrix:
     return tuple(tuple(1 if i == j else 0 for j in range(rank)) for i in range(rank))
-
-
-def matrix_of(rank: int, action: Callable[[tuple], tuple]) -> Matrix:
-    """Matrix of a linear vector action (columns are images of the basis)."""
-    basis = identity_matrix(rank)
-    return tuple(zip(*(action(e) for e in basis)))
 
 
 def mat_vec(m: Matrix, v: Sequence) -> tuple:
@@ -79,8 +74,21 @@ def apply_word(rs: RootSystem, word: Sequence[int], vec: Sequence) -> tuple:
 
 
 def element_of_word(rs: RootSystem, word: Sequence[int]) -> Matrix:
-    """The matrix of the word: its columns are the images of the basis."""
-    return matrix_of(rs.rank, lambda e: apply_word(rs, word, e))
+    """The matrix of the word: its columns are the images of the basis.
+
+    Built from the identity by left multiplication, one letter at a time
+    from the right: s_i M differs from M only in row i, which becomes
+    row i - sum_j a_ij row j over the nonzero entries of Cartan row i.  A
+    word of k letters costs k row updates."""
+    check_letters(rs, word, 1)
+    rows = list(identity_matrix(rs.rank))
+    for i in reversed(word):
+        new = rows[i - 1]
+        for a, row in zip(rs.cartan[i - 1], rows):
+            if a:
+                new = [x - a * y for x, y in zip(new, row)]
+        rows[i - 1] = new
+    return tuple(map(tuple, rows))
 
 
 def length_of_element(rs: RootSystem, m: Matrix) -> int:

@@ -14,10 +14,10 @@ applied to Fraction points such as rho and the alcove vertices covee_i / n_i,
 with the doubled alcove 2A tested on Fraction coordinates.  They also keep
 the whole-word ideal of a parameter word, read off its affine inversion set,
 and a few helpers the package no longer needs: the reflection s_theta,
-finite reflection matrices, group orders, polynomial sums and printing,
-the fiber extremes a_min, a_max and a_min_plus, the roots of an ideal off
-theta's wall, sums and scalar multiples of vectors, root membership and
-the coweights.  Tests compare the package's integer routines with these.
+the matrix of a linear action, finite reflection matrices, group orders,
+polynomial sums and printing, the fiber extremes a_min, a_max and
+a_min_plus, the roots of an ideal off theta's wall, sums and scalar
+multiples of vectors, root membership and the coweights.  Tests compare the package's integer routines with these.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import lru_cache
-from typing import Sequence, Tuple
+from typing import Callable, Sequence, Tuple
 
 from abideal.affine import (
     AffineRoot,
@@ -41,9 +41,9 @@ from abideal.root_system import Root, RootSystem, bareiss, vneg, vsub
 from abideal.weyl import (
     Matrix,
     check_letters,
+    identity_matrix,
     inversion_roots,
     mat_vec,
-    matrix_of,
     minimal_word_to_theta,
     reflect_simple,
     subgroup_poincare,
@@ -112,6 +112,11 @@ def coweights(rs: RootSystem) -> Tuple[WeightVector, ...]:
 
 # ----------------------------------------------------------------------
 # finite Weyl group matrices and orders
+
+def matrix_of(rank: int, action: Callable[[tuple], tuple]) -> Matrix:
+    """Matrix of a linear vector action (columns are images of the basis)."""
+    return tuple(zip(*map(action, identity_matrix(rank))))
+
 
 def reflection_matrix(rs: RootSystem, i: int) -> Matrix:
     """Matrix of s_i on simple-root coordinates (columns are images)."""

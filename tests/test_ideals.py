@@ -368,6 +368,21 @@ def test_associated_long_root_rejects_a_non_ideal():
         not_perp_theta(rs, make_ideal([(1, 0)]))
 
 
+@pytest.mark.parametrize("roots, message", [
+    ((), "the zero ideal has no associated long root"),
+    (((1, 0),), "((1, 0),) is not an abelian ideal"),
+    (((1, 1), (2, 1)), "((1, 1), (2, 1)) is not an abelian ideal"),
+    (((1, 1), (0, 0)), "((0, 0), (1, 1)) is not an abelian ideal"),
+    (((1, 0), (1, 1), (-1, -1)), "((-1, -1), (1, 0), (1, 1)) is not an abelian ideal"),
+])
+def test_associated_long_root_error_texts(roots, message):
+    # the zero ideal, a non-ideal, and sets holding a vector that is not a
+    # positive root, each with its full text
+    with pytest.raises(ValueError) as info:
+        associated_long_root(build("A2"), make_ideal(roots))
+    assert str(info.value) == message
+
+
 def test_associated_long_root_faults_on_valid_ideals(monkeypatch):
     # a valid ideal that the tables cannot place is an internal fault
     rs = copy.copy(build("A2"))

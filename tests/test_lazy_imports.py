@@ -4,7 +4,8 @@ modules it runs.
 Every name in `abideal.__all__` is its home module's object; a fresh
 interpreter that imports the package has loaded no submodule, and a
 command run in one leaves the checks, the Hasse graph and the reference
-data unloaded unless it prints them.
+data unloaded unless it prints them, and `fractions` unloaded unless it
+builds a Fraction.
 """
 
 import importlib
@@ -83,3 +84,32 @@ def test_commands_load_only_what_they_run(argv, unloaded):
     assert "abideal.cli" in loaded
     assert {f"abideal.{m}" for m in unloaded}.isdisjoint(loaded)
     assert "json" not in loaded
+    # none of these commands builds a Fraction
+    assert "fractions" not in loaded
+
+
+def test_warm_api_set_up_loads_no_fractions():
+    # the benchmark worker's set-up: build, enumerate, coset words and one
+    # associated long root per type
+    loaded = _fresh(
+        "import sys, abideal\n"
+        "for label in ('A9', 'D6', 'E6', 'E8', 'F4'):\n"
+        "    rs = abideal.build(label)\n"
+        "    ideals = abideal.enumerate_all(rs)\n"
+        "    for phi in rs.long_positive_roots():\n"
+        "        abideal.minimal_coset_reps(rs, phi)\n"
+        "    abideal.associated_long_root(rs, ideals[-1])\n"
+        "sys.stderr.write(' '.join(sys.modules))").split()
+    assert "abideal.ideals" in loaded
+    assert "fractions" not in loaded
+
+
+def test_the_rational_type_is_loaded_where_a_fraction_is_built():
+    loaded = _fresh(
+        "import sys, abideal\n"
+        "rs = abideal.build('A2')\n"
+        "before = 'fractions' in sys.modules\n"
+        "value = abideal.kostant_value(rs, [rs.theta])\n"
+        "sys.stderr.write(repr((before, 'fractions' in sys.modules, str(value),\n"
+        "                       abideal.Q is sys.modules['fractions'].Fraction)))")
+    assert eval(loaded) == (False, True, "1", True)

@@ -33,8 +33,12 @@ pairing summed from the Cartan row.  The Young decode keeps its bit list,
 read in reverse into column heights.  The Kostant mask sampler keeps its
 per-bit ideal test over each drawn root's cover and conflict masks, and
 the mask kernel its tuple evaluator: the packed coordinate sum unpacked,
-then the quadratic term summed over the nonzero form entries.  The matrix and Fraction picture of an affine element
-these references use lives in `reference_impl.py`.  Each test requires the
+then the quadratic term summed over the nonzero form entries.  A word's
+matrix keeps its per-vector form, one `apply_word` per basis vector, and
+the roots of an ideal off theta's wall their two-test form, the
+abelian-ideal test run on the input and again on that part.  The matrix
+and Fraction picture of an affine element these references use lives in
+`reference_impl.py`.  Each test requires the
 library to give exactly what its reference gives, errors included.
 """
 
@@ -48,6 +52,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from abideal import ideals as ideals_module
 from abideal import weyl
 from abideal.affine import (
     AffineRoot,
@@ -196,6 +201,25 @@ def _prefix_affine_inversion_set(rs, word):
         seen.append(beta)
         prefix.append(i)
     return tuple(seen)
+
+
+def _per_vector_element(rs, word):
+    """The matrix whose columns are the basis vectors' images, each vector
+    carried through the whole word by `apply_word`."""
+    return tuple(zip(*(apply_word(rs, word, e) for e in identity_matrix(rs.rank))))
+
+
+def _two_test_not_perp_theta_mask(rs, ideal):
+    """The abelian-ideal test on the input's indices, then the same test
+    again on its roots off theta's wall, each building its own mask."""
+    indices = {rs.root_index.get(tuple(r)) for r in ideal.roots}
+    if None in indices or not is_ideal_mask(rs, indices):
+        raise ValueError(f"{ideal.roots} is not an abelian ideal")
+    perp = rs.perp_theta_mask
+    kept = [k for k in indices if not perp >> k & 1]
+    if not is_ideal_mask(rs, kept):
+        raise InvariantViolation("roots off theta's wall do not form an ideal")
+    return sum(map((1).__lshift__, kept))
 
 
 def _matrix_product_element(rs, word):
@@ -467,6 +491,14 @@ def _outcome(fn, *args):
         return ("ValueError", str(exc))
 
 
+def _raised(fn, *args):
+    """The result, or the type and text of whatever the call raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return (type(exc), str(exc))
+
+
 def _random_reduced_word(rs, rng, letters, max_len, image):
     """Append a letter only while its simple root's image under the word
     read so far stays positive, which keeps the word reduced."""
@@ -527,13 +559,44 @@ def test_affine_inversion_sets_match_the_prefix_rewalk(label):
 
 @pytest.mark.parametrize("label", EVERY_LABEL)
 def test_elements_and_lengths_match_matrix_products(label):
+    # and the per-vector walk, on the empty word, repeated letters and
+    # random words (most not reduced) of every length up to 3 rank
     rs = build(label)
     rng = random.Random(f"elements:{label}")
-    for _ in range(SAMPLES):
-        word = tuple(rng.randint(1, rs.rank) for _ in range(rng.randint(0, 16)))
+    words = [tuple(rng.randint(1, rs.rank) for _ in range(rng.randint(0, 16)))
+             for _ in range(SAMPLES)]
+    words += [(), (rs.rank,) * 3] + [(i, i) for i in range(1, rs.rank + 1)]
+    words += [tuple(rng.randint(1, rs.rank) for _ in range(n)) for n in range(1, 3 * rs.rank + 1)]
+    for word in words:
         m = element_of_word(rs, word)
-        assert m == _matrix_product_element(rs, word)
+        assert m == _matrix_product_element(rs, word) == _per_vector_element(rs, word), word
         assert length_of_element(rs, m) == _per_root_length(rs, m)
+        # a word followed by its reverse gives the identity; a list works too
+        assert element_of_word(rs, list(word + word[::-1])) == identity_matrix(rs.rank), word
+
+
+@pytest.mark.parametrize("label", EVERY_LABEL)
+def test_one_pass_not_perp_theta_mask_matches_the_two_tests(label):
+    rs = build(label)
+    rng = random.Random(f"not-perp:{label}")
+    ideals = list(catalog_of(rs).ideals)
+    inputs = ideals + [make_ideal(s) for s in _set_test_non_ideal_subsets(rs, rng, 60)]
+    inputs += [make_ideal(a.root_set ^ {rng.choice(rs.positive_roots)}) for a in ideals[:40]]
+    inputs += [make_ideal(a.roots + (tuple(-c for c in rs.theta),)) for a in ideals[:5]]
+    outcomes = [_raised(ideals_module._not_perp_theta_mask, rs, a) for a in inputs]
+    assert outcomes == [_raised(_two_test_not_perp_theta_mask, rs, a) for a in inputs]
+    assert outcomes[:len(ideals)] == [m & ~rs.perp_theta_mask for m in catalog_of(rs).masks]
+    assert outcomes[-1] == (ValueError, f"{inputs[-1].roots} is not an abelian ideal")
+    # a wrong perp mask: theta's bit alone leaves the roots theta covers
+    # without their cover, and so may a random mask; both forms report the
+    # same fault
+    fault = copy.copy(rs)
+    for perp in [1 << rs.root_index[rs.theta], rng.getrandbits(rs.num_positive)]:
+        fault.perp_theta_mask = perp
+        outcomes = [_raised(ideals_module._not_perp_theta_mask, fault, a) for a in ideals]
+        assert outcomes == [_raised(_two_test_not_perp_theta_mask, fault, a) for a in ideals]
+        if rs.rank > 1 and perp == 1 << rs.root_index[rs.theta]:
+            assert (InvariantViolation, "roots off theta's wall do not form an ideal") in outcomes
 
 
 @pytest.mark.parametrize("word", [(0,), (1, -1), (1, 4)])
@@ -941,7 +1004,7 @@ def test_rho_shift_matches_the_tuple_form(label):
 
 @pytest.mark.parametrize("label", EVERY_LABEL)
 def test_word_to_theta_matches_the_greedy_loop(label):
-    # on a fresh copy too, where the per-root memo starts empty
+    # and the same words on a shallow copy of the root system
     rs = build(label)
     fresh = copy.copy(rs)
     for phi in rs.long_positive_roots():

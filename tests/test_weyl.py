@@ -76,6 +76,22 @@ def test_length_of_element_rejects_a_matrix_that_is_not_rank_by_rank(matrix):
     assert length_of_element(rs, element_of_word(rs, (1, 2))) == 2
 
 
+@pytest.mark.parametrize("label", ["A1", "A3", "E8"])
+def test_element_of_word_rejects_letters_before_any_work(monkeypatch, label):
+    rs = build(label)
+    assert element_of_word(rs, ()) == identity_matrix(rs.rank)
+
+    def no_work(rank):
+        raise AssertionError("the matrix was started before the letters were checked")
+
+    monkeypatch.setattr(weyl, "identity_matrix", no_work)
+    for word in [(0,), (rs.rank + 1,), (-1,), (1, 0), [1, rs.rank + 1]]:
+        bad = next(i for i in word if not 1 <= i <= rs.rank)
+        with pytest.raises(ValueError) as info:
+            element_of_word(rs, word)
+        assert str(info.value) == f"letter {bad} out of range 1..{rs.rank}"
+
+
 def test_reflection_touches_one_coordinate():
     rs = build("C4")
     v = (3, 5, 7, 11)
