@@ -524,16 +524,14 @@ def check_facet_ratios(rs: RootSystem) -> CheckResult:
 def check_young_bridge(rs: RootSystem) -> CheckResult:
     """Ideals of A_l are the diagrams with hooks below l+1, compatibly coded."""
     n = rs.rank + 1
-    shapes: Set[Tuple[int, ...]] = set()
     codes: Set[int] = set()
     for a in catalog_of(rs).ideals:
         d = young_of_ideal(rs, a)
         if d.rows and d.max_hook > n - 1:
             return _fail("young_bridge", f"diagram {d.rows} has hook above {n - 1}")
         code = young_encode(d, n)
-        if code in codes or d.rows in shapes:
+        if code in codes:
             return _fail("young_bridge", f"diagram {d.rows} repeats")
-        shapes.add(d.rows)
         codes.add(code)
         # both sides hold their roots in the canonical order
         if ideal_of_young(rs, d) != a:

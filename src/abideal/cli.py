@@ -19,14 +19,15 @@ import os
 import sys
 from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Sequence
 
-from .root_system import RootSystem, SimpleType, build, clear_system_caches, supported_types
+from .root_system import _RANK_BOUNDS, RootSystem, SimpleType, build, clear_system_caches, supported_types
 
 if TYPE_CHECKING:
     from .checks import TypeReport
     from .ideals import IdealCatalog
     from .young import YoungDiagram
 
-_VALID_TYPES = "A1-A11, B2-B8, C2-C8, D4-D8, E6-E8, F4, G2"
+_VALID_TYPES = ", ".join(f"{f}{lo}" + (f"-{f}{hi}" if hi > lo else "")
+                         for f, (lo, hi) in _RANK_BOUNDS.items())
 
 
 def _type_arg(text: str) -> str:
@@ -341,7 +342,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("young", help="diagram lattice for the linear family")
     p.add_argument("rank", type=int, metavar="l",
-                   help="rank l of the linear type (1..11)")
+                   help="rank l of the linear type ({}..{})".format(*_RANK_BOUNDS["A"]))
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--encode", type=_parse_shape, metavar="R1,R2,...",
                       help="rim-code one shape given as comma-separated row lengths")
@@ -357,8 +358,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "verify" and args.all == (args.type is not None):
         parser.error("pass exactly one of <TYPE> or --all")
-    if args.command == "young" and not 1 <= args.rank <= 11:
-        parser.error("rank must be between 1 and 11")
+    lo, hi = _RANK_BOUNDS["A"]
+    if args.command == "young" and not lo <= args.rank <= hi:
+        parser.error(f"rank must be between {lo} and {hi}")
     try:
         code = args.fn(args)
         sys.stdout.flush()

@@ -245,7 +245,7 @@ def from_param(rs: RootSystem, phi: Root, coset_word: Sequence[int] = ()) -> Abe
     point the previous letters reached.  Its letters are then crossed by
     `cross_walls` from the walls of phi's empty coset word in the greedy
     chain, and the ideal is the roots of the walls the whole parameter
-    word crosses."""
+    word crosses, in index order, which is the canonical order."""
     phi, coset_word = tuple(phi), tuple(coset_word)
     link = _greedy_chain(rs)[0].get(phi)
     if link is None:
@@ -259,7 +259,7 @@ def from_param(rs: RootSystem, phi: Root, coset_word: Sequence[int] = ()) -> Abe
         point = label_reflect(rs, i, point)
     _, walls, mask = link
     mask = cross_walls(rs, list(walls), coset_word, mask, phi, coset_word)
-    return make_ideal(rs.positive_roots[k] for k in mask_bits(mask))
+    return AbelianIdeal(tuple(rs.positive_roots[k] for k in mask_bits(mask)))
 
 
 # ----------------------------------------------------------------------

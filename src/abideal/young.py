@@ -50,9 +50,11 @@ class YoungDiagram(Record):
 
     @property
     def column_heights(self) -> Tuple[int, ...]:
-        if not self.rows:
-            return ()
-        return tuple(sum(1 for r in self.rows if r > c) for c in range(self.rows[0]))
+        """The conjugate partition: row i's cells past the rows below are columns of height i."""
+        heights: List[int] = []
+        for i in range(len(self.rows), 0, -1):
+            heights += [i] * (self.rows[i - 1] - len(heights))
+        return tuple(heights)
 
 
 def young_lattice(n: int) -> Tuple[YoungDiagram, ...]:
@@ -64,20 +66,15 @@ def young_encode(d: YoungDiagram, n: int) -> int:
     """Rim code of d as a member of Y_n (largest hook at most n-1).
 
     Column c of height h contributes a 1 for its bottom cell followed by
-    h - max(h', 1) zeros, h' the next column's height; the rim has
-    max_hook cells in all, so codes fit in n-1 bits.
-    """
+    h - h' zeros, h' the next column's height (1 after the last column),
+    so each column is one shift.  The rim has max_hook cells in all, so
+    codes fit in n-1 bits."""
     if d.max_hook > n - 1:
         raise ValueError(f"hook {d.max_hook} exceeds {n - 1}")
     heights = d.column_heights
-    bits: List[int] = []
-    for i, h in enumerate(heights):
-        nxt = heights[i + 1] if i + 1 < len(heights) else 1
-        bits.append(1)
-        bits.extend([0] * (h - nxt))
     code = 0
-    for b in bits:
-        code = (code << 1) | b
+    for h, nxt in zip(heights, heights[1:] + (1,)):
+        code = (code << 1 | 1) << (h - nxt)
     return code
 
 
@@ -102,40 +99,42 @@ def young_decode(code: int, n: int) -> YoungDiagram:
     return YoungDiagram(rows)
 
 
-def young_of_ideal(rs: RootSystem, a: AbelianIdeal) -> YoungDiagram:
+def _staircase_rank(rs: RootSystem) -> int:
     if rs.simple_type.letter != "A":
         raise ValueError("the staircase picture requires type A")
-    l = rs.rank
-    cells = set()
+    return rs.rank
+
+
+def young_of_ideal(rs: RootSystem, a: AbelianIdeal) -> YoungDiagram:
+    """The diagram of an ideal's cells, in one pass over its roots.  The
+    root with h ones from coordinate c (0-based) is alpha_{c+1} + ... +
+    alpha_{c+h}, so it sets bit c (column c+1) in row l+1-c-h's mask; the
+    cells are a left-justified shape exactly when the non-empty rows come
+    first and each row's largest column equals its cell count."""
+    l = _staircase_rank(rs)
+    rows = [0] * l
     for root in a.roots:
         if not rs.is_positive_root(root):
             raise ValueError(f"{tuple(root)} is not a positive root of {rs.simple_type}")
-        support = [i for i, c in enumerate(root) if c]
-        first, last = support[0] + 1, support[-1] + 1
-        cells.add((l + 1 - last, first))
-    rows: List[int] = []
-    for r in range(1, l + 1):
-        width = sum(1 for (row, _col) in cells if row == r)
-        if width:
-            rows.append(width)
-    d = YoungDiagram(rows)
-    shape_cells = {(r + 1, c + 1) for r, width in enumerate(d.rows) for c in range(width)}
-    if shape_cells != cells:
+        first = root.index(1)
+        rows[l - first - root.count(1)] |= 1 << first
+    d = YoungDiagram(m.bit_count() for m in rows if m)
+    if any(m & (m + 1) for m in rows) or any(rows[len(d.rows):]):
         raise ValueError("ideal cells are not a left-justified shape")
     return d
 
 
 def ideal_of_young(rs: RootSystem, d: YoungDiagram) -> AbelianIdeal:
-    from .ideals import make_ideal
-    if rs.simple_type.letter != "A":
-        raise ValueError("the staircase picture requires type A")
-    l = rs.rank
+    """The ideal of a diagram's cells.  Row r+1 (0-based r) holds the roots
+    ending at alpha_{l-r}, so its roots share the tail of r zeros, and
+    column c+1 drops the first c ones: one slice per cell.  The roots are
+    distinct, and root index order is the canonical order."""
+    from .ideals import AbelianIdeal
+    l = _staircase_rank(rs)
     if d.max_hook > l:
         raise ValueError(f"hook {d.max_hook} exceeds {l}")
     roots = []
-    for r, width in enumerate(d.rows, start=1):
-        for c in range(1, width + 1):
-            first, last = c, l + 1 - r
-            roots.append(tuple(1 if first - 1 <= i <= last - 1 else 0
-                               for i in range(l)))
-    return make_ideal(roots)
+    for r, width in enumerate(d.rows):
+        tail = (1,) * (l - r) + (0,) * r
+        roots += [(0,) * c + tail[c:] for c in range(width)]
+    return AbelianIdeal(tuple(sorted(roots, key=rs.root_index.__getitem__)))

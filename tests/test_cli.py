@@ -222,6 +222,30 @@ def test_invalid_type_is_usage_error(capsys):
     assert "valid families" in err
 
 
+def test_type_error_lists_exactly_the_supported_types(capsys):
+    with pytest.raises(SystemExit):
+        cli.main(["info", "Z9"])
+    err = capsys.readouterr().err
+    listed = err.rstrip("\n").split("valid families and ranks: ")[1]
+    assert listed == "A1-A11, B2-B8, C2-C8, D4-D8, E6-E8, F4, G2"
+    labels = []
+    for family in listed.split(", "):
+        lo, _, hi = family.partition("-")
+        labels += [f"{lo[0]}{r}" for r in range(int(lo[1:]), int((hi or lo)[1:]) + 1)]
+    assert labels == [str(st) for st in supported_types(11)]
+
+
+def test_young_rank_bounds_come_from_the_linear_family(capsys):
+    for bad in ("0", "12"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["young", bad])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith("error: rank must be between 1 and 11\n")
+    with pytest.raises(SystemExit):
+        cli.main(["young", "--help"])
+    assert "rank l of the linear type (1..11)" in capsys.readouterr().out
+
+
 def test_hasse_writes_dot(tmp_path, capsys):
     target = tmp_path / "out.dot"
     code, out = run(capsys, "hasse", "A2", "--dot", str(target))

@@ -127,6 +127,7 @@ _INTEGER_LOOPS = {
     "hasse.py": ("build_graph", "facet_volume_ratios", "upper_alcoves"),
     "checks.py": ("check_kostant", "_kostant_mask_raw", "_kostant_fields", "_random_draws",
                   "_byte_tables"),
+    "young.py": ("young_encode", "young_decode", "young_of_ideal", "ideal_of_young"),
 }
 
 

@@ -25,6 +25,7 @@ from abideal.ideals import InvariantViolation, IdealCatalog, catalog_of, long_si
 from abideal.qpoly import bracket, poly_mul
 from abideal.reference import reference_hasse_group
 from abideal.root_system import build, supported_types
+from abideal.young import YoungDiagram
 
 from conftest import SMALL_LABELS, corrupted_gram_copy
 from reference_impl import alcove_vertices, element_of_affine_word, inner, inverse_word, vadd
@@ -503,6 +504,14 @@ def test_young_bridge_caches_no_root_sets():
     rs = copy.copy(build("A5"))
     assert checks.check_young_bridge(rs).passed
     assert not any(hasattr(a, "_root_set") for a in catalog_of(rs).ideals)
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "A3", "A4"])
+def test_young_bridge_fails_on_a_repeated_diagram(monkeypatch, label):
+    # a repeated diagram repeats its code, so the code set alone catches it
+    monkeypatch.setattr(checks, "young_of_ideal", lambda rs, a: YoungDiagram(()))
+    res = checks.check_young_bridge(build(label))
+    assert not res.passed and res.details == "diagram () repeats"
 
 
 @pytest.mark.parametrize("label", ["A1", "A2", "A3", "A4"])

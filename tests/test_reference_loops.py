@@ -30,8 +30,11 @@ walk from a root all the way to theta, the cover and conflict masks from
 `vadd` sums, the enumeration whose ideals `make_ideal` re-sorts, with
 `vsum` root sums, and the positive-root closure on tuples, with each
 pairing summed from the Cartan row.  The Young decode keeps its bit list,
-read in reverse into column heights.  The Kostant mask sampler keeps its
-per-bit ideal test over each drawn root's cover and conflict masks, and
+read in reverse into column heights, and the encode its list of bits; an
+ideal's diagram keeps its cell set, each row's width counted over all the
+cells, and a diagram's ideal its roots built coordinate by coordinate.
+The Kostant mask sampler keeps its per-bit ideal test over each drawn
+root's cover and conflict masks, and
 the mask kernel its tuple evaluator: the packed coordinate sum unpacked,
 then the quadratic term summed over the nonzero form entries.  A word's
 matrix keeps its per-vector form, one `apply_word` per basis vector, and
@@ -77,10 +80,12 @@ from abideal.hasse import (
     verify_cover_structure,
 )
 from abideal.ideals import (
+    AbelianIdeal,
     IdealCatalog,
     InvariantViolation,
     _enumerate_masks,
     catalog_of,
+    enumerate_all,
     forbidden_roots,
     from_param,
     is_abelian_ideal,
@@ -105,7 +110,8 @@ from abideal.weyl import (
     minimal_word_to_theta,
     reflect_simple,
 )
-from abideal.young import YoungDiagram, young_decode
+from abideal.young import (YoungDiagram, ideal_of_young, young_decode, young_encode,
+                           young_lattice, young_of_ideal)
 
 from conftest import ALL_LABELS, SMALL_LABELS, corrupted_gram_copy
 from reference_impl import (
@@ -1107,6 +1113,108 @@ def test_one_pass_young_decode_matches_the_bit_list(n):
     for bad in (-1, 1 << (n - 1)):
         with pytest.raises(ValueError, match="out of range"):
             young_decode(bad, n)
+
+
+def _bit_list_young_encode(d, n):
+    """The rim code as a list of bits, one per rim cell, then read off;
+    each column's height counted over all the rows."""
+    if d.max_hook > n - 1:
+        raise ValueError(f"hook {d.max_hook} exceeds {n - 1}")
+    heights = [sum(1 for r in d.rows if r > c) for c in range(d.rows[0])] if d.rows else []
+    bits = []
+    for i, h in enumerate(heights):
+        nxt = heights[i + 1] if i + 1 < len(heights) else 1
+        bits.append(1)
+        bits.extend([0] * (h - nxt))
+    code = 0
+    for b in bits:
+        code = (code << 1) | b
+    return code
+
+
+def _cell_set_young_of_ideal(rs, a):
+    """The ideal's cells as a set, each row's width counted over all the
+    cells, and the shape's cells rebuilt to compare."""
+    if rs.simple_type.letter != "A":
+        raise ValueError("the staircase picture requires type A")
+    l = rs.rank
+    cells = set()
+    for root in a.roots:
+        if not rs.is_positive_root(root):
+            raise ValueError(f"{tuple(root)} is not a positive root of {rs.simple_type}")
+        support = [i for i, c in enumerate(root) if c]
+        first, last = support[0] + 1, support[-1] + 1
+        cells.add((l + 1 - last, first))
+    rows = []
+    for r in range(1, l + 1):
+        width = sum(1 for (row, _col) in cells if row == r)
+        if width:
+            rows.append(width)
+    d = YoungDiagram(rows)
+    shape_cells = {(r + 1, c + 1) for r, width in enumerate(d.rows) for c in range(width)}
+    if shape_cells != cells:
+        raise ValueError("ideal cells are not a left-justified shape")
+    return d
+
+
+def _per_coordinate_ideal_of_young(rs, d):
+    """Each cell's root built one coordinate at a time."""
+    if rs.simple_type.letter != "A":
+        raise ValueError("the staircase picture requires type A")
+    l = rs.rank
+    if d.max_hook > l:
+        raise ValueError(f"hook {d.max_hook} exceeds {l}")
+    roots = []
+    for r, width in enumerate(d.rows, start=1):
+        for c in range(1, width + 1):
+            first, last = c, l + 1 - r
+            roots.append(tuple(1 if first - 1 <= i <= last - 1 else 0
+                               for i in range(l)))
+    return make_ideal(roots)
+
+
+@pytest.mark.parametrize("rank", range(1, 12))
+def test_young_bridge_matches_the_cell_set_and_coordinate_forms(rank):
+    rs, n = build(f"A{rank}"), rank + 1
+    for a in enumerate_all(rs):
+        d = young_of_ideal(rs, a)
+        assert d == _cell_set_young_of_ideal(rs, a), a
+        assert ideal_of_young(rs, d) == _per_coordinate_ideal_of_young(rs, d) == a
+        assert young_encode(d, n) == _bit_list_young_encode(d, n)
+    # root sets that are mostly not shapes, a repeated root, and a
+    # non-root placed after roots that are not a shape either
+    rng = random.Random(rank)
+    roots = rs.positive_roots
+    cases = [make_ideal(rng.sample(roots, rng.randint(1, len(roots)))) for _ in range(200)]
+    cases.append(AbelianIdeal((rs.theta, rs.theta)))
+    for a in cases[:20]:
+        cases.append(AbelianIdeal(a.roots + ((2,) * rank,)))
+        cases.append(AbelianIdeal(a.roots + ((1,) * (rank + 1),)))
+    texts = set()
+    for a in cases:
+        got = _raised(young_of_ideal, rs, a)
+        assert got == _raised(_cell_set_young_of_ideal, rs, a), a
+        if not isinstance(got, YoungDiagram):
+            texts.add(got[1])
+    # hooks up to l + 2 against the rank and against the code's width
+    for d in young_lattice(n + 2):
+        assert _raised(ideal_of_young, rs, d) == _raised(_per_coordinate_ideal_of_young, rs, d)
+        assert _raised(young_encode, d, n) == _raised(_bit_list_young_encode, d, n)
+    if rank >= 3:
+        assert texts >= {"rows must be weakly decreasing",
+                         "ideal cells are not a left-justified shape",
+                         f"{(2,) * rank} is not a positive root of A{rank}"}
+
+
+@pytest.mark.parametrize("label", ["B3", "C2", "D4", "G2"])
+def test_young_bridge_rejects_other_types_as_the_references_do(label):
+    rs = build(label)
+    for a in (make_ideal(()), make_ideal((rs.theta,))):
+        assert (_raised(young_of_ideal, rs, a) == _raised(_cell_set_young_of_ideal, rs, a)
+                == (ValueError, "the staircase picture requires type A"))
+    for d in young_lattice(4):
+        assert (_raised(ideal_of_young, rs, d) == _raised(_per_coordinate_ideal_of_young, rs, d)
+                == (ValueError, "the staircase picture requires type A"))
 
 
 def _per_bit_non_ideal_masks(rs, rng, count):

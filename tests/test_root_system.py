@@ -2,6 +2,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+from abideal.ideals import make_ideal
 from abideal.root_system import SimpleType, _symmetrizer, build, supported_types
 
 from reference_impl import coroot_pairing, fundamental_weights, is_root, level, norm2, rho, vadd
@@ -110,6 +111,12 @@ def test_root_membership(small_label):
         assert rs.is_positive_root(r)
         assert is_root(rs, tuple(-c for c in r))
     assert not rs.is_positive_root((0,) * rs.rank)
+
+
+def test_positive_roots_are_in_the_canonical_ideal_order(each_label):
+    # from_param, ideal_of_young and the enumeration list roots in index order
+    rs = build(each_label)
+    assert make_ideal(rs.positive_roots).roots == rs.positive_roots
 
 
 def test_coroot_pairing_integrality(small_label):

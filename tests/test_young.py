@@ -91,6 +91,20 @@ def test_non_linear_type_rejected():
         young_of_ideal(rs, make_ideal(()))
 
 
+def test_cells_that_are_not_a_shape_are_rejected():
+    # alpha_2 + alpha_3 is row 1, column 2, with no cell in column 1
+    with pytest.raises(ValueError, match="^ideal cells are not a left-justified shape$"):
+        young_of_ideal(build("A3"), make_ideal([(0, 1, 1)]))
+
+
+def test_ideal_of_young_error_texts():
+    with pytest.raises(ValueError, match="^the staircase picture requires type A$"):
+        ideal_of_young(build("B3"), YoungDiagram((1,)))
+    with pytest.raises(ValueError, match="^hook 4 exceeds 3$"):
+        ideal_of_young(build("A3"), YoungDiagram((3, 1)))
+    assert ideal_of_young(build("A3"), YoungDiagram((2, 1))).dim == 3
+
+
 @pytest.mark.parametrize("vector", [(1, 0, 1), (2, 2, 2), (1, 0)])
 def test_vectors_that_are_not_roots_are_rejected(vector):
     # the first two once read as theta's cell, the diagram (1,)
