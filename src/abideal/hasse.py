@@ -15,22 +15,21 @@ its lower neighbours).
 Upper alcoves are read off the same walls: the far wall of 2A among an
 alcove's walls names the facet on it, and the vertex opposite.
 
-Automorphisms are computed on the unlabeled undirected graph: colour
-refinement from degrees alone (neighbourhood colours to a fixpoint; the
-colours are invariant under automorphisms) followed by backtracking that
-collects every colour- and adjacency-preserving permutation.  Vertices are
-assigned in a frontier order: a heap of the vertices next to those already
-assigned, fewest candidates first.  The resulting group is identified by
-comparing order, abelianness, element orders and center size against a
-catalog of small groups.
+Automorphisms are computed on the unlabeled undirected graph by
+backtracking that collects every adjacency-preserving permutation.
+Vertices are assigned in breadth-first order, one component after
+another, so each vertex but a component's first has an earlier neighbour,
+its parent, and can only go to a neighbour of its parent's image; a
+component's first vertex may go anywhere.  The resulting group is
+identified by comparing order, abelianness, element orders and center
+size against a catalog of small groups.
 """
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
 from itertools import repeat
 from math import lcm
-from typing import TYPE_CHECKING, Dict, FrozenSet, Iterator, List, NamedTuple, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .affine import rho_shift_in_2A
 from .ideals import (
@@ -226,74 +225,45 @@ def expected_facet_ratios(rs: RootSystem) -> Tuple[Fraction, ...]:
 # ----------------------------------------------------------------------
 # automorphisms
 
-def _refine_colors(adj: Sequence[FrozenSet[int]], initial: List) -> List[int]:
-    palette: Dict = {}
-    colors = []
-    for key in initial:
-        if key not in palette:
-            palette[key] = len(palette)
-        colors.append(palette[key])
-    while True:
-        palette = {}
-        fresh = []
-        for v in range(len(adj)):
-            key = (colors[v], tuple(sorted(colors[u] for u in adj[v])))
-            if key not in palette:
-                palette[key] = len(palette)
-            fresh.append(palette[key])
-        if fresh == colors:
-            return colors
-        colors = fresh
-
-
-def _anchor_order(adj: Sequence[FrozenSet[int]], candidates: Sequence[Sequence[int]]) -> List[int]:
-    """The order in which the search assigns vertices: next comes the
-    vertex with fewest candidates, then lowest index, among those with an
-    assigned neighbour, or among all unassigned ones when none has one.
-    The anchored vertices wait in a heap frontier keyed that way."""
-    n = len(adj)
-    pool = sorted(range(n), key=lambda v: (len(candidates[v]), v))
-    placed = [False] * n
-    order: List[int] = []
-    frontier: List[Tuple[int, int]] = []
-    start = 0
-    while len(order) < n:
-        while frontier and placed[frontier[0][1]]:
-            heappop(frontier)
-        if frontier:
-            v = heappop(frontier)[1]
-        else:
-            while placed[pool[start]]:
-                start += 1
-            v = pool[start]
-        placed[v] = True
-        order.append(v)
-        for u in adj[v]:
-            if not placed[u]:
-                heappush(frontier, (len(candidates[u]), u))
-    return order
-
-
 def graph_automorphisms(graph: HasseGraph) -> Tuple[Permutation, ...]:
     """Every adjacency-preserving permutation of the nodes."""
     adj = graph.adjacency
     n = len(adj)
-    colors = _refine_colors(adj, [len(adj[v]) for v in range(n)])
 
-    by_color: Dict[int, List[int]] = {}
-    for v, c in enumerate(colors):
-        by_color.setdefault(c, []).append(v)
-    candidates = [tuple(by_color[colors[v]]) for v in range(n)]
-    order = _anchor_order(adj, candidates)
+    # breadth-first order, one component after another: every vertex but a
+    # component's first was reached from an earlier neighbour, its parent
+    order: List[int] = []
+    parent: List[Optional[int]] = [None] * n
+    seen = [False] * n
+    head = 0
+    for first in range(n):
+        if seen[first]:
+            continue
+        seen[first] = True
+        order.append(first)
+        while head < len(order):
+            p = order[head]
+            head += 1
+            for u in adj[p]:
+                if not seen[u]:
+                    seen[u] = True
+                    parent[u] = p
+                    order.append(u)
 
     # depth-first search with an explicit stack of candidate iterators, one
-    # per assigned position, so deep graphs do not exhaust the call stack
+    # per assigned position, so deep graphs do not exhaust the call stack;
+    # an automorphism sends v next to its parent's image, and a component's
+    # first vertex anywhere
+    def candidates(v: int) -> Iterator[int]:
+        p = parent[v]
+        return iter(range(n) if p is None else adj[image[p]])
+
     found: List[Permutation] = []
     image: Dict[int, int] = {}
     used = set()
     if n == 0:
         found.append(())
-    stack = [iter(candidates[order[0]])] if n else []
+    stack = [candidates(order[0])] if n else []
     while stack:
         k = len(stack) - 1
         v = order[k]
@@ -301,7 +271,9 @@ def graph_automorphisms(graph: HasseGraph) -> Tuple[Permutation, ...]:
             used.discard(image.pop(v))
         # the assigned neighbors of v must map onto the assigned neighbors of t
         mapped = {image[u] for u in adj[v] if u in image}
-        t = next((t for t in stack[-1] if t not in used and mapped == adj[t] & used), None)
+        degree = len(adj[v])
+        t = next((t for t in stack[-1] if t not in used and len(adj[t]) == degree
+                  and mapped == adj[t] & used), None)
         if t is None:
             stack.pop()
             continue
@@ -310,7 +282,7 @@ def graph_automorphisms(graph: HasseGraph) -> Tuple[Permutation, ...]:
         if k + 1 == n:
             found.append(tuple(image[x] for x in range(n)))
         else:
-            stack.append(iter(candidates[order[k + 1]]))
+            stack.append(candidates(order[k + 1]))
     return tuple(sorted(found))
 
 

@@ -57,8 +57,14 @@ class YoungDiagram(Record):
         return tuple(heights)
 
 
+def _check_size(n: int) -> None:
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
+
+
 def young_lattice(n: int) -> Tuple[YoungDiagram, ...]:
     """All diagrams with largest hook at most n-1, in code order."""
+    _check_size(n)
     return tuple(young_decode(code, n) for code in range(1 << (n - 1)))
 
 
@@ -69,6 +75,7 @@ def young_encode(d: YoungDiagram, n: int) -> int:
     h - h' zeros, h' the next column's height (1 after the last column),
     so each column is one shift.  The rim has max_hook cells in all, so
     codes fit in n-1 bits."""
+    _check_size(n)
     if d.max_hook > n - 1:
         raise ValueError(f"hook {d.max_hook} exceeds {n - 1}")
     heights = d.column_heights
@@ -85,6 +92,7 @@ def young_decode(code: int, n: int) -> YoungDiagram:
     shortest first; the rows are their conjugate.  While `width` columns
     remain, counting the one just closed, every row up to its height is
     `width` cells long."""
+    _check_size(n)
     if not 0 <= code < (1 << (n - 1)):
         raise ValueError(f"code {code} out of range for n={n}")
     rows: List[int] = []

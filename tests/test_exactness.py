@@ -91,7 +91,7 @@ _MOVED_NAMES = (
     "fundamental_alcove_vertices", "alcove_vertices", "in_2A",
     "reflection_matrix", "mat_mul", "weyl_order", "subgroup_order",
     "a_max", "a_min", "a_min_plus", "not_perp_theta", "poly_add", "poly_str", "vadd", "vscale", "_ideal_from_affine_word",
-    "matrix_of",
+    "matrix_of", "_refine_colors", "_anchor_order",
 )
 
 
@@ -124,7 +124,7 @@ _INTEGER_LOOPS = {
                   "_greedy_chain"),
     "weyl.py": ("greedy_letter", "minimal_word_to_theta"),
     "root_system.py": ("_pack",),
-    "hasse.py": ("build_graph", "facet_volume_ratios", "upper_alcoves"),
+    "hasse.py": ("build_graph", "facet_volume_ratios", "upper_alcoves", "graph_automorphisms"),
     "checks.py": ("check_kostant", "_kostant_mask_raw", "_kostant_fields", "_random_draws",
                   "_byte_tables"),
     "young.py": ("young_encode", "young_decode", "young_of_ideal", "ideal_of_young"),

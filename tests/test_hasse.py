@@ -1,5 +1,7 @@
 import copy
-from itertools import permutations
+import random
+from itertools import combinations, permutations
+from math import factorial, prod
 from types import SimpleNamespace
 
 import pytest
@@ -118,6 +120,74 @@ def test_automorphisms_of_a_long_path():
         frozenset(u for u in (v - 1, v + 1) if 0 <= u < n) for v in range(n)))
     perms = graph_automorphisms(path)
     assert perms == (tuple(range(n)), tuple(reversed(range(n))))
+
+
+def _graph(n, edges):
+    adj = [set() for _ in range(n)]
+    for a, b in edges:
+        adj[a].add(b)
+        adj[b].add(a)
+    return SimpleNamespace(adjacency=tuple(map(frozenset, adj)))
+
+
+def _brute_force_automorphisms(adj):
+    """Every permutation, in sorted order, that sends each edge to an edge;
+    a bijection that keeps the edges keeps the non-edges too."""
+    arcs = [(a, b) for a in range(len(adj)) for b in adj[a]]
+    return tuple(p for p in permutations(range(len(adj)))
+                 if all(p[b] in adj[p[a]] for a, b in arcs))
+
+
+def _random_graph(seed):
+    """A seeded graph on seed % 9 nodes, with an edge density from sparse
+    (often edgeless or disconnected) to dense."""
+    rng = random.Random(seed)
+    n = seed % 9
+    density = rng.choice((0.05, 0.15, 0.3, 0.5, 0.8))
+    return _graph(n, [e for e in combinations(range(n), 2) if rng.random() < density])
+
+
+_RANDOM_SEEDS = range(306)
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_automorphisms_match_brute_force_on_random_graphs(n):
+    for seed in _RANDOM_SEEDS[n::9]:
+        graph = _random_graph(seed)
+        assert graph_automorphisms(graph) == _brute_force_automorphisms(graph.adjacency), seed
+
+
+def test_random_graphs_include_empty_disconnected_and_isolated_cases():
+    graphs = [_random_graph(seed).adjacency for seed in _RANDOM_SEEDS]
+    assert sum(1 for adj in graphs if not adj) >= 30
+    assert sum(1 for adj in graphs if len(adj) > 1 and not any(adj)) >= 30
+    disconnected = [adj for adj in graphs
+                    if adj and any(adj) and len(weyl.graph_distances(adj, 0)) < len(adj)]
+    assert len(disconnected) >= 50
+    assert sum(1 for adj in disconnected if not all(adj)) >= 30
+
+
+_CYCLE_SHAPES = ((3,), (4,), (5,), (6,), (7,), (8,), (3, 3), (3, 4), (3, 5), (4, 4))
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_automorphisms_of_shuffled_unions_of_cycles(seed):
+    # m cycles of length L contribute the wreath product of Dih_L by Sym_m,
+    # of order (2L)^m m!
+    rng = random.Random(seed)
+    lengths = _CYCLE_SHAPES[seed % len(_CYCLE_SHAPES)]
+    names = list(range(sum(lengths)))
+    rng.shuffle(names)
+    edges = []
+    start = 0
+    for length in lengths:
+        edges += [(names[start + i], names[start + (i + 1) % length]) for i in range(length)]
+        start += length
+    graph = _graph(len(names), edges)
+    perms = graph_automorphisms(graph)
+    assert perms == _brute_force_automorphisms(graph.adjacency)
+    assert len(perms) == prod((2 * length) ** lengths.count(length) * factorial(lengths.count(length))
+                              for length in set(lengths))
 
 
 def test_identify_small_groups():

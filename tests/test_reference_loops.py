@@ -19,7 +19,11 @@ search for theta - 2 phi as a sum of positive roots.  The Hasse checks
 keep their pairwise forms: the cover test over every nested pair of
 ideals, the automorphism search seeded with BFS distance profiles and
 anchored by rescanning the whole vertex pool, and the maximal ideals found
-by comparing every pair.  The Kostant check keeps the sampler it drew
+by comparing every pair.  The breadth-first automorphism search keeps the
+search it replaced, `_frontier_anchored_automorphisms`: colour refinement
+from degrees (`_refine_colors`), then each vertex tried against its whole
+colour class in a heap-ordered frontier, fewest candidates first
+(`_anchor_order`).  The Kostant check keeps the sampler it drew
 through, `random.sample` with vector sums of roots, and the catalog's walk
 of the word tree keeps the whole-word forms it replaced: each entry's
 walls walked from the affine simple roots, its ideal rebuilt by
@@ -49,6 +53,7 @@ import copy
 import random
 from fractions import Fraction as Q
 from functools import partial
+from heapq import heappop, heappush
 from itertools import combinations, islice, product
 from math import gcd
 from types import SimpleNamespace
@@ -71,8 +76,6 @@ from abideal.checks import _kostant_mask_raw, _random_below, _random_draws
 from abideal.hasse import (
     HasseEdge,
     UpperAlcove,
-    _anchor_order,
-    _refine_colors,
     build_graph,
     facet_volume_ratios,
     graph_automorphisms,
@@ -333,6 +336,92 @@ def _pairwise_cover_structure(graph):
             grown = (a.root_set | {r} for r in b.root_set - a.root_set)
             if not any(g in known for g in grown):
                 raise InvariantViolation(f"no one-root step from {a.roots} toward {b.roots}")
+
+
+def _refine_colors(adj, initial):
+    """Colour refinement: each vertex's colour and its neighbours' colours
+    give its next colour, to a fixpoint."""
+    palette = {}
+    colors = []
+    for key in initial:
+        if key not in palette:
+            palette[key] = len(palette)
+        colors.append(palette[key])
+    while True:
+        palette = {}
+        fresh = []
+        for v in range(len(adj)):
+            key = (colors[v], tuple(sorted(colors[u] for u in adj[v])))
+            if key not in palette:
+                palette[key] = len(palette)
+            fresh.append(palette[key])
+        if fresh == colors:
+            return colors
+        colors = fresh
+
+
+def _anchor_order(adj, candidates):
+    """The order in which the frontier-anchored search assigns vertices:
+    next comes the vertex with fewest candidates, then lowest index, among
+    those with an assigned neighbor, or among all unassigned ones when none
+    has one.  The anchored vertices wait in a heap frontier keyed that way."""
+    n = len(adj)
+    pool = sorted(range(n), key=lambda v: (len(candidates[v]), v))
+    placed = [False] * n
+    order = []
+    frontier = []
+    start = 0
+    while len(order) < n:
+        while frontier and placed[frontier[0][1]]:
+            heappop(frontier)
+        if frontier:
+            v = heappop(frontier)[1]
+        else:
+            while placed[pool[start]]:
+                start += 1
+            v = pool[start]
+        placed[v] = True
+        order.append(v)
+        for u in adj[v]:
+            if not placed[u]:
+                heappush(frontier, (len(candidates[u]), u))
+    return order
+
+
+def _frontier_anchored_automorphisms(adj):
+    """Colour refinement seeded by degree, then a depth-first search over
+    each vertex's whole colour class in the heap-anchored order; returns
+    the sorted permutations."""
+    n = len(adj)
+    colors = _refine_colors(adj, [len(adj[v]) for v in range(n)])
+    by_color = {}
+    for v, c in enumerate(colors):
+        by_color.setdefault(c, []).append(v)
+    candidates = [tuple(by_color[colors[v]]) for v in range(n)]
+    order = _anchor_order(adj, candidates)
+    found = []
+    image = {}
+    used = set()
+    if n == 0:
+        found.append(())
+    stack = [iter(candidates[order[0]])] if n else []
+    while stack:
+        k = len(stack) - 1
+        v = order[k]
+        if v in image:
+            used.discard(image.pop(v))
+        mapped = {image[u] for u in adj[v] if u in image}
+        t = next((t for t in stack[-1] if t not in used and mapped == adj[t] & used), None)
+        if t is None:
+            stack.pop()
+            continue
+        image[v] = t
+        used.add(t)
+        if k + 1 == n:
+            found.append(tuple(image[x] for x in range(n)))
+        else:
+            stack.append(iter(candidates[order[k + 1]]))
+    return tuple(sorted(found))
 
 
 def _profile_rescan_automorphisms(adj):
@@ -735,6 +824,12 @@ def test_automorphisms_match_the_profile_rescan_search(label):
     candidates = [tuple(u for u in range(len(adj)) if colors[u] == colors[v])
                   for v in range(len(adj))]
     assert _anchor_order(adj, candidates) == order
+
+
+@pytest.mark.parametrize("label", ALL_LABELS + ("A9", "A10", "A11"))
+def test_breadth_first_automorphisms_match_the_frontier_anchored_search(label):
+    graph = build_graph(build(label))
+    assert graph_automorphisms(graph) == _frontier_anchored_automorphisms(graph.adjacency)
 
 
 @pytest.mark.parametrize("label", ALL_LABELS)

@@ -105,6 +105,31 @@ def test_ideal_of_young_error_texts():
     assert ideal_of_young(build("A3"), YoungDiagram((2, 1))).dim == 3
 
 
+@pytest.mark.parametrize("n", [0, -1, -5])
+def test_sizes_below_one_are_rejected_by_name(n):
+    # 1 << (n - 1) once raised "negative shift count", and the encoder
+    # said "hook 0 exceeds -1"
+    text = f"^n must be at least 1, got {n}$"
+    with pytest.raises(ValueError, match=text):
+        young_lattice(n)
+    with pytest.raises(ValueError, match=text):
+        young_decode(0, n)
+    with pytest.raises(ValueError, match=text):
+        young_encode(YoungDiagram(()), n)
+    with pytest.raises(ValueError, match=text):
+        young_encode(YoungDiagram((3, 1)), n)
+
+
+def test_size_one_keeps_its_texts():
+    assert young_lattice(1) == (YoungDiagram(()),)
+    assert young_decode(0, 1) == YoungDiagram(())
+    assert young_encode(YoungDiagram(()), 1) == 0
+    with pytest.raises(ValueError, match="^code 1 out of range for n=1$"):
+        young_decode(1, 1)
+    with pytest.raises(ValueError, match="^hook 1 exceeds 0$"):
+        young_encode(YoungDiagram((1,)), 1)
+
+
 @pytest.mark.parametrize("vector", [(1, 0, 1), (2, 2, 2), (1, 0)])
 def test_vectors_that_are_not_roots_are_rejected(vector):
     # the first two once read as theta's cell, the diagram (1,)
