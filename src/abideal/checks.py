@@ -23,22 +23,22 @@ from .affine import (
     wall_subgroup_poincare,
 )
 from .hasse import (
+    _expected_facet_terms,
+    _facet_determinants,
     build_graph,
-    expected_facet_ratios,
-    facet_volume_ratios,
     hasse_automorphism_name,
     upper_alcoves,
     verify_cover_structure,
 )
 from .ideals import (
     InvariantViolation,
+    _max_dimension_of,
     associated_long_root,
     catalog_of,
     forbidden_roots,
     kostant_raw,
     long_simple_nodes,
     make_ideal,
-    max_dimension,
     maximal_ideals,
     sum_formula_report,
 )
@@ -60,7 +60,7 @@ from .reference import (
     reference_theta_quotient,
     reference_word_to_theta,
 )
-from .root_system import RootSystem, build, vneg
+from .root_system import RootSystem, _ratio_text, build, vneg, vsub
 from .weyl import (
     apply_word,
     minimal_word_to_theta,
@@ -97,7 +97,6 @@ def check_normalization(rs: RootSystem) -> CheckResult:
     cross-multiplied in integers.  Here rho is half the sum of the positive
     roots, `rs.two_rho`; g came from <rho, alpha_i-check> = 1 on the form's
     diagonal, so casimir and strange hold the two routes to rho together."""
-    from fractions import Fraction
     raw, den, g = rs.raw_inner, rs.form_den, rs.dual_coxeter_number
     two_rho, theta = rs.two_rho, rs.theta
     theta_raw = raw(theta, theta)
@@ -110,7 +109,7 @@ def check_normalization(rs: RootSystem) -> CheckResult:
         ("root_norm_sum", 2 * sum(raw(r, r) for r in rs.positive_roots), den, rs.rank, 1),
         ("mark_weighted", theta_raw + sum(n * raw(a, a) for n, a in zip(rs.marks, simples)), den, 1, 1),
     )
-    bad = [f"{name}: {Fraction(got, got_den)} != {Fraction(want, want_den)}"
+    bad = [f"{name}: {_ratio_text(got, got_den)} != {_ratio_text(want, want_den)}"
            for name, got, got_den, want, want_den in identities if got * want_den != want * got_den]
     if bad:
         return _fail("normalization", "; ".join(bad))
@@ -383,7 +382,8 @@ def check_fiber_polynomials(rs: RootSystem) -> CheckResult:
 
 def check_theta_quotient(rs: RootSystem) -> CheckResult:
     """W(t)/W_perp(t) against its closed form and the two-shell identity,
-    each series first against its coset walk."""
+    each series first against its coset walk.  A long root's shell is its
+    `length_to_theta`, taken in integers; it must divide exactly."""
     st = rs.simple_type
     perp = tuple(j for j in perp_generators(rs, rs.theta) if j != 0)
     whole, part = weyl_poincare(rs), subgroup_poincare(rs, perp)
@@ -397,9 +397,13 @@ def check_theta_quotient(rs: RootSystem) -> CheckResult:
         return _fail("theta_quotient", f"{ratio} != closed form {want}")
 
     g = rs.dual_coxeter_number
+    theta_raw = rs.raw_inner(rs.theta, rs.theta)
     shell = [0] * (2 * g - 2)
     for phi in rs.long_positive_roots():
-        lv = int(rs.length_to_theta(phi))
+        lv, rest = divmod(rs.twice_raw_rho(vsub(rs.theta, phi)), theta_raw)
+        if rest:
+            return _fail("theta_quotient",
+                         f"distance from {_compact(phi)} to theta is not an integer")
         shell[lv] += 1
         shell[2 * g - 3 - lv] += 1
     if tuple(shell) != ratio:
@@ -435,8 +439,9 @@ def check_second_sum(rs: RootSystem) -> CheckResult:
 # extremal ideals
 
 def check_max_dimension(rs: RootSystem) -> CheckResult:
+    """`max_dimension`, read off the catalog the other checks hold."""
     st = rs.simple_type
-    rep = max_dimension(rs)
+    rep = _max_dimension_of(rs, catalog_of(rs).ideals)
     want = reference_max_dimension(st)
     if rep.value != want:
         return _fail("max_dimension", f"maximum {rep.value} != {want}")
@@ -510,12 +515,14 @@ def check_upper_alcoves(rs: RootSystem) -> CheckResult:
 
 
 def check_facet_ratios(rs: RootSystem) -> CheckResult:
-    got = facet_volume_ratios(rs)
-    want = expected_facet_ratios(rs)
-    if got != want:
-        return _fail("facet_ratios", f"{[str(x) for x in got]} != {[str(x) for x in want]}")
-    return _ok("facet_ratios",
-               f"squared ratios {[str(x) for x in got]}")
+    """`facet_volume_ratios` against `expected_facet_ratios`, each ratio an
+    integer over its slot 0's, compared cross-multiplied."""
+    got = _facet_determinants(rs)
+    want, want_den = _expected_facet_terms(rs)
+    got_text = [_ratio_text(x, got[0]) for x in got]
+    if len(got) != len(want) or any(x * want_den != y * got[0] for x, y in zip(got, want)):
+        return _fail("facet_ratios", f"{got_text} != {[_ratio_text(y, want_den) for y in want]}")
+    return _ok("facet_ratios", f"squared ratios {got_text}")
 
 
 # ----------------------------------------------------------------------

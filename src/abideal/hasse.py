@@ -15,6 +15,12 @@ its lower neighbours).
 Upper alcoves are read off the same walls: the far wall of 2A among an
 alcove's walls names the facet on it, and the vertex opposite.
 
+The facets of the fundamental alcove have integer Gram determinants
+(`_facet_determinants`), and the ratios they should have are integers over
+raw(theta, theta) (`_expected_facet_terms`).  `verify` compares the two
+cross-multiplied; only the public `facet_volume_ratios` and
+`expected_facet_ratios` build Fractions.
+
 Automorphisms are computed on the unlabeled undirected graph by
 backtracking that collects every adjacency-preserving permutation.
 Vertices are assigned in breadth-first order, one component after
@@ -184,19 +190,19 @@ def upper_alcoves(rs: RootSystem) -> Tuple[UpperAlcove, ...]:
 # ----------------------------------------------------------------------
 # facet volumes of the fundamental alcove
 
-def facet_volume_ratios(rs: RootSystem) -> Tuple[Fraction, ...]:
-    """Squared volume of facet i over squared volume of facet 0.
+def _facet_determinants(rs: RootSystem) -> Tuple[int, ...]:
+    """The squared volume of each facet of the fundamental alcove, up to
+    one positive factor common to all: facet i's ratio is dets[i] /
+    dets[0].
 
-    Facet i of the fundamental alcove is spanned by all vertices but
-    vertex i; its squared (rank-1)-volume is a Gram determinant of edge
-    vectors, and the common factorial normalization cancels in ratios.
-    Vertex i is covee_i / n_i, and covee_i is a positive multiple, the
-    same for every i, of column i of the form's adjugate, so the vertices
-    are taken as the integer points lcm(marks) / n_i times those columns;
-    that common factor cancels in ratios too, as does reading the form as
-    raw_inner.
+    Facet i is spanned by all vertices but vertex i; its squared
+    (rank-1)-volume is a Gram determinant of edge vectors, and the
+    factorial normalization is common to all facets.  Vertex i is
+    covee_i / n_i, and covee_i is a positive multiple, the same for every
+    i, of column i of the form's adjugate, so the vertices are taken as the
+    integer points lcm(marks) / n_i times those columns; that factor is
+    common too, as is reading the form as raw_inner.
     """
-    from fractions import Fraction
     adj = bareiss(rs.form)[1]
     scale = lcm(*rs.marks)
     points = [(0,) * rs.rank] + [tuple(scale // n * row[i] for row in adj)
@@ -207,19 +213,34 @@ def facet_volume_ratios(rs: RootSystem) -> Tuple[Fraction, ...]:
         edges = [vsub(p, pts[0]) for p in pts[1:]]
         return bareiss([[rs.raw_inner(a, b) for b in edges] for a in edges])[0]
 
-    dets = [gram_det(i) for i in range(rs.rank + 1)]
+    dets = tuple(gram_det(i) for i in range(rs.rank + 1))
     if dets[0] == 0:
         raise InvariantViolation("degenerate base facet")
+    return dets
+
+
+def facet_volume_ratios(rs: RootSystem) -> Tuple[Fraction, ...]:
+    """Squared volume of facet i over squared volume of facet 0
+    (`_facet_determinants`)."""
+    from fractions import Fraction
+    dets = _facet_determinants(rs)
     return tuple(map(Fraction, dets, repeat(dets[0])))
+
+
+def _expected_facet_terms(rs: RootSystem) -> Tuple[Tuple[int, ...], int]:
+    """The numerators n_i^2 raw(alpha_i, alpha_i), theta's own raw(theta,
+    theta) in slot 0, over their common denominator raw(theta, theta)."""
+    theta_raw = rs.raw_inner(rs.theta, rs.theta)
+    simples = map(rs.simple_root, range(1, rs.rank + 1))
+    numerators = tuple(n * n * rs.raw_inner(a, a) for n, a in zip(rs.marks, simples))
+    return (theta_raw,) + numerators, theta_raw
 
 
 def expected_facet_ratios(rs: RootSystem) -> Tuple[Fraction, ...]:
     """n_i^2 |alpha_i|^2 / |theta|^2, with 1 in slot 0."""
     from fractions import Fraction
-    theta_raw = rs.raw_inner(rs.theta, rs.theta)
-    simples = map(rs.simple_root, range(1, rs.rank + 1))
-    return (Fraction(1),) + tuple(Fraction(n * n * rs.raw_inner(a, a), theta_raw)
-                                  for n, a in zip(rs.marks, simples))
+    numerators, den = _expected_facet_terms(rs)
+    return tuple(map(Fraction, numerators, repeat(den)))
 
 
 # ----------------------------------------------------------------------

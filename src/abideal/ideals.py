@@ -425,7 +425,13 @@ def long_simple_nodes(rs: RootSystem) -> Tuple[int, ...]:
 def max_dimension(rs: RootSystem) -> MaxDimensionReport:
     """The largest dimension of an abelian ideal, read off the enumeration
     with no catalog, and the long simple nodes whose families reach it."""
-    dims = [a.dim for a in _enumerate_masks(rs)[0]]
+    return _max_dimension_of(rs, _enumerate_masks(rs)[0])
+
+
+def _max_dimension_of(rs: RootSystem, ideals: Sequence[AbelianIdeal]) -> MaxDimensionReport:
+    """`max_dimension` on every abelian ideal of rs, however they were
+    found: `verify` passes the catalog's, which it already holds."""
+    dims = [a.dim for a in ideals]
     value = max(dims)
     multiplicity = dims.count(value)
     g = rs.dual_coxeter_number

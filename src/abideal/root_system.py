@@ -17,8 +17,13 @@ rho enters only as 2 rho, the integer sum of the positive roots
 off the form's diagonal (`twice_raw_rho`).  Sums, sign and zero tests,
 and determinants and adjugates from the one fraction-free elimination
 `bareiss`, stay in the integers; a Fraction is built only where a value
-leaves the package, and `fractions` is imported only there.  The global
-rescaling puts the classical identities into denominator-free shape:
+leaves the package (`length_to_theta`, `kostant_value`, the facet ratios
+of `hasse` and the exported `Q`), and `fractions` is imported only there.
+The checks of `verify` compare ratios cross-multiplied and write one with
+`_ratio_text`, as str(Fraction) would, so `verify` loads no `fractions`.
+
+The global rescaling puts the classical identities into denominator-free
+shape:
 
     (rho+theta | rho+theta) - (rho | rho) = 1
     1 / (theta | theta) = g
@@ -468,7 +473,7 @@ def build(type_or_label) -> RootSystem:
 
 
 # ----------------------------------------------------------------------
-# small exact-vector helpers shared by the other modules
+# small exact helpers shared by the other modules: vectors, and a ratio's text
 
 def vsub(x: Sequence, y: Sequence) -> tuple:
     return tuple(a - b for a, b in zip(x, y))
@@ -484,3 +489,13 @@ def vsum(vectors: Iterable[Sequence], rank: int) -> tuple:
         for i, a in enumerate(v):
             total[i] += a
     return tuple(total)
+
+
+def _ratio_text(num: int, den: int) -> str:
+    """num / den written as str(Fraction(num, den)) writes it: in lowest
+    terms, the sign on the numerator, and the numerator alone over one."""
+    if den == 0:
+        raise ZeroDivisionError(f"Fraction({num}, 0)")
+    g = gcd(num, den) if den > 0 else -gcd(num, den)
+    num, den = num // g, den // g
+    return str(num) if den == 1 else f"{num}/{den}"

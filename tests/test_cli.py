@@ -11,7 +11,7 @@ import pytest
 from abideal import checks, cli, ideals
 from abideal.checks import CheckResult, TypeReport, verify_type
 from abideal.ideals import catalog_of
-from abideal.root_system import build, supported_types
+from abideal.root_system import build, clear_system_caches, supported_types
 
 
 def run(capsys, *argv):
@@ -296,6 +296,25 @@ def test_tables_builds_no_catalog(monkeypatch, capsys):
 
     monkeypatch.setattr(ideals, "catalog_of", refuse)
     assert run(capsys, "tables", "--max-rank", "4") == (code, want) == (0, want)
+
+
+@pytest.mark.parametrize("label", ["A1", "G2", "B4", "D5", "E6", "E8", "A11"])
+def test_verify_enumerates_each_type_once(monkeypatch, label):
+    # the catalog enumerates, and max_dimension's check reads its ideals
+    calls = []
+    real = ideals._enumerate_masks
+
+    def counted(rs):
+        calls.append(str(rs.simple_type))
+        return real(rs)
+
+    monkeypatch.setattr(ideals, "_enumerate_masks", counted)
+    clear_system_caches()
+    try:
+        assert verify_type(label).passed
+    finally:
+        clear_system_caches()
+    assert calls == [label]
 
 
 def test_tables_json(capsys):

@@ -105,7 +105,7 @@ def test_no_moved_reference_is_in_the_package():
     assert not hasattr(build("A2"), "coweights")
 
 
-@pytest.mark.parametrize("filename", ["affine.py", "weyl.py"])
+@pytest.mark.parametrize("filename", ["affine.py", "weyl.py", "checks.py"])
 def test_affine_and_weyl_import_no_fraction(filename):
     tree = ast.parse((SRC / filename).read_text(), filename=filename)
     imported = set()
@@ -121,12 +121,14 @@ _LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.Gener
 _INTEGER_LOOPS = {
     "affine.py": ("alcove_walls", "rho_shift"),
     "ideals.py": ("IdealCatalog.__init__", "cross_walls", "from_param", "_enumerate_masks",
-                  "_greedy_chain"),
+                  "_greedy_chain", "_max_dimension_of"),
     "weyl.py": ("greedy_letter", "minimal_word_to_theta"),
-    "root_system.py": ("_pack",),
-    "hasse.py": ("build_graph", "facet_volume_ratios", "upper_alcoves", "graph_automorphisms"),
+    "root_system.py": ("_pack", "_ratio_text"),
+    "hasse.py": ("build_graph", "facet_volume_ratios", "upper_alcoves", "graph_automorphisms",
+                 "_facet_determinants", "_expected_facet_terms"),
     "checks.py": ("check_kostant", "_kostant_mask_raw", "_kostant_fields", "_random_draws",
-                  "_byte_tables"),
+                  "_byte_tables", "check_normalization", "check_theta_quotient",
+                  "check_facet_ratios"),
     "young.py": ("young_encode", "young_decode", "young_of_ideal", "ideal_of_young"),
 }
 

@@ -554,9 +554,96 @@ def test_maximal_ideals_checks_the_count(monkeypatch, small_label):
 
 
 def test_facet_ratios_check_the_volumes(monkeypatch, small_label):
-    real = checks.facet_volume_ratios
-    monkeypatch.setattr(checks, "facet_volume_ratios", lambda rs: tuple(2 * x for x in real(rs)))
+    # every facet but the base one doubles its squared volume, so every
+    # ratio but slot 0's doubles
+    real = checks._facet_determinants
+    monkeypatch.setattr(checks, "_facet_determinants",
+                        lambda rs: real(rs)[:1] + tuple(2 * x for x in real(rs)[1:]))
     assert not _passes(checks.check_facet_ratios, build(small_label))
+
+
+def test_ratio_text_writes_what_a_fraction_prints():
+    from fractions import Fraction
+    from abideal.root_system import _ratio_text
+    for num in range(-13, 14):
+        for den in [d for d in range(-12, 13) if d] + [24, 36, 10**20]:
+            assert _ratio_text(num, den) == str(Fraction(num, den)), (num, den)
+    assert _ratio_text(6 * 10**20, 4 * 10**20) == "3/2"
+    for num in (0, 5, -3):
+        with pytest.raises(ZeroDivisionError) as ours:
+            _ratio_text(num, 0)
+        with pytest.raises(ZeroDivisionError) as theirs:
+            Fraction(num, 0)
+        assert str(ours.value) == str(theirs.value)
+
+
+def _fraction_facet_details(got, want):
+    """The FAIL text as the check wrote it when both sides were Fractions:
+    `got` are the facet determinants, `want` the expected ratios."""
+    from fractions import Fraction
+    got = [Fraction(x, got[0]) for x in got]
+    return f"{[str(x) for x in got]} != {[str(x) for x in want]}"
+
+
+@pytest.mark.parametrize("label", ["A1", "B3", "C3", "G2", "F4"])
+def test_a_wrong_facet_determinant_fails_with_the_fraction_text(monkeypatch, label):
+    rs = build(label)
+    real = hasse._facet_determinants(rs)
+    wrong = [real[:1] + tuple(3 * x for x in real[1:]),        # non-reduced numerators
+             real[:-1] + (-real[-1],),                          # a negative ratio
+             real[:-1] + (0,),                                  # a zero ratio
+             (2 * real[0],) + real[1:]]                         # slot 0's own ratio stays 1
+    for dets in wrong:
+        monkeypatch.setattr(checks, "_facet_determinants", lambda rs, dets=dets: dets)
+        res = checks.check_facet_ratios(rs)
+        assert not res.passed, dets
+        assert res.details == _fraction_facet_details(dets, expected_facet_ratios(rs))
+
+
+def _fraction_normalization_details(rs):
+    """check_normalization's failures, each side a Fraction as it was
+    printed before the check wrote ratios without one."""
+    from fractions import Fraction
+    raw, den, g = rs.raw_inner, rs.form_den, rs.dual_coxeter_number
+    theta_raw = raw(rs.theta, rs.theta)
+    simples = [rs.simple_root(i) for i in range(1, rs.rank + 1)]
+    identities = (
+        ("casimir", Fraction(raw(rs.two_rho, rs.theta) + theta_raw, den), Fraction(1)),
+        ("theta_norm", Fraction(theta_raw, den), Fraction(1, g)),
+        ("strange", Fraction(raw(rs.two_rho, rs.two_rho), 4 * den), Fraction(rs.dimension, 24)),
+        ("root_norm_sum", Fraction(2 * sum(raw(r, r) for r in rs.positive_roots), den),
+         Fraction(rs.rank)),
+        ("mark_weighted",
+         Fraction(theta_raw + sum(n * raw(a, a) for n, a in zip(rs.marks, simples)), den),
+         Fraction(1)),
+    )
+    return "; ".join(f"{name}: {got} != {want}" for name, got, want in identities if got != want)
+
+
+@pytest.mark.parametrize("corrupt", ["form", "two_rho", "form_den"])
+def test_a_wrong_normalization_fails_with_the_fraction_text(small_label, corrupt):
+    rs = corrupted_gram_copy(small_label) if corrupt == "form" else copy.copy(build(small_label))
+    if corrupt == "two_rho":
+        rs.two_rho = vadd(rs.two_rho, rs.simple_root(rs.rank))
+    else:
+        rs.form_den = 3 * rs.form_den
+    want = _fraction_normalization_details(rs)
+    res = check_normalization(rs)
+    assert want and not res.passed
+    assert res.details == want
+
+
+def test_theta_quotient_requires_whole_distances(small_label):
+    # 2 raw(rho, x) one too large on every vector puts each distance to
+    # theta half a step off, as raw(theta, theta) is at least 2; truncating
+    # the distances would read the same shells and pass
+    rs = copy.copy(build(small_label))
+    real = rs.twice_raw_rho
+    rs.twice_raw_rho = lambda x: real(x) + 1
+    res = checks.check_theta_quotient(rs)
+    assert not res.passed
+    first = "".join(map(str, rs.long_positive_roots()[0]))
+    assert res.details == f"distance from {first} to theta is not an integer"
 
 
 @pytest.mark.parametrize("label", ["A1", "A2", "A3", "A4"])

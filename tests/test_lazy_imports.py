@@ -88,6 +88,18 @@ def test_commands_load_only_what_they_run(argv, unloaded):
     assert "fractions" not in loaded
 
 
+@pytest.mark.parametrize("argv", [("verify", "E8"), ("verify", "--all", "--max-rank", "6")])
+def test_verify_loads_no_rational_type(argv):
+    # the checks compare cross-multiplied integers and write their ratios
+    # without a Fraction
+    loaded = _fresh("import sys\nfrom abideal.cli import main\n"
+                    "assert main(sys.argv[1:]) == 0\n"
+                    "sys.stdout.flush()\n"
+                    "sys.stderr.write(' '.join(sys.modules))", *argv).split()
+    assert "abideal.checks" in loaded and "abideal.hasse" in loaded
+    assert {"fractions", "decimal", "numbers"}.isdisjoint(loaded)
+
+
 def test_warm_api_set_up_loads_no_fractions():
     # the benchmark worker's set-up: build, enumerate, coset words and one
     # associated long root per type
