@@ -625,7 +625,7 @@ def test_a_wrong_normalization_fails_with_the_fraction_text(small_label, corrupt
     rs = corrupted_gram_copy(small_label) if corrupt == "form" else copy.copy(build(small_label))
     if corrupt == "two_rho":
         rs.two_rho = vadd(rs.two_rho, rs.simple_root(rs.rank))
-    else:
+    elif corrupt == "form_den":
         rs.form_den = 3 * rs.form_den
     want = _fraction_normalization_details(rs)
     res = check_normalization(rs)
