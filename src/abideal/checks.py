@@ -10,8 +10,7 @@ constructions run here, once, inside named checks.
 from __future__ import annotations
 
 import random
-from functools import reduce
-from operator import add, mul, or_
+from operator import mul
 from typing import Callable, Iterator, List, NamedTuple, Sequence, Set, Tuple
 
 from . import weyl
@@ -20,6 +19,7 @@ from .affine import (
     coset_poincare,
     perp_generators,
     rho_shift,
+    rho_shift_in_2A,
     wall_subgroup_poincare,
 )
 from .hasse import (
@@ -127,49 +127,35 @@ def check_ideal_count(rs: RootSystem) -> CheckResult:
     return _ok("ideal_count", f"{expected} abelian ideals")
 
 
-def _random_below(rng: random.Random, n: int) -> int:
-    """Uniform in 0..n-1, by rejection from rng.getrandbits."""
-    bits = n.bit_length()
-    r = rng.getrandbits(bits)
-    while r >= n:
-        r = rng.getrandbits(bits)
-    return r
-
-
-def _byte_tables(values: Sequence[int], combine: Callable[[int, int], int]) -> List[List[int]]:
-    """One table per eight consecutive values: entry v of table t combines
-    values[8t + b] over the set bits b of v, so a mask's combination is one
-    lookup per byte of the mask."""
+def _byte_tables(values: Sequence[int]) -> List[List[int]]:
+    """One table per eight consecutive values: entry v of table t sums
+    values[8t + b] over the set bits b of v, so a mask's sum is one lookup
+    per byte of the mask."""
     tables = []
     for start in range(0, len(values), 8):
         chunk = values[start:start + 8]
         table = [0] * 256
         for v in range(1, 1 << len(chunk)):
             low = v & -v
-            table[v] = combine(table[v ^ low], chunk[low.bit_length() - 1])
+            table[v] = table[v ^ low] + chunk[low.bit_length() - 1]
         tables.append(table)
     return tables
 
 
-def _random_draws(rs: RootSystem, rng: random.Random) -> Iterator[Tuple[int, bool]]:
-    """Endless random masks over rs.positive_roots, each with whether the
-    cover and conflict masks call it an ideal.  Each draw takes its size k
-    uniform in 1..n, then a uniform k-subset by Floyd's algorithm (Bentley
-    and Floyd, "A sample of brilliance", CACM 30(9), 1987), drawn as its
-    complement when k > n/2.  The ideal test is one OR over per-byte tables
-    of cover | conflict << n: a mask is an ideal when it holds every cover
-    of its roots and none of their conflicts."""
+def _random_draws(rs: RootSystem, rng: random.Random) -> Iterator[int]:
+    """Endless random masks over rs.positive_roots.  Each draw takes its
+    size k uniform in 1..n, then a uniform k-subset by Floyd's algorithm
+    (Bentley and Floyd, "A sample of brilliance", CACM 30(9), 1987), drawn
+    as its complement when k > n/2."""
     n = rs.num_positive
-    tables = _byte_tables([c | f << n for c, f in zip(rs.cover_masks, rs.conflict_masks)], or_)
-    nbytes = len(tables)
     full = (1 << n) - 1
     getrandbits = rng.getrandbits
     while True:
-        k = 1 + _random_below(rng, n)
+        k = 1 + rng.randrange(n)
         drawn = min(k, n - k)
         mask = 0
         for j in range(n - drawn, n):
-            # _random_below(rng, j + 1), inlined: this is the sampler's hot loop
+            # rng.randrange(j + 1), inlined: this is the sampler's hot loop
             bits = (j + 1).bit_length()
             t = getrandbits(bits)
             while t > j:
@@ -177,8 +163,7 @@ def _random_draws(rs: RootSystem, rng: random.Random) -> Iterator[Tuple[int, boo
             mask |= 1 << (j if mask >> t & 1 else t)
         if drawn < k:
             mask ^= full
-        reached = reduce(or_, map(list.__getitem__, tables, mask.to_bytes(nbytes, "little")))
-        yield mask, not reached & (mask << n | full ^ mask)
+        yield mask
 
 
 def _kostant_fields(rs: RootSystem) -> Tuple[List[Tuple[int, ...]], int, int]:
@@ -223,7 +208,7 @@ def _kostant_mask_raw(rs: RootSystem) -> Callable[[int], int]:
     packed = [sum(x << width * i for i, x in enumerate(root)) + (sum(root) << width * rank)
               + (sum((x + offset) << width * (rank - 1 - i) for i, x in enumerate(col)) << top)
               for root, col in zip(rs.positive_roots, columns)]
-    tables = _byte_tables(packed, add)
+    tables = _byte_tables(packed)
     nbytes = len(tables)
     diagonal = sum(rs.form[i][i] << width * (rank - 1 - i) for i in range(rank))
     field = (1 << width) - 1
@@ -248,8 +233,9 @@ def check_kostant(rs: RootSystem) -> CheckResult:
     The mask kernel is first held to `kostant_raw` of the packed sum of all
     positive roots read back by `rs.unpack`: that sum is where every field
     of the kernel and of the root system's packing is largest, so a width
-    too narrow for either shows there.  Each random draw that the cover and
-    conflict tables call an ideal must reach equality too."""
+    too narrow for either shows there.  A random draw is an ideal when the
+    catalog's index holds its mask; every other draw must fall strictly
+    below, so an ideal the catalog lacks fails here."""
     cat = catalog_of(rs)
     den = rs.form_den
     raw = _kostant_mask_raw(rs)
@@ -262,18 +248,16 @@ def check_kostant(rs: RootSystem) -> CheckResult:
 
     kept = 0
     if n > 1:
+        index = cat.index
         draws = _random_draws(rs, random.Random(f"kostant:{rs.simple_type}"))
         while kept < KOSTANT_SAMPLES:
-            mask, ideal = next(draws)
+            mask = next(draws)
+            if mask in index:
+                continue
             size = mask.bit_count()
-            if ideal:
-                if raw(mask) != size * den:
-                    return _fail("kostant", f"subset of size {size} passes the ideal tables "
-                                            "without equality")
-            elif raw(mask) < size * den:
-                kept += 1
-            else:
+            if raw(mask) >= size * den:
                 return _fail("kostant", f"non-ideal subset of size {size} not strictly below")
+            kept += 1
     tail = (f"{kept} random non-ideal subsets strictly below"
             if kept else "no non-ideal subsets exist at rank one")
     return _ok("kostant", f"equality on {len(cat)} ideals; {tail}")
@@ -503,6 +487,13 @@ _UPPER_GOLDEN = {"A2": (1, 2), "C2": (2, 2), "G2": (2,)}
 
 
 def check_upper_alcoves(rs: RootSystem) -> CheckResult:
+    """Every alcove of the catalog lies in 2A, as its rho-point does
+    (`rho_shift_in_2A` on the root sum in `IdealCatalog.sums`), and the
+    lower vertices of the upper alcoves have exactly the long simple
+    types."""
+    for k, shift in enumerate(catalog_of(rs).sums):
+        if not rho_shift_in_2A(rs, shift):
+            return _fail("upper_alcoves", f"alcove of node {k} lies beyond the doubled wall")
     ups = upper_alcoves(rs)
     types = sorted(u.lower_vertex_type for u in ups)
     if set(types) != set(long_simple_nodes(rs)):

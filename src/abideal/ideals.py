@@ -181,8 +181,26 @@ def kostant_value(rs: RootSystem, roots: Iterable[Root]) -> Fraction:
 # ----------------------------------------------------------------------
 # construction from the affine parametrization
 
+def _check_coset_word(rs: RootSystem, phi: Root, coset_word: AffineWord) -> None:
+    """Raises ValueError unless the coset word passes the labels of
+    `minimal_coset_reps`' orbit walk: every letter is a wall letter of phi
+    whose label is positive at the point the previous letters reached."""
+    gens, point = wall_point(rs, phi)
+    for i in coset_word:
+        if i not in gens:
+            raise ValueError(f"letter {i} does not fix the walls through {phi}")
+        if point[i] <= 0:
+            raise ValueError(f"{coset_word} is not a minimal coset word for {phi}")
+        point = label_reflect(rs, i, point)
+
+
 def parameter_word(rs: RootSystem, phi: Root, coset_word: Sequence[int]) -> AffineWord:
-    return (0,) + minimal_word_to_theta(rs, phi) + tuple(coset_word)
+    """The affine word (0,) + `minimal_word_to_theta(phi)` + coset_word of
+    a parameter, its coset word checked as `from_param` checks it."""
+    phi, coset_word = tuple(phi), tuple(coset_word)
+    word = minimal_word_to_theta(rs, phi)
+    _check_coset_word(rs, phi, coset_word)
+    return (0,) + word + coset_word
 
 
 Walls = Tuple[Tuple[int, ...], ...]
@@ -240,23 +258,15 @@ def _greedy_chain(rs: RootSystem) -> Tuple[Dict[Root, Tuple[AffineWord, Walls, i
 def from_param(rs: RootSystem, phi: Root, coset_word: Sequence[int] = ()) -> AbelianIdeal:
     """The ideal named by a long positive root and a minimal coset word.
 
-    The word is checked on the labels of `minimal_coset_reps`' orbit walk:
-    every letter is a wall letter of phi whose label is positive at the
-    point the previous letters reached.  Its letters are then crossed by
-    `cross_walls` from the walls of phi's empty coset word in the greedy
-    chain, and the ideal is the roots of the walls the whole parameter
-    word crosses, in index order, which is the canonical order."""
+    The word is checked by `_check_coset_word`.  Its letters are then
+    crossed by `cross_walls` from the walls of phi's empty coset word in
+    the greedy chain, and the ideal is the roots of the walls the whole
+    parameter word crosses, in index order, which is the canonical order."""
     phi, coset_word = tuple(phi), tuple(coset_word)
     link = _greedy_chain(rs)[0].get(phi)
     if link is None:
         raise ValueError(f"{phi} is not a long positive root")
-    gens, point = wall_point(rs, phi)
-    for i in coset_word:
-        if i not in gens:
-            raise ValueError(f"letter {i} does not fix the walls through {phi}")
-        if point[i] <= 0:
-            raise ValueError(f"{coset_word} is not a minimal coset word for {phi}")
-        point = label_reflect(rs, i, point)
+    _check_coset_word(rs, phi, coset_word)
     _, walls, mask = link
     mask = cross_walls(rs, list(walls), coset_word, mask, phi, coset_word)
     return AbelianIdeal(tuple(rs.positive_roots[k] for k in mask_bits(mask)))

@@ -118,40 +118,43 @@ def test_affine_and_weyl_import_no_fraction(filename):
 
 
 _LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
-_INTEGER_LOOPS = {
-    "affine.py": ("alcove_walls", "rho_shift"),
-    "ideals.py": ("IdealCatalog.__init__", "cross_walls", "from_param", "_enumerate_masks",
-                  "_greedy_chain", "_max_dimension_of"),
-    "weyl.py": ("greedy_letter", "minimal_word_to_theta"),
-    "root_system.py": ("_pack", "_ratio_text"),
-    "hasse.py": ("build_graph", "facet_volume_ratios", "upper_alcoves", "graph_automorphisms",
-                 "_facet_determinants", "_expected_facet_terms"),
-    "checks.py": ("check_kostant", "_kostant_mask_raw", "_kostant_fields", "_random_draws",
-                  "_byte_tables", "check_normalization", "check_theta_quotient",
-                  "check_facet_ratios"),
-    "young.py": ("young_encode", "young_decode", "young_of_ideal", "ideal_of_young"),
-}
+
+
+def _fraction_loops(tree, filename):
+    """The number of functions in the tree, and where a loop inside one of
+    them calls Q or Fraction."""
+    offenders, functions = set(), 0
+    for function in ast.walk(tree):
+        if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        functions += 1
+        for loop in ast.walk(function):
+            if not isinstance(loop, _LOOPS):
+                continue
+            offenders.update(f"{filename}:{node.lineno} in {function.name}"
+                             for node in ast.walk(loop)
+                             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                             and node.func.id in ("Q", "Fraction"))
+    return functions, offenders
+
+
+def test_the_loop_guard_sees_a_fraction_in_a_nested_loop():
+    source = ("class C:\n    def f(self, xs):\n        def g():\n"
+              "            return [Q(x) for x in xs]\n        return Fraction(1), g\n")
+    assert _fraction_loops(ast.parse(source), "m.py") == (2, {"m.py:4 in f", "m.py:4 in g"})
 
 
 def test_integer_loops_build_no_fraction():
-    # facet_volume_ratios returns Fractions, built by one map over its
-    # integer determinants once the loops are done
-    offenders = []
-    for filename, names in _INTEGER_LOOPS.items():
-        tree = ast.parse((SRC / filename).read_text(), filename=filename)
-        functions = {node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
-        functions.update((f"{cls.name}.{node.name}", node) for cls in tree.body
-                         if isinstance(cls, ast.ClassDef)
-                         for node in cls.body if isinstance(node, ast.FunctionDef))
-        for name in names:
-            for loop in ast.walk(functions[name]):
-                if not isinstance(loop, _LOOPS):
-                    continue
-                for node in ast.walk(loop):
-                    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                            and node.func.id in ("Q", "Fraction")):
-                        offenders.append(f"{filename}:{node.lineno} in {name}")
-    assert offenders == []
+    # no loop in any function of the package builds a Fraction: public
+    # results such as facet_volume_ratios' are built by one map over
+    # integers once the loops are done
+    functions, offenders = 0, set()
+    for path in sorted(SRC.glob("*.py")):
+        counted, found = _fraction_loops(ast.parse(path.read_text(), filename=path.name), path.name)
+        functions += counted
+        offenders |= found
+    assert functions > 200
+    assert sorted(offenders) == []
 
 
 def _fraction_calls(tree) -> list:

@@ -252,9 +252,23 @@ def test_upper_alcoves_reject_points_outside_2A():
     # so the alcove of the ideal {theta} leaves the doubled alcove
     rs = copy.copy(build("A2"))
     rs.form_den //= 2
-    with pytest.raises(InvariantViolation, match="beyond the doubled wall"):
-        upper_alcoves(rs)
     assert not _passes(check_upper_alcoves, rs)
+    theta = catalog_of(rs).index[1 << rs.root_index[rs.theta]]
+    assert check_upper_alcoves(rs).details == f"alcove of node {theta} lies beyond the doubled wall"
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "C3", "G2", "F4"])
+def test_upper_alcoves_check_fails_on_a_zero_or_short_vertex_type(monkeypatch, label):
+    # upper_alcoves reports the types it reads; the check rejects type 0
+    # and, where there are any, a short simple type
+    rs = build(label)
+    ups = upper_alcoves(rs)
+    short = [i for i in range(1, rs.rank + 1) if not rs.is_long(rs.simple_root(i))]
+    for t in [0] + short[:1]:
+        wrong = ups + (UpperAlcove(ups[0].node, t),)
+        monkeypatch.setattr(checks, "upper_alcoves", lambda rs, wrong=wrong: wrong)
+        res = check_upper_alcoves(rs)
+        assert not res.passed and res.details.startswith("lower-vertex types"), (t, res)
 
 
 UPPER_MULTISETS = {"A2": [1, 2], "C2": [2, 2], "G2": [2]}

@@ -1,5 +1,4 @@
 import copy
-import operator
 import random
 import re
 
@@ -193,6 +192,19 @@ def test_from_param_rejects_bad_input():
         from_param(rs, theta, twice)
 
 
+@pytest.mark.parametrize("phi, word, message", [
+    ((1, 2, 2), (7,), "letter 7 does not fix the walls through (1, 2, 2)"),
+    ((1, 0, 0), (0, 0), "(0, 0) is not a minimal coset word for (1, 0, 0)"),
+    ([1, 0, 0], [0, 0], "(0, 0) is not a minimal coset word for (1, 0, 0)"),
+])
+def test_parameter_word_checks_the_coset_word_as_from_param_does(phi, word, message):
+    rs = build("B3")
+    for fn in (parameter_word, from_param):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            fn(rs, phi, word)
+    assert parameter_word(rs, (1, 0, 0), [0]) == (0,) + minimal_word_to_theta(rs, (1, 0, 0)) + (0,)
+
+
 def test_affine_word_construction_rejects_bad_words():
     rs = build("A2")
     mask = cross_walls(rs, list(alcove_walls(rs, ())), (0,), 0, rs.theta, ())
@@ -291,35 +303,53 @@ def test_verify_fails_on_a_kostant_field_one_bit_too_narrow(monkeypatch, label):
     assert _failed_checks(label) == {"kostant"}
 
 
-# a dropped cover bit lets some non-ideals through the tables as ideals; it
-# shows once a draw lands on one, which on these types a thousand draws do
-# for every cover bit, and on the larger small types for the first root's
-EVERY_COVER_BIT = ("A2", "A3", "B2", "C2", "G2")
-FIRST_COVER_BIT = ("B3", "C3", "D4", "F4")
+# the Kostant check calls a random draw an ideal when the catalog's index
+# holds its mask, so an ideal the index lacks shows once a draw lands on it:
+# on these types a thousand draws land on every nonzero ideal, and on the
+# larger small types on {theta}
+EVERY_IDEAL_DRAWN = ("A2", "A3", "B2", "C2", "G2")
+THETA_DRAWN = ("B3", "C3", "D4", "F4")
 
 
-def _cover_bits(label):
+@pytest.mark.parametrize("label", EVERY_IDEAL_DRAWN + THETA_DRAWN)
+def test_verify_fails_without_an_ideal_in_the_catalog_index(monkeypatch, label):
     rs = build(label)
-    if label in FIRST_COVER_BIT:
-        return [(0, rs.cover_masks[0] & -rs.cover_masks[0])]
-    return [(j, 1 << k) for j, cover in enumerate(rs.cover_masks)
-            for k in range(rs.num_positive) if cover >> k & 1]
+    real = catalog_of(rs)
+    if label in THETA_DRAWN:
+        lost = [real.index[1 << rs.root_index[rs.theta]]]
+    else:
+        lost = [k for k, mask in enumerate(real.masks) if mask]
+    assert lost
+    for k in lost:
+        cat = copy.copy(real)
+        cat.index = {mask: i for mask, i in real.index.items() if i != k}
+        monkeypatch.setattr(checks, "catalog_of", lambda rs, cat=cat: cat)
+        results = checks.verify_type(label).results
+        assert {r.name for r in results if not r.passed} == {"kostant"}, k
+        kostant = next(r for r in results if r.name == "kostant")
+        assert kostant.details == (f"non-ideal subset of size {real.ideals[k].dim} "
+                                   "not strictly below"), k
 
 
-@pytest.mark.parametrize("label", EVERY_COVER_BIT + FIRST_COVER_BIT)
-def test_verify_fails_without_a_cover_bit_in_the_ideal_tables(monkeypatch, label):
-    real = checks._byte_tables
-    bits = _cover_bits(label)
-    assert bits and all(bit for _, bit in bits)
-    for j, bit in bits:
-        def dropped(values, combine, j=j, bit=bit):
-            if combine is operator.or_:
-                values = list(values)
-                values[j] &= ~bit
-            return real(values, combine)
-
-        monkeypatch.setattr(checks, "_byte_tables", dropped)
-        assert _failed_checks(label) == {"kostant"}, (j, bit)
+@pytest.mark.parametrize("label", [label for label in ALL_LABELS if label != "A1"])
+def test_kostant_fails_on_a_catalog_holding_a_non_ideal(monkeypatch, label):
+    # the first nonzero ideal with one root toggled that is no ideal, held
+    # in place of that ideal with its own roots, so its dimension matches
+    # its mask; at rank one every subset is an ideal
+    rs = build(label)
+    real = catalog_of(rs)
+    k, bad = next((k, mask ^ 1 << j) for k, mask in enumerate(real.masks) if mask
+                  for j in range(rs.num_positive) if mask ^ 1 << j not in real.index)
+    fake = make_ideal(rs.positive_roots[j] for j in ideals.mask_bits(bad))
+    assert fake.dim == bad.bit_count() and not is_abelian_ideal(rs, fake.roots)
+    cat = copy.copy(real)
+    cat.ideals = real.ideals[:k] + (fake,) + real.ideals[k + 1:]
+    cat.masks = real.masks[:k] + (bad,) + real.masks[k + 1:]
+    cat.index = {mask: i for i, mask in enumerate(cat.masks)}
+    monkeypatch.setattr(checks, "catalog_of", lambda rs: cat)
+    res = checks.check_kostant(rs)
+    assert not res.passed
+    assert res.details == f"equality fails on ideal {[''.join(map(str, r)) for r in fake.roots]}"
 
 
 def _label_valid_words(rs, phi):

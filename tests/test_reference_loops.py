@@ -72,7 +72,7 @@ from abideal.affine import (
     rho_shift,
     rho_shift_in_2A,
 )
-from abideal.checks import _kostant_mask_raw, _random_below, _random_draws
+from abideal.checks import _kostant_mask_raw, _random_draws
 from abideal.hasse import (
     HasseEdge,
     UpperAlcove,
@@ -537,12 +537,13 @@ def _sum_search_forbidden_roots(rs):
 
 
 def _random_non_ideal_masks(rs, rng, count):
-    """The first `count` draws of the Kostant check's sampler that its
-    tables call non-ideals; none at rank one, where every subset of the
-    single positive root is an ideal."""
+    """The first `count` draws of the Kostant check's sampler that the
+    catalog's index does not hold; none at rank one, where every subset of
+    the single positive root is an ideal."""
     if rs.num_positive == 1:
         return []
-    return list(islice((mask for mask, ideal in _random_draws(rs, rng) if not ideal), count))
+    index = catalog_of(rs).index
+    return list(islice((mask for mask in _random_draws(rs, rng) if mask not in index), count))
 
 
 def _random_non_ideal_subsets(rs, rng, count):
@@ -1313,7 +1314,7 @@ def test_young_bridge_rejects_other_types_as_the_references_do(label):
 
 
 def _per_bit_non_ideal_masks(rs, rng, count):
-    """The mask sampler before its per-byte OR tables: the same draws, each
+    """The mask sampler with `rng.randrange` in every draw, each draw
     tested bit by bit against the drawn roots' cover and conflict masks."""
     n = rs.num_positive
     if n == 1:
@@ -1322,11 +1323,11 @@ def _per_bit_non_ideal_masks(rs, rng, count):
     full = (1 << n) - 1
     out = []
     while len(out) < count:
-        k = 1 + _random_below(rng, n)
+        k = 1 + rng.randrange(n)
         drawn = min(k, n - k)
         mask = 0
         for j in range(n - drawn, n):
-            t = _random_below(rng, j + 1)
+            t = rng.randrange(j + 1)
             mask |= 1 << (j if mask >> t & 1 else t)
         if drawn < k:
             mask ^= full
