@@ -20,9 +20,6 @@ where s_j subtracts label j times column j of the affine Cartan matrix.
 Affine roots are (finite root, level) pairs; the extra simple root is
 (-theta, 1).  Positive means level > 0, or level 0 with positive finite
 part.
-
-The doubled fundamental alcove 2A is cut out by dominance together with
-(x|theta) <= 1; `rho_shift_in_2A` tests a rho-point against it.
 """
 
 from __future__ import annotations
@@ -94,7 +91,9 @@ def rho_shift(rs: RootSystem, word: Sequence[int]) -> Root:
     rows, theta = _sparse_rows(rs), rs.theta
     shift = [0] * rs.rank
     for i in reversed(word):
-        c = 1 + sum(a * shift[j] for j, a in rows[i])
+        c = 1
+        for j, a in rows[i]:
+            c += a * shift[j]
         if i:
             shift[i - 1] -= c
         else:
@@ -130,13 +129,6 @@ def alcove_walls(rs: RootSystem, word: Sequence[int]) -> Tuple[Tuple[int, ...], 
     for _ in carry_images(affine_cartan_matrix(rs), walls, word, 0):
         pass
     return tuple(walls)
-
-
-def rho_shift_in_2A(rs: RootSystem, shift: Sequence[int]) -> bool:
-    """Whether rho + shift lies in 2A, in integers: dominance from
-    <rho, alpha_i-check> = 1, and (rho + shift|theta) <= 1 times 2 form_den."""
-    return (all(1 + rs.simple_coroot_pairing(shift, i) >= 0 for i in range(1, rs.rank + 1))
-            and rs.twice_raw_rho(rs.theta) + 2 * rs.raw_inner(shift, rs.theta) <= 2 * rs.form_den)
 
 
 # ----------------------------------------------------------------------

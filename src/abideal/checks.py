@@ -11,16 +11,15 @@ from __future__ import annotations
 
 import random
 from operator import mul
-from typing import Callable, Iterator, List, NamedTuple, Sequence, Set, Tuple
+from typing import Callable, Container, Dict, List, NamedTuple, Sequence, Set, Tuple
 
 from . import weyl
 from .affine import (
+    affine_cartan_matrix,
     affine_inversion_set,
     coset_poincare,
     perp_generators,
     rho_shift,
-    rho_shift_in_2A,
-    wall_subgroup_poincare,
 )
 from .hasse import (
     _expected_facet_terms,
@@ -39,10 +38,11 @@ from .ideals import (
     kostant_raw,
     long_simple_nodes,
     make_ideal,
+    mask_bits,
     maximal_ideals,
     sum_formula_report,
 )
-from .qpoly import poly_divexact, poly_eval_one
+from .qpoly import Poly, poly_divexact, poly_eval_one
 from .reference import (
     GALLERY_A11_LEFT_STEPS,
     GALLERY_A11_LEFT_WORD,
@@ -62,6 +62,7 @@ from .reference import (
 )
 from .root_system import RootSystem, _ratio_text, build, vneg, vsub
 from .weyl import (
+    Matrix,
     apply_word,
     minimal_word_to_theta,
     subgroup_poincare,
@@ -127,49 +128,59 @@ def check_ideal_count(rs: RootSystem) -> CheckResult:
     return _ok("ideal_count", f"{expected} abelian ideals")
 
 
-def _byte_tables(values: Sequence[int]) -> List[List[int]]:
-    """One table per eight consecutive values: entry v of table t sums
-    values[8t + b] over the set bits b of v, so a mask's sum is one lookup
-    per byte of the mask."""
-    tables = []
-    for start in range(0, len(values), 8):
-        chunk = values[start:start + 8]
-        table = [0] * 256
-        for v in range(1, 1 << len(chunk)):
-            low = v & -v
-            table[v] = table[v ^ low] + chunk[low.bit_length() - 1]
-        tables.append(table)
-    return tables
+def _non_ideal_draws(rs: RootSystem, rng: random.Random, index: Container[int],
+                     count: int, packed: Sequence[int]) -> List[Tuple[int, int]]:
+    """The first `count` random masks over rs.positive_roots that `index`
+    does not hold, repeats included, each with the sum of `packed` over its
+    set bits; none at rank one, where every subset of the single positive
+    root is an ideal.
 
-
-def _random_draws(rs: RootSystem, rng: random.Random) -> Iterator[int]:
-    """Endless random masks over rs.positive_roots.  Each draw takes its
-    size k uniform in 1..n, then a uniform k-subset by Floyd's algorithm
-    (Bentley and Floyd, "A sample of brilliance", CACM 30(9), 1987), drawn
-    as its complement when k > n/2."""
+    Each draw takes its size k uniform in 1..n, then a uniform k-subset by
+    Floyd's algorithm (Bentley and Floyd, "A sample of brilliance", CACM
+    30(9), 1987), drawn as its complement when k > n/2; the sum grows with
+    each root the subset takes.  Every `rng.randrange(m)` is inlined as
+    CPython's rejection loop, getrandbits(m.bit_length()) until below m, so
+    the draws read the method's stream: this is the sampler's hot loop."""
     n = rs.num_positive
-    full = (1 << n) - 1
+    if n == 1 or count < 1:
+        return []
+    full, everything = (1 << n) - 1, sum(packed)
     getrandbits = rng.getrandbits
+    size_bits = n.bit_length()
+    single = [1 << j for j in range(n)]
+    # Floyd's steps j, with the bit length of j + 1, for each size k
+    steps = [(j, (j + 1).bit_length(), single[j]) for j in range(n)]
+    plans = [(steps[n - min(k, n - k):], k > n - k) for k in range(1, n + 1)]
+    kept: List[Tuple[int, int]] = []
     while True:
-        k = 1 + rng.randrange(n)
-        drawn = min(k, n - k)
-        mask = 0
-        for j in range(n - drawn, n):
-            # rng.randrange(j + 1), inlined: this is the sampler's hot loop
-            bits = (j + 1).bit_length()
-            t = getrandbits(bits)
+        k = getrandbits(size_bits)
+        while k >= n:
+            k = getrandbits(size_bits)
+        todo, complement = plans[k]
+        mask = total = 0
+        for j, b, bit in todo:
+            t = getrandbits(b)
             while t > j:
-                t = getrandbits(bits)
-            mask |= 1 << (j if mask >> t & 1 else t)
-        if drawn < k:
+                t = getrandbits(b)
+            if mask & single[t]:
+                mask |= bit
+                total += packed[j]
+            else:
+                mask |= single[t]
+                total += packed[t]
+        if complement:
             mask ^= full
-        yield mask
+            total = everything - total
+        if mask not in index:
+            kept.append((mask, total))
+            if len(kept) == count:
+                return kept
 
 
 def _kostant_fields(rs: RootSystem) -> Tuple[List[Tuple[int, ...]], int, int]:
     """The form column F r of each positive root r, the offset c that makes
     every entry of every column non-negative, and the field width of
-    `_kostant_mask_raw`: the bit length of the largest field it reaches,
+    `_kostant_kernel`: the bit length of the largest field it reaches,
     which is reached on the set of all positive roots, as every field
     grows with the set."""
     form, rank = rs.form, rs.rank
@@ -183,17 +194,17 @@ def _kostant_fields(rs: RootSystem) -> Tuple[List[Tuple[int, ...]], int, int]:
     return columns, offset, max(*products, *upper, sum(sigma)).bit_length()
 
 
-def _kostant_mask_raw(rs: RootSystem) -> Callable[[int], int]:
-    """`kostant_raw` of the sum sigma of the roots in a mask over
-    rs.positive_roots.
+def _kostant_kernel(rs: RootSystem) -> Tuple[List[int], Callable[[int, int], int]]:
+    """Each positive root packed into one int, and `value`, which takes the
+    sum of the packed roots of a set S and |S| to `kostant_raw` of the sum
+    sigma of S.
 
     Fields are w bits wide (`_kostant_fields`).  Each root packs its
     coordinates in fields 0..rank-1, its height in field rank, and above
     those its form column plus the offset c, in reversed order (entry i in
-    field rank-1-i of the upper half).  Per-byte tables hold the packed sum
-    of every subset of eight consecutive roots.  Adding the form's diagonal
-    to the upper half's fields, the product of the two halves carries in
-    its field rank-1
+    field rank-1-i of the upper half).  Adding the form's diagonal to the
+    upper half's fields, the product of the two halves carries in its field
+    rank-1
 
         sum_i sigma_i ((F sigma)_i + c |S| + F_ii)
             = raw(sigma, sigma) + 2 raw(rho, sigma) + c |S| ht(sigma),
@@ -208,19 +219,16 @@ def _kostant_mask_raw(rs: RootSystem) -> Callable[[int], int]:
     packed = [sum(x << width * i for i, x in enumerate(root)) + (sum(root) << width * rank)
               + (sum((x + offset) << width * (rank - 1 - i) for i, x in enumerate(col)) << top)
               for root, col in zip(rs.positive_roots, columns)]
-    tables = _byte_tables(packed)
-    nbytes = len(tables)
     diagonal = sum(rs.form[i][i] << width * (rank - 1 - i) for i in range(rank))
     field = (1 << width) - 1
     low = (1 << width * rank) - 1
     middle, height = width * (rank - 1), width * rank
 
-    def raw(mask: int) -> int:
-        total = sum(map(list.__getitem__, tables, mask.to_bytes(nbytes, "little")))
+    def value(total: int, size: int) -> int:
         product = (total & low) * ((total >> top) + diagonal)
-        return (product >> middle & field) - offset * mask.bit_count() * (total >> height & field)
+        return (product >> middle & field) - offset * size * (total >> height & field)
 
-    return raw
+    return packed, value
 
 
 KOSTANT_SAMPLES = 1000   # random non-ideal subsets per type
@@ -234,30 +242,28 @@ def check_kostant(rs: RootSystem) -> CheckResult:
     positive roots read back by `rs.unpack`: that sum is where every field
     of the kernel and of the root system's packing is largest, so a width
     too narrow for either shows there.  A random draw is an ideal when the
-    catalog's index holds its mask; every other draw must fall strictly
-    below, so an ideal the catalog lacks fails here."""
+    catalog's index holds its mask; the other draws (`_non_ideal_draws`,
+    which sums their packed roots as it draws them) must fall strictly
+    below, so an ideal the catalog lacks fails here.  Each distinct mask
+    among them is tested once, in draw order, so the first failure is the
+    first failing draw."""
     cat = catalog_of(rs)
     den = rs.form_den
-    raw = _kostant_mask_raw(rs)
+    packed, value = _kostant_kernel(rs)
     n = rs.num_positive
-    if raw((1 << n) - 1) != kostant_raw(rs, rs.unpack(sum(rs.packed_roots))):
+    if value(sum(packed), n) != kostant_raw(rs, rs.unpack(sum(rs.packed_roots))):
         return _fail("kostant", "mask kernel and packed sum disagree on all positive roots")
     for a, mask in zip(cat.ideals, cat.masks):
-        if raw(mask) != a.dim * den:
+        if value(sum(map(packed.__getitem__, mask_bits(mask))), mask.bit_count()) != a.dim * den:
             return _fail("kostant", f"equality fails on ideal {[_compact(r) for r in a.roots]}")
 
-    kept = 0
-    if n > 1:
-        index = cat.index
-        draws = _random_draws(rs, random.Random(f"kostant:{rs.simple_type}"))
-        while kept < KOSTANT_SAMPLES:
-            mask = next(draws)
-            if mask in index:
-                continue
-            size = mask.bit_count()
-            if raw(mask) >= size * den:
-                return _fail("kostant", f"non-ideal subset of size {size} not strictly below")
-            kept += 1
+    draws = _non_ideal_draws(rs, random.Random(f"kostant:{rs.simple_type}"), cat.index,
+                             KOSTANT_SAMPLES, packed)
+    for mask, total in dict(draws).items():
+        size = mask.bit_count()
+        if value(total, size) >= size * den:
+            return _fail("kostant", f"non-ideal subset of size {size} not strictly below")
+    kept = len(draws)
     tail = (f"{kept} random non-ideal subsets strictly below"
             if kept else "no non-ideal subsets exist at rank one")
     return _ok("kostant", f"equality on {len(cat)} ideals; {tail}")
@@ -332,31 +338,50 @@ def check_word_table(rs: RootSystem) -> CheckResult:
     return _ok("word_table", f"{checked} long nodes, all words of length {g - 2}")
 
 
-def _walk_mismatch(rs: RootSystem, nodes: Sequence[int], product) -> str:
-    """Empty when the coset walk of the parabolic subgroup on `nodes` gives
-    its exponent product; otherwise what differs."""
-    walked = weyl._orbit_poincare(rs, nodes)
+def _walk_mismatch(rs: RootSystem, nodes: Sequence[int], product, walks: Dict[Matrix, Poly]) -> str:
+    """Empty when the coset walk of the parabolic subgroup on `nodes`, in
+    their order, gives its exponent product; otherwise what differs.  The
+    walk depends only on the Cartan submatrix on `nodes`, so each distinct
+    submatrix is walked once and kept in `walks`."""
+    sub = tuple(tuple(rs.cartan[a - 1][b - 1] for b in nodes) for a in nodes)
+    walked = walks.get(sub)
+    if walked is None:
+        walked = walks[sub] = weyl._orbit_poincare(rs, nodes)
     return "" if walked == product else (
-        f"nodes {list(nodes)}: coset walk {walked} != exponent product {product}")
+        f"nodes {sorted(nodes)}: coset walk {walked} != exponent product {product}")
 
 
 def check_fiber_polynomials(rs: RootSystem) -> CheckResult:
     """Closed forms on long simple nodes; on every long positive root, the
     finite wall subgroup's walk against its exponent product, and the coset
-    walk against the quotient of the two wall-subgroup series."""
+    walk against the quotient of the two wall-subgroup series.
+
+    Each root's wall letters are read once.  The two series and their
+    quotient depend only on the letters, so they are formed once per
+    distinct letter set, and the walk once per distinct Cartan submatrix;
+    every root's own coset series is still compared, in root order."""
     st = rs.simple_type
     for i in long_simple_nodes(rs):
         got = coset_poincare(rs, rs.simple_root(i))
         want = reference_fiber_poly(st, i)
         if got != want:
             return _fail("fiber_polynomials", f"node {i}: {got} != closed form {want}")
+    affine = affine_cartan_matrix(rs)
+    series: Dict[Tuple[int, ...], Tuple[Poly, Poly, str]] = {}
+    walks: Dict[Matrix, Poly] = {}
     for phi in rs.long_positive_roots():
-        finite = wall_subgroup_poincare(rs, phi, include_zero=False)
-        bad = _walk_mismatch(rs, tuple(j for j in perp_generators(rs, phi) if j), finite)
+        letters = perp_generators(rs, phi)
+        known = series.get(letters)
+        if known is None:
+            finite_nodes = tuple(j for j in letters if j)
+            finite = weyl.parabolic_poincare(affine, finite_nodes)
+            quotient = poly_divexact(weyl.parabolic_poincare(affine, letters), finite)
+            known = series[letters] = (finite, quotient,
+                                       _walk_mismatch(rs, finite_nodes, finite, walks))
+        finite, quotient, bad = known
         if bad:
             return _fail("fiber_polynomials", f"phi={_compact(phi)}: {bad}")
         walked = coset_poincare(rs, phi)
-        quotient = poly_divexact(wall_subgroup_poincare(rs, phi, include_zero=True), finite)
         if walked != quotient:
             return _fail("fiber_polynomials",
                          f"phi={_compact(phi)}: coset walk {walked} != Poincare quotient {quotient}")
@@ -366,13 +391,18 @@ def check_fiber_polynomials(rs: RootSystem) -> CheckResult:
 
 def check_theta_quotient(rs: RootSystem) -> CheckResult:
     """W(t)/W_perp(t) against its closed form and the two-shell identity,
-    each series first against its coset walk.  A long root's shell is its
-    `length_to_theta`, taken in integers; it must divide exactly."""
+    each series first against its coset walk, one walk per distinct Cartan
+    submatrix.  A long root's shell is its `length_to_theta`, taken in
+    integers; it must divide exactly and lie in 0..g-2."""
     st = rs.simple_type
     perp = tuple(j for j in perp_generators(rs, rs.theta) if j != 0)
     whole, part = weyl_poincare(rs), subgroup_poincare(rs, perp)
-    for nodes, product in ((tuple(range(1, rs.rank + 1)), whole), (perp, part)):
-        bad = _walk_mismatch(rs, nodes, product)
+    walks: Dict[Matrix, Poly] = {}
+    # the walk's last coset space is the largest; node 1 ends the longest
+    # arm of the D and E diagrams and the long end of B and C, so walking
+    # down to it keeps that space small (on E8, 240 points against 2160)
+    for nodes, product in ((tuple(range(rs.rank, 0, -1)), whole), (perp, part)):
+        bad = _walk_mismatch(rs, nodes, product, walks)
         if bad:
             return _fail("theta_quotient", bad)
     ratio = poly_divexact(whole, part)
@@ -388,6 +418,9 @@ def check_theta_quotient(rs: RootSystem) -> CheckResult:
         if rest:
             return _fail("theta_quotient",
                          f"distance from {_compact(phi)} to theta is not an integer")
+        if not 0 <= lv <= g - 2:
+            return _fail("theta_quotient",
+                         f"distance {lv} from {_compact(phi)} to theta outside 0..{g - 2}")
         shell[lv] += 1
         shell[2 * g - 3 - lv] += 1
     if tuple(shell) != ratio:
@@ -486,13 +519,26 @@ def check_hasse_automorphisms(rs: RootSystem) -> CheckResult:
 _UPPER_GOLDEN = {"A2": (1, 2), "C2": (2, 2), "G2": (2,)}
 
 
+def _doubled_alcove_test(rs: RootSystem) -> Callable[[Sequence[int]], bool]:
+    """Whether rho + shift lies in 2A, as one integer row per wall with its
+    bound: dominance, 1 + <shift, alpha_i-check> >= 0 from Cartan row i,
+    and the far wall, (rho + shift|theta) <= 1 times 2 form_den, from the
+    form's image of theta."""
+    theta = rs.theta
+    far = tuple(-2 * sum(map(mul, row, theta)) for row in rs.form)
+    walls = [(row, -1) for row in rs.cartan]
+    walls.append((far, rs.twice_raw_rho(theta) - 2 * rs.form_den))
+    return lambda shift: all(sum(map(mul, row, shift)) >= low for row, low in walls)
+
+
 def check_upper_alcoves(rs: RootSystem) -> CheckResult:
     """Every alcove of the catalog lies in 2A, as its rho-point does
-    (`rho_shift_in_2A` on the root sum in `IdealCatalog.sums`), and the
-    lower vertices of the upper alcoves have exactly the long simple
+    (`_doubled_alcove_test` on the root sum in `IdealCatalog.sums`), and
+    the lower vertices of the upper alcoves have exactly the long simple
     types."""
+    inside = _doubled_alcove_test(rs)
     for k, shift in enumerate(catalog_of(rs).sums):
-        if not rho_shift_in_2A(rs, shift):
+        if not inside(shift):
             return _fail("upper_alcoves", f"alcove of node {k} lies beyond the doubled wall")
     ups = upper_alcoves(rs)
     types = sorted(u.lower_vertex_type for u in ups)

@@ -34,16 +34,19 @@ size against a catalog of small groups.
 from __future__ import annotations
 
 from itertools import repeat
+from functools import reduce
 from math import lcm
-from typing import TYPE_CHECKING, Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from operator import and_, mul
+from typing import TYPE_CHECKING, FrozenSet, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .ideals import (
     IdealCatalog,
     InvariantViolation,
+    byte_tables,
     catalog_of,
     mask_bits,
 )
-from .root_system import RootSystem, bareiss, system_cache, vneg, vsub
+from .root_system import RootSystem, bareiss, determinant, system_cache, vneg
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -104,10 +107,11 @@ def verify_cover_structure(graph: HasseGraph) -> None:
     those pairs are exactly the edges.  Equivalently, for every ideal b the
     ideals contained in b are exactly those reaching b by a chain of edges.
     Both sides are bitsets over the catalog: the contained ones are the AND,
-    over the roots outside b, of the ideals lacking that root; the reaching
-    ones are b itself ORed with the reaching sets of b's lower neighbours,
-    filled in catalog order, which sorts by dimension.  Where they differ,
-    the largest ideal contained in b but not reaching it has no step toward b.
+    over the roots outside b, of the ideals lacking that root, read one byte
+    of b's complement at a time (`byte_tables`); the reaching ones are b
+    itself ORed with the reaching sets of b's lower neighbours, filled in
+    catalog order, which sorts by dimension.  Where they differ, the
+    largest ideal contained in b but not reaching it has no step toward b.
     """
     cat = graph.catalog
     masks = cat.masks
@@ -119,13 +123,13 @@ def verify_cover_structure(graph: HasseGraph) -> None:
         lower[e.upper].append(e.lower)
 
     everything = (1 << len(masks)) - 1
-    lacking = [everything ^ h for h in cat.holders]
-    every_root = (1 << len(lacking)) - 1
+    tables = byte_tables([everything ^ h for h in cat.holders], and_, everything)
+    nbytes = len(tables)
+    every_root = (1 << len(cat.holders)) - 1
     reaching = [0] * len(masks)
     for b, mask in enumerate(masks):
-        contained = everything
-        for j in mask_bits(every_root & ~mask):
-            contained &= lacking[j]
+        outside = (every_root & ~mask).to_bytes(nbytes, "little")
+        contained = reduce(and_, map(list.__getitem__, tables, outside), everything)
         reach = 1 << b
         for a in lower[b]:
             reach |= reaching[a]
@@ -178,28 +182,38 @@ def upper_alcoves(rs: RootSystem) -> Tuple[UpperAlcove, ...]:
 # ----------------------------------------------------------------------
 # facet volumes of the fundamental alcove
 
+def _vertex_gram(rs: RootSystem) -> List[List[int]]:
+    """The Gram matrix, in raw_inner, of the vertices of the fundamental
+    alcove, the origin first.  Vertex i is covee_i / n_i, and covee_i is a
+    positive multiple, the same for every i, of column i of the form's
+    adjugate, so the vertices are taken as the integer points lcm(marks) /
+    n_i times those columns; the factor is common to every entry."""
+    adj = bareiss(rs.form)[1]
+    scale = lcm(*rs.marks)
+    points = [(0,) * rs.rank] + [tuple(scale // n * row[i] for row in adj)
+                                 for i, n in enumerate(rs.marks)]
+    images = [tuple(sum(map(mul, row, p)) for row in rs.form) for p in points]
+    return [[sum(map(mul, p, q)) for q in images] for p in points]
+
+
 def _facet_determinants(rs: RootSystem) -> Tuple[int, ...]:
     """The squared volume of each facet of the fundamental alcove, up to
     one positive factor common to all: facet i's ratio is dets[i] /
     dets[0].
 
     Facet i is spanned by all vertices but vertex i; its squared
-    (rank-1)-volume is a Gram determinant of edge vectors, and the
-    factorial normalization is common to all facets.  Vertex i is
-    covee_i / n_i, and covee_i is a positive multiple, the same for every
-    i, of column i of the form's adjugate, so the vertices are taken as the
-    integer points lcm(marks) / n_i times those columns; that factor is
-    common too, as is reading the form as raw_inner.
+    (rank-1)-volume is the Gram determinant of its edges from its first
+    vertex b, and the factorial normalization is common to all facets.
+    The edge Gram is read off the vertex Gram G (`_vertex_gram`) in
+    integers, (v_x - v_b | v_y - v_b) = G_xy - G_xb - G_by + G_bb.
     """
-    adj = bareiss(rs.form)[1]
-    scale = lcm(*rs.marks)
-    points = [(0,) * rs.rank] + [tuple(scale // n * row[i] for row in adj)
-                                 for i, n in enumerate(rs.marks)]
+    gram = _vertex_gram(rs)
 
     def gram_det(skip: int) -> int:
-        pts = [v for i, v in enumerate(points) if i != skip]
-        edges = [vsub(p, pts[0]) for p in pts[1:]]
-        return bareiss([[rs.raw_inner(a, b) for b in edges] for a in edges])[0]
+        b, *rest = (i for i in range(rs.rank + 1) if i != skip)
+        gb, gbb = gram[b], gram[b][b]
+        return determinant([[gx[y] - gx[b] - gb[y] + gbb for y in rest]
+                            for gx in map(gram.__getitem__, rest)])
 
     dets = tuple(gram_det(i) for i in range(rs.rank + 1))
     if dets[0] == 0:
@@ -235,14 +249,22 @@ def expected_facet_ratios(rs: RootSystem) -> Tuple[Fraction, ...]:
 # automorphisms
 
 def graph_automorphisms(graph: HasseGraph) -> Tuple[Permutation, ...]:
-    """Every adjacency-preserving permutation of the nodes."""
+    """Every adjacency-preserving permutation of the nodes, sorted.
+
+    The vertices v_0, v_1, ... are taken in breadth-first order, one
+    component after another, so each vertex but a component's first has
+    an earlier neighbour.  From the last position back, with v_0 .. v_{k-1}
+    fixed, each image t of v_k that the generators found so far do not
+    already reach from v_k gets one search for an automorphism fixing
+    v_0 .. v_{k-1} and sending v_k to t; each one found is a generator.
+    The pointwise stabilizer G_k of the first k vertices is generated by
+    G_{k+1} and one element per point of v_k's G_k-orbit (Sims's stabilizer
+    chain, with McKay's automorphism pruning skipping the images already
+    reached), so the generators generate the group, which `_closure`
+    lists.  Adjacency and the set of used images are int bitmasks."""
     adj = graph.adjacency
     n = len(adj)
-
-    # breadth-first order, one component after another: every vertex but a
-    # component's first was reached from an earlier neighbour, its parent
     order: List[int] = []
-    parent: List[Optional[int]] = [None] * n
     seen = [False] * n
     head = 0
     for first in range(n):
@@ -256,43 +278,87 @@ def graph_automorphisms(graph: HasseGraph) -> Tuple[Permutation, ...]:
             for u in adj[p]:
                 if not seen[u]:
                     seen[u] = True
-                    parent[u] = p
                     order.append(u)
+    position = [0] * n
+    for k, v in enumerate(order):
+        position[v] = k
+    earlier = [[u for u in adj[v] if position[u] < k] for k, v in enumerate(order)]
+    bits = [sum(1 << u for u in a) for a in adj]
+    degree = [len(a) for a in adj]
+    everything = (1 << n) - 1
+    identity = list(range(n))
 
-    # depth-first search with an explicit stack of candidate iterators, one
-    # per assigned position, so deep graphs do not exhaust the call stack;
-    # an automorphism sends v next to its parent's image, and a component's
-    # first vertex anywhere
-    def candidates(v: int) -> Iterator[int]:
-        p = parent[v]
-        return iter(range(n) if p is None else adj[image[p]])
+    def candidates(k: int, image: List[int], used: int) -> Tuple[int, int]:
+        """The unused vertices next to the image of each earlier neighbour
+        of v_k, and the mask of those images: an image t of v_k must have
+        exactly them as its used neighbours."""
+        cand, mapped = everything, 0
+        for u in earlier[k]:
+            cand &= bits[image[u]]
+            mapped |= 1 << image[u]
+        return cand & ~used, mapped
 
-    found: List[Permutation] = []
-    image: Dict[int, int] = {}
-    used = set()
-    if n == 0:
-        found.append(())
-    stack = [candidates(order[0])] if n else []
-    while stack:
-        k = len(stack) - 1
+    def extend(k0: int, t0: int, used: int) -> Optional[Permutation]:
+        """An automorphism fixing v_0 .. v_{k0-1} (the mask `used`) and
+        sending v_k0 to t0, or None: depth first, with each position's
+        remaining candidates kept as a mask, so deep graphs do not exhaust
+        the call stack."""
+        image = identity[:]
+        remaining, wanted = [0] * n, [0] * n
+        cand, wanted[k0] = candidates(k0, image, used)
+        remaining[k0] = cand & 1 << t0
+        k = k0
+        while k >= k0:
+            v = order[k]
+            rem, want, d = remaining[k], wanted[k], degree[v]
+            while rem:
+                low = rem & -rem
+                rem ^= low
+                t = low.bit_length() - 1
+                if degree[t] == d and bits[t] & used == want:
+                    break
+            else:  # no image left here: release the previous position's
+                k -= 1
+                used ^= 1 << image[order[k]]
+                continue
+            remaining[k] = rem
+            image[v] = t
+            if k + 1 == n:
+                return tuple(image)
+            used |= 1 << t
+            k += 1
+            remaining[k], wanted[k] = candidates(k, image, used)
+        return None
+
+    generators: List[Permutation] = []
+    used = everything
+    for k in range(n - 1, -1, -1):
         v = order[k]
-        if v in image:  # back at this position: release its last choice
-            used.discard(image.pop(v))
-        # the assigned neighbors of v must map onto the assigned neighbors of t
-        mapped = {image[u] for u in adj[v] if u in image}
-        degree = len(adj[v])
-        t = next((t for t in stack[-1] if t not in used and len(adj[t]) == degree
-                  and mapped == adj[t] & used), None)
-        if t is None:
-            stack.pop()
-            continue
-        image[v] = t
-        used.add(t)
-        if k + 1 == n:
-            found.append(tuple(image[x] for x in range(n)))
-        else:
-            stack.append(candidates(order[k + 1]))
-    return tuple(sorted(found))
+        used ^= 1 << v
+        cand, mapped = candidates(k, identity, used)
+        cand ^= 1 << v
+        orbit = _orbit(v, generators) if cand else ()
+        for t in mask_bits(cand):
+            # extend's own first test, taken before it copies anything
+            if t not in orbit and degree[t] == degree[v] and bits[t] & used == mapped:
+                found = extend(k, t, used)
+                if found is not None:
+                    generators.append(found)
+                    orbit = _orbit(v, generators)
+    return tuple(_closure(generators, n))
+
+
+def _orbit(v: int, perms: Sequence[Permutation]) -> Set[int]:
+    """The points the group generated by `perms` sends v to."""
+    orbit = {v}
+    frontier = [v]
+    while frontier:
+        x = frontier.pop()
+        for g in perms:
+            if g[x] not in orbit:
+                orbit.add(g[x])
+                frontier.append(g[x])
+    return orbit
 
 
 # ----------------------------------------------------------------------

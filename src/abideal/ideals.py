@@ -31,8 +31,9 @@ route, each word's rho-shift against its ideal's root sum, is the
 
 from __future__ import annotations
 
-from functools import cached_property
-from typing import (TYPE_CHECKING, Collection, Dict, FrozenSet, Iterable, Iterator, List,
+from functools import cached_property, reduce
+from operator import and_
+from typing import (TYPE_CHECKING, Callable, Collection, Dict, FrozenSet, Iterable, Iterator, List,
                     NamedTuple, Optional, Sequence, Tuple)
 
 from .affine import (
@@ -108,6 +109,22 @@ def mask_bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def byte_tables(values: Sequence[int], combine: Callable[[int, int], int],
+                empty: int) -> List[List[int]]:
+    """One table per eight consecutive values: entry v of table t combines,
+    from `empty`, values[8t + b] over the set bits b of v, so a mask's
+    combination is one lookup per byte of the mask."""
+    tables = []
+    for start in range(0, len(values), 8):
+        chunk = values[start:start + 8]
+        table = [empty] * 256
+        for v in range(1, 1 << len(chunk)):
+            low = v & -v
+            table[v] = combine(table[v ^ low], chunk[low.bit_length() - 1])
+        tables.append(table)
+    return tables
 
 
 def is_abelian_ideal(rs: RootSystem, roots: Iterable[Root]) -> bool:
@@ -355,8 +372,11 @@ class IdealCatalog:
         holders[j] when ideal k holds root j."""
         out = [0] * self.rs.num_positive
         for k, mask in enumerate(self.masks):
-            for j in mask_bits(mask):
-                out[j] |= 1 << k
+            bit = 1 << k
+            while mask:  # mask_bits, inlined
+                low = mask & -mask
+                out[low.bit_length() - 1] |= bit
+                mask ^= low
         return tuple(out)
 
 
@@ -404,18 +424,16 @@ def associated_long_root(rs: RootSystem, ideal: AbelianIdeal) -> Root:
 
 def maximal_ideals(rs: RootSystem) -> Tuple[AbelianIdeal, ...]:
     """Ideals contained in no other: the AND of the holders of an ideal's
-    roots is the set of ideals containing it, so it is maximal exactly when
-    that AND is its own bit."""
+    roots, read a byte of its mask at a time (`byte_tables`), is the set of
+    ideals containing it, so it is maximal exactly when that AND is its own
+    bit."""
     cat = catalog_of(rs)
     everything = (1 << len(cat.ideals)) - 1
-    out = []
-    for k, (a, mask) in enumerate(zip(cat.ideals, cat.masks)):
-        above = everything
-        for j in mask_bits(mask):
-            above &= cat.holders[j]
-        if above == 1 << k:
-            out.append(a)
-    return tuple(out)
+    tables = byte_tables(cat.holders, and_, everything)
+    nbytes = len(tables)
+    return tuple(a for k, (a, mask) in enumerate(zip(cat.ideals, cat.masks))
+                 if reduce(and_, map(list.__getitem__, tables, mask.to_bytes(nbytes, "little")),
+                           everything) == 1 << k)
 
 
 class MaxDimensionReport(NamedTuple):
@@ -487,7 +505,11 @@ def affine_adjacency(rs: RootSystem) -> Dict[int, Tuple[int, ...]]:
 def projection_node(rs: RootSystem, phi: Root) -> Optional[int]:
     """Support node nearest to node 0 in the extended diagram; None when
     the nearest node is not unique (the extended diagram of A_l is a cycle)."""
-    dist = graph_distances(affine_adjacency(rs), 0)
+    return _nearest_support_node(graph_distances(affine_adjacency(rs), 0), phi)
+
+
+def _nearest_support_node(dist: Dict[int, int], phi: Root) -> Optional[int]:
+    """`projection_node` with the distances from node 0 given."""
     support = [i + 1 for i, c in enumerate(phi) if c]
     best = min(dist[i] for i in support)
     nearest = [i for i in support if dist[i] == best]
@@ -524,11 +546,16 @@ def sum_formula_report(rs: RootSystem) -> SumFormulaReport:
     per_node: Optional[Tuple[int, ...]] = None
     if rs.simple_type.letter != "A":
         r = [0] * rs.rank
+        dist = graph_distances(affine_adjacency(rs), 0)
+        node_counts: Dict[int, int] = {}
         for phi in rs.long_positive_roots():
-            node = projection_node(rs, phi)
+            node = _nearest_support_node(dist, phi)
             if node is None:
                 raise InvariantViolation(f"no unique nearest support node for {phi}")
-            node_count = poly_eval_one(coset_poincare(rs, rs.simple_root(node)))
+            node_count = node_counts.get(node)
+            if node_count is None:
+                node_count = node_counts[node] = poly_eval_one(
+                    coset_poincare(rs, rs.simple_root(node)))
             if counts[phi] != node_count:
                 raise InvariantViolation(
                     f"coset count of {phi} differs from its projection node {node}")

@@ -269,6 +269,28 @@ def bareiss(matrix: Sequence[Sequence[int]]) -> Tuple[int, Optional[Tuple[Tuple[
     return sign * prev, tuple(tuple(sign * x for x in row[n:]) for row in rows)
 
 
+def determinant(matrix: Sequence[Sequence[int]]) -> int:
+    """The determinant alone of an integer matrix, by Bareiss's
+    fraction-free elimination below each pivot: each step divides exactly
+    by the last pivot, which ends as det(PA) for the row swaps P."""
+    rows = [list(row) for row in matrix]
+    n = len(rows)
+    prev, sign = 1, 1
+    for k in range(n):
+        p = next((r for r in range(k, n) if rows[r][k]), None)
+        if p is None:
+            return 0
+        if p != k:
+            rows[k], rows[p] = rows[p], rows[k]
+            sign = -sign
+        pivot, top = rows[k][k], rows[k]
+        for r in range(k + 1, n):
+            c = rows[r][k]
+            rows[r] = [(pivot * x - c * y) // prev for x, y in zip(rows[r], top)]
+        prev = pivot
+    return sign * prev
+
+
 def _symmetrizer(cartan: Sequence[Sequence[int]]) -> Tuple[int, ...]:
     """Minimal positive integers d with d_i a_ij = d_j a_ji, spread from
     node 0 by d_j = d_i a_ij / a_ji, rescaling every value found so far
@@ -410,7 +432,7 @@ class RootSystem:
     def simple_coroot_pairing(self, phi: Sequence, j: int):
         """<phi, alpha_j-check> from the Cartan row alone; an int on integer
         coordinates."""
-        return sum(c * a for c, a in zip(phi, self.cartan[j - 1]) if a)
+        return sum(map(mul, phi, self.cartan[j - 1]))
 
     def is_long(self, phi: Sequence[int]) -> bool:
         return self.raw_inner(phi, phi) == self.raw_inner(self.theta, self.theta)

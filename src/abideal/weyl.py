@@ -22,6 +22,7 @@ where reflect_simple is the one simple-reflection routine.
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import mul
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .qpoly import Poly, bracket, poly_mul, poly_prod
@@ -46,7 +47,7 @@ def reflect_simple(rs: RootSystem, i: int, vec: Sequence) -> tuple:
     weights and orbit points alike.
     """
     out = list(vec)
-    out[i - 1] -= sum(a * x for a, x in zip(rs.cartan[i - 1], vec) if a)
+    out[i - 1] -= sum(map(mul, rs.cartan[i - 1], vec))
     return tuple(out)
 
 
@@ -240,26 +241,37 @@ def _orbit_poincare(rs: RootSystem, nodes: Sequence[int]) -> Poly:
     W_{J_{m-1}} fixes; s_i subtracts label i times Cartan column i.  By
     Deodhar's criterion s_i u is minimal and one letter longer exactly when
     label i at u's point is positive, so each layer is the set of ascending
-    moves from the one before.  The cost is the sum of the coset sizes.
+    moves from the one before.  A point of the m-th walk is u(lambda) with
+    u(lambda) - lambda in the span of the simple roots of J_m, whose Cartan
+    submatrix is invertible, so its labels on J_m alone name it: the walk
+    carries only those, packed 8 bits each and offset by 127, so the top
+    bit of a field is set exactly when its label is positive, and a move is
+    one int subtraction.  A label of u(lambda) is a coefficient of a coroot
+    of J_m, at most 6 in size, so no field borrows from the next.  The cost
+    is the sum of the coset sizes.
     """
     nodes = tuple(dict.fromkeys(nodes))
-    columns = [(i - 1, tuple((j, row[i - 1]) for j, row in enumerate(rs.cartan) if row[i - 1]))
-               for i in nodes]
+    cartan = rs.cartan
     series: Poly = (1,)
-    for m, top in enumerate(nodes):
-        layer = {tuple(int(j == top - 1) for j in range(rs.rank))}
+    for m in range(len(nodes)):
+        stage = nodes[:m + 1]
+        # s_i subtracts label i times Cartan column i, read on the stage's rows
+        columns = [sum(cartan[b - 1][a - 1] << 8 * q for q, b in enumerate(stage))
+                   for a in stage]
+        origin = sum(127 << 8 * q for q in range(m + 1))
+        tops = origin + sum(1 << 8 * q for q in range(m + 1))  # bit 7 of each field
+        layer = {origin + (1 << 8 * m)}
         counts = []
         while layer:
             counts.append(len(layer))
             nxt = set()
             for point in layer:
-                for i, column in columns[:m + 1]:
-                    c = point[i]
-                    if c > 0:
-                        img = list(point)
-                        for j, a in column:
-                            img[j] -= c * a
-                        nxt.add(tuple(img))
+                positive = point & tops
+                while positive:
+                    low = positive & -positive
+                    positive ^= low
+                    shift = low.bit_length() - 8
+                    nxt.add(point - ((point >> shift & 255) - 127) * columns[shift >> 3])
             layer = nxt
         series = poly_mul(series, counts)
     return series

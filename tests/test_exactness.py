@@ -91,7 +91,7 @@ _MOVED_NAMES = (
     "fundamental_alcove_vertices", "alcove_vertices", "in_2A",
     "reflection_matrix", "mat_mul", "weyl_order", "subgroup_order",
     "a_max", "a_min", "a_min_plus", "not_perp_theta", "poly_add", "poly_str", "vadd", "vscale", "_ideal_from_affine_word",
-    "matrix_of", "_refine_colors", "_anchor_order",
+    "matrix_of", "_refine_colors", "_anchor_order", "_random_draws", "rho_shift_in_2A",
 )
 
 

@@ -70,9 +70,8 @@ from abideal.affine import (
     minimal_coset_reps,
     perp_generators,
     rho_shift,
-    rho_shift_in_2A,
 )
-from abideal.checks import _kostant_mask_raw, _random_draws
+from abideal.checks import _doubled_alcove_test, _kostant_kernel, _non_ideal_draws
 from abideal.hasse import (
     HasseEdge,
     UpperAlcove,
@@ -536,6 +535,37 @@ def _sum_search_forbidden_roots(rs):
     return tuple(sorted(out, key=lambda r: (sum(r), r)))
 
 
+def _random_draws(rs, rng):
+    """Endless random masks over rs.positive_roots, the generator the
+    Kostant check drew through before its loop took the draws in: each
+    draw takes its size k uniform in 1..n, then a uniform k-subset by
+    Floyd's algorithm, drawn as its complement when k > n/2."""
+    n = rs.num_positive
+    full = (1 << n) - 1
+    getrandbits = rng.getrandbits
+    while True:
+        k = 1 + rng.randrange(n)
+        drawn = min(k, n - k)
+        mask = 0
+        for j in range(n - drawn, n):
+            # rng.randrange(j + 1), inlined
+            bits = (j + 1).bit_length()
+            t = getrandbits(bits)
+            while t > j:
+                t = getrandbits(bits)
+            mask |= 1 << (j if mask >> t & 1 else t)
+        if drawn < k:
+            mask ^= full
+        yield mask
+
+
+def _kostant_mask_raw(rs):
+    """The Kostant kernel on a mask: the packed roots of its set bits
+    summed, then evaluated."""
+    packed, value = _kostant_kernel(rs)
+    return lambda mask: value(sum(packed[j] for j in mask_bits(mask)), mask.bit_count())
+
+
 def _random_non_ideal_masks(rs, rng, count):
     """The first `count` draws of the Kostant check's sampler that the
     catalog's index does not hold; none at rank one, where every subset of
@@ -984,6 +1014,14 @@ def test_coset_tree_edges_are_hasse_edges(label):
     assert edges == len(cat) - 1
 
 
+def rho_shift_in_2A(rs, shift):
+    """Whether rho + shift lies in 2A, in integers, one pairing call per
+    wall: the test `check_upper_alcoves` ran on every catalog sum before it
+    took the walls as precomputed rows."""
+    return (all(1 + rs.simple_coroot_pairing(shift, i) >= 0 for i in range(1, rs.rank + 1))
+            and rs.twice_raw_rho(rs.theta) + 2 * rs.raw_inner(shift, rs.theta) <= 2 * rs.form_den)
+
+
 @pytest.mark.parametrize("label", ALL_LABELS)
 def test_integer_2A_test_matches_the_rho_point(label):
     # each entry's word w and its one-letter extensions w s_j, whose shifts
@@ -995,9 +1033,10 @@ def test_integer_2A_test_matches_the_rho_point(label):
     for total, walls in zip(cat.sums, cat.walls):
         shifts.update(vsub(total, wall[:-1]) for wall in walls)
     verdicts = set()
+    inside = _doubled_alcove_test(rs)
     for shift in shifts:
         verdict = rho_shift_in_2A(rs, shift)
-        assert verdict == in_2A(rs, vadd(rho(rs), shift)), shift
+        assert verdict == in_2A(rs, vadd(rho(rs), shift)) == inside(shift), shift
         verdicts.add(verdict)
     assert verdicts == {True, False}
 
@@ -1376,3 +1415,16 @@ def test_kostant_tables_and_product_match_the_per_bit_and_tuple_forms(label):
     masks += list(catalog_of(rs).masks) + [(1 << n) - 1]
     raw, ref = _kostant_mask_raw(rs), _tuple_kostant_mask_raw(rs)
     assert [raw(m) for m in masks] == [ref(m) for m in masks]
+
+
+@pytest.mark.parametrize("label", EVERY_LABEL)
+def test_kostant_check_keeps_the_per_bit_samplers_draws(label):
+    # the check's own loop: its 1000 kept masks are the reference sampler's,
+    # and each carries the packed sum of its roots
+    rs = build(label)
+    packed = _kostant_kernel(rs)[0]
+    draws = _non_ideal_draws(rs, random.Random(f"kostant:{label}"), catalog_of(rs).index,
+                             1000, packed)
+    assert [mask for mask, _ in draws] == _per_bit_non_ideal_masks(
+        rs, random.Random(f"kostant:{label}"), 1000)
+    assert all(total == sum(packed[j] for j in mask_bits(mask)) for mask, total in draws)
