@@ -528,7 +528,14 @@ def _doubled_alcove_test(rs: RootSystem) -> Callable[[Sequence[int]], bool]:
     far = tuple(-2 * sum(map(mul, row, theta)) for row in rs.form)
     walls = [(row, -1) for row in rs.cartan]
     walls.append((far, rs.twice_raw_rho(theta) - 2 * rs.form_den))
-    return lambda shift: all(sum(map(mul, row, shift)) >= low for row, low in walls)
+
+    def inside(shift: Sequence[int]) -> bool:
+        for row, low in walls:
+            if sum(map(mul, row, shift)) < low:
+                return False
+        return True
+
+    return inside
 
 
 def check_upper_alcoves(rs: RootSystem) -> CheckResult:

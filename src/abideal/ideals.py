@@ -31,8 +31,7 @@ route, each word's rho-shift against its ideal's root sum, is the
 
 from __future__ import annotations
 
-from functools import cached_property, reduce
-from operator import and_
+from functools import cached_property
 from typing import (TYPE_CHECKING, Callable, Collection, Dict, FrozenSet, Iterable, Iterator, List,
                     NamedTuple, Optional, Sequence, Tuple)
 
@@ -424,16 +423,18 @@ def associated_long_root(rs: RootSystem, ideal: AbelianIdeal) -> Root:
 
 def maximal_ideals(rs: RootSystem) -> Tuple[AbelianIdeal, ...]:
     """Ideals contained in no other: the AND of the holders of an ideal's
-    roots, read a byte of its mask at a time (`byte_tables`), is the set of
-    ideals containing it, so it is maximal exactly when that AND is its own
-    bit."""
+    roots is the set of ideals containing it, so it is maximal exactly when
+    that AND is its own bit."""
     cat = catalog_of(rs)
     everything = (1 << len(cat.ideals)) - 1
-    tables = byte_tables(cat.holders, and_, everything)
-    nbytes = len(tables)
-    return tuple(a for k, (a, mask) in enumerate(zip(cat.ideals, cat.masks))
-                 if reduce(and_, map(list.__getitem__, tables, mask.to_bytes(nbytes, "little")),
-                           everything) == 1 << k)
+    out = []
+    for k, (a, mask) in enumerate(zip(cat.ideals, cat.masks)):
+        above = everything
+        for j in mask_bits(mask):
+            above &= cat.holders[j]
+        if above == 1 << k:
+            out.append(a)
+    return tuple(out)
 
 
 class MaxDimensionReport(NamedTuple):

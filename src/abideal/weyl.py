@@ -241,25 +241,23 @@ def _orbit_poincare(rs: RootSystem, nodes: Sequence[int]) -> Poly:
     W_{J_{m-1}} fixes; s_i subtracts label i times Cartan column i.  By
     Deodhar's criterion s_i u is minimal and one letter longer exactly when
     label i at u's point is positive, so each layer is the set of ascending
-    moves from the one before.  A point of the m-th walk is u(lambda) with
-    u(lambda) - lambda in the span of the simple roots of J_m, whose Cartan
-    submatrix is invertible, so its labels on J_m alone name it: the walk
-    carries only those, packed 8 bits each and offset by 127, so the top
-    bit of a field is set exactly when its label is positive, and a move is
-    one int subtraction.  A label of u(lambda) is a coefficient of a coroot
-    of J_m, at most 6 in size, so no field borrows from the next.  The cost
-    is the sum of the coset sizes.
+    moves from the one before.  A point is u(lambda) with u(lambda) -
+    lambda in the span of the simple roots of J_m, whose Cartan submatrix is
+    invertible, so its labels on `nodes` name it: the walk carries only
+    those, packed 8 bits each and offset by 127, so the top bit of a field
+    is set exactly when its label is positive, and a move is one int
+    subtraction.  Each label is <lambda, u^-1 alpha_i-check>, a coefficient
+    of a coroot, at most 6 in size, so no field borrows from the next.  The
+    cost is the sum of the coset sizes.
     """
     nodes = tuple(dict.fromkeys(nodes))
     cartan = rs.cartan
+    # s_i subtracts label i times Cartan column i, read on the nodes' rows
+    columns = [sum(cartan[b - 1][a - 1] << 8 * q for q, b in enumerate(nodes)) for a in nodes]
+    origin = sum(127 << 8 * q for q in range(len(nodes)))
     series: Poly = (1,)
     for m in range(len(nodes)):
-        stage = nodes[:m + 1]
-        # s_i subtracts label i times Cartan column i, read on the stage's rows
-        columns = [sum(cartan[b - 1][a - 1] << 8 * q for q, b in enumerate(stage))
-                   for a in stage]
-        origin = sum(127 << 8 * q for q in range(m + 1))
-        tops = origin + sum(1 << 8 * q for q in range(m + 1))  # bit 7 of each field
+        tops = sum(128 << 8 * q for q in range(m + 1))  # the labels of J_m
         layer = {origin + (1 << 8 * m)}
         counts = []
         while layer:

@@ -15,9 +15,9 @@ code of the empty diagram is 0 and the map is a bijection onto [0, 2^l).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, List, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Tuple
 
-from .root_system import Record, RootSystem
+from .root_system import Record, Root, RootSystem, system_cache
 
 if TYPE_CHECKING:
     from .ideals import AbelianIdeal
@@ -113,21 +113,32 @@ def _staircase_rank(rs: RootSystem) -> int:
     return rs.rank
 
 
+@system_cache
+def _staircase_cells(rs: RootSystem) -> Dict[Root, Tuple[int, int]]:
+    """Each positive root of A_l with its row (0-based) and its column's
+    bit: the root with h ones from coordinate c (0-based) is alpha_{c+1} +
+    ... + alpha_{c+h}, in row l+1-c-h (1-based), column c+1."""
+    l = rs.rank
+    return {root: (l - root.index(1) - root.count(1), 1 << root.index(1))
+            for root in rs.positive_roots}
+
+
 def young_of_ideal(rs: RootSystem, a: AbelianIdeal) -> YoungDiagram:
-    """The diagram of an ideal's cells, in one pass over its roots.  The
-    root with h ones from coordinate c (0-based) is alpha_{c+1} + ... +
-    alpha_{c+h}, so it sets bit c (column c+1) in row l+1-c-h's mask; the
-    cells are a left-justified shape exactly when the non-empty rows come
-    first and each row's largest column equals its cell count."""
+    """The diagram of an ideal's cells, in one pass over its roots, each
+    root's row and column read off `_staircase_cells`; the cells are a
+    left-justified shape exactly when the non-empty rows come first and
+    each row's mask is a run of low bits, its cell count long."""
     l = _staircase_rank(rs)
+    cells = _staircase_cells(rs)
     rows = [0] * l
     for root in a.roots:
-        if not rs.is_positive_root(root):
+        cell = cells.get(tuple(root))
+        if cell is None:
             raise ValueError(f"{tuple(root)} is not a positive root of {rs.simple_type}")
-        first = root.index(1)
-        rows[l - first - root.count(1)] |= 1 << first
-    d = YoungDiagram(m.bit_count() for m in rows if m)
-    if any(m & (m + 1) for m in rows) or any(rows[len(d.rows):]):
+        rows[cell[0]] |= cell[1]
+    widths = [m.bit_count() for m in rows if m]
+    d = YoungDiagram(widths)
+    if rows != [(1 << w) - 1 for w in widths] + [0] * (l - len(widths)):
         raise ValueError("ideal cells are not a left-justified shape")
     return d
 

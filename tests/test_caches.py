@@ -24,6 +24,7 @@ REGISTERED = {
     "affine": ("affine_cartan_matrix", "_sparse_rows", "_minimal_coset_reps_cached"),
     "ideals": ("catalog_of", "_greedy_chain", "sum_formula_report"),
     "hasse": ("build_graph",),
+    "young": ("_staircase_cells",),
 }
 
 
@@ -36,7 +37,7 @@ def test_the_registry_holds_the_root_system_caches():
     _load_all()
     got = {(c.__module__.rsplit(".", 1)[1], c.__name__) for c in _SYSTEM_CACHES}
     assert got == {(module, name) for module, names in REGISTERED.items() for name in names}
-    assert len(_SYSTEM_CACHES) == 7
+    assert len(_SYSTEM_CACHES) == 8
     for module, names in REGISTERED.items():
         for name in names:
             cached = getattr(importlib.import_module(f"abideal.{module}"), name)

@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from abideal import checks, cli, ideals
+from abideal import checks, cli, ideals, weyl
+from abideal.affine import perp_generators
 from abideal.checks import CheckResult, TypeReport, verify_type
 from abideal.ideals import catalog_of
 from abideal.root_system import build, clear_system_caches, supported_types
@@ -315,6 +316,35 @@ def test_verify_enumerates_each_type_once(monkeypatch, label):
     finally:
         clear_system_caches()
     assert calls == [label]
+
+
+def _submatrix(rs, nodes):
+    return tuple(tuple(rs.cartan[a - 1][b - 1] for b in nodes) for a in nodes)
+
+
+@pytest.mark.parametrize("label", ["A5", "D5", "E6", "E8"])
+def test_verify_walks_each_wall_submatrix_once(monkeypatch, label):
+    # fiber_polynomials walks each distinct Cartan submatrix of a long
+    # root's finite wall letters once, and theta_quotient its two node sets
+    calls = []
+    real = weyl._orbit_poincare
+
+    def counted(rs, nodes):
+        calls.append(tuple(nodes))
+        return real(rs, nodes)
+
+    monkeypatch.setattr(weyl, "_orbit_poincare", counted)
+    rs = build(label)
+    walls = {_submatrix(rs, [j for j in perp_generators(rs, phi) if j])
+             for phi in rs.long_positive_roots()}
+    clear_system_caches()
+    try:
+        assert verify_type(label).passed
+    finally:
+        clear_system_caches()
+    assert len(calls) == len(walls) + 2
+    assert {_submatrix(rs, nodes) for nodes in calls[:-2]} == walls
+    assert sorted(calls[-2]) == list(range(1, rs.rank + 1))
 
 
 def test_tables_json(capsys):

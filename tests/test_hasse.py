@@ -660,6 +660,113 @@ def test_theta_quotient_requires_whole_distances(small_label):
     assert res.details == f"distance from {first} to theta is not an integer"
 
 
+@pytest.mark.parametrize("shift", [-1, 1, 3])
+def test_theta_quotient_names_a_distance_outside_the_shells(small_label, shift):
+    # every distance moves by `shift` times g - 1: below 0, into the shells
+    # of the other half, or past them all, where the shell list would
+    # raise IndexError; the first long root names the fault
+    rs = copy.copy(build(small_label))
+    g = rs.dual_coxeter_number
+    theta_raw = rs.raw_inner(rs.theta, rs.theta)
+    real = rs.twice_raw_rho
+    rs.twice_raw_rho = lambda x: real(x) + shift * (g - 1) * theta_raw
+    res = checks.check_theta_quotient(rs)
+    first = rs.long_positive_roots()[0]
+    distance = real(tuple(t - p for t, p in zip(rs.theta, first))) // theta_raw + shift * (g - 1)
+    assert not res.passed
+    assert res.details == (f"distance {distance} from {''.join(map(str, first))} "
+                           f"to theta outside 0..{g - 2}")
+
+
+def _later_root_sharing_its_letters(rs):
+    """A long root, not simple, whose wall letters an earlier long root
+    has too."""
+    simples = {rs.simple_root(i) for i in range(1, rs.rank + 1)}
+    seen = set()
+    for phi in rs.long_positive_roots():
+        letters = perp_generators(rs, phi)
+        if letters in seen and phi not in simples:
+            return phi
+        seen.add(letters)
+    raise AssertionError(f"no two long roots of {rs.simple_type} share their wall letters")
+
+
+@pytest.mark.parametrize("label", ["A2", "A3", "B3", "D4", "F4", "G2", "E6"])
+def test_fiber_polynomials_name_the_root_whose_series_gains_a_layer(monkeypatch, label):
+    # the series, quotient and walk are formed once per letter set, but
+    # each root's own coset series is compared: only phi's gains a layer
+    rs = build(label)
+    phi = _later_root_sharing_its_letters(rs)
+    real = checks.coset_poincare
+    monkeypatch.setattr(checks, "coset_poincare",
+                        lambda rs, root: real(rs, root) + ((1,) if root == phi else ()))
+    res = checks.check_fiber_polynomials(rs)
+    assert not res.passed
+    assert res.details.startswith(f"phi={''.join(map(str, phi))}: coset walk {real(rs, phi) + (1,)}")
+
+
+@pytest.mark.parametrize("label", ["A2", "A3", "B3", "C3", "D4", "G2", "F4", "E6"])
+def test_facet_ratios_fail_on_a_changed_vertex_gram(monkeypatch, label):
+    # one off-diagonal pair of the vertex Gram, between two nonzero
+    # vertices, grows by one
+    real = hasse._vertex_gram
+
+    def changed(rs):
+        gram = real(rs)
+        gram[1][2] += 1
+        gram[2][1] += 1
+        return gram
+
+    monkeypatch.setattr(hasse, "_vertex_gram", changed)
+    assert not _passes(checks.check_facet_ratios, build(label))
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "C3", "D4", "G2", "F4", "E6"])
+def test_upper_alcoves_fail_on_a_sum_one_alcove_past_the_far_wall(monkeypatch, label):
+    # the first upper alcove is reflected in the far wall (-theta, 2): its
+    # rho-point moves by 2 theta, into the alcove just outside 2A
+    rs = build(label)
+    real = catalog_of(rs)
+    k = upper_alcoves(rs)[0].node
+    cat = copy.copy(real)
+    cat.sums = real.sums[:k] + (tuple(s + 2 * t for s, t in zip(real.sums[k], rs.theta)),) \
+        + real.sums[k + 1:]
+    monkeypatch.setattr(checks, "catalog_of", lambda rs: cat)
+    res = check_upper_alcoves(rs)
+    assert not res.passed
+    assert res.details == f"alcove of node {k} lies beyond the doubled wall"
+
+
+@pytest.mark.parametrize("label", ["A2", "A5", "B3", "C4", "D5", "G2", "F4", "E6", "E8"])
+def test_kostant_fails_when_one_non_ideal_reaches_its_size(monkeypatch, label):
+    # the kernel gives size * form_den on the packed sum of one drawn
+    # non-ideal mask, a repeated one on the small types
+    rs = build(label)
+    packed, value = checks._kostant_kernel(rs)
+    draws = checks._non_ideal_draws(rs, random.Random(f"kostant:{label}"),
+                                    catalog_of(rs).index, checks.KOSTANT_SAMPLES, packed)
+    mask, total = draws[len(draws) // 2]
+    size = mask.bit_count()
+
+    def kernel(rs):
+        return packed, lambda t, n: size * rs.form_den if t == total else value(t, n)
+
+    monkeypatch.setattr(checks, "_kostant_kernel", kernel)
+    res = check_kostant(rs)
+    assert not res.passed
+    assert res.details == f"non-ideal subset of size {size} not strictly below"
+
+
+@pytest.mark.parametrize("label", ["A2", "A4", "C3", "D4", "E6"])
+def test_hasse_automorphisms_fail_when_pruning_skips_an_image(monkeypatch, label):
+    # if every image counted as already reached, no generator would be
+    # searched for and only the identity would be found
+    monkeypatch.setattr(hasse, "_orbit", lambda v, perms: range(10 ** 6))
+    res = checks.check_hasse_automorphisms(build(label))
+    assert not res.passed
+    assert res.details == f"identified 1, expected {reference_hasse_group(build(label).simple_type)}"
+
+
 @pytest.mark.parametrize("label", ["A1", "A2", "A3", "A4"])
 def test_young_bridge_checks_the_return_trip(monkeypatch, label):
     # every diagram goes back to the zero ideal, which only the first

@@ -55,13 +55,13 @@ from fractions import Fraction as Q
 from functools import partial
 from heapq import heappop, heappush
 from itertools import combinations, islice, product
-from math import gcd
+from math import gcd, lcm
 from types import SimpleNamespace
 
 import pytest
 
 from abideal import ideals as ideals_module
-from abideal import weyl
+from abideal import hasse, weyl
 from abideal.affine import (
     AffineRoot,
     affine_cartan_matrix,
@@ -99,8 +99,8 @@ from abideal.ideals import (
     maximal_ideals,
     parameter_word,
 )
-from abideal.root_system import (_cartan_matrix, _positive_roots, bareiss, build, supported_types,
-                                 vsub, vsum)
+from abideal.root_system import (_cartan_matrix, _positive_roots, bareiss, build, determinant,
+                                 supported_types, vsub, vsum)
 from abideal.weyl import (
     apply_word,
     check_letters,
@@ -385,6 +385,68 @@ def _anchor_order(adj, candidates):
             if not placed[u]:
                 heappush(frontier, (len(candidates[u]), u))
     return order
+
+
+def _full_breadth_first_automorphisms(adj):
+    """Every automorphism searched to the end, in breadth-first order: each
+    vertex but a component's first tried against the neighbours of its
+    parent's image, before the search pruned by a stabilizer chain."""
+    n = len(adj)
+
+    # breadth-first order, one component after another: every vertex but a
+    # component's first was reached from an earlier neighbour, its parent
+    order = []
+    parent = [None] * n
+    seen = [False] * n
+    head = 0
+    for first in range(n):
+        if seen[first]:
+            continue
+        seen[first] = True
+        order.append(first)
+        while head < len(order):
+            p = order[head]
+            head += 1
+            for u in adj[p]:
+                if not seen[u]:
+                    seen[u] = True
+                    parent[u] = p
+                    order.append(u)
+
+    # depth-first search with an explicit stack of candidate iterators, one
+    # per assigned position, so deep graphs do not exhaust the call stack;
+    # an automorphism sends v next to its parent's image, and a component's
+    # first vertex anywhere
+    def candidates(v):
+        p = parent[v]
+        return iter(range(n) if p is None else adj[image[p]])
+
+    found = []
+    image = {}
+    used = set()
+    if n == 0:
+        found.append(())
+    stack = [candidates(order[0])] if n else []
+    while stack:
+        k = len(stack) - 1
+        v = order[k]
+        if v in image:  # back at this position: release its last choice
+            used.discard(image.pop(v))
+        # the assigned neighbors of v must map onto the assigned neighbors of t
+        mapped = {image[u] for u in adj[v] if u in image}
+        degree = len(adj[v])
+        t = next((t for t in stack[-1] if t not in used and len(adj[t]) == degree
+                  and mapped == adj[t] & used), None)
+        if t is None:
+            stack.pop()
+            continue
+        image[v] = t
+        used.add(t)
+        if k + 1 == n:
+            found.append(tuple(image[x] for x in range(n)))
+        else:
+            stack.append(candidates(order[k + 1]))
+    return tuple(sorted(found))
 
 
 def _frontier_anchored_automorphisms(adj):
@@ -858,6 +920,12 @@ def test_automorphisms_match_the_profile_rescan_search(label):
 
 
 @pytest.mark.parametrize("label", ALL_LABELS + ("A9", "A10", "A11"))
+def test_pruned_automorphisms_match_the_full_breadth_first_search(label):
+    graph = build_graph(build(label))
+    assert graph_automorphisms(graph) == _full_breadth_first_automorphisms(graph.adjacency)
+
+
+@pytest.mark.parametrize("label", ALL_LABELS + ("A9", "A10", "A11"))
 def test_breadth_first_automorphisms_match_the_frontier_anchored_search(label):
     graph = build_graph(build(label))
     assert graph_automorphisms(graph) == _frontier_anchored_automorphisms(graph.adjacency)
@@ -872,7 +940,7 @@ def test_maximal_ideals_match_the_pairwise_search(label):
 def _assert_matches_gauss_jordan(matrix):
     det, adj = bareiss(matrix)
     ref_det, ref_inv = _gauss_jordan(matrix)
-    assert type(det) is int and det == ref_det, matrix
+    assert type(det) is int and det == ref_det == determinant(matrix), matrix
     if ref_inv is None:
         assert adj is None, matrix
     else:
@@ -891,6 +959,23 @@ def test_bareiss_matches_gauss_jordan_on_facet_grams(label):
     for gram in _integer_facet_grams(rs):
         _assert_matches_gauss_jordan(gram)
     assert facet_volume_ratios(rs) == _fraction_facet_ratios(rs)
+
+
+def _per_facet_determinants(rs):
+    """The facet determinants with each facet's edge Gram summed entry by
+    entry through `raw_inner` from the integer vertex points, before the
+    edge Grams were read off one vertex Gram."""
+    adj = bareiss(rs.form)[1]
+    scale = lcm(*rs.marks)
+    points = [(0,) * rs.rank] + [tuple(scale // n * row[i] for row in adj)
+                                 for i, n in enumerate(rs.marks)]
+    return tuple(bareiss(gram)[0] for gram in _facet_grams(rs, points, rs.raw_inner))
+
+
+@pytest.mark.parametrize("label", EVERY_LABEL)
+def test_facet_determinants_match_the_per_facet_grams(label):
+    rs = build(label)
+    assert hasse._facet_determinants(rs) == _per_facet_determinants(rs)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -1292,6 +1377,25 @@ def _cell_set_young_of_ideal(rs, a):
     return d
 
 
+def _index_count_young_of_ideal(rs, a):
+    """One pass over the roots, each root's column found by `tuple.index`
+    and its height by `tuple.count` after a positivity test, as before the
+    per-system cell table."""
+    if rs.simple_type.letter != "A":
+        raise ValueError("the staircase picture requires type A")
+    l = rs.rank
+    rows = [0] * l
+    for root in a.roots:
+        if not rs.is_positive_root(root):
+            raise ValueError(f"{tuple(root)} is not a positive root of {rs.simple_type}")
+        first = root.index(1)
+        rows[l - first - root.count(1)] |= 1 << first
+    d = YoungDiagram(m.bit_count() for m in rows if m)
+    if any(m & (m + 1) for m in rows) or any(rows[len(d.rows):]):
+        raise ValueError("ideal cells are not a left-justified shape")
+    return d
+
+
 def _per_coordinate_ideal_of_young(rs, d):
     """Each cell's root built one coordinate at a time."""
     if rs.simple_type.letter != "A":
@@ -1313,7 +1417,7 @@ def test_young_bridge_matches_the_cell_set_and_coordinate_forms(rank):
     rs, n = build(f"A{rank}"), rank + 1
     for a in enumerate_all(rs):
         d = young_of_ideal(rs, a)
-        assert d == _cell_set_young_of_ideal(rs, a), a
+        assert d == _cell_set_young_of_ideal(rs, a) == _index_count_young_of_ideal(rs, a), a
         assert ideal_of_young(rs, d) == _per_coordinate_ideal_of_young(rs, d) == a
         assert young_encode(d, n) == _bit_list_young_encode(d, n)
     # root sets that are mostly not shapes, a repeated root, and a
@@ -1329,6 +1433,7 @@ def test_young_bridge_matches_the_cell_set_and_coordinate_forms(rank):
     for a in cases:
         got = _raised(young_of_ideal, rs, a)
         assert got == _raised(_cell_set_young_of_ideal, rs, a), a
+        assert got == _raised(_index_count_young_of_ideal, rs, a), a
         if not isinstance(got, YoungDiagram):
             texts.add(got[1])
     # hooks up to l + 2 against the rank and against the code's width
@@ -1346,6 +1451,7 @@ def test_young_bridge_rejects_other_types_as_the_references_do(label):
     rs = build(label)
     for a in (make_ideal(()), make_ideal((rs.theta,))):
         assert (_raised(young_of_ideal, rs, a) == _raised(_cell_set_young_of_ideal, rs, a)
+                == _raised(_index_count_young_of_ideal, rs, a)
                 == (ValueError, "the staircase picture requires type A"))
     for d in young_lattice(4):
         assert (_raised(ideal_of_young, rs, d) == _raised(_per_coordinate_ideal_of_young, rs, d)
