@@ -338,7 +338,8 @@ def check_word_table(rs: RootSystem) -> CheckResult:
     return _ok("word_table", f"{checked} long nodes, all words of length {g - 2}")
 
 
-def _walk_mismatch(rs: RootSystem, nodes: Sequence[int], product, walks: Dict[Matrix, Poly]) -> str:
+def _walk_mismatch(rs: RootSystem, nodes: Sequence[int], product,
+                   walks: Dict[Matrix, Poly]) -> str:
     """Empty when the coset walk of the parabolic subgroup on `nodes`, in
     their order, gives its exponent product; otherwise what differs.  The
     walk depends only on the Cartan submatrix on `nodes`, so each distinct
@@ -367,7 +368,7 @@ def check_fiber_polynomials(rs: RootSystem) -> CheckResult:
         if got != want:
             return _fail("fiber_polynomials", f"node {i}: {got} != closed form {want}")
     affine = affine_cartan_matrix(rs)
-    series: Dict[Tuple[int, ...], Tuple[Poly, Poly, str]] = {}
+    series: Dict[Tuple[int, ...], Tuple[Poly, str]] = {}
     walks: Dict[Matrix, Poly] = {}
     for phi in rs.long_positive_roots():
         letters = perp_generators(rs, phi)
@@ -376,9 +377,8 @@ def check_fiber_polynomials(rs: RootSystem) -> CheckResult:
             finite_nodes = tuple(j for j in letters if j)
             finite = weyl.parabolic_poincare(affine, finite_nodes)
             quotient = poly_divexact(weyl.parabolic_poincare(affine, letters), finite)
-            known = series[letters] = (finite, quotient,
-                                       _walk_mismatch(rs, finite_nodes, finite, walks))
-        finite, quotient, bad = known
+            known = series[letters] = (quotient, _walk_mismatch(rs, finite_nodes, finite, walks))
+        quotient, bad = known
         if bad:
             return _fail("fiber_polynomials", f"phi={_compact(phi)}: {bad}")
         walked = coset_poincare(rs, phi)

@@ -16,25 +16,26 @@ Upper alcoves are read off the same walls: the far wall of 2A among an
 alcove's walls names the facet on it, and the vertex opposite.
 
 The facets of the fundamental alcove have integer Gram determinants
-(`_facet_determinants`), and the ratios they should have are integers over
+(`_facet_determinants`, each read off one Gram matrix of the alcove's
+vertices), and the ratios they should have are integers over
 raw(theta, theta) (`_expected_facet_terms`).  `verify` compares the two
 cross-multiplied; only the public `facet_volume_ratios` and
 `expected_facet_ratios` build Fractions.
 
-Automorphisms are computed on the unlabeled undirected graph by
-backtracking that collects every adjacency-preserving permutation.
-Vertices are assigned in breadth-first order, one component after
-another, so each vertex but a component's first has an earlier neighbour,
-its parent, and can only go to a neighbour of its parent's image; a
-component's first vertex may go anywhere.  The resulting group is
-identified by comparing order, abelianness, element orders and center
-size against a catalog of small groups.
+Automorphisms are computed on the unlabeled undirected graph by a
+backtracking search along a stabilizer chain: with the vertices in
+breadth-first order, one component after another, the search finds one
+automorphism for each image of a vertex that the automorphisms fixing
+every earlier vertex can reach and the ones found so far do not, and the
+group those generate is listed.  The resulting group is identified by
+comparing order, abelianness, element orders and center size against a
+catalog of small groups.
 """
 
 from __future__ import annotations
 
-from itertools import repeat
 from functools import reduce
+from itertools import repeat
 from math import lcm
 from operator import and_, mul
 from typing import TYPE_CHECKING, FrozenSet, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
@@ -42,7 +43,6 @@ from typing import TYPE_CHECKING, FrozenSet, Iterator, List, NamedTuple, Optiona
 from .ideals import (
     IdealCatalog,
     InvariantViolation,
-    byte_tables,
     catalog_of,
     mask_bits,
 )
@@ -108,7 +108,7 @@ def verify_cover_structure(graph: HasseGraph) -> None:
     ideals contained in b are exactly those reaching b by a chain of edges.
     Both sides are bitsets over the catalog: the contained ones are the AND,
     over the roots outside b, of the ideals lacking that root, read one byte
-    of b's complement at a time (`byte_tables`); the reaching ones are b
+    of b's complement at a time (`_and_tables`); the reaching ones are b
     itself ORed with the reaching sets of b's lower neighbours, filled in
     catalog order, which sorts by dimension.  Where they differ, the
     largest ideal contained in b but not reaching it has no step toward b.
@@ -123,7 +123,7 @@ def verify_cover_structure(graph: HasseGraph) -> None:
         lower[e.upper].append(e.lower)
 
     everything = (1 << len(masks)) - 1
-    tables = byte_tables([everything ^ h for h in cat.holders], and_, everything)
+    tables = _and_tables([everything ^ h for h in cat.holders], everything)
     nbytes = len(tables)
     every_root = (1 << len(cat.holders)) - 1
     reaching = [0] * len(masks)
@@ -138,6 +138,21 @@ def verify_cover_structure(graph: HasseGraph) -> None:
             a = (contained & ~reach).bit_length() - 1
             raise InvariantViolation(
                 f"no one-root step from {cat.ideals[a].roots} toward {cat.ideals[b].roots}")
+
+
+def _and_tables(values: Sequence[int], everything: int) -> List[List[int]]:
+    """One table per eight consecutive values: entry v of table t is the
+    AND, from `everything`, of values[8t + b] over the set bits b of v, so
+    the AND over a mask is one lookup per byte of the mask."""
+    tables = []
+    for start in range(0, len(values), 8):
+        chunk = values[start:start + 8]
+        table = [everything] * 256
+        for v in range(1, 1 << len(chunk)):
+            low = v & -v
+            table[v] = table[v ^ low] & chunk[low.bit_length() - 1]
+        tables.append(table)
+    return tables
 
 
 def to_dot(graph: HasseGraph) -> str:

@@ -32,7 +32,7 @@ route, each word's rho-shift against its ideal's root sum, is the
 from __future__ import annotations
 
 from functools import cached_property
-from typing import (TYPE_CHECKING, Callable, Collection, Dict, FrozenSet, Iterable, Iterator, List,
+from typing import (TYPE_CHECKING, Collection, Dict, FrozenSet, Iterable, Iterator, List,
                     NamedTuple, Optional, Sequence, Tuple)
 
 from .affine import (
@@ -108,22 +108,6 @@ def mask_bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-def byte_tables(values: Sequence[int], combine: Callable[[int, int], int],
-                empty: int) -> List[List[int]]:
-    """One table per eight consecutive values: entry v of table t combines,
-    from `empty`, values[8t + b] over the set bits b of v, so a mask's
-    combination is one lookup per byte of the mask."""
-    tables = []
-    for start in range(0, len(values), 8):
-        chunk = values[start:start + 8]
-        table = [empty] * 256
-        for v in range(1, 1 << len(chunk)):
-            low = v & -v
-            table[v] = combine(table[v ^ low], chunk[low.bit_length() - 1])
-        tables.append(table)
-    return tables
 
 
 def is_abelian_ideal(rs: RootSystem, roots: Iterable[Root]) -> bool:

@@ -23,8 +23,13 @@ by comparing every pair.  The breadth-first automorphism search keeps the
 search it replaced, `_frontier_anchored_automorphisms`: colour refinement
 from degrees (`_refine_colors`), then each vertex tried against its whole
 colour class in a heap-ordered frontier, fewest candidates first
-(`_anchor_order`).  The Kostant check keeps the sampler it drew
-through, `random.sample` with vector sums of roots, and the catalog's walk
+(`_anchor_order`), and the search that completed every automorphism
+before the stabilizer chain pruned it, `_full_breadth_first_automorphisms`.
+The facet determinants keep their per-facet Gram matrices summed through
+`raw_inner`, and the doubled-alcove test its one pairing call per wall
+(`rho_shift_in_2A`).  The Kostant check keeps the sampler it drew
+through, `random.sample` with vector sums of roots, and the generator of
+bare masks its loop took in (`_random_draws`), and the catalog's walk
 of the word tree keeps the whole-word forms it replaced: each entry's
 walls walked from the affine simple roots, its ideal rebuilt by
 `from_param`, and its ideal read off the whole word's affine inversion
@@ -36,7 +41,9 @@ walk from a root all the way to theta, the cover and conflict masks from
 pairing summed from the Cartan row.  The Young decode keeps its bit list,
 read in reverse into column heights, and the encode its list of bits; an
 ideal's diagram keeps its cell set, each row's width counted over all the
-cells, and a diagram's ideal its roots built coordinate by coordinate.
+cells, and its pass that found each root's cell by `tuple.index` and
+`tuple.count`; a diagram's ideal keeps its roots built coordinate by
+coordinate.
 The Kostant mask sampler keeps its per-bit ideal test over each drawn
 root's cover and conflict masks, and
 the mask kernel its tuple evaluator: the packed coordinate sum unpacked,
