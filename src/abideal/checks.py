@@ -10,8 +10,9 @@ constructions run here, once, inside named checks.
 from __future__ import annotations
 
 import random
+from itertools import islice
 from operator import mul
-from typing import Callable, Container, Dict, List, NamedTuple, Sequence, Set, Tuple
+from typing import Callable, Container, Dict, Iterator, List, NamedTuple, Sequence, Set, Tuple
 
 from . import weyl
 from .affine import (
@@ -129,11 +130,11 @@ def check_ideal_count(rs: RootSystem) -> CheckResult:
 
 
 def _non_ideal_draws(rs: RootSystem, rng: random.Random, index: Container[int],
-                     count: int, packed: Sequence[int]) -> List[Tuple[int, int]]:
-    """The first `count` random masks over rs.positive_roots that `index`
-    does not hold, repeats included, each with the sum of `packed` over its
-    set bits; none at rank one, where every subset of the single positive
-    root is an ideal.
+                     packed: Sequence[int]) -> Iterator[Tuple[int, int]]:
+    """Endless random masks over rs.positive_roots that `index` does not
+    hold, repeats included, each with the sum of `packed` over its set
+    bits; none at rank one, where every subset of the single positive root
+    is an ideal.
 
     Each draw takes its size k uniform in 1..n, then a uniform k-subset by
     Floyd's algorithm (Bentley and Floyd, "A sample of brilliance", CACM
@@ -142,8 +143,8 @@ def _non_ideal_draws(rs: RootSystem, rng: random.Random, index: Container[int],
     CPython's rejection loop, getrandbits(m.bit_length()) until below m, so
     the draws read the method's stream: this is the sampler's hot loop."""
     n = rs.num_positive
-    if n == 1 or count < 1:
-        return []
+    if n == 1:
+        return
     full, everything = (1 << n) - 1, sum(packed)
     getrandbits = rng.getrandbits
     size_bits = n.bit_length()
@@ -151,7 +152,6 @@ def _non_ideal_draws(rs: RootSystem, rng: random.Random, index: Container[int],
     # Floyd's steps j, with the bit length of j + 1, for each size k
     steps = [(j, (j + 1).bit_length(), single[j]) for j in range(n)]
     plans = [(steps[n - min(k, n - k):], k > n - k) for k in range(1, n + 1)]
-    kept: List[Tuple[int, int]] = []
     while True:
         k = getrandbits(size_bits)
         while k >= n:
@@ -172,9 +172,7 @@ def _non_ideal_draws(rs: RootSystem, rng: random.Random, index: Container[int],
             mask ^= full
             total = everything - total
         if mask not in index:
-            kept.append((mask, total))
-            if len(kept) == count:
-                return kept
+            yield mask, total
 
 
 def _kostant_fields(rs: RootSystem) -> Tuple[List[Tuple[int, ...]], int, int]:
@@ -257,13 +255,16 @@ def check_kostant(rs: RootSystem) -> CheckResult:
         if value(sum(map(packed.__getitem__, mask_bits(mask))), mask.bit_count()) != a.dim * den:
             return _fail("kostant", f"equality fails on ideal {[_compact(r) for r in a.roots]}")
 
-    draws = _non_ideal_draws(rs, random.Random(f"kostant:{rs.simple_type}"), cat.index,
-                             KOSTANT_SAMPLES, packed)
-    for mask, total in dict(draws).items():
+    draws = _non_ideal_draws(rs, random.Random(f"kostant:{rs.simple_type}"), cat.index, packed)
+    kept, tested = 0, set()
+    for mask, total in islice(draws, KOSTANT_SAMPLES):
+        kept += 1
+        if mask in tested:
+            continue
+        tested.add(mask)
         size = mask.bit_count()
         if value(total, size) >= size * den:
             return _fail("kostant", f"non-ideal subset of size {size} not strictly below")
-    kept = len(draws)
     tail = (f"{kept} random non-ideal subsets strictly below"
             if kept else "no non-ideal subsets exist at rank one")
     return _ok("kostant", f"equality on {len(cat)} ideals; {tail}")

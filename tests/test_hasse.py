@@ -1,6 +1,6 @@
 import copy
 import random
-from itertools import combinations, permutations
+from itertools import combinations, islice, permutations
 from math import factorial, prod
 from types import SimpleNamespace
 
@@ -743,8 +743,9 @@ def test_kostant_fails_when_one_non_ideal_reaches_its_size(monkeypatch, label):
     # non-ideal mask, a repeated one on the small types
     rs = build(label)
     packed, value = checks._kostant_kernel(rs)
-    draws = checks._non_ideal_draws(rs, random.Random(f"kostant:{label}"),
-                                    catalog_of(rs).index, checks.KOSTANT_SAMPLES, packed)
+    draws = list(islice(checks._non_ideal_draws(rs, random.Random(f"kostant:{label}"),
+                                                catalog_of(rs).index, packed),
+                        checks.KOSTANT_SAMPLES))
     mask, total = draws[len(draws) // 2]
     size = mask.bit_count()
 

@@ -1536,8 +1536,8 @@ def test_kostant_check_keeps_the_per_bit_samplers_draws(label):
     # and each carries the packed sum of its roots
     rs = build(label)
     packed = _kostant_kernel(rs)[0]
-    draws = _non_ideal_draws(rs, random.Random(f"kostant:{label}"), catalog_of(rs).index,
-                             1000, packed)
+    draws = list(islice(_non_ideal_draws(rs, random.Random(f"kostant:{label}"),
+                                         catalog_of(rs).index, packed), 1000))
     assert [mask for mask, _ in draws] == _per_bit_non_ideal_masks(
         rs, random.Random(f"kostant:{label}"), 1000)
     assert all(total == sum(packed[j] for j in mask_bits(mask)) for mask, total in draws)
