@@ -149,14 +149,15 @@ def _non_ideal_draws(rs: RootSystem, rng: random.Random, index: Container[int],
     getrandbits = rng.getrandbits
     size_bits = n.bit_length()
     single = [1 << j for j in range(n)]
-    # Floyd's steps j, with the bit length of j + 1, for each size k
+    # plans[k - 1]: for size k, Floyd's steps (j, the bit length of j + 1,
+    # bit j), and whether the subset is drawn as its complement
     steps = [(j, (j + 1).bit_length(), single[j]) for j in range(n)]
     plans = [(steps[n - min(k, n - k):], k > n - k) for k in range(1, n + 1)]
     while True:
-        k = getrandbits(size_bits)
-        while k >= n:
-            k = getrandbits(size_bits)
-        todo, complement = plans[k]
+        r = getrandbits(size_bits)
+        while r >= n:
+            r = getrandbits(size_bits)
+        todo, complement = plans[r]
         mask = total = 0
         for j, b, bit in todo:
             t = getrandbits(b)
