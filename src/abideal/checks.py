@@ -32,8 +32,8 @@ from .hasse import (
 )
 from .ideals import (
     InvariantViolation,
+    _long_root_of_mask,
     _max_dimension_of,
-    associated_long_root,
     catalog_of,
     forbidden_roots,
     kostant_raw,
@@ -277,12 +277,13 @@ def check_parametrization(rs: RootSystem) -> CheckResult:
     one walk of the word tree; independently, the word's rho-shift
     (`affine.rho_shift`, walked from rho) must be that ideal's root sum,
     which names the ideal, as no two ideals share a root sum.
-    `associated_long_root` must find the parameter's root."""
+    `associated_long_root`, read off the ideal's mask
+    (`_long_root_of_mask`), must find the parameter's root."""
     cat = catalog_of(rs)
     if len(set(cat.sums)) != len(cat):
         return _fail("parametrization", "two enumerated ideals share a root sum")
     params = set()
-    for e, total in zip(cat.entries, cat.sums):
+    for e, total, mask in zip(cat.entries, cat.sums, cat.masks):
         if e.phi is None:
             if e.ideal.dim != 0 or e.word != ():
                 return _fail("parametrization", "unparametrized entry is not the zero ideal")
@@ -291,7 +292,7 @@ def check_parametrization(rs: RootSystem) -> CheckResult:
         if rho_shift(rs, e.word) != total:
             return _fail("parametrization",
                          f"rho-shift of ({_compact(e.phi)}, {list(e.coset_word)}) disagrees")
-        assoc = associated_long_root(rs, e.ideal)
+        assoc = _long_root_of_mask(rs, mask)
         if assoc != e.phi:
             return _fail("parametrization",
                          f"associated long root {_compact(assoc)} != parameter {_compact(e.phi)}")
@@ -458,9 +459,9 @@ def check_second_sum(rs: RootSystem) -> CheckResult:
 # extremal ideals
 
 def check_max_dimension(rs: RootSystem) -> CheckResult:
-    """`max_dimension`, read off the catalog the other checks hold."""
+    """`max_dimension`, read off the catalog's masks, which the other checks hold."""
     st = rs.simple_type
-    rep = _max_dimension_of(rs, catalog_of(rs).ideals)
+    rep = _max_dimension_of(rs, [m.bit_count() for m in catalog_of(rs).masks])
     want = reference_max_dimension(st)
     if rep.value != want:
         return _fail("max_dimension", f"maximum {rep.value} != {want}")

@@ -162,7 +162,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     over many types holds one type's catalog (with its alcove walls) and
     Hasse graph at a time."""
     from . import checks
-    labels = [str(st) for st in supported_types(args.max_rank)] if args.all else [args.type]
+    labels = [str(st) for st in supported_types(args.max_rank or 8)] if args.all else [args.type]
     reports: List[TypeReport] = []
     for label in labels:
         reports.append(checks.verify_type(label))
@@ -315,16 +315,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ideals", help="list every abelian ideal with its parameter")
     p.add_argument("type", type=_type_arg)
-    fmt = p.add_mutually_exclusive_group()
-    fmt.add_argument("--json", action="store_true")
-    fmt.add_argument("--text", action="store_true", help="plain text (default)")
+    p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_ideals)
 
     p = sub.add_parser("verify", help="run the named invariant checks")
     p.add_argument("type", nargs="?", type=_type_arg,
                    help="one type; or use --all")
     p.add_argument("--all", action="store_true", help="all types up to --max-rank")
-    p.add_argument("--max-rank", type=int, default=8, choices=range(1, 9),
+    p.add_argument("--max-rank", type=int, choices=range(1, 9),
                    metavar="N", help="rank bound for --all (default 8)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_verify)
@@ -358,6 +356,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "verify" and args.all == (args.type is not None):
         parser.error("pass exactly one of <TYPE> or --all")
+    if args.command == "verify" and args.max_rank is not None and not args.all:
+        parser.error("--max-rank applies only with --all")
     lo, hi = _RANK_BOUNDS["A"]
     if args.command == "young" and not lo <= args.rank <= hi:
         parser.error(f"rank must be between {lo} and {hi}")

@@ -8,19 +8,19 @@ images of the affine simple roots.  An edge crosses the wall the two
 alcoves share, and its label is that wall's type in the lower alcove.  A
 separate verification confirms the edges are exactly the cover relations
 of inclusion by a downward closure on bitsets over the catalog: the ideals
-contained in b (an AND of "ideals lacking root k" over the roots k outside
-b) must be exactly those reaching b along edges (b ORed with what reaches
-its lower neighbours).
+contained in b (a plain AND of "ideals lacking root k" over the roots k
+outside b that some ideal holds) must be exactly those reaching b along
+edges (b ORed with what reaches its lower neighbours).
 
 Upper alcoves are read off the same walls: the far wall of 2A among an
 alcove's walls names the facet on it, and the vertex opposite.
 
 The facets of the fundamental alcove have integer Gram determinants
 (`_facet_determinants`, each read off one Gram matrix of the alcove's
-vertices), and the ratios they should have are integers over
-raw(theta, theta) (`_expected_facet_terms`).  `verify` compares the two
-cross-multiplied; only the public `facet_volume_ratios` and
-`expected_facet_ratios` build Fractions.
+vertices, itself read off the form's adjugate), and the ratios they should
+have are integers over raw(theta, theta) (`_expected_facet_terms`).
+`verify` compares the two cross-multiplied; only the public
+`facet_volume_ratios` and `expected_facet_ratios` build Fractions.
 
 Automorphisms are computed on the unlabeled undirected graph by a
 backtracking search along a stabilizer chain: with the vertices in
@@ -34,10 +34,9 @@ catalog of small groups.
 
 from __future__ import annotations
 
-from functools import reduce
 from itertools import repeat
 from math import lcm
-from operator import and_, eq, mul
+from operator import eq
 from typing import TYPE_CHECKING, FrozenSet, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .ideals import (
@@ -106,12 +105,13 @@ def verify_cover_structure(graph: HasseGraph) -> None:
     staying inside the larger: every cover then has dimension gap one, and
     those pairs are exactly the edges.  Equivalently, for every ideal b the
     ideals contained in b are exactly those reaching b by a chain of edges.
-    Both sides are bitsets over the catalog: the contained ones are the AND,
-    over the roots outside b, of the ideals lacking that root, read one byte
-    of b's complement at a time (`_and_tables`); the reaching ones are b
-    itself ORed with the reaching sets of b's lower neighbours, filled in
-    catalog order, which sorts by dimension.  Where they differ, the
-    largest ideal contained in b but not reaching it has no step toward b.
+    Both sides are bitsets over the catalog: the contained ones are the
+    plain AND, over the roots outside b that some ideal holds, of the ideals
+    lacking that root (a root no ideal holds, as 76 of E8's 120 are, is
+    lacked by all); the reaching ones are b itself ORed with the reaching
+    sets of b's lower neighbours, filled in catalog order, which sorts by
+    dimension.  Where they differ, the largest ideal contained in b but not
+    reaching it has no step toward b.
     """
     cat = graph.catalog
     masks = cat.masks
@@ -123,16 +123,13 @@ def verify_cover_structure(graph: HasseGraph) -> None:
         lower[e.upper].append(e.lower)
 
     everything = (1 << len(masks)) - 1
-    # a root below the first one some ideal holds is lacked by every ideal,
-    # so the AND skips it (on E8, the first 68 of 120 roots)
-    low = next((j for j, h in enumerate(cat.holders) if h), 0)
-    tables = _and_tables([everything ^ h for h in cat.holders[low:]], everything)
-    nbytes = len(tables)
-    every_root = (1 << len(cat.holders)) - 1
+    lacking = [(1 << j, everything ^ h) for j, h in enumerate(cat.holders) if h]
     reaching = [0] * len(masks)
     for b, mask in enumerate(masks):
-        outside = ((every_root & ~mask) >> low).to_bytes(nbytes, "little")
-        contained = reduce(and_, map(list.__getitem__, tables, outside), everything)
+        contained = everything
+        for bit, lack in lacking:
+            if not mask & bit:
+                contained &= lack
         reach = 1 << b
         for a in lower[b]:
             reach |= reaching[a]
@@ -141,21 +138,6 @@ def verify_cover_structure(graph: HasseGraph) -> None:
             a = (contained & ~reach).bit_length() - 1
             raise InvariantViolation(
                 f"no one-root step from {cat.ideals[a].roots} toward {cat.ideals[b].roots}")
-
-
-def _and_tables(values: Sequence[int], everything: int) -> List[List[int]]:
-    """One table per eight consecutive values: entry v of table t is the
-    AND, from `everything`, of values[8t + b] over the set bits b of v, so
-    the AND over a mask is one lookup per byte of the mask."""
-    tables = []
-    for start in range(0, len(values), 8):
-        chunk = values[start:start + 8]
-        table = [everything] * 256
-        for v in range(1, 1 << len(chunk)):
-            low = v & -v
-            table[v] = table[v ^ low] & chunk[low.bit_length() - 1]
-        tables.append(table)
-    return tables
 
 
 def to_dot(graph: HasseGraph) -> str:
@@ -205,13 +187,14 @@ def _vertex_gram(rs: RootSystem) -> List[List[int]]:
     alcove, the origin first.  Vertex i is covee_i / n_i, and covee_i is a
     positive multiple, the same for every i, of column i of the form's
     adjugate, so the vertices are taken as the integer points lcm(marks) /
-    n_i times those columns; the factor is common to every entry."""
-    adj = bareiss(rs.form)[1]
+    n_i times those columns; the factor is common to every entry.  As the
+    form F times its adjugate is det(F) I, the entry of vertices a and b is
+    det(F) (lcm / n_a) (lcm / n_b) adj_ab, and the origin's are zero."""
+    det, adj = bareiss(rs.form)
     scale = lcm(*rs.marks)
-    points = [(0,) * rs.rank] + [tuple(scale // n * row[i] for row in adj)
-                                 for i, n in enumerate(rs.marks)]
-    images = [tuple(sum(map(mul, row, p)) for row in rs.form) for p in points]
-    return [[sum(map(mul, p, q)) for q in images] for p in points]
+    weights = [scale // n for n in rs.marks]
+    return [[0] * (rs.rank + 1)] + [[0] + [det * wa * wb * x for wb, x in zip(weights, row)]
+                                    for wa, row in zip(weights, adj)]
 
 
 def _facet_determinants(rs: RootSystem) -> Tuple[int, ...]:

@@ -24,16 +24,17 @@ ideal, theta together with theta minus each inversion root of phi's word
 to theta.  The chain is walked once per root system; the catalog grows
 each coset word from it, `from_param` crosses only the coset word's
 letters, and going back, an ideal's long root is the one whose minimal
-ideal is the ideal's roots not orthogonal to theta.  The independent
-route, each word's rho-shift against its ideal's root sum, is the
-`parametrization` check of `verify`.
+ideal is the ideal's roots not orthogonal to theta, read off the ideal's
+mask over the positive roots (`_long_root_of_mask`, which `verify` runs
+on the catalog's masks).  The independent route, each word's rho-shift
+against its ideal's root sum, is the `parametrization` check of `verify`.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
 from typing import (TYPE_CHECKING, Collection, Dict, FrozenSet, Iterable, Iterator, List,
-                    NamedTuple, Optional, Sequence, Tuple)
+                    NamedTuple, Optional, Sequence, Set, Tuple)
 
 from .affine import (
     AffineWord,
@@ -46,10 +47,9 @@ from .affine import (
     wall_subgroup_poincare,
 )
 from .qpoly import poly_degree, poly_eval_one
-from .root_system import Record, Root, RootSystem, build, system_cache, vneg, vsub, vsum
+from .root_system import Record, Root, RootSystem, build, check_length, system_cache, vneg, vsub, vsum
 from .weyl import (
     carry_images,
-    check_length,
     graph_distances,
     greedy_letter,
     minimal_word_to_theta,
@@ -114,15 +114,27 @@ def is_abelian_ideal(rs: RootSystem, roots: Iterable[Root]) -> bool:
     """Direct check of the defining conditions: every root is positive, the
     set is closed under adding a simple root, and no two of its roots
     (equal ones included) sum to a root."""
-    chosen = {rs.root_index.get(tuple(r)) for r in roots}
-    return None not in chosen and is_ideal_mask(rs, chosen)
+    return _ideal_mask(rs, roots) is not None
 
 
 def is_ideal_mask(rs: RootSystem, indices: Collection[int]) -> bool:
-    """The same test on indices into rs.positive_roots, read from the root
-    system's cover and conflict masks."""
-    mask = sum(map((1).__lshift__, set(indices)))
-    return not any(rs.cover_masks[k] & ~mask or rs.conflict_masks[k] & mask for k in indices)
+    """The same test on indices into rs.positive_roots."""
+    return _mask_if_ideal(rs, set(indices)) is not None
+
+
+def _ideal_mask(rs: RootSystem, roots: Iterable[Root]) -> Optional[int]:
+    """The mask over rs.positive_roots of a set of roots, or None unless
+    every vector is a positive root and the set is an abelian ideal."""
+    indices = {rs.root_index.get(tuple(r)) for r in roots}
+    return None if None in indices else _mask_if_ideal(rs, indices)
+
+
+def _mask_if_ideal(rs: RootSystem, indices: Set[int]) -> Optional[int]:
+    """The mask of indices into rs.positive_roots, or None unless they are
+    an abelian ideal by the root system's cover and conflict masks."""
+    mask = sum(map((1).__lshift__, indices))
+    covers, conflicts = rs.cover_masks, rs.conflict_masks
+    return None if any(covers[k] & ~mask or conflicts[k] & mask for k in indices) else mask
 
 
 def enumerate_all(rs: RootSystem) -> Tuple[AbelianIdeal, ...]:
@@ -375,31 +387,26 @@ def catalog(label: str) -> IdealCatalog:
 # ----------------------------------------------------------------------
 # structure maps
 
-def _not_perp_theta_mask(rs: RootSystem, ideal: AbelianIdeal) -> int:
-    """The sub-ideal of roots not orthogonal to the highest root, as a mask
-    over rs.positive_roots; ValueError when the input is not an abelian
-    ideal.  The input's indices and mask are built once and tested once;
-    the part off theta's wall is a subset of an abelian set, so it is
-    sum-free already, and only its closure under the covers is tested."""
-    indices = {rs.root_index.get(tuple(r)) for r in ideal.roots}
-    if None in indices:
-        raise ValueError(f"{ideal.roots} is not an abelian ideal")
-    mask = sum(map((1).__lshift__, indices))
-    covers, conflicts = rs.cover_masks, rs.conflict_masks
-    if any(covers[k] & ~mask or conflicts[k] & mask for k in indices):
-        raise ValueError(f"{ideal.roots} is not an abelian ideal")
-    kept = mask & ~rs.perp_theta_mask
-    if any(covers[k] & ~kept for k in mask_bits(kept)):
-        raise InvariantViolation("roots off theta's wall do not form an ideal")
-    return kept
-
-
 def associated_long_root(rs: RootSystem, ideal: AbelianIdeal) -> Root:
     """The long positive root whose minimal ideal (`_greedy_chain`) matches
-    the roots of the ideal that are off theta's wall."""
+    the roots of the ideal off theta's wall (`_long_root_of_mask`)."""
     if ideal.dim == 0:
         raise ValueError("the zero ideal has no associated long root")
-    phi = _greedy_chain(rs)[1].get(_not_perp_theta_mask(rs, ideal))
+    mask = _ideal_mask(rs, ideal.roots)
+    if mask is None:
+        raise ValueError(f"{ideal.roots} is not an abelian ideal")
+    return _long_root_of_mask(rs, mask)
+
+
+def _long_root_of_mask(rs: RootSystem, mask: int) -> Root:
+    """`associated_long_root` of the abelian ideal with this mask over
+    rs.positive_roots.  The part off theta's wall is a subset of an abelian
+    set, so it is sum-free already, and only its closure under the covers
+    is tested before the greedy chain's reverse lookup."""
+    kept = mask & ~rs.perp_theta_mask
+    if any(rs.cover_masks[k] & ~kept for k in mask_bits(kept)):
+        raise InvariantViolation("roots off theta's wall do not form an ideal")
+    phi = _greedy_chain(rs)[1].get(kept)
     if phi is None:
         raise InvariantViolation("no long root matches this ideal's theta-visible part")
     return phi
@@ -432,19 +439,20 @@ class MaxDimensionReport(NamedTuple):
 
 
 def long_simple_nodes(rs: RootSystem) -> Tuple[int, ...]:
-    return tuple(i for i in range(1, rs.rank + 1) if rs.is_long(rs.simple_root(i)))
+    """The nodes i whose diagonal form entry, raw(alpha_i, alpha_i), is raw(theta, theta)."""
+    theta_raw = rs.raw_inner(rs.theta, rs.theta)
+    return tuple(i for i, row in enumerate(rs.form, 1) if row[i - 1] == theta_raw)
 
 
 def max_dimension(rs: RootSystem) -> MaxDimensionReport:
     """The largest dimension of an abelian ideal, read off the enumeration
     with no catalog, and the long simple nodes whose families reach it."""
-    return _max_dimension_of(rs, _enumerate_masks(rs)[0])
+    return _max_dimension_of(rs, [a.dim for a in _enumerate_masks(rs)[0]])
 
 
-def _max_dimension_of(rs: RootSystem, ideals: Sequence[AbelianIdeal]) -> MaxDimensionReport:
-    """`max_dimension` on every abelian ideal of rs, however they were
-    found: `verify` passes the catalog's, which it already holds."""
-    dims = [a.dim for a in ideals]
+def _max_dimension_of(rs: RootSystem, dims: Sequence[int]) -> MaxDimensionReport:
+    """`max_dimension` from the dimensions of all abelian ideals of rs:
+    `verify` passes those of the catalog's masks, which it already holds."""
     value = max(dims)
     multiplicity = dims.count(value)
     g = rs.dual_coxeter_number

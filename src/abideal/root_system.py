@@ -435,6 +435,7 @@ class RootSystem:
         return sum(map(mul, phi, self.cartan[j - 1]))
 
     def is_long(self, phi: Sequence[int]) -> bool:
+        check_length(self, phi)
         return self.raw_inner(phi, phi) == self.raw_inner(self.theta, self.theta)
 
     def long_positive_roots(self) -> Tuple[Root, ...]:
@@ -448,6 +449,7 @@ class RootSystem:
         reflections carrying phi to theta.
         """
         from fractions import Fraction
+        check_length(self, phi)
         diff = tuple(t - p for t, p in zip(self.theta, phi))
         return Fraction(self.twice_raw_rho(diff), self.raw_inner(self.theta, self.theta))
 
@@ -496,6 +498,12 @@ def build(type_or_label) -> RootSystem:
 
 # ----------------------------------------------------------------------
 # small exact helpers shared by the other modules: vectors, and a ratio's text
+
+def check_length(rs: RootSystem, vec: Sequence) -> None:
+    """Reject a vector without rank coordinates, before any action."""
+    if len(vec) != rs.rank:
+        raise ValueError(f"vector {tuple(vec)} has {len(vec)} coordinates, not rank {rs.rank}")
+
 
 def vsub(x: Sequence, y: Sequence) -> tuple:
     return tuple(a - b for a, b in zip(x, y))

@@ -26,7 +26,7 @@ from operator import mul
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .qpoly import Poly, bracket, poly_mul, poly_prod
-from .root_system import Root, RootSystem, _positive_roots, height_exponents
+from .root_system import Root, RootSystem, _positive_roots, check_length, height_exponents
 
 WeylWord = Tuple[int, ...]
 Matrix = Tuple[Tuple[int, ...], ...]
@@ -56,12 +56,6 @@ def check_letters(rs: RootSystem, word: Sequence[int], lowest: int) -> None:
     for i in word:
         if not lowest <= i <= rs.rank:
             raise ValueError(f"letter {i} out of range {lowest}..{rs.rank}")
-
-
-def check_length(rs: RootSystem, vec: Sequence) -> None:
-    """Reject a vector without rank coordinates, before any action."""
-    if len(vec) != rs.rank:
-        raise ValueError(f"vector {tuple(vec)} has {len(vec)} coordinates, not rank {rs.rank}")
 
 
 def apply_word(rs: RootSystem, word: Sequence[int], vec: Sequence) -> tuple:

@@ -309,7 +309,7 @@ def a_min(rs: RootSystem, phi: Root) -> AbelianIdeal:
 def not_perp_theta(rs: RootSystem, ideal: AbelianIdeal) -> AbelianIdeal:
     """The sub-ideal of roots not orthogonal to the highest root, by the
     form; the package reads the same roots off `perp_theta_mask`
-    (`ideals._not_perp_theta_mask`)."""
+    (`ideals._long_root_of_mask`)."""
     if not is_abelian_ideal(rs, ideal.roots):
         raise ValueError(f"{ideal.roots} is not an abelian ideal")
     return make_ideal(r for r in ideal.roots if rs.raw_inner(rs.theta, r) != 0)

@@ -12,7 +12,7 @@ from abideal import checks, cli, ideals, weyl
 from abideal.affine import perp_generators
 from abideal.checks import CheckResult, TypeReport, verify_type
 from abideal.ideals import catalog_of
-from abideal.root_system import build, clear_system_caches, supported_types
+from abideal.root_system import RootSystem, build, clear_system_caches, supported_types
 
 
 def run(capsys, *argv):
@@ -214,6 +214,24 @@ def test_verify_requires_exactly_one_target(capsys):
     assert exc.value.code == 2
 
 
+def test_verify_max_rank_needs_all(capsys):
+    # --max-rank bounds --all; with one type it would be ignored
+    for argv in (["verify", "G2", "--max-rank", "3"], ["verify", "G2", "--max-rank", "8", "--json"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith("error: --max-rank applies only with --all\n")
+    assert cli.main(["verify", "--all", "--max-rank", "1"]) == 0
+
+
+def test_ideals_has_no_text_flag(capsys):
+    # plain text is what `ideals` writes without --json
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["ideals", "A2", "--text"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --text" in capsys.readouterr().err
+
+
 def test_invalid_type_is_usage_error(capsys):
     for bad in ("Z9", "A12", "B1", "e6", "D3"):
         with pytest.raises(SystemExit) as exc:
@@ -316,6 +334,35 @@ def test_verify_enumerates_each_type_once(monkeypatch, label):
     finally:
         clear_system_caches()
     assert calls == [label]
+
+
+@pytest.mark.parametrize("label", ["A5", "D5", "E6", "E8"])
+def test_verify_reads_masks_and_the_form(monkeypatch, label):
+    # parametrization reads each long root off the catalog's mask, not off
+    # the ideal's roots, and the long simple nodes come off the form's
+    # diagonal, with no is_long call
+    converted, long_callers = [], []
+    real_mask, real_long = ideals._ideal_mask, RootSystem.is_long
+
+    def counted_mask(rs, roots):
+        converted.append(tuple(roots))
+        return real_mask(rs, roots)
+
+    def counted_long(rs, phi):
+        # the caller, or the function around the caller's generator
+        long_callers.append({sys._getframe(depth).f_code.co_name for depth in (1, 2)})
+        return real_long(rs, phi)
+
+    monkeypatch.setattr(ideals, "_ideal_mask", counted_mask)
+    monkeypatch.setattr(RootSystem, "is_long", counted_long)
+    clear_system_caches()
+    try:
+        assert verify_type(label).passed
+        held = set(catalog_of(build(label)).ideals)
+    finally:
+        clear_system_caches()
+    assert not [roots for roots in converted if ideals.AbelianIdeal(roots) in held]
+    assert not [names for names in long_callers if "long_simple_nodes" in names]
 
 
 def _submatrix(rs, nodes):

@@ -402,7 +402,7 @@ def test_fiber_polynomials_checks_the_quotient_off_the_simple_roots(monkeypatch,
 
 @pytest.mark.parametrize("label", NOT_SIMPLE_THETA)
 def test_parametrization_checks_the_associated_long_root(monkeypatch, label):
-    monkeypatch.setattr(checks, "associated_long_root", lambda rs, ideal: rs.theta)
+    monkeypatch.setattr(checks, "_long_root_of_mask", lambda rs, mask: rs.theta)
     res = checks.check_parametrization(build(label))
     assert not res.passed
     assert "associated long root" in res.details

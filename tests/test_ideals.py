@@ -33,7 +33,7 @@ from abideal.reference import (
 from abideal.root_system import build, supported_types, vneg, vsum
 from abideal.weyl import minimal_word_to_theta
 
-from conftest import ALL_LABELS
+from conftest import ALL_LABELS, SMALL_LABELS, corrupted_gram_copy
 from reference_impl import (a_max, a_min, a_min_plus, ideal_from_affine_word, inner, norm2,
                             not_perp_theta, rho, vadd)
 
@@ -164,6 +164,23 @@ def test_catalog_parameters_rebuild(small_label):
         again = from_param(rs, e.phi, e.coset_word)
         assert again.root_set == e.ideal.root_set
         assert len(e.word) == e.ideal.dim
+
+
+@pytest.mark.parametrize("label", [str(st) for st in supported_types(11)])
+def test_long_simple_nodes_follow_the_is_long_definition(label):
+    rs = build(label)
+    want = tuple(i for i in range(1, rs.rank + 1) if rs.is_long(rs.simple_root(i)))
+    assert long_simple_nodes(rs) == want
+    assert want
+
+
+@pytest.mark.parametrize("label", SMALL_LABELS)
+def test_long_simple_nodes_read_a_corrupted_form(label):
+    # node 1's diagonal entry doubled: the copy gets its own answer, never
+    # the cached system's
+    rs = corrupted_gram_copy(label)
+    want = tuple(i for i in range(1, rs.rank + 1) if rs.is_long(rs.simple_root(i)))
+    assert long_simple_nodes(rs) == want
 
 
 def test_from_param_rejects_bad_input():

@@ -49,8 +49,9 @@ root's cover and conflict masks, and
 the mask kernel its tuple evaluator: the packed coordinate sum unpacked,
 then the quadratic term summed over the nonzero form entries.  A word's
 matrix keeps its per-vector form, one `apply_word` per basis vector, and
-the roots of an ideal off theta's wall their two-test form, the
-abelian-ideal test run on the input and again on that part.  The matrix
+the associated long root its two-test form, the abelian-ideal test run on
+the input's roots and again on their part off theta's wall, against one
+roots-to-mask conversion and the mask core.  The matrix
 and Fraction picture of an affine element these references use lives in
 `reference_impl.py`.  Each test requires the
 library to give exactly what its reference gives, errors included.
@@ -67,7 +68,6 @@ from types import SimpleNamespace
 
 import pytest
 
-from abideal import ideals as ideals_module
 from abideal import hasse, weyl
 from abideal.affine import (
     AffineRoot,
@@ -93,6 +93,9 @@ from abideal.ideals import (
     IdealCatalog,
     InvariantViolation,
     _enumerate_masks,
+    _greedy_chain,
+    _ideal_mask,
+    _long_root_of_mask,
     catalog_of,
     enumerate_all,
     forbidden_roots,
@@ -235,6 +238,23 @@ def _two_test_not_perp_theta_mask(rs, ideal):
     if not is_ideal_mask(rs, kept):
         raise InvariantViolation("roots off theta's wall do not form an ideal")
     return sum(map((1).__lshift__, kept))
+
+
+def _two_test_long_root(rs, ideal):
+    """The greedy chain's long root of `_two_test_not_perp_theta_mask`."""
+    phi = _greedy_chain(rs)[1].get(_two_test_not_perp_theta_mask(rs, ideal))
+    if phi is None:
+        raise InvariantViolation("no long root matches this ideal's theta-visible part")
+    return phi
+
+
+def _one_pass_long_root(rs, ideal):
+    """The package's route: the roots-to-mask conversion, then the mask
+    core that `check_parametrization` runs on the catalog's masks."""
+    mask = _ideal_mask(rs, ideal.roots)
+    if mask is None:
+        raise ValueError(f"{ideal.roots} is not an abelian ideal")
+    return _long_root_of_mask(rs, mask)
 
 
 def _matrix_product_element(rs, word):
@@ -778,9 +798,11 @@ def test_one_pass_not_perp_theta_mask_matches_the_two_tests(label):
     inputs = ideals + [make_ideal(s) for s in _set_test_non_ideal_subsets(rs, rng, 60)]
     inputs += [make_ideal(a.root_set ^ {rng.choice(rs.positive_roots)}) for a in ideals[:40]]
     inputs += [make_ideal(a.roots + (tuple(-c for c in rs.theta),)) for a in ideals[:5]]
-    outcomes = [_raised(ideals_module._not_perp_theta_mask, rs, a) for a in inputs]
-    assert outcomes == [_raised(_two_test_not_perp_theta_mask, rs, a) for a in inputs]
-    assert outcomes[:len(ideals)] == [m & ~rs.perp_theta_mask for m in catalog_of(rs).masks]
+    outcomes = [_raised(_one_pass_long_root, rs, a) for a in inputs]
+    assert outcomes == [_raised(_two_test_long_root, rs, a) for a in inputs]
+    entries = catalog_of(rs).entries
+    assert [_ideal_mask(rs, a.roots) for a in ideals] == list(catalog_of(rs).masks)
+    assert [o for o, e in zip(outcomes, entries) if e.phi] == [e.phi for e in entries if e.phi]
     assert outcomes[-1] == (ValueError, f"{inputs[-1].roots} is not an abelian ideal")
     # a wrong perp mask: theta's bit alone leaves the roots theta covers
     # without their cover, and so may a random mask; both forms report the
@@ -788,8 +810,8 @@ def test_one_pass_not_perp_theta_mask_matches_the_two_tests(label):
     fault = copy.copy(rs)
     for perp in [1 << rs.root_index[rs.theta], rng.getrandbits(rs.num_positive)]:
         fault.perp_theta_mask = perp
-        outcomes = [_raised(ideals_module._not_perp_theta_mask, fault, a) for a in ideals]
-        assert outcomes == [_raised(_two_test_not_perp_theta_mask, fault, a) for a in ideals]
+        outcomes = [_raised(_one_pass_long_root, fault, a) for a in ideals]
+        assert outcomes == [_raised(_two_test_long_root, fault, a) for a in ideals]
         if rs.rank > 1 and perp == 1 << rs.root_index[rs.theta]:
             assert (InvariantViolation, "roots off theta's wall do not form an ideal") in outcomes
 

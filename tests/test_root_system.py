@@ -139,6 +139,16 @@ def test_length_to_theta_on_long_roots(each_label):
         assert v.denominator == 1 and 0 <= int(v) <= g - 2
 
 
+@pytest.mark.parametrize("method, vector", [("is_long", (1,)), ("length_to_theta", (1,)),
+                                            ("length_to_theta", (1, 1, 5)), ("is_long", (1, 1, 5))])
+def test_wrong_length_vectors_are_rejected(method, vector):
+    # zipped against theta and the form, a truncated or padded vector would
+    # pass for theta
+    with pytest.raises(ValueError) as info:
+        getattr(build("A2"), method)(vector)
+    assert str(info.value) == f"vector {vector} has {len(vector)} coordinates, not rank 2"
+
+
 def test_fundamental_weight_duality(small_label):
     rs = build(small_label)
     for i in range(1, rs.rank + 1):
