@@ -14,7 +14,7 @@ from itertools import islice
 from operator import mul
 from typing import Callable, Container, Dict, Iterator, List, NamedTuple, Sequence, Set, Tuple
 
-from . import weyl
+from . import ideals, weyl
 from .affine import (
     affine_cartan_matrix,
     affine_inversion_set,
@@ -273,13 +273,18 @@ def check_kostant(rs: RootSystem) -> CheckResult:
 
 def check_parametrization(rs: RootSystem) -> CheckResult:
     """Nonzero ideals are hit once each by (long root, minimal coset word).
-    The catalog attaches each word to the ideal of the walls it crosses, in
-    one walk of the word tree; independently, the word's rho-shift
-    (`affine.rho_shift`, walked from rho) must be that ideal's root sum,
-    which names the ideal, as no two ideals share a root sum.
+    The catalog is one walk of the word tree, each word's ideal the roots
+    of the walls it crosses; its masks must be the enumeration's
+    (`ideals._enumerate_masks`), in order.  Independently, each word's
+    rho-shift (`affine.rho_shift`, walked from rho) must be its ideal's
+    root sum, which names the ideal, as no two ideals share a root sum.
     `associated_long_root`, read off the ideal's mask
     (`_long_root_of_mask`), must find the parameter's root."""
     cat = catalog_of(rs)
+    masks = ideals._enumerate_masks(rs)[1]
+    if cat.masks != masks:
+        return _fail("parametrization", f"the walk's {len(cat)} ideals are not the "
+                     f"{len(masks)} enumerated ones, in (dim, root sum) order")
     if len(set(cat.sums)) != len(cat):
         return _fail("parametrization", "two enumerated ideals share a root sum")
     params = set()
@@ -495,6 +500,9 @@ def check_maximal_ideals(rs: RootSystem) -> CheckResult:
 # cover graph
 
 def check_hasse_covers(rs: RootSystem) -> CheckResult:
+    """The edges `build_graph` reads off the catalog's walls must be exactly
+    the covers of inclusion (`verify_cover_structure`), so a wall the
+    catalog lacks shows here as a missing one-root step."""
     graph = build_graph(rs)
     if graph.num_nodes != 2 ** rs.rank:
         return _fail("hasse_covers", f"{graph.num_nodes} nodes != {2 ** rs.rank}")

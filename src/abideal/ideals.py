@@ -7,27 +7,22 @@ root only when everything above it is already in and no pairwise sum is a
 root; closure under adding a single simple root is enough because saturated
 chains connect any comparable pair.
 
-Independently, each nonzero ideal arises exactly once from a pair
-(phi, coset word): phi a long positive root, the word a minimal coset word
-of phi's wall subgroup.  The translation between the two descriptions is
-the affine word
-
-    (0,) + minimal_word_to_theta(phi) + coset_word,
-
-whose inversion roots all sit at level one; negating their finite parts
+Each nonzero ideal also arises exactly once from a pair (phi, coset word):
+phi a long positive root, the word a minimal coset word of phi's wall
+subgroup.  The affine word (0,) + minimal_word_to_theta(phi) + coset_word
+has all its inversion roots at level one, and negating their finite parts
 yields the ideal, the roots of the walls the word crosses.  The words form
-one tree, each a parent's word plus one letter, and every walk of it
-crosses one wall per letter (`cross_walls`).  The empty coset words form
-the trunk, one greedy chain from theta (`_greedy_chain`): phi's word is
-s_i(phi)'s plus (i,), i its `greedy_letter`, and it names phi's minimal
-ideal, theta together with theta minus each inversion root of phi's word
-to theta.  The chain is walked once per root system; the catalog grows
-each coset word from it, `from_param` crosses only the coset word's
-letters, and going back, an ideal's long root is the one whose minimal
-ideal is the ideal's roots not orthogonal to theta, read off the ideal's
-mask over the positive roots (`_long_root_of_mask`, which `verify` runs
-on the catalog's masks).  The independent route, each word's rho-shift
-against its ideal's root sum, is the `parametrization` check of `verify`.
+one tree, each a parent's word plus one letter that crosses one wall
+(`cross_walls`).  Its trunk, the empty coset words, is one greedy chain
+from theta (`_greedy_chain`): phi's word is s_i(phi)'s plus (i,), i its
+`greedy_letter`, and names phi's minimal ideal, theta together with theta
+minus each inversion root of phi's word to theta.  The catalog is the walk
+of this tree alone, and `from_param` crosses only a coset word's letters
+from the chain.  Going back, an ideal's long root is the one whose minimal
+ideal is the ideal's roots not orthogonal to theta, read off its mask
+(`_long_root_of_mask`).  The `parametrization` check of `verify` holds the
+walk to the enumeration, mask for mask, and each word's rho-shift to its
+ideal's root sum.
 """
 
 from __future__ import annotations
@@ -280,7 +275,11 @@ def from_param(rs: RootSystem, phi: Root, coset_word: Sequence[int] = ()) -> Abe
         raise ValueError(f"{phi} is not a long positive root")
     _check_coset_word(rs, phi, coset_word)
     _, walls, mask = link
-    mask = cross_walls(rs, list(walls), coset_word, mask, phi, coset_word)
+    return _ideal_of_mask(rs, cross_walls(rs, list(walls), coset_word, mask, phi, coset_word))
+
+
+def _ideal_of_mask(rs: RootSystem, mask: int) -> AbelianIdeal:
+    """The ideal of a mask over rs.positive_roots, its roots in index order."""
     return AbelianIdeal(tuple(rs.positive_roots[k] for k in mask_bits(mask)))
 
 
@@ -295,8 +294,8 @@ class CatalogEntry(NamedTuple):
 
 
 class IdealCatalog:
-    """All abelian ideals of one type, each with its unique parameter, in
-    one walk of the parameter words.
+    """All abelian ideals of one type, each with its unique parameter: one
+    walk of the parameter words.
 
     `masks[k]` is ideal k's bitmask over rs.positive_roots (bit j for root
     j), `sums[k]` its root sum, `walls[k]` the alcove walls of its word
@@ -309,54 +308,46 @@ class IdealCatalog:
     one letter shorter, which `minimal_coset_reps` lists first, as a long
     root's coset words form an order ideal in the weak order (Bjorner and
     Brenti, GTM 231, 2.4).  Each such word copies its parent's walls and
-    mask and crosses one wall by `cross_walls`; its entry is the
-    enumerated ideal with that mask."""
+    mask, crosses one wall by `cross_walls` and adds that wall's packed
+    root to its parent's sum; a trunk entry's sum is read off its mask.
+    The rows are sorted by (dim, root sum), as no two ideals share a root
+    sum, and each ideal is read off its mask.
+    `verify`'s `parametrization` check compares the walk with the
+    enumeration (`_enumerate_masks`)."""
 
     def __init__(self, rs: RootSystem) -> None:
         self.rs = rs
-        oracle, masks, sums = _enumerate_masks(rs)
-        index = {m: k for k, m in enumerate(masks)}
-        entries: List[Optional[CatalogEntry]] = [None] * len(oracle)
-        walls: List[Walls] = [()] * len(oracle)
-        zero = index[0]
-        entries[zero] = CatalogEntry(oracle[zero], None, (), ())
-        walls[zero] = alcove_walls(rs, ())
+        packed = rs.packed_roots
         links = _greedy_chain(rs)[0]
-
+        # (dim, root sum, mask, packed sum, phi, coset word, word, walls)
+        rows: List[tuple] = [(0, rs.unpack(0), 0, 0, None, (), (), alcove_walls(rs, ()))]
         for phi in reversed(rs.long_positive_roots()):
-            position: Dict[AffineWord, int] = {}
+            word, walls, mask = links[phi]
+            position: Dict[AffineWord, int] = {}   # a coset word's row
             for rep in minimal_coset_reps(rs, phi):
                 if rep:
                     parent = position.get(rep[:-1])
                     if parent is None:
                         raise InvariantViolation(
                             f"coset word {rep} of {phi} has no parent in the walk")
-                    current = list(walls[parent])
-                    mask = cross_walls(rs, current, rep[-1:], masks[parent], phi, rep)
-                    word = entries[parent].word + rep[-1:]
+                    _, _, before, total, _, _, word, walls = rows[parent]
+                    walls = list(walls)
+                    mask = cross_walls(rs, walls, rep[-1:], before, phi, rep)
+                    total += packed[(mask ^ before).bit_length() - 1]
+                    word += rep[-1:]
                 else:
-                    word, current, mask = links[phi]
-                k = index.get(mask)
-                if k is None:
-                    raise InvariantViolation(
-                        f"parameter ({phi}, {rep}) crosses walls outside the enumeration")
-                if entries[k] is not None:
-                    raise InvariantViolation(
-                        f"ideal {oracle[k].roots} parametrized twice: "
-                        f"({entries[k].phi}, {entries[k].coset_word}) and ({phi}, {rep})")
-                entries[k] = CatalogEntry(oracle[k], phi, rep, word)
-                walls[k] = tuple(current)
-                position[rep] = k
-
-        missing = [oracle[k] for k, e in enumerate(entries) if e is None]
-        if missing:
-            raise InvariantViolation(f"{len(missing)} ideals have no parameter")
-        self.entries: Tuple[CatalogEntry, ...] = tuple(entries)  # type: ignore[arg-type]
-        self.ideals: Tuple[AbelianIdeal, ...] = oracle
+                    total = sum(map(packed.__getitem__, mask_bits(mask)))
+                position[rep] = len(rows)
+                rows.append((mask.bit_count(), rs.unpack(total), mask, total, phi, rep, word,
+                             tuple(walls)))
+        rows.sort()
+        _, sums, masks, _, phis, reps, words, walls = zip(*rows)
+        self.ideals: Tuple[AbelianIdeal, ...] = tuple(_ideal_of_mask(rs, m) for m in masks)
+        self.entries: Tuple[CatalogEntry, ...] = tuple(map(CatalogEntry, self.ideals, phis, reps, words))
         self.masks: Tuple[int, ...] = masks
         self.sums: Tuple[Root, ...] = sums
-        self.walls: Tuple[Walls, ...] = tuple(walls)
-        self.index: Dict[int, int] = index
+        self.walls: Tuple[Walls, ...] = walls
+        self.index: Dict[int, int] = {m: k for k, m in enumerate(masks)}
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -498,6 +489,9 @@ def affine_adjacency(rs: RootSystem) -> Dict[int, Tuple[int, ...]]:
 def projection_node(rs: RootSystem, phi: Root) -> Optional[int]:
     """Support node nearest to node 0 in the extended diagram; None when
     the nearest node is not unique (the extended diagram of A_l is a cycle)."""
+    check_length(rs, phi)
+    if not any(phi):
+        raise ValueError(f"the zero vector {tuple(phi)} has no support node")
     return _nearest_support_node(graph_distances(affine_adjacency(rs), 0), phi)
 
 

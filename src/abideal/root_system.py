@@ -419,6 +419,8 @@ class RootSystem:
 
     def raw_inner(self, x: Sequence, y: Sequence):
         """x^T form y: form_den times (x|y); an int on integer vectors."""
+        check_length(self, x)
+        check_length(self, y)
         total = 0
         for xi, row in zip(x, self.form):
             if xi:
@@ -427,15 +429,16 @@ class RootSystem:
 
     def twice_raw_rho(self, x: Sequence) -> int:
         """2 raw(rho, x) from the form's diagonal, as raw(rho, alpha_j) = d_j."""
+        check_length(self, x)
         return sum(row[j] * c for j, (row, c) in enumerate(zip(self.form, x)) if c)
 
     def simple_coroot_pairing(self, phi: Sequence, j: int):
         """<phi, alpha_j-check> from the Cartan row alone; an int on integer
         coordinates."""
+        check_length(self, phi)
         return sum(map(mul, phi, self.cartan[j - 1]))
 
     def is_long(self, phi: Sequence[int]) -> bool:
-        check_length(self, phi)
         return self.raw_inner(phi, phi) == self.raw_inner(self.theta, self.theta)
 
     def long_positive_roots(self) -> Tuple[Root, ...]:
@@ -449,9 +452,8 @@ class RootSystem:
         reflections carrying phi to theta.
         """
         from fractions import Fraction
-        check_length(self, phi)
-        diff = tuple(t - p for t, p in zip(self.theta, phi))
-        return Fraction(self.twice_raw_rho(diff), self.raw_inner(self.theta, self.theta))
+        return Fraction(self.twice_raw_rho(self.theta) - self.twice_raw_rho(phi),
+                        self.raw_inner(self.theta, self.theta))
 
     def __repr__(self) -> str:
         return f"RootSystem({self.simple_type})"

@@ -172,3 +172,14 @@ def test_two_shell_identity(label):
     perp = tuple(j for j in perp_generators(rs, rs.theta) if j != 0)
     from abideal.weyl import subgroup_poincare, weyl_poincare
     assert poly(shell) == poly_divexact(weyl_poincare(rs), subgroup_poincare(rs, perp))
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda rs: perp_generators(rs, (1,)), id="perp_generators"),
+    pytest.param(lambda rs: wall_subgroup_poincare(rs, (1,), True), id="wall_subgroup_poincare"),
+])
+def test_wall_letters_reject_a_wrong_length_root(call):
+    # on A2, (1,) had the wall letters () and the series (1,)
+    with pytest.raises(ValueError) as info:
+        call(build("A2"))
+    assert str(info.value) == "vector (1,) has 1 coordinates, not rank 2"

@@ -319,7 +319,8 @@ def test_tables_builds_no_catalog(monkeypatch, capsys):
 
 @pytest.mark.parametrize("label", ["A1", "G2", "B4", "D5", "E6", "E8", "A11"])
 def test_verify_enumerates_each_type_once(monkeypatch, label):
-    # the catalog enumerates, and max_dimension's check reads its ideals
+    # parametrization enumerates, to hold the walked catalog to it, and
+    # max_dimension's check reads the catalog's masks
     calls = []
     real = ideals._enumerate_masks
 
@@ -334,6 +335,27 @@ def test_verify_enumerates_each_type_once(monkeypatch, label):
     finally:
         clear_system_caches()
     assert calls == [label]
+
+
+@pytest.mark.parametrize("label", ["A1", "G2", "E8", "A11"])
+def test_ideals_and_hasse_never_enumerate(monkeypatch, capsys, label):
+    # the catalog is the walk alone and the Hasse graph is read off its
+    # walls; only verify holds them to the enumeration
+    calls = []
+    real = ideals._enumerate_masks
+
+    def counted(rs):
+        calls.append(str(rs.simple_type))
+        return real(rs)
+
+    monkeypatch.setattr(ideals, "_enumerate_masks", counted)
+    for argv in (["ideals", label], ["ideals", label, "--json"], ["hasse", label, "--dot", "-"]):
+        clear_system_caches()
+        try:
+            assert run(capsys, *argv)[0] == 0
+        finally:
+            clear_system_caches()
+    assert calls == []
 
 
 @pytest.mark.parametrize("label", ["A5", "D5", "E6", "E8"])

@@ -23,7 +23,7 @@ from abideal.hasse import (
     upper_alcoves,
     verify_cover_structure,
 )
-from abideal.ideals import InvariantViolation, IdealCatalog, catalog_of, long_simple_nodes
+from abideal.ideals import IdealCatalog, catalog_of, long_simple_nodes
 from abideal.qpoly import bracket, poly_mul
 from abideal.reference import reference_hasse_group
 from abideal.root_system import build, supported_types
@@ -81,15 +81,17 @@ def test_edges_differ_by_one_generator(small_label):
         assert step == element_of_affine_word(rs, (e.letter,))
 
 
-def test_build_graph_rejects_walls_without_the_added_root(monkeypatch):
+def test_verify_fails_hasse_covers_on_walls_without_the_added_root(monkeypatch):
     # the zero ideal's walls lose beta_0 = (-theta, 1), the wall that the
-    # edge up to {theta} crosses; a copy keeps the cached graph intact
+    # edge up to {theta} crosses, so the graph read off the walls lacks
+    # that edge; a copy keeps the cached graph intact
     rs = copy.copy(build("A2"))
-    cat = IdealCatalog(rs)
+    cat = catalog_of(rs)
     cat.walls = (cat.walls[0][1:],) + cat.walls[1:]
-    monkeypatch.setattr(hasse, "catalog_of", lambda rs: cat)
-    with pytest.raises(InvariantViolation, match="do not differ by one reflection"):
-        build_graph(rs)
+    monkeypatch.setattr(checks, "build", lambda label: rs)
+    results = {r.name: r for r in checks.verify_type("A2").results}
+    assert not results["hasse_covers"].passed
+    assert results["hasse_covers"].details == "no one-root step from () toward ((1, 1),)"
 
 
 def test_every_nonzero_node_has_a_lower_cover(small_label):

@@ -231,19 +231,43 @@ def test_affine_word_construction_rejects_bad_words():
         cross_walls(rs, list(alcove_walls(rs, ())), (1,), 0, rs.theta, ())
 
 
-@pytest.mark.parametrize("reps, message", [
-    (((), (0,), (0, 0)), "level one"),   # crossing wall 0 twice leaves level one
-    (((), (0, 0)), "no parent"),
-    (((), ()), "parametrized twice"),
-    (((),), "have no parameter"),
-])
-def test_coset_tree_rejects_bad_words(monkeypatch, reps, message):
+def _take_coset_words(monkeypatch, reps):
     # the catalog's walk takes the given coset words for (1, 0) of B2
     real = ideals.minimal_coset_reps
     monkeypatch.setattr(ideals, "minimal_coset_reps",
                         lambda rs, phi: reps if phi == (1, 0) else real(rs, phi))
+
+
+def _verify_failures(monkeypatch, rs):
+    # verify_type on the given root system, which never raises: the FAIL
+    # details by check name
+    monkeypatch.setattr(checks, "build", lambda label: rs)
+    return {r.name: r.details for r in checks.verify_type(str(rs.simple_type)).results
+            if not r.passed}
+
+
+@pytest.mark.parametrize("reps, message", [
+    (((), (0,), (0, 0)), "level one"),   # crossing wall 0 twice leaves level one
+    (((), (0, 0)), "no parent"),
+])
+def test_coset_tree_rejects_bad_words(monkeypatch, reps, message):
+    _take_coset_words(monkeypatch, reps)
     with pytest.raises(InvariantViolation, match=message):
         IdealCatalog(build("B2"))
+
+
+@pytest.mark.parametrize("reps, walked", [
+    pytest.param(((), ()), 4, id="parametrized twice"),
+    pytest.param(((),), 3, id="have no parameter"),
+])
+def test_verify_fails_parametrization_on_bad_coset_words(monkeypatch, reps, walked):
+    # the catalog is the walk alone, so an ideal walked twice, or never,
+    # is verify's to find, against the enumeration; a copy of B2 keeps the
+    # cached catalog intact
+    _take_coset_words(monkeypatch, reps)
+    failed = _verify_failures(monkeypatch, copy.copy(build("B2")))
+    assert failed["parametrization"] == (
+        f"the walk's {walked} ideals are not the 4 enumerated ones, in (dim, root sum) order")
 
 
 @pytest.mark.parametrize("index, message", [
@@ -262,12 +286,13 @@ def test_coset_tree_rejects_walls_off_the_positive_roots(index, message):
         IdealCatalog(rs)
 
 
-def test_coset_tree_rejects_walls_outside_the_enumeration(monkeypatch):
+def test_verify_fails_parametrization_on_walls_outside_the_enumeration(monkeypatch):
     # the enumeration loses its largest ideal, which a word still reaches
     real = ideals._enumerate_masks
     monkeypatch.setattr(ideals, "_enumerate_masks", lambda rs: tuple(t[:-1] for t in real(rs)))
-    with pytest.raises(InvariantViolation, match="crosses walls outside the enumeration"):
-        IdealCatalog(build("B2"))
+    failed = _verify_failures(monkeypatch, copy.copy(build("B2")))
+    assert failed["parametrization"] == (
+        "the walk's 4 ideals are not the 3 enumerated ones, in (dim, root sum) order")
 
 
 def test_catalog_rejects_a_wrong_rho_shift(monkeypatch):
@@ -571,6 +596,19 @@ def test_projection_node_spot_values():
         assert projection_node(rs, phi) == 2
     b4 = build("B4")
     assert projection_node(b4, b4.theta) == 2
+
+
+@pytest.mark.parametrize("label, vector, message", [
+    ("A2", (1,), "vector (1,) has 1 coordinates, not rank 2"),
+    ("A2", (1, 0, 0), "vector (1, 0, 0) has 3 coordinates, not rank 2"),
+    ("A2", (0, 0), "the zero vector (0, 0) has no support node"),
+    ("B3", (0, 0, 0), "the zero vector (0, 0, 0) has no support node"),
+])
+def test_projection_node_rejects_wrong_length_and_zero_vectors(label, vector, message):
+    # (1,) had node 1 on A2, and a zero vector raised min()'s empty-sequence error
+    with pytest.raises(ValueError) as info:
+        projection_node(build(label), vector)
+    assert str(info.value) == message
 
 
 MAX_DIMS = {

@@ -33,7 +33,10 @@ bare masks its loop took in (`_random_draws`), and the catalog's walk
 of the word tree keeps the whole-word forms it replaced: each entry's
 walls walked from the affine simple roots, its ideal rebuilt by
 `from_param`, and its ideal read off the whole word's affine inversion
-set.  Cold construction keeps its
+set; the catalog keeps the build it replaced, each walked word matched to
+the enumerated ideal with its mask (`_enumeration_matched_catalog`), and
+the Hasse graph its edges found by looking each one-root-smaller mask up
+in the catalog (`_mask_lookup_edges`).  Cold construction keeps its
 tuple forms: the rho-shift that builds one tuple per letter, the greedy
 walk from a root all the way to theta, the cover and conflict masks from
 `vadd` sums, the enumeration whose ideals `make_ideal` re-sorts, with
@@ -90,6 +93,7 @@ from abideal.hasse import (
 )
 from abideal.ideals import (
     AbelianIdeal,
+    CatalogEntry,
     IdealCatalog,
     InvariantViolation,
     _enumerate_masks,
@@ -97,6 +101,7 @@ from abideal.ideals import (
     _ideal_mask,
     _long_root_of_mask,
     catalog_of,
+    cross_walls,
     enumerate_all,
     forbidden_roots,
     from_param,
@@ -1126,6 +1131,71 @@ def test_coset_tree_edges_are_hasse_edges(label):
             assert letters[position[e.word[:-1]], k] == e.word[-1], e.word
             edges += 1
     assert edges == len(cat) - 1
+
+
+def _enumeration_matched_catalog(rs):
+    # the catalog as it was built before the walk alone: the enumeration
+    # gives the ideals, masks and sums, and each walked word is matched to
+    # the enumerated ideal with its mask, which must be hit exactly once
+    oracle, masks, sums = _enumerate_masks(rs)
+    index = {m: k for k, m in enumerate(masks)}
+    entries = [None] * len(oracle)
+    walls = [()] * len(oracle)
+    zero = index[0]
+    entries[zero] = CatalogEntry(oracle[zero], None, (), ())
+    walls[zero] = alcove_walls(rs, ())
+    links = _greedy_chain(rs)[0]
+    for phi in reversed(rs.long_positive_roots()):
+        position = {}
+        for rep in minimal_coset_reps(rs, phi):
+            if rep:
+                parent = position[rep[:-1]]
+                current = list(walls[parent])
+                mask = cross_walls(rs, current, rep[-1:], masks[parent], phi, rep)
+                word = entries[parent].word + rep[-1:]
+            else:
+                word, current, mask = links[phi]
+            k = index.get(mask)
+            if k is None:
+                raise InvariantViolation(
+                    f"parameter ({phi}, {rep}) crosses walls outside the enumeration")
+            if entries[k] is not None:
+                raise InvariantViolation(f"ideal {oracle[k].roots} parametrized twice")
+            entries[k] = CatalogEntry(oracle[k], phi, rep, word)
+            walls[k] = tuple(current)
+            position[rep] = k
+    if None in entries:
+        raise InvariantViolation(f"{entries.count(None)} ideals have no parameter")
+    return tuple(entries), oracle, masks, sums, tuple(walls), index
+
+
+def _mask_lookup_edges(rs):
+    # the Hasse edges as they were found before they were read off the
+    # walls: each one-root-smaller mask looked up in the catalog, and the
+    # label the position of the crossed wall, which must be there
+    cat = catalog_of(rs)
+    edges = []
+    for k, mask in enumerate(cat.masks):
+        for r in mask_bits(mask):
+            j = cat.index.get(mask & ~(1 << r))
+            if j is None:
+                continue
+            crossed = tuple(-c for c in rs.positive_roots[r]) + (1,)
+            if crossed not in cat.walls[j]:
+                raise InvariantViolation("elements of adjacent ideals do not differ by one reflection")
+            edges.append(HasseEdge(j, k, cat.walls[j].index(crossed)))
+    return tuple(sorted(edges, key=lambda e: (e.lower, e.upper)))
+
+
+@pytest.mark.parametrize("label", EVERY_LABEL)
+def test_walked_catalog_and_wall_edges_match_the_matched_forms(label):
+    # the catalog built from the walk alone, and the edges read off its
+    # walls, against the enumeration-matched catalog and the mask lookup
+    rs = build(label)
+    cat = catalog_of(rs)
+    assert (cat.entries, cat.ideals, cat.masks, cat.sums, cat.walls, cat.index) == \
+        _enumeration_matched_catalog(rs)
+    assert build_graph(rs).edges == _mask_lookup_edges(rs)
 
 
 def rho_shift_in_2A(rs, shift):

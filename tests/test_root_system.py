@@ -140,12 +140,26 @@ def test_length_to_theta_on_long_roots(each_label):
 
 
 @pytest.mark.parametrize("method, vector", [("is_long", (1,)), ("length_to_theta", (1,)),
-                                            ("length_to_theta", (1, 1, 5)), ("is_long", (1, 1, 5))])
+                                            ("length_to_theta", (1, 1, 5)), ("is_long", (1, 1, 5)),
+                                            ("twice_raw_rho", (1, 0, 7)), ("twice_raw_rho", (1,))])
 def test_wrong_length_vectors_are_rejected(method, vector):
     # zipped against theta and the form, a truncated or padded vector would
-    # pass for theta
+    # pass for theta; twice_raw_rho returned 2 on both, as for (1, 0)
     with pytest.raises(ValueError) as info:
         getattr(build("A2"), method)(vector)
+    assert str(info.value) == f"vector {vector} has {len(vector)} coordinates, not rank 2"
+
+
+@pytest.mark.parametrize("method, args, vector", [
+    ("raw_inner", ((1,), (1,)), (1,)),
+    ("raw_inner", ((1, 0), (1, 0, 7)), (1, 0, 7)),
+    ("simple_coroot_pairing", ((1,), 1), (1,)),
+])
+def test_two_argument_readers_reject_wrong_length_vectors(method, args, vector):
+    # zipped against the form or a Cartan row, each of these returned 2 on
+    # A2, as for (1, 0)
+    with pytest.raises(ValueError) as info:
+        getattr(build("A2"), method)(*args)
     assert str(info.value) == f"vector {vector} has {len(vector)} coordinates, not rank 2"
 
 
